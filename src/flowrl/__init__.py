@@ -69,8 +69,8 @@ from .qnet import (
     select_actions,
 )
 from .replay import (
+    Batch,
     ConsolidationMemory,
-    Experience,
     ReplayBuffer,
     assign_priority,
     mixed_batch,

@@ -89,10 +89,6 @@ def _resolve_config(args) -> RunConfig:
     config = load_config(args.config) if args.config else RunConfig()
     if getattr(args, "seed", None) is not None:
         config = replace(config, seed=args.seed)
-    if getattr(args, "threads", None) is not None:
-        if args.threads < 1:
-            raise UsageError("--threads must be >= 1")
-        config = replace(config, threads=args.threads)
     return config
 
 
@@ -150,7 +146,6 @@ def cmd_train(args) -> int:
             seed=config.seed,
             learning_rate=config.trainer.learning_rate,
             optimizer=config.qnet.optimizer,
-            buffer_capacity=config.buffer_capacity,
         )
 
     prev = _load_dataset(data_dir, periods[start_index - 1]) if start_index > 0 else None
@@ -159,10 +154,8 @@ def cmd_train(args) -> int:
         cfg = config.trainer
         if config.freeze_after_first_period and period != periods[0]:
             cfg = replace(cfg, epochs=0)
-        report = run_period(
-            prev, curr, agent, cfg, config.weights, config.seed,
-            drift_cfg=config.drift, threads=config.threads,
-        )
+        report = run_period(prev, curr, agent, cfg, config.weights, config.seed,
+                            drift_cfg=config.drift)
         _write_json(out_dir / f"report_{period}.json", report.to_report_dict())
         _write_json(out_dir / f"timings_{period}.json", report.to_timings_dict())
         save_agent(agent, out_dir / f"checkpoint_{period}.npz")
@@ -192,8 +185,7 @@ def cmd_evaluate(args) -> int:
     discretizer = fit_discretizer(dataset.flows_in("train"))
     assembler = StateAssembler(dataset, window=config.trainer.window, calibration=calibration)
     metrics, per_node = evaluate_period(
-        dataset, agent.net, discretizer, assembler, config.trainer.horizons,
-        threads=config.threads,
+        dataset, agent.net, discretizer, assembler, config.trainer.horizons
     )
     payload = {
         "period": args.period,
@@ -283,7 +275,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", help="run the continual loop over all periods")
     p.add_argument("--config")
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int)
     p.add_argument("--data-dir", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--resume", action="store_true", help="continue from the last checkpoint in out-dir")
@@ -292,7 +283,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("evaluate", help="score a checkpoint on one period")
     p.add_argument("--config")
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int)
     p.add_argument("--data-dir", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--period", type=int, required=True)

@@ -36,26 +36,23 @@ class RunConfig:
     """Everything a command needs, assembled from one config file."""
 
     seed: int = 0
-    threads: int = 1
     weights: RewardWeights = field(default_factory=RewardWeights)
     qnet: QNetSettings = field(default_factory=QNetSettings)
     trainer: TrainerConfig = field(default_factory=TrainerConfig)
     drift: DriftConfig = field(default_factory=DriftConfig)
     generator: GeneratorConfig = field(default_factory=GeneratorConfig)
-    buffer_capacity: int = 100_000
     freeze_after_first_period: bool = False
 
 
 _SCHEMA: dict[str, tuple[str, ...]] = {
-    "run": ("seed", "threads"),
+    "run": ("seed",),
     "env": ("window", "occ_epsilon"),
     "reward": ("lambda_p", "lambda_c", "lambda_o"),
     "qnet": ("hidden", "dueling", "optimizer"),
-    "replay": ("capacity", "omega", "consolidation_fraction"),
+    "replay": ("omega", "consolidation_fraction"),
     "trainer": (
         "gamma",
         "learning_rate",
-        "tabular_step_size",
         "batch_size",
         "epochs",
         "eps_start",
@@ -200,7 +197,6 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
             TrainerConfig(),
             gamma=trainer.get_float("gamma"),
             learning_rate=trainer.get_float("learning_rate"),
-            tabular_step_size=trainer.get_float("tabular_step_size"),
             batch_size=trainer.get_int("batch_size"),
             epochs=trainer.get_int("epochs"),
             eps_start=trainer.get_float("eps_start"),
@@ -239,21 +235,17 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
         )
         config = RunConfig(
             seed=run.get_int("seed") if run.get_int("seed") is not None else 0,
-            threads=run.get_int("threads") if run.get_int("threads") is not None else 1,
             weights=weights,
             qnet=qnet_settings,
             trainer=trainer_cfg,
             drift=drift_cfg,
             generator=generator_cfg,
-            buffer_capacity=replay.get_int("capacity") if replay.get_int("capacity") is not None else 100_000,
             freeze_after_first_period=trainer.get_bool("freeze_after_first_period") or False,
         )
     except ConfigError:
         raise
     except ValueError as e:
         raise ConfigError(f"{source}: {e}") from None
-    if config.threads < 1:
-        raise ConfigError(f"{source}: threads must be >= 1")
     return config
 
 
@@ -275,7 +267,7 @@ def config_to_ini(config: RunConfig) -> str:
     t = config.trainer
     g = config.generator
     parser = configparser.ConfigParser(interpolation=None)
-    parser["run"] = {"seed": str(config.seed), "threads": str(config.threads)}
+    parser["run"] = {"seed": str(config.seed)}
     parser["env"] = {"window": str(t.window), "occ_epsilon": repr(t.occ_epsilon)}
     parser["reward"] = {
         "lambda_p": repr(config.weights.lambda_p),
@@ -288,14 +280,12 @@ def config_to_ini(config: RunConfig) -> str:
         "optimizer": config.qnet.optimizer,
     }
     parser["replay"] = {
-        "capacity": str(config.buffer_capacity),
         "omega": repr(t.sampling_omega),
         "consolidation_fraction": repr(t.consolidation_fraction),
     }
     parser["trainer"] = {
         "gamma": repr(t.gamma),
         "learning_rate": repr(t.learning_rate),
-        "tabular_step_size": repr(t.tabular_step_size),
         "batch_size": str(t.batch_size),
         "epochs": str(t.epochs),
         "eps_start": repr(t.eps_start),

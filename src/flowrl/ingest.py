@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,9 @@ class SensorSeries:
             )
         if n == 0:
             raise ValueError(f"sensor {self.sensor_id!r}: empty series")
+        for name in ("flow", "speed", "occupancy"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"sensor {self.sensor_id!r}: non-finite {name}")
         if np.any(self.flow < 0) or np.any(self.speed < 0):
             raise ValueError(f"sensor {self.sensor_id!r}: negative flow or speed")
         if np.any(self.occupancy < 0) or np.any(self.occupancy > 1):
@@ -177,6 +181,11 @@ def load_period(readings_path, adjacency_path, period: int, nodes_path=None) -> 
                 occ = float(occ_raw)
             except ValueError:
                 raise DataError("bad numeric value", path=str(readings_path), line=lineno) from None
+            if not (isfinite(flow) and isfinite(speed) and isfinite(occ)):
+                name, value = next((name, value) for name, value in
+                                   (("flow", flow), ("speed", speed), ("occupancy", occ))
+                                   if not isfinite(value))
+                raise DataError(f"non-finite {name} {value}", path=str(readings_path), line=lineno)
             if flow < 0:
                 raise DataError(f"negative flow {flow}", path=str(readings_path), line=lineno)
             if speed < 0:

@@ -1,102 +1,150 @@
 """Experience storage: reward-prioritized replay plus a consolidation memory.
 
-Priorities equal the (floored) reward; sampling probabilities are
-p_i^omega / sum_k p_k^omega, drawn with replacement. After each period the
-top fraction of that period's experiences by priority is retained in a
-consolidation memory and replayed into later training batches to guard
-old-node knowledge against forgetting.
+Transitions are kept in columns (`ReplayBuffer`). A rollout of n steps
+stores its n + 1 state rows once, and each step's next state is the row
+after its own. Priorities equal the (floored) reward, which never changes
+once a transition exists, so the sampling distribution
+p_i^omega / sum_k p_k^omega becomes one cumulative sum per pool and every
+batch is a binary search of uniform draws, with replacement. After each
+period the top fraction of that period's transitions by priority is copied
+into a consolidation memory and replayed into later training batches to
+guard old-node knowledge against forgetting.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 PRIORITY_FLOOR = 1e-3
-CAPACITY_DEFAULT = 100_000
 CONSOLIDATION_FRACTION = 0.05
 
-
-@dataclass(eq=False)
-class Experience:
-    """One transition (s, a, r, s') tagged with its origin."""
-
-    state: np.ndarray
-    action: int
-    reward: float
-    next_state: np.ndarray
-    terminal: bool
-    node_id: str
-    period: int
-    t: int  # time index of the prediction step within its period
-    priority: float = 0.0
+# Per-transition columns of a ReplayBuffer; its `states` matrix holds the rows.
+COLUMNS = {
+    "row": np.int64,
+    "action": np.int64,
+    "reward": np.float64,
+    "terminal": np.bool_,
+    "node_id": np.str_,
+    "period": np.int64,
+    "t": np.int64,  # time index of the prediction step within its period
+}
 
 
-def assign_priority(e: Experience, floor: float = PRIORITY_FLOOR) -> float:
+class Batch(NamedTuple):
+    states: np.ndarray
+    actions: np.ndarray
+    rewards: np.ndarray
+    next_states: np.ndarray
+    terminals: np.ndarray
+
+
+def assign_priority(rewards, floor: float = PRIORITY_FLOOR) -> np.ndarray:
     """Reward-as-priority with a positive floor so nothing starves."""
-    if e.reward < 0:
-        raise ValueError(f"reward must be nonnegative, got {e.reward}")
-    return max(float(e.reward), floor)
+    rewards = np.asarray(rewards, dtype=float)
+    if np.any(rewards < 0):
+        raise ValueError(f"rewards must be nonnegative, got {rewards.min()}")
+    return np.maximum(rewards, floor)
 
 
 class ReplayBuffer:
-    """Bounded FIFO ring of experiences with an incremental priority sum."""
+    """Columnar transitions: transition i goes from states[row[i]] to
+    states[row[i] + 1], with the action, reward and terminal flag of that
+    step and its origin (node_id, period, t)."""
 
-    def __init__(self, capacity: int = CAPACITY_DEFAULT, priority_floor: float = PRIORITY_FLOOR):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self.priority_floor = priority_floor
-        self._items: list[Experience] = []
-        self._priorities = np.zeros(capacity)
-        self._next = 0
-        self._priority_sum = 0.0
+    def __init__(self, states=None, **columns):
+        self.states = np.zeros((0, 0)) if states is None else np.asarray(states, dtype=float)
+        for name, dtype in COLUMNS.items():
+            setattr(self, name, np.asarray(columns.pop(name, ()), dtype=dtype))
+        if columns:
+            raise TypeError(f"unknown columns {sorted(columns)}")
+        self._fill = (len(self.row), len(self.states))  # next free transition and state row
+        self._cdf: tuple[float, np.ndarray] | None = None
+
+    @classmethod
+    def allocate(cls, transitions: int, rollouts: int, dim: int, node_ids) -> ReplayBuffer:
+        """Room for `rollouts` rollouts of `transitions` steps in all, to be
+        written by add_rollout; node_ids are the nodes that will roll out."""
+        width = np.array(list(node_ids), dtype=np.str_).dtype
+        columns = {name: np.empty(transitions, width if dtype is np.str_ else dtype)
+                   for name, dtype in COLUMNS.items()}
+        store = cls(np.empty((transitions + rollouts, dim)), **columns)
+        store._fill = (0, 0)
+        return store
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self.row)
 
-    def add(self, e: Experience) -> None:
-        p = assign_priority(e, self.priority_floor)
-        e.priority = p
-        if len(self._items) < self.capacity:
-            self._items.append(e)
-            self._priorities[len(self._items) - 1] = p
-            self._priority_sum += p
-        else:
-            evicted = self._items[self._next]
-            self._priority_sum -= evicted.priority
-            self._items[self._next] = e
-            self._priorities[self._next] = p
-            self._priority_sum += p
-            self._next = (self._next + 1) % self.capacity
+    def columns(self) -> dict[str, np.ndarray]:
+        return {"states": self.states, **{name: getattr(self, name) for name in COLUMNS}}
 
-    def extend(self, experiences) -> None:
-        for e in experiences:
-            self.add(e)
+    def add_rollout(self, states, actions, rewards, node_id: str, period: int,
+                    t0: int) -> ReplayBuffer:
+        """Write one rollout (n + 1 state rows, n steps from time t0) into
+        the next free slots; returns a view of its transitions."""
+        n = len(actions)
+        s, r = self._fill
+        if n < 1 or s + n > len(self.row) or r + n + 1 > len(self.states):
+            raise ValueError(f"no room for a rollout of {n} steps")
+        self.states[r : r + n + 1] = states
+        span = slice(s, s + n)
+        self.row[span] = np.arange(r, r + n)
+        self.action[span] = actions
+        self.reward[span] = rewards
+        self.terminal[span] = np.arange(n) == n - 1
+        self.node_id[span] = node_id
+        self.period[span] = period
+        self.t[span] = np.arange(t0, t0 + n)
+        self._fill = (s + n, r + n + 1)
+        self._cdf = None
+        return ReplayBuffer(self.states, **{name: getattr(self, name)[span] for name in COLUMNS})
 
-    def reset(self) -> None:
-        self._items.clear()
-        self._priorities[:] = 0.0
-        self._next = 0
-        self._priority_sum = 0.0
+    def extend(self, items: ReplayBuffer) -> None:
+        """Append items' transitions; an empty store takes items' arrays
+        without copying them."""
+        for name, column in concatenate(self, items).columns().items():
+            setattr(self, name, column)
+        self._fill = (len(self.row), len(self.states))
+        self._cdf = None
 
-    @property
-    def priority_sum(self) -> float:
-        return self._priority_sum
+    def take(self, idx) -> ReplayBuffer:
+        """A compact copy of transitions idx, each with its own (state,
+        next state) pair of rows."""
+        idx = np.asarray(idx, dtype=np.int64)
+        pairs = np.stack([self.row[idx], self.row[idx] + 1], axis=1).ravel()
+        columns = {name: getattr(self, name)[idx] for name in COLUMNS}
+        columns["row"] = np.arange(0, 2 * len(idx), 2)
+        return ReplayBuffer(self.states[pairs], **columns)
 
-    def recompute_priority_sum(self) -> float:
-        return float(sum(e.priority for e in self._items))
+    def gather(self, idx) -> Batch:
+        rows = self.row[idx]
+        return Batch(self.states[rows], self.action[idx], self.reward[idx],
+                     self.states[rows + 1], self.terminal[idx])
 
     def priorities(self) -> np.ndarray:
-        return self._priorities[: len(self._items)]
+        return assign_priority(self.reward)
 
-    def item(self, i: int) -> Experience:
-        return self._items[i]
+    def cdf(self, omega: float) -> np.ndarray:
+        """Cumulative sampling distribution, built the way Generator.choice
+        builds it and kept until the contents change."""
+        if self._cdf is None or self._cdf[0] != omega:
+            cdf = sampling_probabilities(self.priorities(), omega).cumsum()
+            cdf /= cdf[-1]
+            self._cdf = (omega, cdf)
+        return self._cdf[1]
 
-    def items(self) -> list[Experience]:
-        return list(self._items)
+
+def concatenate(first: ReplayBuffer, second: ReplayBuffer) -> ReplayBuffer:
+    """The transitions of both stores, first's before second's; an empty
+    side returns the other store itself."""
+    if len(first) == 0 or len(second) == 0:
+        return second if len(first) == 0 else first
+    columns = {name: np.concatenate([first_col, getattr(second, name)])
+               for name, first_col in first.columns().items() if name != "row"}
+    columns["row"] = np.concatenate([first.row, second.row + len(first.states)])
+    return ReplayBuffer(**columns)
 
 
 def sampling_probabilities(priorities, omega: float = 1.0) -> np.ndarray:
@@ -113,77 +161,73 @@ def sampling_probabilities(priorities, omega: float = 1.0) -> np.ndarray:
 
 
 def sample(buffer: ReplayBuffer, batch_size: int, omega: float,
-           rng: np.random.Generator) -> list[Experience]:
-    """Draw a batch with replacement under the priority distribution."""
+           rng: np.random.Generator) -> np.ndarray:
+    """Indices of a batch drawn with replacement under the priority
+    distribution; the same indices and generator state as
+    rng.choice(len(buffer), batch_size, p=probabilities)."""
     if len(buffer) == 0:
         raise ValueError("cannot sample from an empty replay buffer")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    probs = sampling_probabilities(buffer.priorities(), omega)
-    idx = rng.choice(len(buffer), size=batch_size, replace=True, p=probs)
-    return [buffer.item(int(i)) for i in idx]
+    return buffer.cdf(omega).searchsorted(rng.random(batch_size), side="right")
 
 
-def retain_top_fraction(experiences, fraction: float = CONSOLIDATION_FRACTION) -> list[Experience]:
-    """The ceil(fraction*N) highest-priority experiences of a period.
+def retain_top_fraction(experiences: ReplayBuffer,
+                        fraction: float = CONSOLIDATION_FRACTION) -> ReplayBuffer:
+    """The ceil(fraction*N) highest-priority transitions of a period.
 
     Ties break by (node_id, t) ascending, so the retained set is
-    deterministic. The result is a subset of the input.
+    deterministic. The result is a copy of a subset of the input.
     """
-    items = list(experiences)
-    if not items:
+    if len(experiences) == 0:
         raise ValueError("cannot retain from an empty collection")
     if not 0 < fraction <= 1:
         raise ValueError(f"fraction must lie in (0, 1], got {fraction}")
-    k = math.ceil(fraction * len(items))
-    ordered = sorted(items, key=lambda e: (-assign_priority(e), e.node_id, e.t))
-    return ordered[:k]
+    k = math.ceil(fraction * len(experiences))
+    order = np.lexsort((experiences.t, experiences.node_id, -experiences.priorities()))
+    return experiences.take(order[:k])
 
 
 class ConsolidationMemory:
-    """Retained top-priority experiences, keyed by the period that produced them."""
+    """Retained top-priority transitions of every past period, in the order
+    the periods were added."""
 
-    def __init__(self):
-        self._by_period: dict[int, list[Experience]] = {}
-        self._flat: list[Experience] = []
+    def __init__(self, store: ReplayBuffer | None = None):
+        self.store = store if store is not None else ReplayBuffer()
 
     def __len__(self) -> int:
-        return len(self._flat)
+        return len(self.store)
 
     def periods(self) -> list[int]:
-        return sorted(self._by_period)
+        return sorted(set(self.store.period.tolist()))
 
-    def for_period(self, period: int) -> list[Experience]:
-        return list(self._by_period.get(period, []))
+    def for_period(self, period: int) -> ReplayBuffer:
+        return self.store.take(np.flatnonzero(self.store.period == period))
 
-    def add_period(self, period: int, retained) -> None:
-        retained = list(retained)
-        if period in self._by_period:
+    def add_period(self, period: int, retained: ReplayBuffer) -> None:
+        if period in self.periods():
             raise ValueError(f"period {period} already retained")
-        self._by_period[period] = retained
-        self._flat.extend(retained)
+        if np.any(retained.period != period):
+            raise ValueError(f"retained transitions do not all come from period {period}")
+        self.store = concatenate(self.store, retained)
 
-    def all(self) -> list[Experience]:
-        return list(self._flat)
-
-    def draw(self, count: int, rng: np.random.Generator) -> list[Experience]:
-        """Uniform draw with replacement from all retained experiences."""
+    def draw(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        """Indices of a uniform draw with replacement from the store."""
         if count == 0:
-            return []
-        if not self._flat:
+            return np.empty(0, dtype=np.int64)
+        if len(self) == 0:
             raise ValueError("consolidation memory is empty")
-        idx = rng.integers(0, len(self._flat), size=count)
-        return [self._flat[int(i)] for i in idx]
+        return rng.integers(0, len(self), size=count)
 
 
 def mixed_batch(buffer: ReplayBuffer, memory: ConsolidationMemory, batch_size: int,
-                rho: float, omega: float, rng: np.random.Generator) -> list[Experience]:
+                rho: float, omega: float, rng: np.random.Generator) -> Batch:
     """A batch of exactly batch_size: round(rho*B) uniform memory replays
     (skipped while the memory is empty), remainder prioritized from the
     buffer.
 
-    Memory items are drawn first, then buffer items, so the draw order is
-    reproducible for a fixed generator.
+    Memory rows are drawn first and come first, then buffer rows, so the
+    draw order is reproducible for a fixed generator.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -192,47 +236,11 @@ def mixed_batch(buffer: ReplayBuffer, memory: ConsolidationMemory, batch_size: i
     if len(buffer) == 0:
         raise ValueError("cannot build a batch from an empty replay buffer")
     n_memory = int(rho * batch_size + 0.5) if len(memory) > 0 else 0
-    out = memory.draw(n_memory, rng)
+    parts = []
+    if n_memory:
+        parts.append(memory.store.gather(memory.draw(n_memory, rng)))
     if n_memory < batch_size:
-        out.extend(sample(buffer, batch_size - n_memory, omega, rng))
-    return out
-
-
-def experiences_to_arrays(experiences) -> dict[str, np.ndarray]:
-    """Columnar arrays for an npz dump; inverse of experiences_from_arrays."""
-    items = list(experiences)
-    if items:
-        states = np.stack([e.state for e in items])
-        next_states = np.stack([e.next_state for e in items])
-    else:
-        states = np.zeros((0, 0))
-        next_states = np.zeros((0, 0))
-    return {
-        "state": states,
-        "action": np.array([e.action for e in items], dtype=int),
-        "reward": np.array([e.reward for e in items], dtype=float),
-        "next_state": next_states,
-        "terminal": np.array([e.terminal for e in items], dtype=bool),
-        "node_id": np.array([e.node_id for e in items], dtype=np.str_),
-        "period": np.array([e.period for e in items], dtype=int),
-        "t": np.array([e.t for e in items], dtype=int),
-        "priority": np.array([e.priority for e in items], dtype=float),
-    }
-
-
-def experiences_from_arrays(arrays: dict) -> list[Experience]:
-    n = len(arrays["action"])
-    return [
-        Experience(
-            state=np.array(arrays["state"][i], dtype=float),
-            action=int(arrays["action"][i]),
-            reward=float(arrays["reward"][i]),
-            next_state=np.array(arrays["next_state"][i], dtype=float),
-            terminal=bool(arrays["terminal"][i]),
-            node_id=str(arrays["node_id"][i]),
-            period=int(arrays["period"][i]),
-            t=int(arrays["t"][i]),
-            priority=float(arrays["priority"][i]),
-        )
-        for i in range(n)
-    ]
+        parts.append(buffer.gather(sample(buffer, batch_size - n_memory, omega, rng)))
+    if len(parts) == 1:
+        return parts[0]
+    return Batch(*(np.concatenate(pair) for pair in zip(*parts)))

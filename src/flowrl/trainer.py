@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -42,8 +41,8 @@ from .qnet import (
     select_actions,
 )
 from .replay import (
+    COLUMNS,
     ConsolidationMemory,
-    Experience,
     ReplayBuffer,
     mixed_batch,
     retain_top_fraction,
@@ -56,7 +55,6 @@ class TrainerConfig:
 
     gamma: float = 0.5
     learning_rate: float = 0.001
-    tabular_step_size: float = 0.1
     batch_size: int = 128
     epochs: int = 3
     eps_start: float = 1.0
@@ -124,16 +122,17 @@ def epsilon_schedule(k: np.ndarray, cfg: TrainerConfig) -> np.ndarray:
 
 @dataclass(eq=False)
 class EpisodeRollout:
-    """Ordered experiences from one (node, split) traversal."""
+    """Ordered transitions from one (node, split) traversal."""
 
     node_id: str
     split: str
-    experiences: list[Experience]
+    experiences: ReplayBuffer
 
 
 @dataclass(eq=False)
 class AgentState:
-    """Everything that persists across periods."""
+    """Everything that persists across periods; `buffer` is the current
+    period's pool and is not saved."""
 
     net: QNetwork
     opt: OptimizerState
@@ -144,13 +143,12 @@ class AgentState:
 
 
 def init_agent(input_dim: int, hidden: int = 64, dueling: bool = True, seed: int = 0,
-               learning_rate: float = 0.001, optimizer: str = "adam",
-               buffer_capacity: int = 100_000) -> AgentState:
+               learning_rate: float = 0.001, optimizer: str = "adam") -> AgentState:
     net = QNetwork.initialize(input_dim, hidden=hidden, seed=seed, dueling=dueling)
     return AgentState(
         net=net,
         opt=init_optimizer(net, learning_rate=learning_rate, method=optimizer),
-        buffer=ReplayBuffer(capacity=buffer_capacity),
+        buffer=ReplayBuffer(),
         memory=ConsolidationMemory(),
     )
 
@@ -158,10 +156,11 @@ def init_agent(input_dim: int, hidden: int = 64, dueling: bool = True, seed: int
 def generate_rollout(assembler: StateAssembler, discretizer: Discretizer, node: str,
                      split: str, net: QNetwork, epsilons: np.ndarray,
                      rng: np.random.Generator, weights: RewardWeights,
-                     occ_epsilon: float) -> EpisodeRollout:
-    """Traverse one node's split, producing chained experiences.
+                     occ_epsilon: float, pool: ReplayBuffer | None = None) -> EpisodeRollout:
+    """Traverse one node's split, writing chained transitions into `pool`
+    (a store of its own when None).
 
-    The experience at time t holds the state built from [t-W, t), the
+    The transition at time t holds the state built from [t-W, t), the
     epsilon-greedy action, the reward against the actual class at t, and
     the state at t+1; the final usable index is flagged terminal.
     """
@@ -170,7 +169,7 @@ def generate_rollout(assembler: StateAssembler, discretizer: Discretizer, node: 
     w = assembler.window
     t0 = max(w, lo)
     if hi - t0 < 1:
-        return EpisodeRollout(node_id=node, split=split, experiences=[])
+        return EpisodeRollout(node_id=node, split=split, experiences=ReplayBuffer())
     n = hi - t0
     if len(epsilons) != n:
         raise ValueError(f"need {n} epsilon values, got {len(epsilons)}")
@@ -183,44 +182,46 @@ def generate_rollout(assembler: StateAssembler, discretizer: Discretizer, node: 
         actions, actual, channels[t0:hi, 1], ds.series[node].occupancy[t0:hi],
         weights, occ_epsilon,
     )
-    experiences = [
-        Experience(
-            state=states[k],
-            action=int(actions[k]),
-            reward=float(rewards[k]),
-            next_state=states[k + 1],
-            terminal=(k == n - 1),
-            node_id=node,
-            period=ds.period,
-            t=t0 + k,
-        )
-        for k in range(n)
-    ]
+    if pool is None:
+        pool = ReplayBuffer.allocate(n, 1, assembler.dim, [node])
+    experiences = pool.add_rollout(states, actions, rewards, node, ds.period, t0)
     return EpisodeRollout(node_id=node, split=split, experiences=experiences)
+
+
+def _rollout_plan(dataset: PeriodDataset, candidates, window: int) -> tuple[list[str], int]:
+    """The candidates that roll out over the training split, in sorted
+    order, and the number of steps each one takes."""
+    lo, hi = dataset.splits.train
+    n = hi - max(window, lo)
+    if n < 1:
+        return [], n
+    return [node for node in sorted(candidates) if node in dataset.series], n
+
+
+def _allocate_pool(plans, dim: int) -> ReplayBuffer:
+    """An empty store sized for every rollout of the given plans."""
+    nodes = [node for plan_nodes, _ in plans for node in plan_nodes]
+    steps = sum(len(plan_nodes) * n for plan_nodes, n in plans)
+    return ReplayBuffer.allocate(steps, len(nodes), dim, nodes)
 
 
 def generate_training_experiences(dataset: PeriodDataset, candidates, net: QNetwork,
                                   cfg: TrainerConfig, weights: RewardWeights,
                                   assembler: StateAssembler, discretizer: Discretizer,
-                                  rng: np.random.Generator) -> list[Experience]:
+                                  rng: np.random.Generator,
+                                  pool: ReplayBuffer | None = None) -> ReplayBuffer:
     """Rollouts over the training split for each candidate node, in sorted
-    order; the epsilon schedule advances with the global experience count."""
-    experiences: list[Experience] = []
-    offset = 0
-    for node in sorted(candidates):
-        if node not in dataset.series:
-            continue
-        lo, hi = dataset.splits.train
-        n = hi - max(cfg.window, lo)
-        if n < 1:
-            continue
-        eps = epsilon_schedule(np.arange(offset, offset + n), cfg)
-        rollout = generate_rollout(
-            assembler, discretizer, node, "train", net, eps, rng, weights, cfg.occ_epsilon
+    order, written into `pool` (allocated here when None) and returned;
+    the epsilon schedule advances with the dataset's transition count."""
+    nodes, n = _rollout_plan(dataset, candidates, cfg.window)
+    if pool is None:
+        pool = _allocate_pool([(nodes, n)], assembler.dim)
+    for k, node in enumerate(nodes):
+        eps = epsilon_schedule(np.arange(k * n, (k + 1) * n), cfg)
+        generate_rollout(
+            assembler, discretizer, node, "train", net, eps, rng, weights, cfg.occ_epsilon, pool
         )
-        experiences.extend(rollout.experiences)
-        offset += n
-    return experiences
+    return pool
 
 
 def train_on_buffer(agent: AgentState, n_experiences: int, cfg: TrainerConfig,
@@ -239,15 +240,10 @@ def train_on_buffer(agent: AgentState, n_experiences: int, cfg: TrainerConfig,
     for _ in range(cfg.epochs):
         losses = np.empty(batches_per_epoch)
         for b in range(batches_per_epoch):
-            batch = mixed_batch(
+            states, actions, rewards, next_states, terminals = mixed_batch(
                 agent.buffer, agent.memory, cfg.batch_size, cfg.mix_rho,
                 cfg.sampling_omega, rng,
             )
-            states = np.stack([e.state for e in batch])
-            actions = np.array([e.action for e in batch], dtype=int)
-            rewards = np.array([e.reward for e in batch], dtype=float)
-            next_states = np.stack([e.next_state for e in batch])
-            terminals = np.array([e.terminal for e in batch], dtype=bool)
             target_net = agent.target if cfg.use_target_network else agent.net
             next_q = forward_batch(target_net, next_states)
             targets = td_targets(rewards, next_q, cfg.gamma, terminals)
@@ -326,8 +322,7 @@ def _evaluate_node(net, assembler, discretizer, node, split, horizons):
 
 
 def evaluate_period(dataset: PeriodDataset, net: QNetwork, discretizer: Discretizer,
-                    assembler: StateAssembler, horizons, splits=("val", "test"),
-                    threads: int = 1):
+                    assembler: StateAssembler, horizons, splits=("val", "test")):
     """Metrics over every node with a series, per split and horizon.
 
     Returns (metrics, per_node_test_mae) where metrics maps
@@ -335,24 +330,11 @@ def evaluate_period(dataset: PeriodDataset, net: QNetwork, discretizer: Discreti
     holds each node's test MAE at the first horizon.
     """
     nodes = sorted(dataset.series)
-    results: dict[str, dict] = {}
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {
-                (node, split): pool.submit(
-                    _evaluate_node, net, assembler, discretizer, node, split, horizons
-                )
-                for node in nodes
-                for split in splits
-            }
-            for key, fut in futures.items():
-                results[key] = fut.result()
-    else:
-        for node in nodes:
-            for split in splits:
-                results[(node, split)] = _evaluate_node(
-                    net, assembler, discretizer, node, split, horizons
-                )
+    results = {
+        (node, split): _evaluate_node(net, assembler, discretizer, node, split, horizons)
+        for node in nodes
+        for split in splits
+    }
 
     metrics: dict[str, dict[int, MetricSet]] = {}
     for split in splits:
@@ -423,13 +405,14 @@ class PeriodReport:
         return {"period": self.period, **{k: float(v) for k, v in self.timings.items()}}
 
 
-AGENT_CHECKPOINT_VERSION = 1
+AGENT_CHECKPOINT_VERSION = 2
 
 
 def save_agent(agent: AgentState, path) -> None:
-    """Versioned npz checkpoint of network, optimizer, buffer, and memory."""
+    """Versioned npz checkpoint of network, optimizer, update count and
+    consolidation memory. The period pool is left out: the next period
+    replaces it, and training re-syncs the target network."""
     from .qnet import network_state_dict
-    from .replay import experiences_to_arrays
 
     payload: dict = {"version": np.array(AGENT_CHECKPOINT_VERSION)}
     payload.update(network_state_dict(agent.net, prefix="net_"))
@@ -443,18 +426,13 @@ def save_agent(agent: AgentState, path) -> None:
         payload[f"opt_m_{name}"] = m
         payload[f"opt_v_{name}"] = agent.opt.v[name]
     payload["updates"] = np.array(agent.updates)
-    payload["buffer_capacity"] = np.array(agent.buffer.capacity)
-    payload["buffer_next"] = np.array(agent.buffer._next)
-    for key, arr in experiences_to_arrays(agent.buffer.items()).items():
-        payload[f"buf_{key}"] = arr
-    for key, arr in experiences_to_arrays(agent.memory.all()).items():
-        payload[f"mem_{key}"] = arr
+    for name, column in agent.memory.store.columns().items():
+        payload[f"mem_{name}"] = column
     np.savez(path, **payload)
 
 
 def load_agent(path) -> AgentState:
     from .qnet import PARAM_NAMES, network_from_state_dict
-    from .replay import experiences_from_arrays
 
     with np.load(path) as data:
         version = int(data["version"])
@@ -472,29 +450,46 @@ def load_agent(path) -> AgentState:
         for name in PARAM_NAMES:
             opt.m[name] = np.array(data[f"opt_m_{name}"])
             opt.v[name] = np.array(data[f"opt_v_{name}"])
-        buffer = ReplayBuffer(capacity=int(data["buffer_capacity"]))
-        buf_items = experiences_from_arrays(
-            {k[len("buf_"):]: data[k] for k in data.files if k.startswith("buf_")}
-        )
-        for e in buf_items:
-            buffer.add(e)
-        buffer._next = int(data["buffer_next"])
-        memory = ConsolidationMemory()
-        mem_items = experiences_from_arrays(
-            {k[len("mem_"):]: data[k] for k in data.files if k.startswith("mem_")}
-        )
-        by_period: dict[int, list[Experience]] = {}
-        for e in mem_items:
-            by_period.setdefault(e.period, []).append(e)
-        for period in sorted(by_period):
-            memory.add_period(period, by_period[period])
-        return AgentState(net=net, opt=opt, buffer=buffer, memory=memory,
-                          updates=int(data["updates"]))
+        store = ReplayBuffer(**{name: data[f"mem_{name}"] for name in ("states", *COLUMNS)})
+        return AgentState(net=net, opt=opt, buffer=ReplayBuffer(),
+                          memory=ConsolidationMemory(store), updates=int(data["updates"]))
+
+
+def _period_report(curr: PeriodDataset, cfg: TrainerConfig, generated: int,
+                   epoch_losses: list[float], evaluation, clock, candidates,
+                   new_nodes=(), drifted=(), drift_scores=None) -> PeriodReport:
+    """A period's report from its pool size, losses and evaluation; `clock`
+    holds perf_counter readings at the start and after detection,
+    rollouts, training and evaluation."""
+    t_start, t_detect, t_rollout, t_train, t_eval = clock
+    updates = len(epoch_losses) * math.ceil(generated / cfg.batch_size)
+    metrics, per_node_mae = evaluation
+    return PeriodReport(
+        period=curr.period,
+        candidates=candidates,
+        new_nodes=new_nodes,
+        drifted_nodes=drifted,
+        experiences_generated=generated,
+        experiences_consumed=updates * cfg.batch_size,
+        updates=updates,
+        epoch_losses=epoch_losses,
+        metrics=metrics,
+        per_node_test_mae=per_node_mae,
+        drift_scores=drift_scores,
+        timings={
+            "total_seconds": t_eval - t_start,
+            "detect_seconds": t_detect - t_start,
+            "rollout_seconds": t_rollout - t_detect,
+            "train_seconds": t_train - t_rollout,
+            "eval_seconds": t_eval - t_train,
+            "per_epoch_seconds": (t_train - t_rollout) / len(epoch_losses) if epoch_losses else 0.0,
+        },
+    )
 
 
 def run_period(prev: PeriodDataset | None, curr: PeriodDataset, agent: AgentState,
                cfg: TrainerConfig, weights: RewardWeights, seed: int,
-               drift_cfg: DriftConfig | None = None, threads: int = 1) -> PeriodReport:
+               drift_cfg: DriftConfig | None = None) -> PeriodReport:
     """One period of the continual loop; mutates and returns via `agent`.
 
     Without a previous period (bootstrap) every node is a candidate;
@@ -524,58 +519,35 @@ def run_period(prev: PeriodDataset | None, curr: PeriodDataset, agent: AgentStat
     discretizer = fit_discretizer(curr.flows_in("train"))
     assembler = StateAssembler(curr, window=cfg.window, calibration=calibration)
 
+    # The buffer holds only the current period's pool; cross-period recall
+    # flows exclusively through the consolidation memory. Dropping the last
+    # pool first keeps a single pool in memory.
+    agent.buffer = ReplayBuffer()
     rng_rollout = np.random.default_rng([seed, curr.period, 1])
-    experiences = generate_training_experiences(
+    agent.buffer.extend(generate_training_experiences(
         curr, candidates, agent.net, cfg, weights, assembler, discretizer, rng_rollout
-    )
+    ))
+    pool = agent.buffer
     t_rollout = time.perf_counter()
 
-    # The buffer holds only the current period's pool; cross-period recall
-    # flows exclusively through the consolidation memory.
-    agent.buffer.reset()
-    agent.buffer.extend(experiences)
     rng_train = np.random.default_rng([seed, curr.period, 2])
-    epoch_losses = train_on_buffer(agent, len(experiences), cfg, rng_train)
-    updates = len(epoch_losses) * math.ceil(len(experiences) / cfg.batch_size) if experiences else 0
+    epoch_losses = train_on_buffer(agent, len(pool), cfg, rng_train)
     t_train = time.perf_counter()
 
-    if experiences:
-        retained = retain_top_fraction(experiences, cfg.consolidation_fraction)
-        agent.memory.add_period(curr.period, retained)
-
-    metrics, per_node_mae = evaluate_period(
-        curr, agent.net, discretizer, assembler, cfg.horizons, threads=threads
-    )
+    if len(pool):
+        agent.memory.add_period(curr.period, retain_top_fraction(pool, cfg.consolidation_fraction))
+    evaluation = evaluate_period(curr, agent.net, discretizer, assembler, cfg.horizons)
     t_eval = time.perf_counter()
-
-    epochs_run = len(epoch_losses)
-    return PeriodReport(
-        period=curr.period,
-        candidates=candidates,
-        new_nodes=new_nodes,
-        drifted_nodes=drifted,
-        experiences_generated=len(experiences),
-        experiences_consumed=updates * cfg.batch_size,
-        updates=updates,
-        epoch_losses=epoch_losses,
-        metrics=metrics,
-        per_node_test_mae=per_node_mae,
-        drift_scores=drift_scores,
-        timings={
-            "total_seconds": t_eval - t_start,
-            "detect_seconds": t_detect - t_start,
-            "rollout_seconds": t_rollout - t_detect,
-            "train_seconds": t_train - t_rollout,
-            "eval_seconds": t_eval - t_train,
-            "per_epoch_seconds": (t_train - t_rollout) / epochs_run if epochs_run else 0.0,
-        },
+    return _period_report(
+        curr, cfg, len(pool), epoch_losses, evaluation,
+        (t_start, t_detect, t_rollout, t_train, t_eval),
+        candidates, new_nodes, drifted, drift_scores,
     )
 
 
 def run_continual(datasets: list[PeriodDataset], cfg: TrainerConfig, weights: RewardWeights,
                   seed: int, drift_cfg: DriftConfig | None = None, hidden: int = 64,
                   dueling: bool = True, optimizer: str = "adam",
-                  buffer_capacity: int = 100_000, threads: int = 1,
                   freeze_after_first: bool = False):
     """Continual training across a dataset sequence; returns (agent, reports)."""
     if not datasets:
@@ -583,7 +555,6 @@ def run_continual(datasets: list[PeriodDataset], cfg: TrainerConfig, weights: Re
     agent = init_agent(
         6 * cfg.window + 1, hidden=hidden, dueling=dueling, seed=seed,
         learning_rate=cfg.learning_rate, optimizer=optimizer,
-        buffer_capacity=buffer_capacity,
     )
     reports = []
     prev = None
@@ -591,82 +562,51 @@ def run_continual(datasets: list[PeriodDataset], cfg: TrainerConfig, weights: Re
         period_cfg = cfg
         if freeze_after_first and i > 0:
             period_cfg = replace(cfg, epochs=0)
-        reports.append(
-            run_period(prev, curr, agent, period_cfg, weights, seed,
-                       drift_cfg=drift_cfg, threads=threads)
-        )
+        reports.append(run_period(prev, curr, agent, period_cfg, weights, seed, drift_cfg=drift_cfg))
         prev = curr
     return agent, reports
 
 
 def run_full_retrain(datasets: list[PeriodDataset], cfg: TrainerConfig,
                      weights: RewardWeights, seed: int, hidden: int = 64,
-                     dueling: bool = True, optimizer: str = "adam",
-                     threads: int = 1):
+                     dueling: bool = True, optimizer: str = "adam"):
     """Retrain-from-scratch baseline: each period trains a fresh network on
     every node of every period seen so far, with no drift selection and no
     consolidation. Returns (reports, experiences_touched_total)."""
     if not datasets:
         raise ValueError("no datasets to train on")
+    dim = 6 * cfg.window + 1
     reports = []
     touched = 0
     for i, curr in enumerate(datasets):
         agent = init_agent(
-            6 * cfg.window + 1, hidden=hidden, dueling=dueling, seed=seed,
+            dim, hidden=hidden, dueling=dueling, seed=seed,
             learning_rate=cfg.learning_rate, optimizer=optimizer,
         )
-        experiences: list[Experience] = []
         t_start = time.perf_counter()
-        for past in datasets[: i + 1]:
+        seen = datasets[: i + 1]
+        pool = _allocate_pool([_rollout_plan(past, past.series, cfg.window) for past in seen], dim)
+        for past in seen:
             calibration = fit_calibration(past)
             discretizer = fit_discretizer(past.flows_in("train"))
             assembler = StateAssembler(past, window=cfg.window, calibration=calibration)
             rng_rollout = np.random.default_rng([seed, past.period, i, 3])
-            experiences.extend(
-                generate_training_experiences(
-                    past, sorted(past.series), agent.net, cfg, weights,
-                    assembler, discretizer, rng_rollout,
-                )
+            generate_training_experiences(
+                past, past.series, agent.net, cfg, weights, assembler, discretizer,
+                rng_rollout, pool,
             )
+        agent.buffer.extend(pool)
         t_rollout = time.perf_counter()
-        agent.buffer.reset()
-        agent.buffer.extend(experiences)
         rng_train = np.random.default_rng([seed, curr.period, i, 4])
-        no_mix = replace(cfg, mix_rho=0.0)
-        epoch_losses = train_on_buffer(agent, len(experiences), no_mix, rng_train)
+        epoch_losses = train_on_buffer(agent, len(pool), replace(cfg, mix_rho=0.0), rng_train)
         t_train = time.perf_counter()
 
-        calibration = fit_calibration(curr)
-        discretizer = fit_discretizer(curr.flows_in("train"))
-        assembler = StateAssembler(curr, window=cfg.window, calibration=calibration)
-        metrics, per_node_mae = evaluate_period(
-            curr, agent.net, discretizer, assembler, cfg.horizons, threads=threads
-        )
+        # the last dataset seen is curr, so its discretizer and assembler score it
+        evaluation = evaluate_period(curr, agent.net, discretizer, assembler, cfg.horizons)
         t_eval = time.perf_counter()
-        touched += len(experiences)
-        updates = len(epoch_losses) * math.ceil(len(experiences) / cfg.batch_size) if experiences else 0
-        epochs_run = len(epoch_losses)
-        reports.append(
-            PeriodReport(
-                period=curr.period,
-                candidates=tuple(sorted(curr.series)),
-                new_nodes=(),
-                drifted_nodes=(),
-                experiences_generated=len(experiences),
-                experiences_consumed=updates * cfg.batch_size,
-                updates=updates,
-                epoch_losses=epoch_losses,
-                metrics=metrics,
-                per_node_test_mae=per_node_mae,
-                drift_scores=None,
-                timings={
-                    "total_seconds": t_eval - t_start,
-                    "detect_seconds": 0.0,
-                    "rollout_seconds": t_rollout - t_start,
-                    "train_seconds": t_train - t_rollout,
-                    "eval_seconds": t_eval - t_train,
-                    "per_epoch_seconds": (t_train - t_rollout) / epochs_run if epochs_run else 0.0,
-                },
-            )
-        )
+        touched += len(pool)
+        reports.append(_period_report(
+            curr, cfg, len(pool), epoch_losses, evaluation,
+            (t_start, t_start, t_rollout, t_train, t_eval), tuple(sorted(curr.series)),
+        ))
     return reports, touched

@@ -20,9 +20,9 @@ from flowrl.ingest import DriftSpec, GeneratorConfig, generate_synthetic
 from flowrl.metrics import compute_metrics
 from flowrl.env import RewardWeights
 from flowrl.qnet import QNetwork, dueling_aggregate, forward_batch, loss_and_gradients
-from flowrl.replay import ReplayBuffer, sample
+from flowrl.replay import sample
 from flowrl.trainer import TrainerConfig, run_continual, run_full_retrain
-from test_replay import exp as make_exp
+from test_replay import store
 
 
 def _report(num, message):
@@ -123,22 +123,18 @@ def test_criterion_03_tabular_oracle_agreement():
 # --- criterion 4: sampling fidelity ----------------------------------------
 
 def test_criterion_04_sampling_fidelity():
-    buf = ReplayBuffer()
-    buf.add(make_exp(reward=3.0, node="heavy"))
-    buf.add(make_exp(reward=1.0, node="light"))
-    batch = sample(buf, 100_000, 1.0, np.random.default_rng(4))
-    freq = sum(1 for e in batch if e.node_id == "heavy") / len(batch)
+    buf = store([3.0, 1.0], nodes=["heavy", "light"])
+    idx = sample(buf, 100_000, 1.0, np.random.default_rng(4))
+    freq = np.count_nonzero(buf.node_id[idx] == "heavy") / len(idx)
     assert 0.74 <= freq <= 0.76, f"P(heavy) = {freq}"
 
-    buf2 = ReplayBuffer()
     priorities = [5.0, 0.01, 1.0, 2.5, 0.4]
-    for i, p in enumerate(priorities):
-        buf2.add(make_exp(reward=p, node=f"n{i}"))
-    batch2 = sample(buf2, 100_000, 0.0, np.random.default_rng(5))
+    buf2 = store(priorities, nodes=[f"n{i}" for i in range(5)])
+    idx2 = sample(buf2, 100_000, 0.0, np.random.default_rng(5))
     counts = {f"n{i}": 0 for i in range(5)}
-    for e in batch2:
-        counts[e.node_id] += 1
-    freqs = {k: v / len(batch2) for k, v in counts.items()}
+    for node in buf2.node_id[idx2].tolist():
+        counts[node] += 1
+    freqs = {k: v / len(idx2) for k, v in counts.items()}
     for node, f in freqs.items():
         assert abs(f - 0.2) < 0.01, f"{node} at {f}"
     _report(4, f"P(heavy) = {freq:.4f} in [0.74, 0.76]; omega=0 uniform within 0.01")

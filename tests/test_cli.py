@@ -145,6 +145,37 @@ class TestTrain:
         ])
         assert code == 2
 
+    def test_version_1_checkpoint_is_data_error(self, tmp_path, generated, capsys):
+        data, config = generated
+        out = tmp_path / "out"
+        main(["train", "--config", str(config), "--data-dir", str(data), "--out-dir", str(out)])
+        (out / "checkpoint_2.npz").unlink()
+        with np.load(out / "checkpoint_1.npz") as saved:
+            payload = dict(saved)
+        payload["version"] = np.array(1)
+        np.savez(out / "checkpoint_1.npz", **payload)
+        capsys.readouterr()
+        code = main([
+            "train", "--config", str(config), "--data-dir", str(data),
+            "--out-dir", str(out), "--resume",
+        ])
+        assert code == 2
+        assert "unsupported agent checkpoint version 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_flow_is_data_error(self, tmp_path, generated, capsys, value):
+        data, config = generated
+        readings = data / "readings_2.csv"
+        lines = readings.read_text().splitlines()
+        parts = lines[7].split(",")
+        parts[2] = value
+        lines[7] = ",".join(parts)
+        readings.write_text("\n".join(lines) + "\n")
+        code = main(["train", "--config", str(config), "--data-dir", str(data),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert f"readings_2.csv:8: non-finite flow {value}" in capsys.readouterr().err
+
 
 class TestEvaluateAndDetect:
     def test_evaluate_runs_on_checkpoint(self, tmp_path, generated, capsys):
@@ -247,6 +278,10 @@ class TestExitCodes:
 
     def test_missing_required_flag_is_usage_error(self):
         assert main(["generate"]) == 1
+
+    def test_removed_threads_flag_is_usage_error(self, tmp_path):
+        assert main(["train", "--threads", "2", "--data-dir", str(tmp_path),
+                     "--out-dir", str(tmp_path / "out")]) == 1
 
     def test_bad_config_path_is_usage_error(self, tmp_path):
         assert main(["generate", "--config", str(tmp_path / "none.ini"), "--out-dir", str(tmp_path)]) == 1

@@ -39,7 +39,6 @@ def test_full_round_trip():
         """
 [run]
 seed = 5
-threads = 2
 
 [env]
 window = 8
@@ -56,7 +55,6 @@ dueling = false
 optimizer = sgd
 
 [replay]
-capacity = 5000
 omega = 0.5
 consolidation_fraction = 0.1
 
@@ -105,6 +103,14 @@ def test_echo_of_defaults_round_trips():
 def test_unknown_section_rejected():
     with pytest.raises(ConfigError, match="unknown section"):
         parse_config("[mystery]\nx = 1\n")
+
+
+@pytest.mark.parametrize("section,key", [
+    ("run", "threads"), ("replay", "capacity"), ("trainer", "tabular_step_size"),
+])
+def test_removed_keys_rejected(section, key):
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config(f"[{section}]\n{key} = 2\n")
 
 
 def test_unknown_key_rejected():

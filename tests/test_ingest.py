@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from _helpers import make_series
 from flowrl.errors import DataError
 from flowrl.ingest import (
     DriftSpec,
@@ -41,6 +42,15 @@ class TestSplits:
     def test_too_short_rejected(self):
         with pytest.raises(ValueError, match="length 4"):
             compute_splits(4)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("channel", ["flow", "speed", "occ"])
+def test_sensor_series_rejects_non_finite(channel, value):
+    values = {"flow": np.full(6, 30.0), "speed": np.full(6, 50.0), "occ": np.full(6, 0.1)}
+    values[channel][3] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        make_series("s0", **values)
 
 
 def small_config(**overrides):
@@ -116,6 +126,16 @@ class TestLoadPeriod:
             return ",".join(parts)
 
         self._broken_row_case(tmp_path, mutate, match="occupancy 1.5")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column,channel", [(2, "flow"), (3, "speed"), (4, "occupancy")])
+    def test_non_finite_value_names_line(self, tmp_path, column, channel, value):
+        def mutate(line):
+            parts = line.split(",")
+            parts[column] = value
+            return ",".join(parts)
+
+        self._broken_row_case(tmp_path, mutate, match=f"non-finite {channel}")
 
     def test_bad_number_names_line(self, tmp_path):
         def mutate(line):
