@@ -13,6 +13,7 @@ from flowrl import (
     forward_batch,
     init_optimizer,
     loss_and_gradients,
+    param_views,
     tabular_q_update,
     td_targets,
 )
@@ -23,11 +24,11 @@ net = QNetwork.initialize(input_dim=7, hidden=8, seed=1)
 states = rng.uniform(-1, 1, (1, 7))
 actions = np.array([2])
 targets = np.array([0.3])
-_, grads = loss_and_gradients(net, states, actions, targets)
+_, grad = loss_and_gradients(net, states, actions, targets)  # one vector laid out like net.theta
 
 h = 1e-5
 worst = 0.0
-for name, g in grads.items():
+for name, g in param_views(grad, net.input_dim, net.hidden_dim).items():
     p = getattr(net, name)
     for idx in np.ndindex(p.shape):
         orig = p[idx]
@@ -85,8 +86,8 @@ deep = QNetwork.initialize(4, hidden=32, seed=2)
 opt = init_optimizer(deep, learning_rate=0.003)
 for _ in range(2500):
     targets = td_targets(R, forward_batch(deep, NS)[:, :2], GAMMA, D)
-    _, grads = loss_and_gradients(deep, S, A, targets)
-    apply_update(deep, grads, opt)
+    _, grad = loss_and_gradients(deep, S, A, targets)
+    apply_update(deep, grad, opt)
 
 q_deep = forward_batch(deep, np.eye(4)[:3])[:, :2]
 print(f"deep    max |Q - Q*| = {np.max(np.abs(q_deep - q_star[:3])):.2e}")

@@ -30,7 +30,7 @@ from .env import (
     fit_discretizer,
     representative_flow,
 )
-from .errors import ConfigError, DataError, FlowRLError
+from .errors import ConfigError, DataError, DivergenceError, FlowRLError
 from .graph import (
     GraphDelta,
     GraphSnapshot,
@@ -62,9 +62,8 @@ from .qnet import (
     forward,
     forward_batch,
     init_optimizer,
-    load_network,
     loss_and_gradients,
-    save_network,
+    param_views,
     select_action,
     select_actions,
 )

@@ -14,9 +14,11 @@ import csv
 import json
 import re
 import sys
+import zipfile
 from dataclasses import replace
 from pathlib import Path
 
+from .atomic import atomic_write
 from .config import RunConfig, config_to_ini, load_config
 from .drift import detect
 from .errors import ConfigError, DataError
@@ -82,7 +84,25 @@ def _echo_config(config: RunConfig, out_dir: Path) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    with atomic_write(path) as f:
+        f.write(text.encode())
+
+
+def _load_checkpoint(path: Path, config: RunConfig):
+    """The agent saved at `path`; a file that is unreadable, inconsistent or
+    made for another state size is a DataError."""
+    try:
+        agent = load_agent(path)
+    except (OSError, KeyError, ValueError, zipfile.BadZipFile) as e:
+        raise DataError(f"corrupt checkpoint {path}: {e}") from None
+    dim = 6 * config.trainer.window + 1
+    if agent.net.input_dim != dim:
+        raise DataError(
+            f"checkpoint {path} takes states of {agent.net.input_dim} values, "
+            f"but window {config.trainer.window} builds {dim}"
+        )
+    return agent
 
 
 def _resolve_config(args) -> RunConfig:
@@ -132,10 +152,7 @@ def cmd_train(args) -> int:
             last = done[-1]
             if last not in periods:
                 raise DataError(f"checkpoint for period {last} has no matching data in {data_dir}")
-            try:
-                agent = load_agent(out_dir / f"checkpoint_{last}.npz")
-            except (OSError, KeyError, ValueError) as e:
-                raise DataError(f"corrupt checkpoint for period {last}: {e}") from None
+            agent = _load_checkpoint(out_dir / f"checkpoint_{last}.npz", config)
             start_index = periods.index(last) + 1
             print(f"resuming after period {last}")
     if agent is None:
@@ -176,10 +193,7 @@ def cmd_evaluate(args) -> int:
     checkpoint = Path(args.checkpoint)
     if not checkpoint.exists():
         raise DataError(f"checkpoint not found: {checkpoint}")
-    try:
-        agent = load_agent(checkpoint)
-    except (OSError, KeyError, ValueError) as e:
-        raise DataError(f"corrupt checkpoint {checkpoint}: {e}") from None
+    agent = _load_checkpoint(checkpoint, config)
     dataset = _load_dataset(data_dir, args.period)
     calibration = fit_calibration(dataset)
     discretizer = fit_discretizer(dataset.flows_in("train"))

@@ -24,3 +24,7 @@ class DataError(FlowRLError):
 
 class ConfigError(FlowRLError):
     """Raised when a run configuration fails to parse or validate."""
+
+
+class DivergenceError(FlowRLError):
+    """Raised when training produces a non-finite loss or parameter."""

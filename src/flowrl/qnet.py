@@ -8,16 +8,45 @@ gradients can be checked against finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from pathlib import Path
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 N_ACTIONS = 5
 HIDDEN_DEFAULT = 64
-CHECKPOINT_VERSION = 1
 
 PARAM_NAMES = ("w1", "b1", "w2", "b2", "wv", "bv", "wa", "ba")
+
+
+def param_shapes(input_dim: int, hidden: int) -> dict[str, tuple[int, ...]]:
+    """The layout of a flat parameter vector: each parameter's shape, in
+    PARAM_NAMES order."""
+    shapes = ((hidden, input_dim), (hidden,), (hidden, hidden), (hidden,),
+              (1, hidden), (1,), (N_ACTIONS, hidden), (N_ACTIONS,))
+    return dict(zip(PARAM_NAMES, shapes))
+
+
+def param_views(flat: np.ndarray, input_dim: int, hidden: int) -> dict[str, np.ndarray]:
+    """Named reshaped views into a flat vector laid out as param_shapes."""
+    views, start = {}, 0
+    for name, shape in param_shapes(input_dim, hidden).items():
+        stop = start + math.prod(shape)
+        views[name] = flat[start:stop].reshape(shape)
+        start = stop
+    return views
+
+
+def flatten_params(named, input_dim: int, hidden: int, prefix: str = "") -> np.ndarray:
+    """One float64 vector from the arrays named prefix + w1 ... prefix + ba,
+    each checked against the layout."""
+    parts = []
+    for name, shape in param_shapes(input_dim, hidden).items():
+        array = np.asarray(named[prefix + name], dtype=float)
+        if array.shape != shape:
+            raise ValueError(f"{prefix}{name} has shape {array.shape}, expected {shape}")
+        parts.append(array.ravel())
+    return np.concatenate(parts)
 
 
 def dueling_aggregate(value, advantages) -> np.ndarray:
@@ -32,55 +61,40 @@ def dueling_aggregate(value, advantages) -> np.ndarray:
     return np.asarray(value, dtype=float) + (n * adv - adv.sum(axis=-1, keepdims=True)) / n
 
 
-@dataclass(eq=False)
 class QNetwork:
-    """Parameter set of the dueling net; arrays are mutated by training."""
+    """The dueling net's parameters: one float64 vector `theta`, mutated in
+    place by training, with w1 ... ba as views into it (see param_shapes)."""
 
-    w1: np.ndarray  # (H, D)
-    b1: np.ndarray  # (H,)
-    w2: np.ndarray  # (H, H)
-    b2: np.ndarray  # (H,)
-    wv: np.ndarray  # (1, H)
-    bv: np.ndarray  # (1,)
-    wa: np.ndarray  # (A, H)
-    ba: np.ndarray  # (A,)
-    dueling: bool = True
+    def __init__(self, theta: np.ndarray, input_dim: int, hidden: int, dueling: bool = True):
+        self.theta = theta
+        self.input_dim = input_dim
+        self.hidden_dim = hidden
+        self.dueling = dueling
+        vars(self).update(param_views(theta, input_dim, hidden))
 
-    @property
-    def input_dim(self) -> int:
-        return self.w1.shape[1]
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.w1.shape[0]
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in PARAM_NAMES}
+    @classmethod
+    def from_params(cls, named, dueling: bool = True, prefix: str = "") -> "QNetwork":
+        """A network from the arrays named prefix + w1 ... prefix + ba;
+        the shape of w1 sets the layout every other array must match."""
+        w1 = np.shape(named[prefix + "w1"])
+        if len(w1) != 2:
+            raise ValueError(f"{prefix}w1 has shape {w1}, expected (hidden, input_dim)")
+        hidden, input_dim = w1
+        return cls(flatten_params(named, input_dim, hidden, prefix), input_dim, hidden, dueling)
 
     def copy(self) -> "QNetwork":
-        return QNetwork(**{n: getattr(self, n).copy() for n in PARAM_NAMES}, dueling=self.dueling)
+        return QNetwork(self.theta.copy(), self.input_dim, self.hidden_dim, self.dueling)
 
     @staticmethod
     def initialize(input_dim: int, hidden: int = HIDDEN_DEFAULT, seed: int = 0,
                    dueling: bool = True) -> "QNetwork":
         """Seeded uniform fan-in initialization: U(-1/sqrt(fan_in), +1/sqrt(fan_in))."""
         rng = np.random.default_rng([int(seed), 0x9E7])
-
-        def u(shape, fan_in):
-            bound = 1.0 / np.sqrt(fan_in)
-            return rng.uniform(-bound, bound, size=shape)
-
-        return QNetwork(
-            w1=u((hidden, input_dim), input_dim),
-            b1=u((hidden,), input_dim),
-            w2=u((hidden, hidden), hidden),
-            b2=u((hidden,), hidden),
-            wv=u((1, hidden), hidden),
-            bv=u((1,), hidden),
-            wa=u((N_ACTIONS, hidden), hidden),
-            ba=u((N_ACTIONS,), hidden),
-            dueling=dueling,
-        )
+        params = {}
+        for name, shape in param_shapes(input_dim, hidden).items():
+            bound = 1.0 / np.sqrt(input_dim if name in ("w1", "b1") else hidden)
+            params[name] = rng.uniform(-bound, bound, size=shape)
+        return QNetwork.from_params(params, dueling)
 
 
 def _forward_cached(net: QNetwork, states: np.ndarray):
@@ -98,9 +112,7 @@ def forward_batch(net: QNetwork, states) -> np.ndarray:
     """Q-values for a batch of states, shape (N, 5)."""
     states = np.asarray(states, dtype=float)
     if states.ndim != 2 or states.shape[1] != net.input_dim:
-        raise ValueError(
-            f"state batch has shape {states.shape}, expected (N, {net.input_dim})"
-        )
+        raise ValueError(f"state batch has shape {states.shape}, expected (N, {net.input_dim})")
     q, _ = _forward_cached(net, states)
     return q
 
@@ -116,8 +128,8 @@ def forward(net: QNetwork, state) -> np.ndarray:
 def loss_and_gradients(net: QNetwork, states, actions, targets):
     """Mean squared TD loss over the batch and its exact gradients.
 
-    Loss = mean_i (y_i - Q(s_i, a_i))^2. Returns (loss, grads) where
-    grads maps each parameter name to an array of matching shape.
+    Loss = mean_i (y_i - Q(s_i, a_i))^2. Returns (loss, grad) where grad is
+    one flat vector laid out like net.theta; param_views names its parts.
     """
     states = np.asarray(states, dtype=float)
     actions = np.asarray(actions, dtype=int)
@@ -148,35 +160,28 @@ def loss_and_gradients(net: QNetwork, states, actions, targets):
         dvalue = np.zeros((n, 1))
         dadv = dq
 
-    grads = {
-        "wv": dvalue.T @ h2,
-        "bv": dvalue.sum(axis=0),
-        "wa": dadv.T @ h2,
-        "ba": dadv.sum(axis=0),
-    }
     dh2 = dvalue @ net.wv + dadv @ net.wa
     dz2 = dh2 * (z2 > 0)
-    grads["w2"] = dz2.T @ h1
-    grads["b2"] = dz2.sum(axis=0)
     dh1 = dz2 @ net.w2
     dz1 = dh1 * (z1 > 0)
-    grads["w1"] = dz1.T @ s
-    grads["b1"] = dz1.sum(axis=0)
-    return loss, grads
+    parts = (dz1.T @ s, dz1.sum(axis=0), dz2.T @ h1, dz2.sum(axis=0),
+             dvalue.T @ h2, dvalue.sum(axis=0), dadv.T @ h2, dadv.sum(axis=0))
+    return loss, np.concatenate([p.ravel() for p in parts])  # PARAM_NAMES order
 
 
 @dataclass(eq=False)
 class OptimizerState:
-    """Adaptive-moment (or plain gradient) update state for one network."""
+    """Adaptive-moment (or plain gradient) update state for one network;
+    m and v are laid out like its theta."""
 
+    m: np.ndarray
+    v: np.ndarray
     learning_rate: float = 0.001
     method: str = "adam"
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.method not in ("adam", "sgd"):
@@ -184,41 +189,28 @@ class OptimizerState:
 
 
 def init_optimizer(net: QNetwork, learning_rate: float = 0.001, method: str = "adam") -> OptimizerState:
-    opt = OptimizerState(learning_rate=learning_rate, method=method)
-    for name, p in net.params().items():
-        opt.m[name] = np.zeros_like(p)
-        opt.v[name] = np.zeros_like(p)
-    return opt
+    return OptimizerState(np.zeros_like(net.theta), np.zeros_like(net.theta),
+                          learning_rate=learning_rate, method=method)
 
 
-def apply_update(net: QNetwork, grads: dict[str, np.ndarray], opt: OptimizerState):
-    """One in-place optimizer step; returns (net, opt)."""
-    params = net.params()
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            raise ValueError(f"missing gradient for parameter {name!r}")
-        if g.shape != p.shape:
-            raise ValueError(
-                f"gradient shape {g.shape} does not match parameter {name!r} shape {p.shape}"
-            )
+def apply_update(net: QNetwork, grad: np.ndarray, opt: OptimizerState):
+    """One in-place optimizer step on net.theta; returns (net, opt)."""
+    if grad.shape != net.theta.shape:
+        raise ValueError(
+            f"gradient shape {grad.shape} does not match parameter vector shape {net.theta.shape}"
+        )
     opt.step += 1
     if opt.method == "sgd":
-        for name, p in params.items():
-            p -= opt.learning_rate * grads[name]
+        net.theta -= opt.learning_rate * grad
         return net, opt
     t = opt.step
     bc1 = 1.0 - opt.beta1**t
     bc2 = 1.0 - opt.beta2**t
-    for name, p in params.items():
-        g = grads[name]
-        m = opt.m[name]
-        v = opt.v[name]
-        m *= opt.beta1
-        m += (1.0 - opt.beta1) * g
-        v *= opt.beta2
-        v += (1.0 - opt.beta2) * g * g
-        p -= opt.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + opt.eps)
+    opt.m *= opt.beta1
+    opt.m += (1.0 - opt.beta1) * grad
+    opt.v *= opt.beta2
+    opt.v += (1.0 - opt.beta2) * grad * grad
+    net.theta -= opt.learning_rate * (opt.m / bc1) / (np.sqrt(opt.v / bc2) + opt.eps)
     return net, opt
 
 
@@ -250,24 +242,29 @@ def network_state_dict(net: QNetwork, prefix: str = "net_") -> dict[str, np.ndar
     return out
 
 
-def network_from_state_dict(state: dict, prefix: str = "net_") -> QNetwork:
-    kwargs = {name: np.array(state[prefix + name], dtype=float) for name in PARAM_NAMES}
-    return QNetwork(**kwargs, dueling=bool(int(state[prefix + "dueling"])))
+def network_from_state_dict(state, prefix: str = "net_") -> QNetwork:
+    """Inverse of network_state_dict; raises ValueError naming the first
+    array whose shape disagrees with the layout set by w1."""
+    return QNetwork.from_params(state, dueling=bool(int(state[prefix + "dueling"])), prefix=prefix)
 
 
-def save_network(net: QNetwork, path) -> None:
-    """Write a versioned checkpoint; round-trips parameters exactly."""
-    payload = network_state_dict(net)
-    payload["version"] = np.array(CHECKPOINT_VERSION)
-    np.savez(Path(path), **payload)
+OPTIMIZER_SETTINGS = ("learning_rate", "method", "beta1", "beta2", "eps", "step")
 
 
-def load_network(path) -> QNetwork:
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"checkpoint not found: {path}")
-    with np.load(path) as data:
-        version = int(data["version"])
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        return network_from_state_dict(data)
+def optimizer_state_dict(opt: OptimizerState, net: QNetwork,
+                         prefix: str = "opt_") -> dict[str, np.ndarray]:
+    """The optimizer of `net` as named arrays: its settings, then each
+    parameter's first and second moments."""
+    out = {prefix + key: np.array(getattr(opt, key)) for key in OPTIMIZER_SETTINGS}
+    m, v = (param_views(a, net.input_dim, net.hidden_dim) for a in (opt.m, opt.v))
+    for name in PARAM_NAMES:
+        out[f"{prefix}m_{name}"] = m[name]
+        out[f"{prefix}v_{name}"] = v[name]
+    return out
+
+
+def optimizer_from_state_dict(state, net: QNetwork, prefix: str = "opt_") -> OptimizerState:
+    """Inverse of optimizer_state_dict, moments checked against net's layout."""
+    m, v = (flatten_params(state, net.input_dim, net.hidden_dim, prefix + part)
+            for part in ("m_", "v_"))
+    return OptimizerState(m, v, **{key: state[prefix + key].item() for key in OPTIMIZER_SETTINGS})

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import drift as drift_mod
+from .atomic import atomic_write
 from .drift import DriftConfig
 from .env import (
     Calibration,
@@ -29,6 +30,7 @@ from .env import (
     fit_calibration,
     fit_discretizer,
 )
+from .errors import DivergenceError
 from .ingest import PeriodDataset
 from .metrics import MetricSet, compute_metrics
 from .qnet import (
@@ -38,6 +40,10 @@ from .qnet import (
     init_optimizer,
     loss_and_gradients,
     apply_update,
+    network_from_state_dict,
+    network_state_dict,
+    optimizer_from_state_dict,
+    optimizer_state_dict,
     select_actions,
 )
 from .replay import (
@@ -225,19 +231,20 @@ def generate_training_experiences(dataset: PeriodDataset, candidates, net: QNetw
 
 
 def train_on_buffer(agent: AgentState, n_experiences: int, cfg: TrainerConfig,
-                    rng: np.random.Generator) -> list[float]:
+                    rng: np.random.Generator, period: int) -> list[float]:
     """Run cfg.epochs passes of mixed batches; returns mean loss per epoch.
 
     An epoch is ceil(N/B) batches, sampled with replacement, N being the
     number of freshly generated experiences. The TD target uses a frozen
-    copy of the net, re-synced every sync_interval updates.
+    copy of the net, re-synced every sync_interval updates. A non-finite
+    loss or parameter after an update raises DivergenceError.
     """
     if n_experiences == 0 or cfg.epochs == 0 or len(agent.buffer) == 0:
         return []
     batches_per_epoch = math.ceil(n_experiences / cfg.batch_size)
     agent.target = agent.net.copy()  # fresh sync at phase start keeps resumed runs exact
     epoch_losses: list[float] = []
-    for _ in range(cfg.epochs):
+    for epoch in range(cfg.epochs):
         losses = np.empty(batches_per_epoch)
         for b in range(batches_per_epoch):
             states, actions, rewards, next_states, terminals = mixed_batch(
@@ -247,9 +254,15 @@ def train_on_buffer(agent: AgentState, n_experiences: int, cfg: TrainerConfig,
             target_net = agent.target if cfg.use_target_network else agent.net
             next_q = forward_batch(target_net, next_states)
             targets = td_targets(rewards, next_q, cfg.gamma, terminals)
-            loss, grads = loss_and_gradients(agent.net, states, actions, targets)
-            apply_update(agent.net, grads, agent.opt)
+            loss, grad = loss_and_gradients(agent.net, states, actions, targets)
+            apply_update(agent.net, grad, agent.opt)
             agent.updates += 1
+            if not (math.isfinite(loss) and np.isfinite(agent.net.theta).all()):
+                raise DivergenceError(
+                    f"training diverged in period {period} at update "
+                    f"{epoch * batches_per_epoch + b + 1} ({agent.updates} in all): loss {loss}, "
+                    f"{np.count_nonzero(~np.isfinite(agent.net.theta))} non-finite parameters"
+                )
             if cfg.use_target_network and agent.updates % cfg.sync_interval == 0:
                 agent.target = agent.net.copy()
             losses[b] = loss
@@ -412,45 +425,27 @@ def save_agent(agent: AgentState, path) -> None:
     """Versioned npz checkpoint of network, optimizer, update count and
     consolidation memory. The period pool is left out: the next period
     replaces it, and training re-syncs the target network."""
-    from .qnet import network_state_dict
-
     payload: dict = {"version": np.array(AGENT_CHECKPOINT_VERSION)}
     payload.update(network_state_dict(agent.net, prefix="net_"))
-    payload["opt_learning_rate"] = np.array(agent.opt.learning_rate)
-    payload["opt_method"] = np.array(agent.opt.method)
-    payload["opt_beta1"] = np.array(agent.opt.beta1)
-    payload["opt_beta2"] = np.array(agent.opt.beta2)
-    payload["opt_eps"] = np.array(agent.opt.eps)
-    payload["opt_step"] = np.array(agent.opt.step)
-    for name, m in agent.opt.m.items():
-        payload[f"opt_m_{name}"] = m
-        payload[f"opt_v_{name}"] = agent.opt.v[name]
+    payload.update(optimizer_state_dict(agent.opt, agent.net, prefix="opt_"))
     payload["updates"] = np.array(agent.updates)
     for name, column in agent.memory.store.columns().items():
         payload[f"mem_{name}"] = column
-    np.savez(path, **payload)
+    with atomic_write(path) as f:
+        np.savez(f, **payload)
 
 
 def load_agent(path) -> AgentState:
-    from .qnet import PARAM_NAMES, network_from_state_dict
-
     with np.load(path) as data:
         version = int(data["version"])
         if version != AGENT_CHECKPOINT_VERSION:
             raise ValueError(f"unsupported agent checkpoint version {version}")
         net = network_from_state_dict(data, prefix="net_")
-        opt = OptimizerState(
-            learning_rate=float(data["opt_learning_rate"]),
-            method=str(data["opt_method"]),
-            beta1=float(data["opt_beta1"]),
-            beta2=float(data["opt_beta2"]),
-            eps=float(data["opt_eps"]),
-            step=int(data["opt_step"]),
-        )
-        for name in PARAM_NAMES:
-            opt.m[name] = np.array(data[f"opt_m_{name}"])
-            opt.v[name] = np.array(data[f"opt_v_{name}"])
+        opt = optimizer_from_state_dict(data, net, prefix="opt_")
         store = ReplayBuffer(**{name: data[f"mem_{name}"] for name in ("states", *COLUMNS)})
+        if len(store) and store.states.shape[1] != net.input_dim:
+            raise ValueError(f"mem_states has shape {store.states.shape}, "
+                             f"expected (N, {net.input_dim})")
         return AgentState(net=net, opt=opt, buffer=ReplayBuffer(),
                           memory=ConsolidationMemory(store), updates=int(data["updates"]))
 
@@ -531,7 +526,7 @@ def run_period(prev: PeriodDataset | None, curr: PeriodDataset, agent: AgentStat
     t_rollout = time.perf_counter()
 
     rng_train = np.random.default_rng([seed, curr.period, 2])
-    epoch_losses = train_on_buffer(agent, len(pool), cfg, rng_train)
+    epoch_losses = train_on_buffer(agent, len(pool), cfg, rng_train, curr.period)
     t_train = time.perf_counter()
 
     if len(pool):
@@ -598,7 +593,9 @@ def run_full_retrain(datasets: list[PeriodDataset], cfg: TrainerConfig,
         agent.buffer.extend(pool)
         t_rollout = time.perf_counter()
         rng_train = np.random.default_rng([seed, curr.period, i, 4])
-        epoch_losses = train_on_buffer(agent, len(pool), replace(cfg, mix_rho=0.0), rng_train)
+        epoch_losses = train_on_buffer(
+            agent, len(pool), replace(cfg, mix_rho=0.0), rng_train, curr.period
+        )
         t_train = time.perf_counter()
 
         # the last dataset seen is curr, so its discretizer and assembler score it

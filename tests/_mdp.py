@@ -88,8 +88,8 @@ def train_deep(seed=0, steps=2500, hidden=32, lr=0.003) -> QNetwork:
     for _ in range(steps):
         next_q = forward_batch(net, next_states)[:, :N_ACTIONS]
         targets = td_targets(rewards, next_q, GAMMA, terminals)
-        _, grads = loss_and_gradients(net, states, actions, targets)
-        apply_update(net, grads, opt)
+        _, grad = loss_and_gradients(net, states, actions, targets)
+        apply_update(net, grad, opt)
     return net
 
 

@@ -19,7 +19,7 @@ from flowrl.drift import NodeHistogram, detect, kl_divergence
 from flowrl.ingest import DriftSpec, GeneratorConfig, generate_synthetic
 from flowrl.metrics import compute_metrics
 from flowrl.env import RewardWeights
-from flowrl.qnet import QNetwork, dueling_aggregate, forward_batch, loss_and_gradients
+from flowrl.qnet import QNetwork, dueling_aggregate, forward_batch, loss_and_gradients, param_views
 from flowrl.replay import sample
 from flowrl.trainer import TrainerConfig, run_continual, run_full_retrain
 from test_replay import store
@@ -68,8 +68,8 @@ def test_criterion_01_gradient_correctness():
         states = _kink_free_sample(net, rng)[None, :]
         actions = np.array([int(rng.integers(0, 5))])
         targets = np.array([float(rng.uniform(-1, 1))])
-        _, grads = loss_and_gradients(net, states, actions, targets)
-        for name, g in grads.items():
+        _, grad = loss_and_gradients(net, states, actions, targets)
+        for name, g in param_views(grad, net.input_dim, net.hidden_dim).items():
             for index in np.ndindex(g.shape):
                 fd = _fd_gradient(net, states, actions, targets, name, index)
                 denom = max(abs(fd), abs(g[index]), 1e-8)

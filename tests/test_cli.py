@@ -4,8 +4,9 @@ import shutil
 import numpy as np
 import pytest
 
-from flowrl.cli import main
+from flowrl.cli import _write_json, main
 from flowrl.ingest import load_period
+from flowrl.trainer import init_agent, save_agent
 
 TINY_CONFIG = """
 [run]
@@ -134,16 +135,83 @@ class TestTrain:
         code = main(["train", "--config", str(config), "--data-dir", str(data), "--out-dir", str(tmp_path / "out")])
         assert code == 2
 
-    def test_corrupt_checkpoint_is_data_error(self, tmp_path, generated):
+    def test_corrupt_checkpoint_is_data_error(self, tmp_path, generated, capsys):
         data, config = generated
         out = tmp_path / "out"
         out.mkdir()
-        (out / "checkpoint_1.npz").write_bytes(b"garbage")
-        code = main([
-            "train", "--config", str(config), "--data-dir", str(data),
-            "--out-dir", str(out), "--resume",
-        ])
+        save_agent(init_agent(6 * 6 + 1), out / "checkpoint_1.npz")
+        whole = (out / "checkpoint_1.npz").read_bytes()
+        for content in (b"garbage", whole[: len(whole) // 2]):  # the second: a half-written save
+            (out / "checkpoint_1.npz").write_bytes(content)
+            capsys.readouterr()
+            code = main([
+                "train", "--config", str(config), "--data-dir", str(data),
+                "--out-dir", str(out), "--resume",
+            ])
+            assert code == 2
+            assert "data error: corrupt checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,key", [
+        ("evaluate", "net_b2"), ("train", "opt_v_wa"), ("train", "mem_states"),
+    ])
+    def test_misshaped_checkpoint_is_data_error(self, tmp_path, generated, capsys, command, key):
+        data, config = generated
+        out = tmp_path / "out"
+        main(["train", "--config", str(config), "--data-dir", str(data), "--out-dir", str(out)])
+        (out / "checkpoint_2.npz").unlink()
+        checkpoint = out / "checkpoint_1.npz"
+        with np.load(checkpoint) as saved:
+            payload = dict(saved)
+        payload[key] = payload[key][..., :-1]
+        np.savez(checkpoint, **payload)
+        capsys.readouterr()
+        if command == "evaluate":
+            args = ["evaluate", "--checkpoint", str(checkpoint), "--period", "1"]
+        else:
+            args = ["train", "--out-dir", str(out), "--resume"]
+        code = main([*args, "--config", str(config), "--data-dir", str(data)])
         assert code == 2
+        assert f"{key} has shape" in capsys.readouterr().err
+
+    def test_checkpoint_for_another_window_is_data_error(self, tmp_path, generated, capsys):
+        data, config = generated
+        out = tmp_path / "out"
+        main(["train", "--config", str(config), "--data-dir", str(data), "--out-dir", str(out)])
+        other = tmp_path / "window5.ini"
+        other.write_text(config.read_text().replace("window = 6", "window = 5"))
+        capsys.readouterr()
+        code = main(["evaluate", "--config", str(other), "--data-dir", str(data),
+                     "--checkpoint", str(out / "checkpoint_2.npz"), "--period", "2"])
+        assert code == 2
+        assert "takes states of 37 values, but window 5 builds 31" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("broken", ["grad", "loss"])
+    def test_divergence_is_internal_error_naming_period_and_update(
+            self, tmp_path, generated, capsys, monkeypatch, broken):
+        import flowrl.trainer as trainer_mod
+
+        data, config = generated
+        honest = trainer_mod.loss_and_gradients
+        calls = []
+
+        def diverging(*args):
+            loss, grad = honest(*args)
+            calls.append(1)
+            if len(calls) == 3:
+                if broken == "grad":
+                    grad[5] = np.nan
+                else:
+                    loss = float("nan")
+            return loss, grad
+
+        monkeypatch.setattr(trainer_mod, "loss_and_gradients", diverging)
+        out = tmp_path / "out"
+        code = main(["train", "--config", str(config), "--data-dir", str(data), "--out-dir", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "internal error: DivergenceError: training diverged in period 1 at update 3" in err
+        assert not (out / "report_1.json").exists()
+        assert not (out / "checkpoint_1.npz").exists()
 
     def test_version_1_checkpoint_is_data_error(self, tmp_path, generated, capsys):
         data, config = generated
@@ -325,3 +393,14 @@ def test_internal_error_exit_code(monkeypatch, tmp_path):
 
     monkeypatch.setattr(cli_mod, "generate_synthetic", boom)
     assert main(["generate", "--out-dir", str(tmp_path / "x")]) == 3
+
+
+def test_json_writes_are_atomic_and_reject_non_finite(tmp_path):
+    path = tmp_path / "report_1.json"
+    _write_json(path, {"mae": 1.5})
+    before = path.read_bytes()
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="JSON compliant"):
+            _write_json(path, {"mae": bad})
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report_1.json"]

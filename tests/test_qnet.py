@@ -8,9 +8,8 @@ from flowrl.qnet import (
     forward,
     forward_batch,
     init_optimizer,
-    load_network,
     loss_and_gradients,
-    save_network,
+    param_views,
     select_action,
     select_actions,
 )
@@ -24,6 +23,49 @@ def quantize(x):
 
 def small_net(seed=0, input_dim=7, hidden=8, dueling=True):
     return QNetwork.initialize(input_dim, hidden=hidden, seed=seed, dueling=dueling)
+
+
+def named(net, flat):
+    """Views of a flat vector laid out like net.theta, by parameter name."""
+    return param_views(flat, net.input_dim, net.hidden_dim)
+
+
+class TestLayout:
+    def test_parameters_are_views_into_theta(self):
+        net = small_net(30)
+        assert net.theta.dtype == np.float64 and net.theta.ndim == 1
+        views = named(net, net.theta)
+        assert sum(v.size for v in views.values()) == net.theta.size
+        for name, view in views.items():
+            assert np.shares_memory(getattr(net, name), net.theta), name
+            np.testing.assert_array_equal(getattr(net, name), view)
+        net.theta[:] = 0.0
+        assert not net.w1.any() and not net.ba.any()
+
+    def test_copy_owns_a_new_vector(self):
+        net = small_net(31)
+        twin = net.copy()
+        assert not np.shares_memory(twin.theta, net.theta)
+        np.testing.assert_array_equal(twin.theta, net.theta)
+        for name in named(net, net.theta):
+            assert np.shares_memory(getattr(twin, name), twin.theta), name
+        twin.w2[0, 0] += 1.0
+        assert twin.theta[net.theta != twin.theta].size == 1
+
+    def test_size_at_default_dimensions(self):
+        net = QNetwork.initialize(73, hidden=64)
+        opt = init_optimizer(net)
+        assert net.theta.shape == opt.m.shape == opt.v.shape == (9286,)
+
+    def test_from_params_checks_every_shape_against_w1(self):
+        net = small_net(32)
+        params = named(net, net.theta)
+        params["b2"] = params["b2"][:-1]
+        with pytest.raises(ValueError, match=r"b2 has shape \(7,\), expected \(8,\)"):
+            QNetwork.from_params(params)
+        params["w1"] = np.zeros(8)
+        with pytest.raises(ValueError, match="w1 has shape"):
+            QNetwork.from_params(params)
 
 
 class TestForward:
@@ -55,7 +97,7 @@ class TestForward:
             )
 
     def test_single_hidden_unit_hand_computation(self):
-        net = QNetwork(
+        net = QNetwork.from_params(dict(
             w1=np.array([[1.0, -1.0]]),
             b1=np.array([0.5]),
             w2=np.array([[2.0]]),
@@ -64,7 +106,7 @@ class TestForward:
             bv=np.array([0.1]),
             wa=np.array([[0.1], [0.2], [0.3], [0.4], [0.5]]),
             ba=np.zeros(5),
-        )
+        ))
         s = np.array([0.3, 0.1])
         # by hand: z1 = 0.3 - 0.1 + 0.5 = 0.7; h1 = 0.7
         # z2 = 2*0.7 - 0.25 = 1.15; h2 = 1.15
@@ -73,12 +115,12 @@ class TestForward:
         np.testing.assert_allclose(forward(net, s), expected, atol=1e-12)
 
     def test_relu_gates_the_hidden_unit(self):
-        net = QNetwork(
+        net = QNetwork.from_params(dict(
             w1=np.array([[1.0, -1.0]]), b1=np.array([-5.0]),
             w2=np.array([[2.0]]), b2=np.array([0.0]),
             wv=np.array([[1.0]]), bv=np.array([0.25]),
             wa=np.ones((5, 1)), ba=np.zeros(5),
-        )
+        ))
         # z1 = -4.8 -> h1 = 0 -> h2 = 0 -> v = 0.25, adv all 0
         np.testing.assert_allclose(forward(net, np.array([0.3, 0.1])), np.full(5, 0.25))
 
@@ -134,10 +176,10 @@ class TestGradients:
         states = rng.uniform(size=(6, 7))
         actions = rng.integers(0, 5, 6)
         targets = forward_batch(net, states)[np.arange(6), actions]
-        loss, grads = loss_and_gradients(net, states, actions, targets)
+        loss, grad = loss_and_gradients(net, states, actions, targets)
         assert loss == 0.0
-        for g in grads.values():
-            np.testing.assert_array_equal(g, np.zeros_like(g))
+        assert grad.shape == net.theta.shape
+        np.testing.assert_array_equal(grad, np.zeros_like(grad))
 
     @pytest.mark.parametrize("dueling", [True, False])
     def test_matches_central_finite_differences(self, dueling):
@@ -148,8 +190,8 @@ class TestGradients:
             states = s[None, :]
             actions = np.array([int(rng.integers(0, 5))])
             targets = np.array([rng.uniform(-1, 1)])
-            _, grads = loss_and_gradients(net, states, actions, targets)
-            for name, g in grads.items():
+            _, grad = loss_and_gradients(net, states, actions, targets)
+            for name, g in named(net, grad).items():
                 flat = g.ravel()
                 for flat_i in rng.choice(flat.size, size=min(6, flat.size), replace=False):
                     idx = np.unravel_index(flat_i, g.shape)
@@ -168,8 +210,7 @@ class TestGradients:
             net, np.tile(states, (2, 1)), np.tile(actions, 2), np.tile(targets, 2)
         )
         assert np.isclose(l1, l2, rtol=1e-12)
-        for name in g1:
-            np.testing.assert_allclose(g1[name], g2[name], rtol=1e-10, atol=1e-14)
+        np.testing.assert_allclose(g1, g2, rtol=1e-10, atol=1e-14)
 
     def test_empty_batch_rejected(self):
         net = small_net(9)
@@ -182,15 +223,55 @@ class TestGradients:
             loss_and_gradients(net, np.zeros((1, 7)), np.array([0]), np.array([np.nan]))
 
 
+def reference_update(params, grads, m, v, step, method, lr=0.001, beta1=0.9, beta2=0.999,
+                     eps=1e-8):
+    """The per-array optimizer step, one parameter at a time: the oracle
+    for the flat whole-vector step."""
+    if method == "sgd":
+        for name, p in params.items():
+            p -= lr * grads[name]
+        return
+    bc1 = 1.0 - beta1**step
+    bc2 = 1.0 - beta2**step
+    for name, p in params.items():
+        g = grads[name]
+        m[name] *= beta1
+        m[name] += (1.0 - beta1) * g
+        v[name] *= beta2
+        v[name] += (1.0 - beta2) * g * g
+        p -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
+
+
 class TestOptimizer:
+    @pytest.mark.parametrize("method", ["adam", "sgd"])
+    @pytest.mark.parametrize("dueling", [True, False])
+    def test_flat_step_equals_per_array_reference(self, method, dueling):
+        rng = np.random.default_rng(40)
+        net = QNetwork.initialize(73, hidden=64, seed=3, dueling=dueling)
+        opt = init_optimizer(net, learning_rate=0.001, method=method)
+        ref = {k: p.copy() for k, p in named(net, net.theta).items()}
+        ref_m = {k: np.zeros_like(p) for k, p in ref.items()}
+        ref_v = {k: np.zeros_like(p) for k, p in ref.items()}
+        for step in range(1, 151):
+            states = rng.uniform(0, 1, (32, 73))
+            actions = rng.integers(0, 5, 32)
+            targets = rng.uniform(0, 1, 32)
+            _, grad = loss_and_gradients(net, states, actions, targets)
+            apply_update(net, grad, opt)
+            reference_update(ref, named(net, grad), ref_m, ref_v, step, method)
+        assert opt.step == 150
+        for name, p in named(net, net.theta).items():
+            np.testing.assert_array_equal(p, ref[name], err_msg=name)
+            np.testing.assert_array_equal(named(net, opt.m)[name], ref_m[name], err_msg=name)
+            np.testing.assert_array_equal(named(net, opt.v)[name], ref_v[name], err_msg=name)
+        assert not np.array_equal(net.theta, QNetwork.initialize(73, 64, 3, dueling).theta)
+
     def test_zero_gradients_leave_parameters_unchanged(self):
         net = small_net(10)
-        before = {k: v.copy() for k, v in net.params().items()}
+        before = net.theta.copy()
         opt = init_optimizer(net)
-        zero = {k: np.zeros_like(v) for k, v in net.params().items()}
-        apply_update(net, zero, opt)
-        for k, v in net.params().items():
-            np.testing.assert_array_equal(v, before[k])
+        apply_update(net, np.zeros_like(net.theta), opt)
+        np.testing.assert_array_equal(net.theta, before)
         assert opt.step == 1
 
     @pytest.mark.parametrize("method", ["adam", "sgd"])
@@ -203,27 +284,27 @@ class TestOptimizer:
 
         opt = init_optimizer(net, learning_rate=0.01, method=method)
         before = quad_loss()
-        grads = {k: np.zeros_like(v) for k, v in net.params().items()}
-        grads["w1"] = 2.0 * (net.w1 - target)
-        apply_update(net, grads, opt)
+        grad = np.zeros_like(net.theta)
+        named(net, grad)["w1"][...] = 2.0 * (net.w1 - target)
+        apply_update(net, grad, opt)
         assert quad_loss() < before
 
     def test_identical_updates_are_deterministic(self):
         a, b = small_net(12), small_net(12)
         opt_a, opt_b = init_optimizer(a), init_optimizer(b)
-        grads = {k: np.full_like(v, 0.01) for k, v in a.params().items()}
+        grad = np.full_like(a.theta, 0.01)
         for _ in range(3):
-            apply_update(a, grads, opt_a)
-            apply_update(b, grads, opt_b)
-        for k in a.params():
-            np.testing.assert_array_equal(getattr(a, k), getattr(b, k))
+            apply_update(a, grad, opt_a)
+            apply_update(b, grad, opt_b)
+        np.testing.assert_array_equal(a.theta, b.theta)
 
     def test_shape_mismatch_rejected(self):
         net = small_net(13)
-        grads = {k: np.zeros_like(v) for k, v in net.params().items()}
-        grads["w1"] = np.zeros((1, 1))
-        with pytest.raises(ValueError, match="w1"):
-            apply_update(net, grads, init_optimizer(net))
+        opt = init_optimizer(net)
+        for bad in (np.zeros(net.theta.size - 1), np.zeros((1, net.theta.size))):
+            with pytest.raises(ValueError, match=r"gradient shape .* parameter vector shape"):
+                apply_update(net, bad, opt)
+        assert opt.step == 0
 
     def test_fixed_batch_converges_within_500_steps(self):
         rng = np.random.default_rng(5)
@@ -277,19 +358,3 @@ class TestSelectAction:
         singles = [select_action(net, s, 0.0, np.random.default_rng(0)) for s in states]
         np.testing.assert_array_equal(batched, singles)
 
-
-def test_checkpoint_round_trip_exact(tmp_path):
-    net = small_net(19)
-    path = tmp_path / "net.npz"
-    save_network(net, path)
-    loaded = load_network(path)
-    for name, p in net.params().items():
-        np.testing.assert_array_equal(p, getattr(loaded, name))
-    assert loaded.dueling == net.dueling
-    s = np.linspace(-1, 1, 7)
-    np.testing.assert_array_equal(forward(net, s), forward(loaded, s))
-
-
-def test_checkpoint_missing_file():
-    with pytest.raises(FileNotFoundError):
-        load_network("/nonexistent/net.npz")

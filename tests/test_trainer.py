@@ -1,12 +1,17 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import _mdp
 from _helpers import make_dataset, make_series
 from flowrl.env import RewardWeights, StateAssembler, classify, fit_discretizer
 from flowrl.drift import DriftConfig
 from flowrl.ingest import GeneratorConfig, generate_synthetic
-from flowrl.qnet import QNetwork, forward
+from flowrl.qnet import QNetwork, forward, param_views
 from flowrl.trainer import (
     TrainerConfig,
     epsilon_schedule,
@@ -273,10 +278,21 @@ def test_agent_checkpoint_round_trip(tmp_path):
     path = tmp_path / "agent.npz"
     save_agent(agent, path)
     loaded = load_agent(path)
-    for name, p in agent.net.params().items():
-        np.testing.assert_array_equal(p, getattr(loaded.net, name))
-        np.testing.assert_array_equal(agent.opt.m[name], loaded.opt.m[name])
-        np.testing.assert_array_equal(agent.opt.v[name], loaded.opt.v[name])
+    np.testing.assert_array_equal(loaded.net.theta, agent.net.theta)
+    np.testing.assert_array_equal(loaded.opt.m, agent.opt.m)
+    np.testing.assert_array_equal(loaded.opt.v, agent.opt.v)
+    assert loaded.opt.m.shape == loaded.opt.v.shape == loaded.net.theta.shape
+    for name, p in param_views(loaded.net.theta, 37, 64).items():
+        assert np.shares_memory(getattr(loaded.net, name), loaded.net.theta), name
+        np.testing.assert_array_equal(p, getattr(agent.net, name))
+    with np.load(path) as data:
+        opt_keys = sorted(k for k in data.files if k.startswith(("opt_m_", "opt_v_")))
+        assert len(opt_keys) == 16
+        m = param_views(agent.opt.m, 37, 64)
+        v = param_views(agent.opt.v, 37, 64)
+        for key in opt_keys:
+            moments = m if key.startswith("opt_m_") else v
+            np.testing.assert_array_equal(data[key], moments[key[len("opt_m_"):]], err_msg=key)
     assert loaded.opt.step == agent.opt.step
     assert loaded.updates == agent.updates
     assert len(loaded.memory) == len(agent.memory) > 0
@@ -289,3 +305,55 @@ def test_agent_checkpoint_round_trip(tmp_path):
         assert not [key for key in data.files if key.startswith("buf_")]
     s = np.linspace(0, 1, agent.net.input_dim)
     np.testing.assert_array_equal(forward(agent.net, s), forward(loaded.net, s))
+
+
+def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    import flowrl.trainer as trainer_mod
+
+    path = tmp_path / "checkpoint_1.npz"
+    agent = init_agent(13, hidden=8, seed=1)
+    save_agent(agent, path)
+    before = path.read_bytes()
+
+    def failing_savez(file, **arrays):
+        file.write(b"PK\x03\x04 partial")
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(trainer_mod.np, "savez", failing_savez)
+    agent.net.theta += 1.0
+    with pytest.raises(OSError, match="No space"):
+        save_agent(agent, path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint_1.npz"]
+
+
+def bits(a):
+    return np.asarray(a).view(np.uint64)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    data=st.data(),
+    input_dim=st.integers(1, 12),
+    hidden=st.integers(1, 10),
+    dueling=st.booleans(),
+    step=st.integers(0, 2**62),
+    updates=st.integers(0, 2**62),
+)
+def test_checkpoint_round_trip_property(data, input_dim, hidden, dueling, step, updates):
+    agent = init_agent(input_dim, hidden=hidden, dueling=dueling)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    for vector in (agent.net.theta, agent.opt.m, agent.opt.v):
+        vector[:] = data.draw(arrays(np.float64, vector.shape, elements=finite))
+    agent.opt.step = step
+    agent.updates = updates
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "agent.npz"
+        save_agent(agent, path)
+        loaded = load_agent(path)
+    for got, want in ((loaded.net.theta, agent.net.theta), (loaded.opt.m, agent.opt.m),
+                      (loaded.opt.v, agent.opt.v)):
+        np.testing.assert_array_equal(bits(got), bits(want))
+    assert (loaded.net.input_dim, loaded.net.hidden_dim) == (input_dim, hidden)
+    assert loaded.net.dueling == dueling
+    assert (loaded.opt.step, loaded.updates) == (step, updates)
