@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import re
 import sys
@@ -43,16 +44,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _readings_name(period: int) -> str:
-    return f"readings_{period}.csv"
-
-
-def _adjacency_name(period: int) -> str:
-    return f"adjacency_{period}.csv"
-
-
-def _nodes_name(period: int) -> str:
-    return f"nodes_{period}.csv"
+def _period_files(data_dir: Path, period: int) -> list[Path]:
+    """The readings, adjacency and nodes CSVs of one period."""
+    return [data_dir / f"{kind}_{period}.csv" for kind in ("readings", "adjacency", "nodes")]
 
 
 def _discover_periods(data_dir: Path) -> list[int]:
@@ -71,22 +65,21 @@ def _discover_periods(data_dir: Path) -> list[int]:
 
 
 def _load_dataset(data_dir: Path, period: int):
-    return load_period(
-        data_dir / _readings_name(period),
-        data_dir / _adjacency_name(period),
-        period,
-        nodes_path=data_dir / _nodes_name(period),
-    )
+    readings, adjacency, nodes = _period_files(data_dir, period)
+    return load_period(readings, adjacency, period, nodes_path=nodes)
+
+
+def _write_text(path: Path, text: str) -> None:
+    with atomic_write(path) as f:
+        f.write(text.encode())
 
 
 def _echo_config(config: RunConfig, out_dir: Path) -> None:
-    (out_dir / CONFIG_ECHO_NAME).write_text(config_to_ini(config))
+    _write_text(out_dir / CONFIG_ECHO_NAME, config_to_ini(config))
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    with atomic_write(path) as f:
-        f.write(text.encode())
+    _write_text(path, json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def _load_checkpoint(path: Path, config: RunConfig):
@@ -105,6 +98,20 @@ def _load_checkpoint(path: Path, config: RunConfig):
     return agent
 
 
+def _check_resumable(agent, config: RunConfig, path: Path) -> None:
+    """Reject resuming a checkpoint whose network or optimizer the config contradicts."""
+    for key, saved, configured in (
+        ("[qnet] hidden", agent.net.hidden_dim, config.qnet.hidden),
+        ("[qnet] dueling", agent.net.dueling, config.qnet.dueling),
+        ("[qnet] optimizer", agent.opt.method, config.qnet.optimizer),
+        ("[trainer] learning_rate", agent.opt.learning_rate, config.trainer.learning_rate),
+    ):
+        if saved != configured:
+            raise DataError(
+                f"checkpoint {path} was made with {key} = {saved}, but the config sets {configured}"
+            )
+
+
 def _resolve_config(args) -> RunConfig:
     config = load_config(args.config) if args.config else RunConfig()
     if getattr(args, "seed", None) is not None:
@@ -121,12 +128,8 @@ def cmd_generate(args) -> int:
         raise DataError(f"cannot create output directory: {e}") from None
     datasets = generate_synthetic(config.generator, config.seed)
     for ds in datasets:
-        write_period(
-            ds,
-            out_dir / _readings_name(ds.period),
-            out_dir / _adjacency_name(ds.period),
-            nodes_path=out_dir / _nodes_name(ds.period),
-        )
+        readings, adjacency, nodes = _period_files(out_dir, ds.period)
+        write_period(ds, readings, adjacency, nodes_path=nodes)
     _echo_config(config, out_dir)
     print(f"wrote {len(datasets)} periods to {out_dir}")
     return EXIT_OK
@@ -137,7 +140,6 @@ def cmd_train(args) -> int:
     data_dir = Path(args.data_dir)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _echo_config(config, out_dir)
     periods = _discover_periods(data_dir)
 
     start_index = 0
@@ -152,7 +154,9 @@ def cmd_train(args) -> int:
             last = done[-1]
             if last not in periods:
                 raise DataError(f"checkpoint for period {last} has no matching data in {data_dir}")
-            agent = _load_checkpoint(out_dir / f"checkpoint_{last}.npz", config)
+            checkpoint = out_dir / f"checkpoint_{last}.npz"
+            agent = _load_checkpoint(checkpoint, config)
+            _check_resumable(agent, config, checkpoint)
             start_index = periods.index(last) + 1
             print(f"resuming after period {last}")
     if agent is None:
@@ -164,6 +168,7 @@ def cmd_train(args) -> int:
             learning_rate=config.trainer.learning_rate,
             optimizer=config.qnet.optimizer,
         )
+    _echo_config(config, out_dir)
 
     prev = _load_dataset(data_dir, periods[start_index - 1]) if start_index > 0 else None
     for period in periods[start_index:]:
@@ -249,29 +254,27 @@ def cmd_export_figures(args) -> int:
         raise DataError(f"no report_<period>.json files found in {report_dir}")
     reports.sort()
 
+    metric_rows = [["period", "horizon", "metric", "value"]]
+    timing_rows = [["period", "total_seconds", "per_epoch_seconds"]]
+    for period, path in reports:
+        report = json.loads(path.read_text())
+        test = report.get("metrics", {}).get("test", {})
+        for horizon in sorted(test, key=int):
+            for metric in METRIC_COLUMNS:
+                metric_rows.append([period, horizon, metric, repr(float(test[horizon][metric]))])
+        tpath = report_dir / f"timings_{period}.json"
+        if not tpath.exists():
+            raise DataError(f"missing timings file for period {period}: {tpath}")
+        timing = json.loads(tpath.read_text())
+        timing_rows.append(
+            [period, repr(float(timing["total_seconds"])), repr(float(timing["per_epoch_seconds"]))]
+        )
     metrics_path = out_dir / "figures_metrics.csv"
-    with open(metrics_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["period", "horizon", "metric", "value"])
-        for period, path in reports:
-            report = json.loads(path.read_text())
-            test = report.get("metrics", {}).get("test", {})
-            for horizon in sorted(test, key=int):
-                for metric in METRIC_COLUMNS:
-                    writer.writerow([period, horizon, metric, repr(float(test[horizon][metric]))])
-
     timings_path = out_dir / "figures_timings.csv"
-    with open(timings_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["period", "total_seconds", "per_epoch_seconds"])
-        for period, _ in reports:
-            tpath = report_dir / f"timings_{period}.json"
-            if not tpath.exists():
-                raise DataError(f"missing timings file for period {period}: {tpath}")
-            timing = json.loads(tpath.read_text())
-            writer.writerow(
-                [period, repr(float(timing["total_seconds"])), repr(float(timing["per_epoch_seconds"]))]
-            )
+    for path, rows in ((metrics_path, metric_rows), (timings_path, timing_rows)):
+        text = io.StringIO(newline="")
+        csv.writer(text).writerows(rows)
+        _write_text(path, text.getvalue())
     print(f"wrote {metrics_path} and {timings_path}")
     return EXIT_OK
 

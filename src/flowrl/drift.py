@@ -123,8 +123,6 @@ def detect(prev: PeriodDataset, curr: PeriodDataset, fraction: float = FRACTION_
     new, surviving, _removed = node_diff(prev.snapshot, curr.snapshot)
     scores: dict[str, float] = {}
     for node in sorted(surviving):
-        if node not in prev.series or node not in curr.series:
-            raise ValueError(f"surviving node {node!r} is missing a series")
         pooled_lo = min(prev.series[node].flow.min(), curr.series[node].flow.min())
         pooled_hi = max(prev.series[node].flow.max(), curr.series[node].flow.max())
         if pooled_hi <= pooled_lo:

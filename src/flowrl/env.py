@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import degree_map, neighbors
 from .ingest import PeriodDataset
 
 N_CLASSES = 5
@@ -54,9 +53,8 @@ class Calibration:
 
 def fit_calibration(dataset: PeriodDataset, percentile: float = CALIBRATION_PERCENTILE) -> Calibration:
     """Fit normalization bounds on the training split, pooled over sensors."""
-    flows = dataset.flows_in("train")
     lo, hi = dataset.splits.train
-    speeds = np.concatenate([dataset.series[sid].speed[lo:hi] for sid in sorted(dataset.series)])
+    flows, speeds = dataset.values[:, lo:hi, 0], dataset.values[:, lo:hi, 1]
     flow_max = float(np.percentile(flows, percentile))
     speed_max = float(np.percentile(speeds, percentile))
     return Calibration(flow_max=max(flow_max, 1e-9), speed_max=max(speed_max, 1e-9))
@@ -159,10 +157,10 @@ def compute_reward(pred: int, actual: int, speed_norm: float, occupancy: float,
 class StateAssembler:
     """Builds state vectors for one period's dataset.
 
-    Normalized channels and neighbor means are computed lazily per node
-    and cached, so repeated state construction over a split is cheap.
-    Neighbor windows are averaged in sorted-id order, which makes the
-    result independent of edge iteration order.
+    Normalized channels and neighbor means of every node are built once,
+    as (N, T, 3) arrays in the dataset's node order. Neighbor windows are
+    summed in sorted-id order, which makes the result independent of edge
+    iteration order.
     """
 
     def __init__(self, dataset: PeriodDataset, window: int = WINDOW_DEFAULT,
@@ -172,11 +170,22 @@ class StateAssembler:
         self.dataset = dataset
         self.window = window
         self.calibration = calibration if calibration is not None else fit_calibration(dataset)
-        degrees = degree_map(dataset.snapshot)
-        self._degree = degrees
-        self._max_degree = max(degrees.values()) if degrees else 0
-        self._channels: dict[str, np.ndarray] = {}
-        self._neighbor_mean: dict[str, np.ndarray] = {}
+        v, cal = dataset.values, self.calibration
+        self._channels = np.stack([np.clip(v[..., 0] / cal.flow_max, 0.0, 1.0),
+                                   np.clip(v[..., 1] / cal.speed_max, 0.0, 1.0), v[..., 2]], axis=-1)
+        # Sorted canonical edges list each (u, x) with u < x before any (x, w),
+        # so every node's neighbor rows come out in sorted-id order.
+        adjacent: list[list[int]] = [[] for _ in dataset.nodes]
+        for a, b in sorted(dataset.snapshot.edges):
+            adjacent[dataset.index[a]].append(dataset.index[b])
+            adjacent[dataset.index[b]].append(dataset.index[a])
+        self._degree = np.array([len(a) for a in adjacent])
+        self._max_degree = self._degree.max(initial=0)
+        acc = np.zeros(v.shape)
+        for j in range(self._max_degree):  # the j-th neighbor of every node that has one
+            rows = np.flatnonzero(self._degree > j)
+            acc[rows] += self._channels[[adjacent[i][j] for i in rows]]
+        self._neighbor_mean = acc / np.maximum(self._degree, 1)[:, None, None]
 
     @property
     def dim(self) -> int:
@@ -184,35 +193,7 @@ class StateAssembler:
 
     def node_channels(self, v: str) -> np.ndarray:
         """(T, 3) array of normalized flow, normalized speed, raw occupancy."""
-        cached = self._channels.get(v)
-        if cached is not None:
-            return cached
-        s = self.dataset.series.get(v)
-        if s is None:
-            raise ValueError(f"no series for node {v!r}")
-        out = np.empty((len(s), 3))
-        out[:, 0] = np.clip(s.flow / self.calibration.flow_max, 0.0, 1.0)
-        out[:, 1] = np.clip(s.speed / self.calibration.speed_max, 0.0, 1.0)
-        out[:, 2] = s.occupancy
-        self._channels[v] = out
-        return out
-
-    def _neighbor_channels(self, v: str) -> np.ndarray:
-        cached = self._neighbor_mean.get(v)
-        if cached is not None:
-            return cached
-        nbrs = sorted(neighbors(self.dataset.snapshot, v))
-        if not nbrs:
-            out = np.zeros((self.dataset.length, 3))
-        else:
-            acc = np.zeros((self.dataset.length, 3))
-            for u in nbrs:
-                if u not in self.dataset.series:
-                    raise ValueError(f"node {v!r} has neighbor {u!r} with no series")
-                acc += self.node_channels(u)
-            out = acc / len(nbrs)
-        self._neighbor_mean[v] = out
-        return out
+        return self._channels[self.dataset.index[v]]
 
     def states(self, v: str, ts) -> np.ndarray:
         """State matrix for node v at each time index in ts.
@@ -232,9 +213,10 @@ class StateAssembler:
             raise ValueError(
                 f"time index {int(ts.max())} beyond series length {self.dataset.length}"
             )
-        own = self.node_channels(v)
-        nbr = self._neighbor_channels(v)
-        deg = self._degree[v] / self._max_degree if self._max_degree > 0 else 0.0
+        i = self.dataset.index[v]
+        own = self._channels[i]
+        nbr = self._neighbor_mean[i]
+        deg = self._degree[i] / self._max_degree if self._max_degree > 0 else 0.0
         W = self.window
         out = np.empty((ts.size, self.dim))
         own_win = np.lib.stride_tricks.sliding_window_view(own, W, axis=0)  # (T-W+1, 3, W)

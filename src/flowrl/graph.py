@@ -168,6 +168,17 @@ def degree_map(g: GraphSnapshot) -> dict[str, int]:
     return deg
 
 
+def csv_rows(path, header: list[str]):
+    """(line, stripped cells) of each non-empty line of a CSV file after its
+    header; a header other than `header` is a DataError."""
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        got = next(reader, None)
+        if got is None or [h.strip() for h in got] != header:
+            raise DataError(f"expected header {','.join(header)!r}, got {got!r}", path=str(path), line=1)
+        yield from ((reader.line_num, [c.strip() for c in cells]) for cells in reader if cells)
+
+
 def load_adjacency(adjacency_path, period: int, nodes_path=None) -> GraphSnapshot:
     """Load one period's snapshot from CSV.
 
@@ -180,44 +191,24 @@ def load_adjacency(adjacency_path, period: int, nodes_path=None) -> GraphSnapsho
         raise DataError("adjacency file not found", path=str(adjacency_path))
     nodes: set[str] = set()
     edges: set[Edge] = set()
-    with open(adjacency_path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["from", "to"]:
-            raise DataError(
-                f"expected header 'from,to', got {header!r}", path=str(adjacency_path), line=1
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 2:
-                raise DataError(
-                    f"expected 2 columns, got {len(row)}", path=str(adjacency_path), line=lineno
-                )
-            u, v = row[0].strip(), row[1].strip()
-            if not u or not v:
-                raise DataError("empty node id", path=str(adjacency_path), line=lineno)
-            if u == v:
-                raise DataError(f"self-loop edge on {u!r}", path=str(adjacency_path), line=lineno)
-            nodes.update((u, v))
-            edges.add(canonical_edge(u, v))
-    if nodes_path is not None:
-        nodes_path = Path(nodes_path)
-        if nodes_path.exists():
-            with open(nodes_path, newline="") as f:
-                reader = csv.reader(f)
-                header = next(reader, None)
-                if header is None or [h.strip() for h in header] != ["node_id"]:
-                    raise DataError(
-                        f"expected header 'node_id', got {header!r}", path=str(nodes_path), line=1
-                    )
-                for lineno, row in enumerate(reader, start=2):
-                    if not row or all(not c.strip() for c in row):
-                        continue
-                    nid = row[0].strip()
-                    if not nid:
-                        raise DataError("empty node id", path=str(nodes_path), line=lineno)
-                    nodes.add(nid)
+    for line, cells in csv_rows(adjacency_path, ["from", "to"]):
+        if not any(cells):
+            continue
+        if len(cells) != 2:
+            raise DataError(f"expected 2 columns, got {len(cells)}", path=str(adjacency_path), line=line)
+        u, v = cells
+        if not u or not v:
+            raise DataError("empty node id", path=str(adjacency_path), line=line)
+        if u == v:
+            raise DataError(f"self-loop edge on {u!r}", path=str(adjacency_path), line=line)
+        nodes.update((u, v))
+        edges.add(canonical_edge(u, v))
+    if nodes_path is not None and Path(nodes_path).exists():
+        for line, cells in csv_rows(nodes_path, ["node_id"]):
+            if cells[0]:
+                nodes.add(cells[0])
+            elif any(cells):
+                raise DataError("empty node id", path=str(nodes_path), line=line)
     return GraphSnapshot(period=period, nodes=frozenset(nodes), edges=frozenset(edges))
 
 

@@ -1,67 +1,66 @@
-"""Sensor time-series ingestion: CSV loading, writing, and synthetic streams.
+"""Sensor time-series ingestion: the period tensor, CSV loading and
+writing, and synthetic streams.
 
 Readings are 5-minute aggregates of (flow, speed, occupancy) per sensor.
-The synthetic generator produces multi-period streams with a growing
-topology and optionally planted regime shifts, for desk-scale experiments.
+A period holds them as one (N, T, 3) float64 array: N sensors in sorted id
+order, every node of the period's graph, on one shared axis of T
+timestamps 300 s apart. `PeriodDataset`'s constructor is the one place
+that checks readings. `load_period` parses a CSV in one `np.loadtxt`
+call, places each row on the (sensor, time) grid and maps any fault back
+to its file and line. The synthetic generator produces multi-period
+streams with a growing topology and optionally planted regime shifts, for
+desk-scale experiments.
 """
 
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
-from datetime import datetime, timedelta
-from math import isfinite
+from datetime import datetime
+from functools import cached_property
+from itertools import islice, repeat
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
 from .errors import DataError
-from .graph import GraphDelta, GraphSnapshot, apply_delta, canonical_edge, load_adjacency, write_adjacency
+from .graph import (GraphDelta, GraphSnapshot, apply_delta, canonical_edge, csv_rows, load_adjacency,
+                    write_adjacency)
 
 STEP_SECONDS = 300  # 5-minute aggregates
 READINGS_HEADER = ["timestamp", "sensor_id", "flow", "speed", "occupancy"]
+CHANNELS = ("flow", "speed", "occupancy")
+# Timestamps parse at ns so that a fractional second shows instead of being
+# cut off. A year outside datetime64[ns]'s range wraps modulo 2**64 ns,
+# which leaves a fraction of a second too, so it is rejected the same way.
+_ROW_DTYPE = np.dtype([("time", "M8[ns]"), ("sensor", object),
+                       ("flow", "f8"), ("speed", "f8"), ("occupancy", "f8")])
 
 
 @dataclass(eq=False)
 class SensorSeries:
-    """One sensor's aligned (flow, speed, occupancy) channels."""
+    """One sensor's channels: views into its period's `values`, checked
+    only as part of the period."""
 
     sensor_id: str
-    timestamps: tuple[str, ...]  # ISO-8601, strictly increasing, 5-min spacing
+    timestamps: np.ndarray  # the period's datetime64[s] axis
     flow: np.ndarray
     speed: np.ndarray
     occupancy: np.ndarray
 
-    def __post_init__(self):
-        n = len(self.timestamps)
-        self.flow = np.asarray(self.flow, dtype=float)
-        self.speed = np.asarray(self.speed, dtype=float)
-        self.occupancy = np.asarray(self.occupancy, dtype=float)
-        if not (len(self.flow) == len(self.speed) == len(self.occupancy) == n):
-            raise ValueError(
-                f"sensor {self.sensor_id!r}: channel lengths differ from timestamps ({n})"
-            )
-        if n == 0:
-            raise ValueError(f"sensor {self.sensor_id!r}: empty series")
-        for name in ("flow", "speed", "occupancy"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ValueError(f"sensor {self.sensor_id!r}: non-finite {name}")
-        if np.any(self.flow < 0) or np.any(self.speed < 0):
-            raise ValueError(f"sensor {self.sensor_id!r}: negative flow or speed")
-        if np.any(self.occupancy < 0) or np.any(self.occupancy > 1):
-            raise ValueError(f"sensor {self.sensor_id!r}: occupancy outside [0, 1]")
-        prev = None
-        for ts in self.timestamps:
-            t = datetime.fromisoformat(ts)
-            if prev is not None and (t - prev).total_seconds() != STEP_SECONDS:
-                raise ValueError(
-                    f"sensor {self.sensor_id!r}: timestamp gap between {prev.isoformat()} "
-                    f"and {ts} (expected {STEP_SECONDS}s spacing)"
-                )
-            prev = t
-
     def __len__(self) -> int:
         return len(self.timestamps)
+
+
+class ReadingError(ValueError):
+    """A fault in a period's readings, at sensor `node` and time index `t`
+    where it has them."""
+
+    def __init__(self, message: str, node: str | None = None, t: int | None = None):
+        super().__init__(message)
+        self.node, self.t = node, t
 
 
 @dataclass(frozen=True)
@@ -104,142 +103,172 @@ def compute_splits(length: int) -> SplitBounds:
 
 @dataclass(eq=False)
 class PeriodDataset:
-    """One period of the stream: snapshot, per-sensor series, split bounds."""
+    """One period of the stream: its graph snapshot, the (N, T, 3) tensor of
+    (flow, speed, occupancy) readings of every node, and the split bounds
+    of its time axis. The constructor checks the readings and raises a
+    ReadingError at the first offending sensor and time index."""
 
     period: int
     snapshot: GraphSnapshot
-    series: dict[str, SensorSeries]
+    nodes: tuple[str, ...]  # sorted ids, every node of the snapshot
+    times: np.ndarray  # (T,) datetime64[s], 300 s apart
+    values: np.ndarray  # (N, T, 3) float64, channels in CHANNELS order
     splits: SplitBounds
 
     def __post_init__(self):
-        lengths = {len(s) for s in self.series.values()}
-        if len(lengths) > 1:
-            raise ValueError(f"series lengths differ across sensors: {sorted(lengths)}")
-        for sid in self.series:
-            if sid not in self.snapshot.nodes:
-                raise ValueError(f"series sensor {sid!r} is not a node of the period-{self.period} snapshot")
-        if lengths and self.splits.length != lengths.pop():
+        self.nodes = tuple(self.nodes)
+        self.times = np.asarray(self.times, dtype="datetime64[s]")
+        self.values = np.asarray(self.values, dtype=float)
+        graph = self.snapshot.nodes
+        if self.nodes != tuple(sorted(graph)):
+            odd = min(set(self.nodes) ^ graph, default=None)
+            raise ReadingError(
+                f"node {odd!r} of the period-{self.period} snapshot has no readings" if odd in graph else
+                f"sensor {odd!r} is not a node of the period-{self.period} snapshot" if odd else
+                "nodes must be the snapshot's ids, each once, in sorted order", node=odd)
+        shape = (len(self.nodes), len(self.times), len(CHANNELS))
+        if self.times.ndim != 1 or self.values.shape != shape:
+            raise ValueError(f"values have shape {self.values.shape}, expected {shape}")
+        if self.splits.length != len(self.times):
             raise ValueError("split bounds do not match series length")
+        gaps = np.diff(self.times).astype(int)
+        if np.any(gaps != STEP_SECONDS):
+            t = int(np.argmax(gaps != STEP_SECONDS))
+            raise ReadingError(f"timestamp gap of {gaps[t]}s after {self.times[t]} "
+                               f"(expected {STEP_SECONDS}s)", t=t + 1)
+        v = self.values
+        bad = ~np.isfinite(v)
+        bad[..., :2] |= v[..., :2] < 0
+        bad[..., 2] |= (v[..., 2] < 0) | (v[..., 2] > 1)
+        if bad.any():
+            i, t, c = np.unravel_index(np.argmax(bad), bad.shape)
+            value, name = float(v[i, t, c]), CHANNELS[c]
+            problem = (f"non-finite {name} {value}" if not np.isfinite(value) else
+                       f"occupancy {value} outside [0, 1]" if c == 2 else f"negative {name} {value}")
+            raise ReadingError(f"{problem} (sensor {self.nodes[i]!r} at {self.times[t]})",
+                               node=self.nodes[i], t=int(t))
 
     @property
     def length(self) -> int:
         return self.splits.length
 
+    @cached_property
+    def index(self) -> dict[str, int]:
+        """Node id -> its row in `values`."""
+        return {node: i for i, node in enumerate(self.nodes)}
+
+    @cached_property
+    def series(self) -> MappingProxyType:
+        """Node id -> SensorSeries of writable views into `values`."""
+        return MappingProxyType({node: SensorSeries(node, self.times, *self.values[i].T)
+                                 for i, node in enumerate(self.nodes)})
+
     def flows_in(self, split: str) -> np.ndarray:
-        """All sensors' flow values inside a split, pooled."""
+        """All sensors' flow values inside a split, pooled in node order."""
         lo, hi = self.splits.range_of(split)
-        return np.concatenate([self.series[sid].flow[lo:hi] for sid in sorted(self.series)])
+        return self.values[:, lo:hi, 0].ravel()
+
+
+def _row_problem(cells: list[str]) -> str | None:
+    """Why np.loadtxt cannot parse a readings row, or None."""
+    if len(cells) != len(READINGS_HEADER):
+        return f"expected {len(READINGS_HEADER)} columns, got {len(cells)}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            np.datetime64(cells[0], "ns")
+        except (ValueError, Warning):
+            return f"bad timestamp {cells[0]!r}"
+    try:
+        [float(c.replace("_", "x")) for c in cells[2:]]  # np.loadtxt takes no digit separators
+    except ValueError:
+        return "bad numeric value"
+    return None
 
 
 def load_period(readings_path, adjacency_path, period: int, nodes_path=None) -> PeriodDataset:
     """Load one period from a readings CSV plus its adjacency CSV.
 
-    Readings schema: ``timestamp,sensor_id,flow,speed,occupancy`` with
-    ISO-8601 timestamps. Every malformed row raises a DataError carrying
-    the file and line number. Sensors that are not nodes of the adjacency
-    graph are rejected.
+    Readings schema: ``timestamp,sensor_id,flow,speed,occupancy``, rows in
+    any order, timestamps naive ISO-8601 to the second. Every sensor must
+    be a graph node, and every node needs one reading at each time of a
+    shared 300 s axis. A fault raises a DataError with file and line.
     """
     snapshot = load_adjacency(adjacency_path, period, nodes_path=nodes_path)
-    readings_path = Path(readings_path)
-    if not readings_path.exists():
-        raise DataError("readings file not found", path=str(readings_path))
+    path = Path(readings_path)
+    if not path.exists():
+        raise DataError("readings file not found", path=str(path))
+    if next(csv_rows(path, READINGS_HEADER), None) is None:
+        raise DataError("readings file contains no data rows", path=str(path))
 
-    per_sensor: dict[str, dict[str, list]] = {}
-    with open(readings_path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != READINGS_HEADER:
-            raise DataError(
-                f"expected header {','.join(READINGS_HEADER)!r}, got {header!r}",
-                path=str(readings_path),
-                line=1,
-            )
-        rows = 0
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 5:
-                raise DataError(
-                    f"expected 5 columns, got {len(row)}", path=str(readings_path), line=lineno
-                )
-            ts_raw, sid, flow_raw, speed_raw, occ_raw = (c.strip() for c in row)
-            try:
-                datetime.fromisoformat(ts_raw)
-            except ValueError:
-                raise DataError(
-                    f"bad timestamp {ts_raw!r}", path=str(readings_path), line=lineno
-                ) from None
-            if sid not in snapshot.nodes:
-                raise DataError(
-                    f"unknown sensor {sid!r} (not in adjacency graph)",
-                    path=str(readings_path),
-                    line=lineno,
-                )
-            try:
-                flow = float(flow_raw)
-                speed = float(speed_raw)
-                occ = float(occ_raw)
-            except ValueError:
-                raise DataError("bad numeric value", path=str(readings_path), line=lineno) from None
-            if not (isfinite(flow) and isfinite(speed) and isfinite(occ)):
-                name, value = next((name, value) for name, value in
-                                   (("flow", flow), ("speed", speed), ("occupancy", occ))
-                                   if not isfinite(value))
-                raise DataError(f"non-finite {name} {value}", path=str(readings_path), line=lineno)
-            if flow < 0:
-                raise DataError(f"negative flow {flow}", path=str(readings_path), line=lineno)
-            if speed < 0:
-                raise DataError(f"negative speed {speed}", path=str(readings_path), line=lineno)
-            if not 0 <= occ <= 1:
-                raise DataError(
-                    f"occupancy {occ} outside [0, 1]", path=str(readings_path), line=lineno
-                )
-            bucket = per_sensor.setdefault(
-                sid, {"ts": [], "flow": [], "speed": [], "occ": [], "lines": []}
-            )
-            bucket["ts"].append(ts_raw)
-            bucket["flow"].append(flow)
-            bucket["speed"].append(speed)
-            bucket["occ"].append(occ)
-            bucket["lines"].append(lineno)
-            rows += 1
-    if rows == 0:
-        raise DataError("readings file contains no data rows", path=str(readings_path))
+    def fault(row, message):
+        line, cells = next(islice(csv_rows(path, READINGS_HEADER), int(row), None))
+        return DataError(message(cells) if callable(message) else message, path=str(path), line=line)
 
-    series: dict[str, SensorSeries] = {}
-    for sid, b in per_sensor.items():
-        prev = None
-        for ts, lineno in zip(b["ts"], b["lines"]):
-            t = datetime.fromisoformat(ts)
-            if prev is not None:
-                gap = (t - prev[0]).total_seconds()
-                if gap != STEP_SECONDS:
-                    raise DataError(
-                        f"sensor {sid!r}: timestamp gap of {gap:.0f}s after {prev[0].isoformat()} "
-                        f"(expected {STEP_SECONDS}s)",
-                        path=str(readings_path),
-                        line=lineno,
-                    )
-            prev = (t, lineno)
-        series[sid] = SensorSeries(
-            sensor_id=sid,
-            timestamps=tuple(b["ts"]),
-            flow=np.array(b["flow"]),
-            speed=np.array(b["speed"]),
-            occupancy=np.array(b["occ"]),
-        )
-
-    lengths = {len(s) for s in series.values()}
-    if len(lengths) > 1:
-        raise DataError(
-            f"sensors have differing series lengths: {sorted(lengths)}", path=str(readings_path)
-        )
-    length = lengths.pop()
     try:
-        splits = compute_splits(length)
-    except ValueError as e:
-        raise DataError(str(e), path=str(readings_path)) from None
-    return PeriodDataset(period=period, snapshot=snapshot, series=series, splits=splits)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy takes a zone suffix with only a warning
+            rows = np.loadtxt(path, dtype=_ROW_DTYPE, delimiter=",", skiprows=1,
+                              comments=None, quotechar='"', ndmin=1)
+    except (ValueError, Warning) as e:
+        # re-scan for the message only: the first row np.loadtxt cannot take
+        for line, cells in csv_rows(path, READINGS_HEADER):
+            if (problem := _row_problem(cells)) is not None:
+                raise DataError(problem, path=str(path), line=line) from None
+        raise DataError(f"unreadable readings: {e}", path=str(path)) from None
+
+    bad = np.isnat(rows["time"]) | (rows["time"].view(np.int64) % 10**9 != 0)
+    if bad.any():
+        raise fault(np.argmax(bad),
+                    lambda cells: f"bad timestamp {cells[0]!r} (naive ISO-8601 to the second expected)")
+    roster = {node: i for i, node in enumerate(sorted(snapshot.nodes))}
+    sensor = np.fromiter((roster.get(s, -1) for s in rows["sensor"]), np.intp, count=rows.size)
+    if np.any(sensor < 0):
+        row = np.argmax(sensor < 0)
+        raise fault(row, f"unknown sensor {rows['sensor'][row]!r} (not in adjacency graph)")
+    # index the sensors that have readings, so a node without any is reported by PeriodDataset
+    present = np.bincount(sensor, minlength=len(roster)) > 0
+    nodes = [node for node, seen in zip(roster, present) if seen]
+    sensor = (np.cumsum(present) - 1)[sensor]
+
+    times, t = np.unique(rows["time"], return_inverse=True)
+    n, width = len(nodes), len(times)
+    cell = sensor * width + t
+    per_cell = np.bincount(cell, minlength=n * width)
+    if np.any(per_cell != 1):  # report the earliest time that is not one reading per sensor
+        k, i = divmod(int(np.argmax((per_cell != 1).reshape(n, width).T)), n)
+        at = np.datetime_as_string(times[k], unit="s")
+        if per_cell[i * width + k] > 1:
+            raise fault(np.flatnonzero(cell == i * width + k)[1], f"sensor {nodes[i]!r}: second reading at {at}")
+        own = np.flatnonzero(sensor == i)  # point at the reading after the gap, else the last one
+        later = own[t[own] > k]
+        row = later[np.argmin(t[later])] if later.size else own[np.argmax(t[own])]
+        raise fault(row, f"sensor {nodes[i]!r}: timestamp gap, no reading at {at} on the shared "
+                         f"{STEP_SECONDS}s axis")
+    values = np.empty((n * width, len(CHANNELS)))
+    for c, name in enumerate(CHANNELS):
+        values[cell, c] = rows[name]
+    row_of = np.empty((n, width), dtype=np.intp)
+    row_of.flat[cell] = np.arange(rows.size)
+    del rows
+
+    try:
+        return PeriodDataset(period=period, snapshot=snapshot, nodes=tuple(nodes),
+                             times=times.astype("datetime64[s]"),
+                             values=values.reshape(n, width, len(CHANNELS)), splits=compute_splits(width))
+    except ReadingError as e:
+        if e.t is not None:
+            raise fault(row_of[nodes.index(e.node), e.t] if e.node is not None else row_of[:, e.t].min(),
+                        str(e)) from None
+        declared = ((adjacency_path, ["from", "to"]), (nodes_path, ["node_id"]))
+        for graph_file, header in declared:  # a node without readings: point where it is declared
+            if graph_file is not None and Path(graph_file).exists():
+                for line, cells in csv_rows(graph_file, header):
+                    if e.node in cells:
+                        raise DataError(f"{e} in {path.name}", path=str(graph_file), line=line) from None
+        raise DataError(str(e), path=str(path)) from None
+    except ValueError as e:  # too short to split
+        raise DataError(str(e), path=str(path)) from None
 
 
 def write_period(dataset: PeriodDataset, readings_path, adjacency_path, nodes_path=None) -> None:
@@ -249,15 +278,12 @@ def write_period(dataset: PeriodDataset, readings_path, adjacency_path, nodes_pa
     order; floats are written with shortest round-trip repr.
     """
     write_adjacency(dataset.snapshot, adjacency_path, nodes_path=nodes_path)
+    stamps = np.datetime_as_string(dataset.times, unit="s").tolist()
     with open(Path(readings_path), "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(READINGS_HEADER)
-        for sid in sorted(dataset.series):
-            s = dataset.series[sid]
-            for i, ts in enumerate(s.timestamps):
-                writer.writerow(
-                    [ts, sid, repr(float(s.flow[i])), repr(float(s.speed[i])), repr(float(s.occupancy[i]))]
-                )
+        for sid, block in zip(dataset.nodes, dataset.values):
+            writer.writerows(zip(stamps, repeat(sid), *(map(repr, col) for col in block.T.tolist())))
 
 
 @dataclass(frozen=True)
@@ -391,12 +417,11 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> list[PeriodDataset
                 )
 
         steps = np.arange(config.steps_per_period, dtype=float)
-        start = datetime(2000 + period, 1, 1)
-        timestamps = tuple(
-            (start + timedelta(seconds=STEP_SECONDS * int(t))).isoformat() for t in range(config.steps_per_period)
-        )
-        series: dict[str, SensorSeries] = {}
-        for node in sorted(snapshot.nodes):
+        times = np.datetime64(datetime(2000 + period, 1, 1), "s") + np.arange(
+            config.steps_per_period) * np.timedelta64(STEP_SECONDS, "s")
+        nodes = tuple(sorted(snapshot.nodes))
+        values = np.empty((len(nodes), config.steps_per_period, len(CHANNELS)))
+        for i, node in enumerate(nodes):
             peak = config.profile_base + (config.profile_peak - config.profile_base) * amps[node]
             shape = _diurnal(steps, phases[node])
             if config.harmonic_mix > 0:
@@ -417,16 +442,16 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> list[PeriodDataset
             if config.noise_sigma > 0:
                 speed = speed + rng.normal(0.0, 0.05 * config.noise_sigma, size=flow.shape)
                 occ = occ + rng.normal(0.0, 0.001 * config.noise_sigma, size=flow.shape)
-            speed = np.clip(speed, 0.0, None)
-            occ = np.clip(occ, 0.0, 1.0)
-            series[node] = SensorSeries(
-                sensor_id=node, timestamps=timestamps, flow=flow, speed=speed, occupancy=occ
-            )
+            values[i, :, 0] = flow
+            values[i, :, 1] = np.clip(speed, 0.0, None)
+            values[i, :, 2] = np.clip(occ, 0.0, 1.0)
         datasets.append(
             PeriodDataset(
                 period=period,
                 snapshot=snapshot,
-                series=series,
+                nodes=nodes,
+                times=times,
+                values=values,
                 splits=compute_splits(config.steps_per_period),
             )
         )

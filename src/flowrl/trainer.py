@@ -201,7 +201,7 @@ def _rollout_plan(dataset: PeriodDataset, candidates, window: int) -> tuple[list
     n = hi - max(window, lo)
     if n < 1:
         return [], n
-    return [node for node in sorted(candidates) if node in dataset.series], n
+    return sorted(candidates), n
 
 
 def _allocate_pool(plans, dim: int) -> ReplayBuffer:
@@ -336,13 +336,13 @@ def _evaluate_node(net, assembler, discretizer, node, split, horizons):
 
 def evaluate_period(dataset: PeriodDataset, net: QNetwork, discretizer: Discretizer,
                     assembler: StateAssembler, horizons, splits=("val", "test")):
-    """Metrics over every node with a series, per split and horizon.
+    """Metrics over every node, per split and horizon.
 
     Returns (metrics, per_node_test_mae) where metrics maps
     split -> horizon -> MetricSet pooled over nodes, and the per-node dict
     holds each node's test MAE at the first horizon.
     """
-    nodes = sorted(dataset.series)
+    nodes = dataset.nodes
     results = {
         (node, split): _evaluate_node(net, assembler, discretizer, node, split, horizons)
         for node in nodes
@@ -495,7 +495,7 @@ def run_period(prev: PeriodDataset | None, curr: PeriodDataset, agent: AgentStat
     drift_cfg = drift_cfg or DriftConfig()
     t_start = time.perf_counter()
     if prev is None:
-        candidates = tuple(sorted(curr.series))
+        candidates = curr.nodes
         new_nodes = candidates
         drifted: tuple[str, ...] = ()
         drift_scores = None
@@ -580,14 +580,14 @@ def run_full_retrain(datasets: list[PeriodDataset], cfg: TrainerConfig,
         )
         t_start = time.perf_counter()
         seen = datasets[: i + 1]
-        pool = _allocate_pool([_rollout_plan(past, past.series, cfg.window) for past in seen], dim)
+        pool = _allocate_pool([_rollout_plan(past, past.nodes, cfg.window) for past in seen], dim)
         for past in seen:
             calibration = fit_calibration(past)
             discretizer = fit_discretizer(past.flows_in("train"))
             assembler = StateAssembler(past, window=cfg.window, calibration=calibration)
             rng_rollout = np.random.default_rng([seed, past.period, i, 3])
             generate_training_experiences(
-                past, past.series, agent.net, cfg, weights, assembler, discretizer,
+                past, past.nodes, agent.net, cfg, weights, assembler, discretizer,
                 rng_rollout, pool,
             )
         agent.buffer.extend(pool)
@@ -604,6 +604,6 @@ def run_full_retrain(datasets: list[PeriodDataset], cfg: TrainerConfig,
         touched += len(pool)
         reports.append(_period_report(
             curr, cfg, len(pool), epoch_losses, evaluation,
-            (t_start, t_start, t_rollout, t_train, t_eval), tuple(sorted(curr.series)),
+            (t_start, t_start, t_rollout, t_train, t_eval), curr.nodes,
         ))
     return reports, touched

@@ -30,8 +30,12 @@ def make_series(sensor_id, flow, speed=None, occ=None):
 
 
 def make_dataset(period, nodes, edges, series):
+    """A dataset of the given series, stacked in sorted id order on the
+    first series' time axis; PeriodDataset checks the rest."""
     snapshot = GraphSnapshot.build(period, nodes, edges)
-    length = len(next(iter(series.values())))
-    return PeriodDataset(
-        period=period, snapshot=snapshot, series=series, splits=compute_splits(length)
-    )
+    ids = tuple(sorted(series))
+    first = series[ids[0]]
+    values = np.stack([np.stack([series[i].flow, series[i].speed, series[i].occupancy], axis=-1)
+                       for i in ids])
+    return PeriodDataset(period=period, snapshot=snapshot, nodes=ids, times=first.timestamps,
+                         values=values, splits=compute_splits(len(first)))

@@ -4,7 +4,7 @@ import shutil
 import numpy as np
 import pytest
 
-from flowrl.cli import _write_json, main
+from flowrl.cli import _write_json, _write_text, main
 from flowrl.ingest import load_period
 from flowrl.trainer import init_agent, save_agent
 
@@ -121,6 +121,71 @@ class TestTrain:
             "--out-dir", str(resumed), "--resume",
         ]) == 0
         assert (resumed / "report_2.json").read_bytes() == (full / "report_2.json").read_bytes()
+
+    @pytest.mark.parametrize("section,key,value,saved,configured", [
+        ("qnet", "hidden", "16", "64", "16"),
+        ("qnet", "dueling", "false", "True", "False"),
+        ("qnet", "optimizer", "sgd", "adam", "sgd"),
+        ("trainer", "learning_rate", "0.01", "0.001", "0.01"),
+    ])
+    def test_resume_with_another_model_config_is_data_error(
+            self, tmp_path, generated, capsys, section, key, value, saved, configured):
+        data, config = generated
+        out = tmp_path / "out"
+        out.mkdir()
+        save_agent(init_agent(6 * 6 + 1, seed=12), out / "checkpoint_1.npz")
+        (out / "config_echo.ini").write_text("previous\n")
+        text = config.read_text()
+        header = f"[{section}]\n"
+        text = text.replace(header, header + f"{key} = {value}\n") if header in text else (
+            text + header + f"{key} = {value}\n")
+        changed = tmp_path / "changed.ini"
+        changed.write_text(text)
+        capsys.readouterr()
+        code = main(["train", "--config", str(changed), "--data-dir", str(data),
+                     "--out-dir", str(out), "--resume"])
+        assert code == 2
+        assert f"[{section}] {key} = {saved}, but the config sets {configured}" in capsys.readouterr().err
+        assert (out / "config_echo.ini").read_text() == "previous\n"
+        assert not (out / "report_2.json").exists()
+
+    def test_graph_node_without_readings_is_data_error(self, tmp_path, generated, capsys):
+        data, config = generated
+        readings = data / "readings_2.csv"
+        lines = readings.read_text().splitlines()
+        readings.write_text("\n".join(line for line in lines if ",s0001," not in line) + "\n")
+        code = main(["train", "--config", str(config), "--data-dir", str(data),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "adjacency_2.csv:" in err
+        assert "node 's0001' of the period-2 snapshot has no readings in readings_2.csv" in err
+
+    def test_zoned_timestamp_is_data_error(self, tmp_path, generated, capsys):
+        data, config = generated
+        readings = data / "readings_2.csv"
+        lines = readings.read_text().splitlines()
+        stamp, rest = lines[7].split(",", 1)
+        lines[7] = f"{stamp}+00:00,{rest}"
+        readings.write_text("\n".join(lines) + "\n")
+        code = main(["train", "--config", str(config), "--data-dir", str(data),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert f"readings_2.csv:8: bad timestamp '{stamp}+00:00'" in capsys.readouterr().err
+
+    def test_shifted_sensor_is_data_error(self, tmp_path, generated, capsys):
+        data, config = generated
+        readings = data / "readings_2.csv"
+        lines = readings.read_text().splitlines()
+        for k, line in enumerate(lines):
+            stamp, sid, rest = line.split(",", 2)
+            if sid == "s0002":
+                lines[k] = f"{np.datetime64(stamp) + np.timedelta64(5, 'h')},{sid},{rest}"
+        readings.write_text("\n".join(lines) + "\n")
+        code = main(["train", "--config", str(config), "--data-dir", str(data),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert "sensor 's0002': timestamp gap, no reading at" in capsys.readouterr().err
 
     def test_missing_data_dir_is_data_error(self, tmp_path, tiny_config):
         code = main([
@@ -328,6 +393,19 @@ class TestExportFigures:
                 source = report["metrics"]["test"][row["horizon"]][row["metric"]]
                 assert float(row["value"]) == source
 
+    def test_failed_export_keeps_previous_files(self, tmp_path):
+        rep = tmp_path / "reports"
+        fake_reports(rep)
+        assert main(["export-figures", "--report-dir", str(rep)]) == 0
+        before = dir_bytes(rep, "figures_*.csv")
+        report = json.loads((rep / "report_1.json").read_text())
+        report["metrics"]["test"]["3"]["mae"] += 1.0
+        (rep / "report_1.json").write_text(json.dumps(report))
+        (rep / "timings_2.json").unlink()
+        assert main(["export-figures", "--report-dir", str(rep)]) == 2
+        assert dir_bytes(rep, "figures_*.csv") == before
+        assert not list(rep.glob("*.tmp"))
+
     def test_no_reports_is_data_error(self, tmp_path):
         empty = tmp_path / "none"
         empty.mkdir()
@@ -404,3 +482,12 @@ def test_json_writes_are_atomic_and_reject_non_finite(tmp_path):
             _write_json(path, {"mae": bad})
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["report_1.json"]
+
+
+def test_text_writes_are_atomic(tmp_path):
+    path = tmp_path / "config_echo.ini"
+    _write_text(path, "[run]\nseed = 1\n")
+    with pytest.raises(UnicodeEncodeError):
+        _write_text(path, "[run]\nseed = \ud800\n")
+    assert path.read_text() == "[run]\nseed = 1\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config_echo.ini"]

@@ -1,13 +1,20 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from _helpers import make_series
+from _helpers import make_dataset, make_series
 from flowrl.errors import DataError
+from flowrl.graph import GraphSnapshot
 from flowrl.ingest import (
     DriftSpec,
     GeneratorConfig,
+    PeriodDataset,
+    ReadingError,
     compute_splits,
     generate_synthetic,
     load_period,
@@ -49,8 +56,9 @@ class TestSplits:
 def test_sensor_series_rejects_non_finite(channel, value):
     values = {"flow": np.full(6, 30.0), "speed": np.full(6, 50.0), "occ": np.full(6, 0.1)}
     values[channel][3] = value
-    with pytest.raises(ValueError, match="non-finite"):
-        make_series("s0", **values)
+    with pytest.raises(ReadingError, match="non-finite") as err:
+        make_dataset(1, ["s0"], [], {"s0": make_series("s0", **values)})
+    assert (err.value.node, err.value.t) == ("s0", 3)
 
 
 def small_config(**overrides):
@@ -90,7 +98,7 @@ class TestLoadPeriod:
         assert set(loaded.series) == set(ds.series)
         for sid in ds.series:
             a, b = ds.series[sid], loaded.series[sid]
-            assert a.timestamps == b.timestamps
+            assert np.array_equal(a.timestamps, b.timestamps)
             np.testing.assert_array_equal(a.flow, b.flow)
             np.testing.assert_array_equal(a.speed, b.speed)
             np.testing.assert_array_equal(a.occupancy, b.occupancy)
@@ -173,6 +181,96 @@ class TestLoadPeriod:
     def test_missing_files_rejected(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
             load_period(tmp_path / "nope.csv", tmp_path / "adj.csv", 1)
+
+    # "{}" stands for the row's own timestamp; 1500 is outside datetime64[ns],
+    # whose parser wraps it to a time with a fraction of a second
+    @pytest.mark.parametrize("stamp", ["not-a-time", "{}+00:00", "{}Z", "{}.5", "NaT", "",
+                                       "1500-01-01T00:20:00"])
+    def test_bad_timestamp_names_line(self, tmp_path, stamp):
+        def mutate(line):
+            old, rest = line.split(",", 1)
+            return f"{stamp.format(old)},{rest}"
+
+        self._broken_row_case(tmp_path, mutate, match="bad timestamp")
+
+    def test_duplicate_reading_names_line(self, tmp_path):
+        ds = generate_synthetic(small_config(), 1)[0]
+        readings, adjacency, nodes = write_dataset(ds, tmp_path)
+        lines = readings.read_text().splitlines()
+        lines[5] = lines[4]  # line 6 repeats line 5's time
+        readings.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="second reading") as err:
+            load_period(readings, adjacency, ds.period, nodes_path=nodes)
+        assert ":6:" in str(err.value)
+
+    def test_shifted_sensor_rejected(self, tmp_path):
+        ds = generate_synthetic(small_config(), 1)[0]
+        readings, adjacency, nodes = write_dataset(ds, tmp_path)
+        lines = readings.read_text().splitlines()
+        for k, line in enumerate(lines):
+            stamp, sid, rest = line.split(",", 2)
+            if sid == "s0001":  # 5 h later than the other sensors
+                lines[k] = f"{np.datetime64(stamp) + np.timedelta64(5, 'h')},{sid},{rest}"
+        readings.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=r"gap, no reading at .* shared 300s axis") as err:
+            load_period(readings, adjacency, ds.period, nodes_path=nodes)
+        # the earliest hole: s0001 has nothing at 00:00; its first reading is on line 290
+        assert "readings_1.csv:290: sensor 's0001'" in str(err.value)
+
+    def test_graph_node_without_readings_named(self, tmp_path):
+        ds = generate_synthetic(small_config(), 1)[0]
+        readings, adjacency, nodes = write_dataset(ds, tmp_path)
+        lines = readings.read_text().splitlines()
+        readings.write_text("\n".join(l for l in lines if ",s0001," not in l) + "\n")
+        with pytest.raises(DataError, match="node 's0001' of the period-1 snapshot has no readings") as err:
+            load_period(readings, adjacency, ds.period, nodes_path=nodes)
+        line = next(k for k, l in enumerate(adjacency.read_text().splitlines(), 1) if "s0001" in l)
+        assert f"adjacency_1.csv:{line}:" in str(err.value)
+
+    def test_isolated_node_without_readings_named(self, tmp_path):
+        ds = generate_synthetic(small_config(), 1)[0]
+        readings, adjacency, nodes = write_dataset(ds, tmp_path)
+        nodes.write_text(nodes.read_text() + "s9999\n")
+        with pytest.raises(DataError, match="'s9999'.*no readings") as err:
+            load_period(readings, adjacency, ds.period, nodes_path=nodes)
+        assert "nodes_1.csv:5:" in str(err.value)
+
+    def test_time_major_rows_load_the_same(self, tmp_path):
+        ds = generate_synthetic(small_config(periods=2, growth_per_period=2), 7)[1]
+        readings, adjacency, nodes = write_dataset(ds, tmp_path)
+        blocked = load_period(readings, adjacency, ds.period, nodes_path=nodes)
+        header, *rows = readings.read_text().splitlines()
+        rows.sort(key=lambda line: line.split(",")[:2])  # by time, then sensor
+        readings.write_text("\n".join([header, *rows]) + "\n")
+        interleaved = load_period(readings, adjacency, ds.period, nodes_path=nodes)
+        assert interleaved.nodes == blocked.nodes
+        assert np.array_equal(interleaved.times, blocked.times)
+        assert interleaved.values.tobytes() == blocked.values.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 3), length=st.integers(5, 12))
+    def test_round_trip_arbitrary_values(self, data, n, length):
+        finite = dict(allow_nan=False, allow_infinity=False)
+        flow, speed = (data.draw(arrays(np.float64, (n, length), elements=st.floats(min_value=-0.0, **finite)))
+                       for _ in range(2))
+        occ = data.draw(arrays(np.float64, (n, length), elements=st.floats(-0.0, 1.0)))
+        ids = [f"n{i}" for i in range(n)]
+        ds = PeriodDataset(
+            period=3, snapshot=GraphSnapshot.build(3, ids, []), nodes=ids,
+            times=np.datetime64("2003-01-01T00:00:00") + 300 * np.arange(length),
+            values=np.stack([flow, speed, occ], axis=-1), splits=compute_splits(length),
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            first, again = Path(tmp, "a"), Path(tmp, "b")
+            first.mkdir()
+            again.mkdir()
+            files = write_dataset(ds, first)
+            loaded = load_period(files[0], files[1], 3, nodes_path=files[2])
+            assert loaded.nodes == ds.nodes
+            assert np.array_equal(loaded.times, ds.times)
+            assert loaded.values.tobytes() == ds.values.tobytes()
+            for a, b in zip(write_dataset(loaded, again), files):
+                assert a.read_bytes() == b.read_bytes()
 
 
 class TestGenerator:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from flowrl.replay import (
     ConsolidationMemory,
@@ -115,18 +117,20 @@ class TestBuffer:
         b2 = sample(buf, 32, 1.0, np.random.default_rng(9))
         assert buf.node_id[b1].tolist() == buf.node_id[b2].tolist()
 
-    def test_sample_matches_generator_choice(self):
-        rng = np.random.default_rng(6)
-        for n in (1, 2, 17, 5000):
-            buf = store(rng.uniform(0, 1.5, n))
-            for omega in (0.0, 0.5, 1.0, 2.0):
-                ours, ref = np.random.default_rng(n), np.random.default_rng(n)
-                p = sampling_probabilities(buf.priorities(), omega)
-                for _ in range(3):
-                    np.testing.assert_array_equal(
-                        sample(buf, 128, omega, ours), ref.choice(n, 128, replace=True, p=p)
-                    )
-                    np.testing.assert_array_equal(ours.integers(0, 7, 32), ref.integers(0, 7, 32))
+    @settings(max_examples=100, deadline=None)
+    @given(rewards=arrays(np.float64, st.integers(1, 2000), elements=st.floats(0.0, 1.5)),
+           omega=st.floats(0.0, 2.0), seed=st.integers(0, 2**32 - 1))
+    @example(rewards=np.random.default_rng(6).uniform(0, 1.5, 5000), omega=0.5, seed=5000)
+    def test_sample_matches_generator_choice(self, rewards, omega, seed):
+        n = len(rewards)
+        buf = store(rewards)
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        p = sampling_probabilities(buf.priorities(), omega)
+        for _ in range(3):
+            np.testing.assert_array_equal(
+                sample(buf, 128, omega, ours), ref.choice(n, 128, replace=True, p=p)
+            )
+            np.testing.assert_array_equal(ours.integers(0, 7, 32), ref.integers(0, 7, 32))
 
     def test_empty_buffer_rejected(self):
         with pytest.raises(ValueError, match="empty"):
