@@ -87,7 +87,6 @@ from .trainer import (
     generate_rollout,
     init_agent,
     load_agent,
-    predict_horizon,
     predict_horizon_block,
     run_continual,
     run_full_retrain,

@@ -19,7 +19,6 @@ from . import drift as drift_mod
 from .atomic import atomic_write
 from .drift import DriftConfig
 from .env import (
-    Calibration,
     Discretizer,
     RewardWeights,
     StateAssembler,
@@ -92,6 +91,8 @@ class TrainerConfig:
             raise ValueError("sync_interval must be >= 1")
         if not self.horizons or any(h < 1 for h in self.horizons):
             raise ValueError(f"horizons must be positive, got {self.horizons}")
+        if len(set(self.horizons)) != len(self.horizons):
+            raise ValueError(f"horizons must be distinct, got {self.horizons}")
         if self.window < 1:
             raise ValueError("window must be >= 1")
 
@@ -270,68 +271,38 @@ def train_on_buffer(agent: AgentState, n_experiences: int, cfg: TrainerConfig,
     return epoch_losses
 
 
-def predict_horizon(net: QNetwork, dataset: PeriodDataset, node: str, t: int, horizon: int,
-                    discretizer: Discretizer, window: int = WINDOW_DEFAULT,
-                    calibration: Calibration | None = None):
-    """Autoregressive greedy forecast of `horizon` steps from anchor t.
-
-    Returns (classes, flows), each of length horizon. Every step's greedy
-    class is mapped to its representative flow, which is appended to the
-    own-flow window; speed and occupancy slots are filled with their last
-    observed values, and the neighbor block stays frozen at the anchor.
-    """
-    assembler = StateAssembler(dataset, window=window, calibration=calibration)
-    classes, flows = predict_horizon_block(net, assembler, discretizer, node, np.array([t]), horizon)
-    return classes[0], flows[0]
-
-
 def predict_horizon_block(net: QNetwork, assembler: StateAssembler, discretizer: Discretizer,
                           node: str, anchors: np.ndarray, horizon: int):
-    """Vectorized predict_horizon over many anchors: returns (n, horizon)
-    class and representative-flow arrays."""
+    """Autoregressive greedy forecast of `horizon` steps from each anchor:
+    returns (n, horizon) class and representative-flow arrays.
+
+    Every step's greedy class is mapped to its representative flow, which
+    is appended to the own-flow window; speed and occupancy slots are
+    filled with their last observed values, and the neighbor block stays
+    frozen at the anchor. Rows never mix, so a row's forecast does not
+    depend on the other anchors of the block, and a repeated anchor is
+    rolled out once and its forecast copied to each of its rows.
+    """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     w = assembler.window
+    rep_norm = np.clip(discretizer.representatives / assembler.calibration.flow_max, 0.0, 1.0)
+    anchors, rows = np.unique(anchors, return_inverse=True)
     states = assembler.states(node, anchors)
     n = states.shape[0]
+    windows = states[:, : 3 * w].reshape(n, 3, w, copy=False)  # own flow, speed, occupancy
     classes = np.empty((n, horizon), dtype=int)
     flows = np.empty((n, horizon))
     for j in range(horizon):
-        q = forward_batch(net, states)
-        a = np.argmax(q, axis=1)
-        rep = discretizer.representatives[a]
+        a = np.argmax(forward_batch(net, states), axis=1)
         classes[:, j] = a
-        flows[:, j] = rep
+        flows[:, j] = discretizer.representatives[a]
         if j + 1 < horizon:
-            rep_norm = np.clip(rep / assembler.calibration.flow_max, 0.0, 1.0)
-            states[:, 0 : w - 1] = states[:, 1:w]
-            states[:, w - 1] = rep_norm
-            states[:, w : 2 * w - 1] = states[:, w + 1 : 2 * w]
-            states[:, 2 * w : 3 * w - 1] = states[:, 2 * w + 1 : 3 * w]
-            # last speed/occupancy slots keep their final observed values
-    return classes, flows
-
-
-def _evaluate_node(net, assembler, discretizer, node, split, horizons):
-    """Per-horizon (predicted flows/classes, actual flows/classes) for one node."""
-    ds = assembler.dataset
-    lo, hi = ds.splits.range_of(split)
-    w = assembler.window
-    out = {}
-    for h in horizons:
-        t0 = max(w, lo)
-        t1 = hi - h  # last anchor whose h-th step stays inside the split
-        if t1 < t0:
-            out[h] = None
-            continue
-        anchors = np.arange(t0, t1 + 1)
-        cls, flows = predict_horizon_block(net, assembler, discretizer, node, anchors, h)
-        pred_flow = flows[:, h - 1]
-        pred_cls = cls[:, h - 1]
-        actual_flow = ds.series[node].flow[anchors + h - 1]
-        actual_cls = np.asarray(classify(discretizer, actual_flow), dtype=int)
-        out[h] = (pred_flow, pred_cls, actual_flow, actual_cls)
-    return out
+            # shift every own window one step; the last speed/occupancy
+            # slots keep their final observed values
+            windows[:, :, :-1] = windows[:, :, 1:]
+            windows[:, 0, -1] = rep_norm[a]
+    return classes[rows], flows[rows]
 
 
 def evaluate_period(dataset: PeriodDataset, net: QNetwork, discretizer: Discretizer,
@@ -341,33 +312,51 @@ def evaluate_period(dataset: PeriodDataset, net: QNetwork, discretizer: Discreti
     Returns (metrics, per_node_test_mae) where metrics maps
     split -> horizon -> MetricSet pooled over nodes, and the per-node dict
     holds each node's test MAE at the first horizon.
+
+    Horizon h of a split [lo, hi) scores the anchors t0 = max(W, lo) to
+    hi - h, whose h-th step stays inside the split. Each node makes one
+    rollout call, to the longest horizon, with the anchors of every scored
+    (split, h) in turn, and horizon h reads column h - 1 of its rows. The
+    anchors of a shorter horizon include those of a longer one, and a
+    repeated anchor is rolled out once, so each anchor of a split is
+    rolled out once per node. A forecast reads no flow past its anchor, so
+    the extra steps of the shorter horizons' anchors change nothing.
     """
     nodes = dataset.nodes
-    results = {
-        (node, split): _evaluate_node(net, assembler, discretizer, node, split, horizons)
-        for node in nodes
-        for split in splits
-    }
-
-    metrics: dict[str, dict[int, MetricSet]] = {}
+    segments = []  # (split, h, t0, anchor count) per scored (split, h), in report order
     for split in splits:
-        metrics[split] = {}
-        for h in horizons:
-            parts = [results[(node, split)][h] for node in nodes if results[(node, split)][h]]
-            if not parts:
-                continue
-            metrics[split][h] = compute_metrics(
-                np.concatenate([p[0] for p in parts]),
-                np.concatenate([p[2] for p in parts]),
-                np.concatenate([p[1] for p in parts]),
-                np.concatenate([p[3] for p in parts]),
-            )
-    first_h = horizons[0]
+        lo, hi = dataset.splits.range_of(split)
+        t0 = max(assembler.window, lo)
+        segments += [(split, h, t0, hi - h - t0 + 1) for h in horizons if hi - h >= t0]
+    metrics: dict[str, dict[int, MetricSet]] = {split: {} for split in splits}
     per_node_test_mae: dict[str, float] = {}
-    for node in nodes:
-        part = results[(node, "test")][first_h] if "test" in splits else None
-        if part is not None:
-            per_node_test_mae[node] = float(np.mean(np.abs(part[0] - part[2])))
+    if not segments:
+        return metrics, per_node_test_mae
+    anchors = np.concatenate([np.arange(t0, t0 + m) for _, _, t0, m in segments])
+    steps = np.concatenate([np.full(m, h - 1) for _, h, _, m in segments])
+    rows = np.arange(len(anchors))
+    pred_flow = np.empty((len(nodes), len(anchors)))
+    pred_cls = np.empty((len(nodes), len(anchors)), dtype=int)
+    for i, node in enumerate(nodes):
+        classes, flows = predict_horizon_block(
+            net, assembler, discretizer, node, anchors, max(horizons)
+        )
+        pred_flow[i] = flows[rows, steps]
+        pred_cls[i] = classes[rows, steps]
+    actual_flow = dataset.values[:, anchors + steps, 0]
+
+    start = 0
+    for split, h, _, m in segments:
+        part = slice(start, start + m)
+        start += m
+        actual = actual_flow[:, part]
+        metrics[split][h] = compute_metrics(
+            pred_flow[:, part].ravel(), actual.ravel(),
+            pred_cls[:, part].ravel(), classify(discretizer, actual).ravel(),
+        )
+        if split == "test" and h == horizons[0]:
+            err = np.abs(pred_flow[:, part] - actual)
+            per_node_test_mae = {node: float(np.mean(err[i])) for i, node in enumerate(nodes)}
     return metrics, per_node_test_mae
 
 

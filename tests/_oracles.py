@@ -1,0 +1,84 @@
+"""Scalar and per-horizon twins of flowrl's batch evaluation, kept as
+test oracles: each does the work the plain way the batch code replaced."""
+
+import numpy as np
+
+from flowrl.env import WINDOW_DEFAULT, StateAssembler, classify
+from flowrl.metrics import compute_metrics
+from flowrl.qnet import forward
+from flowrl.trainer import predict_horizon_block
+
+
+def predict_horizon(net, dataset, node, t, horizon, discretizer, window=WINDOW_DEFAULT,
+                    calibration=None):
+    """Autoregressive greedy forecast of `horizon` steps from anchor t, one
+    state vector at a time; returns (classes, flows), each of length horizon.
+
+    Each step's representative flow, over the calibration's flow_max and
+    clipped to [0, 1], enters the own-flow window; the speed and occupancy
+    windows shift with their last slot held, and the neighbor block stays
+    frozen at the anchor.
+    """
+    assembler = StateAssembler(dataset, window=window, calibration=calibration)
+    state = assembler.state(node, t)
+    classes, flows = np.empty(horizon, dtype=int), np.empty(horizon)
+    for j in range(horizon):
+        a = int(np.argmax(forward(net, state)))
+        classes[j], flows[j] = a, discretizer.representatives[a]
+        for c in range(3):
+            own = state[c * window : (c + 1) * window]
+            own[:-1] = own[1:].copy()
+        state[window - 1] = min(max(flows[j] / assembler.calibration.flow_max, 0.0), 1.0)
+    return classes, flows
+
+
+def evaluate_node_per_horizon(net, assembler, discretizer, node, split, horizons):
+    """Per-horizon (predicted flows/classes, actual flows/classes) for one
+    node, each horizon rolled out on its own; None where no anchor fits."""
+    ds = assembler.dataset
+    lo, hi = ds.splits.range_of(split)
+    w = assembler.window
+    out = {}
+    for h in horizons:
+        t0 = max(w, lo)
+        t1 = hi - h  # last anchor whose h-th step stays inside the split
+        if t1 < t0:
+            out[h] = None
+            continue
+        anchors = np.arange(t0, t1 + 1)
+        cls, flows = predict_horizon_block(net, assembler, discretizer, node, anchors, h)
+        actual_flow = ds.series[node].flow[anchors + h - 1]
+        actual_cls = np.asarray(classify(discretizer, actual_flow), dtype=int)
+        out[h] = (flows[:, h - 1], cls[:, h - 1], actual_flow, actual_cls)
+    return out
+
+
+def evaluate_period_per_horizon(dataset, net, discretizer, assembler, horizons,
+                                splits=("val", "test")):
+    """evaluate_period with one rollout per (node, split, horizon), the
+    results pooled over nodes by concatenation."""
+    nodes = dataset.nodes
+    results = {
+        (node, split): evaluate_node_per_horizon(net, assembler, discretizer, node, split, horizons)
+        for node in nodes
+        for split in splits
+    }
+    metrics = {}
+    for split in splits:
+        metrics[split] = {}
+        for h in horizons:
+            parts = [results[(node, split)][h] for node in nodes if results[(node, split)][h]]
+            if not parts:
+                continue
+            metrics[split][h] = compute_metrics(
+                np.concatenate([p[0] for p in parts]),
+                np.concatenate([p[2] for p in parts]),
+                np.concatenate([p[1] for p in parts]),
+                np.concatenate([p[3] for p in parts]),
+            )
+    per_node_test_mae = {}
+    for node in nodes:
+        part = results[(node, "test")][horizons[0]] if "test" in splits else None
+        if part is not None:
+            per_node_test_mae[node] = float(np.mean(np.abs(part[0] - part[2])))
+    return metrics, per_node_test_mae

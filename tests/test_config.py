@@ -140,6 +140,8 @@ def test_bad_drift_entry_rejected():
 def test_bad_horizons_rejected():
     with pytest.raises(ConfigError):
         parse_config("[trainer]\nhorizons = 3;12\n")
+    with pytest.raises(ConfigError, match="distinct"):
+        parse_config("[trainer]\nhorizons = 3,3\n")
 
 
 def test_malformed_ini_rejected():

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import _mdp
+from _oracles import evaluate_period_per_horizon, predict_horizon
 from _helpers import make_dataset, make_series
-from flowrl.env import RewardWeights, StateAssembler, classify, fit_discretizer
+from flowrl.env import Calibration, RewardWeights, StateAssembler, classify, fit_discretizer
 from flowrl.drift import DriftConfig
 from flowrl.ingest import GeneratorConfig, generate_synthetic
 from flowrl.qnet import QNetwork, forward, param_views
@@ -18,7 +19,7 @@ from flowrl.trainer import (
     generate_rollout,
     init_agent,
     load_agent,
-    predict_horizon,
+    evaluate_period,
     predict_horizon_block,
     run_continual,
     run_period,
@@ -183,6 +184,31 @@ class TestPredictHorizon:
         blk_cls, blk_flow = predict_horizon_block(
             self.net, self.asm, self.disc, self.node, anchors, 5
         )
+        for i, t in enumerate(anchors):
+            cls, flow = predict_horizon(
+                self.net, self.ds, self.node, int(t), 5, self.disc, window=6,
+                calibration=self.asm.calibration,
+            )
+            np.testing.assert_array_equal(blk_cls[i], cls)
+            np.testing.assert_array_equal(blk_flow[i], flow)
+
+    def test_repeated_anchors_roll_out_once(self, monkeypatch):
+        import flowrl.trainer as trainer_mod
+
+        real_forward = trainer_mod.forward_batch
+        rows = []
+
+        def counting_forward(net, states):
+            rows.append(states.shape[0])
+            return real_forward(net, states)
+
+        monkeypatch.setattr(trainer_mod, "forward_batch", counting_forward)
+        anchors = np.array([40, 10, 40, 17, 10])
+        blk_cls, blk_flow = predict_horizon_block(
+            self.net, self.asm, self.disc, self.node, anchors, 5
+        )
+        assert rows == [3] * 5
+        assert blk_cls.shape == blk_flow.shape == (5, 5)
         for i, t in enumerate(anchors):
             cls, flow = predict_horizon(
                 self.net, self.ds, self.node, int(t), 5, self.disc, window=6,
@@ -357,3 +383,83 @@ def test_checkpoint_round_trip_property(data, input_dim, hidden, dueling, step, 
     assert (loaded.net.input_dim, loaded.net.hidden_dim) == (input_dim, hidden)
     assert loaded.net.dueling == dueling
     assert (loaded.opt.step, loaded.updates) == (step, updates)
+
+
+def noisy_dataset(seed, nodes, steps):
+    """A chain of sensors with uniformly random readings: with weights drawn
+    from N(0, 1), a network's greedy classes then vary by anchor and step."""
+    rng = np.random.default_rng(seed)
+    ids = [f"n{i}" for i in range(nodes)]
+    series = {n: make_series(n, rng.uniform(1, 100, steps), rng.uniform(20, 70, steps),
+                             rng.uniform(0, 1, steps)) for n in ids}
+    return make_dataset(1, ids, list(zip(ids, ids[1:])), series)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    window=st.integers(1, 12),
+    horizon=st.integers(1, 20),
+    flow_max=st.floats(10, 200),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_block_rollout_matches_scalar_oracle(window, horizon, flow_max, seed, data):
+    # flow_max below most representatives exercises the clip of the fed-back flow
+    ds = noisy_dataset(seed, 2, 60)
+    disc = fit_discretizer(ds.flows_in("train"))
+    asm = StateAssembler(ds, window=window, calibration=Calibration(flow_max, 70.0))
+    net = QNetwork.initialize(asm.dim, hidden=16)
+    net.theta[:] = np.random.default_rng(seed).standard_normal(net.theta.size)
+    anchors = np.array(data.draw(st.lists(st.integers(window, 60), min_size=1, max_size=8)))
+    classes, flows = predict_horizon_block(net, asm, disc, "n0", anchors, horizon)
+    for i, t in enumerate(anchors):
+        cls, flow = predict_horizon(net, ds, "n0", int(t), horizon, disc, window=window,
+                                    calibration=asm.calibration)
+        np.testing.assert_array_equal(classes[i], cls)
+        np.testing.assert_array_equal(flows[i], flow)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    horizons=st.lists(st.integers(1, 20), min_size=1, max_size=3, unique=True),
+    window=st.integers(1, 12),
+    nodes=st.integers(1, 5),
+    steps=st.integers(30, 90),
+    splits=st.sampled_from([("val", "test"), ("train", "val", "test"), ("test",), ("val",)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_evaluate_period_matches_per_horizon_rollouts(horizons, window, nodes, steps, splits, seed):
+    ds = noisy_dataset(seed, nodes, steps)
+    disc = fit_discretizer(ds.flows_in("train"))
+    asm = StateAssembler(ds, window=window)
+    net = QNetwork.initialize(asm.dim, hidden=16)
+    net.theta[:] = np.random.default_rng(seed).standard_normal(net.theta.size)
+    horizons = tuple(horizons)
+    metrics, per_node = evaluate_period(ds, net, disc, asm, horizons, splits)
+    want_metrics, want_per_node = evaluate_period_per_horizon(ds, net, disc, asm, horizons, splits)
+    assert [(s, list(m)) for s, m in metrics.items()] == \
+        [(s, list(m)) for s, m in want_metrics.items()]
+    assert metrics == want_metrics
+    assert list(per_node.items()) == list(want_per_node.items())
+
+
+def test_evaluation_rolls_out_once_per_node(monkeypatch):
+    import flowrl.trainer as trainer_mod
+
+    ds = diurnal_dataset(seed=3, nodes=5, steps=120)
+    disc = fit_discretizer(ds.flows_in("train"))
+    asm = StateAssembler(ds, window=6)
+    net = QNetwork.initialize(asm.dim, hidden=8, seed=1)
+    real_forward = trainer_mod.forward_batch
+    rows = []
+
+    def counting_forward(net, states):
+        rows.append(states.shape[0])
+        return real_forward(net, states)
+
+    monkeypatch.setattr(trainer_mod, "forward_batch", counting_forward)
+    evaluate_period(ds, net, disc, asm, (12, 3))
+    anchors = sum(hi - 3 - max(6, lo) + 1 for lo, hi in (ds.splits.val, ds.splits.test))
+    assert anchors > 0
+    assert len(rows) == 5 * 12
+    assert sum(rows) == 5 * 12 * anchors
