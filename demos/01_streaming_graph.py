@@ -4,7 +4,7 @@ The network is a sequence of immutable period-stamped snapshots; each
 year-over-year change is a delta of node/edge additions and removals.
 """
 
-from flowrl import GraphDelta, GraphSnapshot, apply_delta, inverse_delta, neighbors, node_diff
+from flowrl import GraphDelta, GraphSnapshot, apply_delta, neighbors, node_diff
 
 g1 = GraphSnapshot.build(
     2011,
@@ -25,9 +25,3 @@ print(f"period {g2.period}: {g2.node_count} nodes, {g2.edge_count} edges")
 
 new, surviving, removed = node_diff(g1, g2)
 print(f"  new={sorted(new)} surviving={sorted(surviving)} removed={sorted(removed)}")
-
-# a context-aware inverse restores the original snapshot, including the
-# edges that were dropped implicitly when s01 was removed
-g_back = apply_delta(g2, inverse_delta(g1, delta))
-assert g_back.nodes == g1.nodes and g_back.edges == g1.edges
-print("inverse delta restores the original node and edge sets:", g_back.node_count, "nodes")

@@ -15,7 +15,6 @@ from flowrl import (
     compute_reward,
     fit_discretizer,
     generate_synthetic,
-    representative_flow,
 )
 
 dataset = generate_synthetic(
@@ -30,7 +29,7 @@ print("class edges:         ", np.round(disc.edges, 1))
 print("class representatives:", np.round(disc.representatives, 1))
 for flow in (5.0, 40.0, 75.0, 999.0):
     k = int(classify(disc, flow))
-    print(f"  flow {flow:6.1f} -> class {k} (representative {representative_flow(disc, k):.1f})")
+    print(f"  flow {flow:6.1f} -> class {k} (representative {disc.representatives[k]:.1f})")
 
 # --- fused state vector: own window + neighbor mean + degree
 W = 12

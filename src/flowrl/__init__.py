@@ -28,15 +28,12 @@ from .env import (
     compute_rewards,
     fit_calibration,
     fit_discretizer,
-    representative_flow,
 )
 from .errors import ConfigError, DataError, DivergenceError, FlowRLError
 from .graph import (
     GraphDelta,
     GraphSnapshot,
     apply_delta,
-    degree_map,
-    inverse_delta,
     load_adjacency,
     neighbors,
     node_diff,

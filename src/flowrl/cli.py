@@ -23,7 +23,7 @@ from .atomic import atomic_write
 from .config import RunConfig, config_to_ini, load_config
 from .drift import detect
 from .errors import ConfigError, DataError
-from .env import StateAssembler, fit_calibration, fit_discretizer
+from .env import StateAssembler, fit_calibration, fit_discretizer, state_dim
 from .ingest import generate_synthetic, load_period, write_period
 from .trainer import evaluate_period, init_agent, load_agent, run_period, save_agent
 
@@ -69,9 +69,20 @@ def _load_dataset(data_dir: Path, period: int):
     return load_period(readings, adjacency, period, nodes_path=nodes)
 
 
+def _make_dir(path: Path) -> Path:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise DataError(f"cannot create output directory: {e}") from None
+    return path
+
+
 def _write_text(path: Path, text: str) -> None:
-    with atomic_write(path) as f:
-        f.write(text.encode())
+    try:
+        with atomic_write(path) as f:
+            f.write(text.encode())
+    except OSError as e:
+        raise DataError(f"cannot write {path}: {e}") from None
 
 
 def _echo_config(config: RunConfig, out_dir: Path) -> None:
@@ -82,6 +93,15 @@ def _write_json(path: Path, payload: dict) -> None:
     _write_text(path, json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
+def _read_json(path: Path, read):
+    """read(payload) of the JSON file at `path`; a file that is unreadable,
+    malformed or lacks what `read` looks up is a DataError naming it."""
+    try:
+        return read(json.loads(path.read_text()))
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as e:
+        raise DataError(f"cannot read {path}: {type(e).__name__}: {e}") from None
+
+
 def _load_checkpoint(path: Path, config: RunConfig):
     """The agent saved at `path`; a file that is unreadable, inconsistent or
     made for another state size is a DataError."""
@@ -89,7 +109,7 @@ def _load_checkpoint(path: Path, config: RunConfig):
         agent = load_agent(path)
     except (OSError, KeyError, ValueError, zipfile.BadZipFile) as e:
         raise DataError(f"corrupt checkpoint {path}: {e}") from None
-    dim = 6 * config.trainer.window + 1
+    dim = state_dim(config.trainer.window)
     if agent.net.input_dim != dim:
         raise DataError(
             f"checkpoint {path} takes states of {agent.net.input_dim} values, "
@@ -115,17 +135,16 @@ def _check_resumable(agent, config: RunConfig, path: Path) -> None:
 def _resolve_config(args) -> RunConfig:
     config = load_config(args.config) if args.config else RunConfig()
     if getattr(args, "seed", None) is not None:
-        config = replace(config, seed=args.seed)
+        try:
+            config = replace(config, seed=args.seed)
+        except ValueError as e:
+            raise ConfigError(f"--seed {args.seed}: {e}") from None
     return config
 
 
 def cmd_generate(args) -> int:
     config = _resolve_config(args)
-    out_dir = Path(args.out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        raise DataError(f"cannot create output directory: {e}") from None
+    out_dir = _make_dir(Path(args.out_dir))
     datasets = generate_synthetic(config.generator, config.seed)
     for ds in datasets:
         readings, adjacency, nodes = _period_files(out_dir, ds.period)
@@ -138,8 +157,7 @@ def cmd_generate(args) -> int:
 def cmd_train(args) -> int:
     config = _resolve_config(args)
     data_dir = Path(args.data_dir)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_dir(Path(args.out_dir))
     periods = _discover_periods(data_dir)
 
     start_index = 0
@@ -161,7 +179,7 @@ def cmd_train(args) -> int:
             print(f"resuming after period {last}")
     if agent is None:
         agent = init_agent(
-            6 * config.trainer.window + 1,
+            state_dim(config.trainer.window),
             hidden=config.qnet.hidden,
             dueling=config.qnet.dueling,
             seed=config.seed,
@@ -241,10 +259,15 @@ def cmd_detect(args) -> int:
 METRIC_COLUMNS = ("mae", "rmse", "mape", "class_accuracy")
 
 
+def _test_metric_rows(period: int, report: dict) -> list[list]:
+    """One [period, horizon, metric, value] row per test-split metric of a report."""
+    test = report.get("metrics", {}).get("test", {})
+    return [[period, h, m, repr(float(test[h][m]))] for h in sorted(test, key=int) for m in METRIC_COLUMNS]
+
+
 def cmd_export_figures(args) -> int:
     report_dir = Path(args.report_dir)
-    out_dir = Path(args.out_dir) if args.out_dir else report_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_dir(Path(args.out_dir) if args.out_dir else report_dir)
     reports = []
     for path in report_dir.glob("report_*.json"):
         m = re.fullmatch(r"report_(-?\d+)\.json", path.name)
@@ -257,18 +280,10 @@ def cmd_export_figures(args) -> int:
     metric_rows = [["period", "horizon", "metric", "value"]]
     timing_rows = [["period", "total_seconds", "per_epoch_seconds"]]
     for period, path in reports:
-        report = json.loads(path.read_text())
-        test = report.get("metrics", {}).get("test", {})
-        for horizon in sorted(test, key=int):
-            for metric in METRIC_COLUMNS:
-                metric_rows.append([period, horizon, metric, repr(float(test[horizon][metric]))])
-        tpath = report_dir / f"timings_{period}.json"
-        if not tpath.exists():
-            raise DataError(f"missing timings file for period {period}: {tpath}")
-        timing = json.loads(tpath.read_text())
-        timing_rows.append(
-            [period, repr(float(timing["total_seconds"])), repr(float(timing["per_epoch_seconds"]))]
-        )
+        metric_rows += _read_json(path, lambda report: _test_metric_rows(period, report))
+        timing_rows.append(_read_json(report_dir / f"timings_{period}.json", lambda timing: [
+            period, repr(float(timing["total_seconds"])), repr(float(timing["per_epoch_seconds"]))
+        ]))
     metrics_path = out_dir / "figures_metrics.csv"
     timings_path = out_dir / "figures_timings.csv"
     for path, rows in ((metrics_path, metric_rows), (timings_path, timing_rows)):

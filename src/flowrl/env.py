@@ -119,11 +119,6 @@ def classify(d: Discretizer, flow):
     return np.searchsorted(d.edges, flow, side="right")
 
 
-def representative_flow(d: Discretizer, action) -> np.ndarray:
-    """Continuous flow value(s) standing in for predicted class(es)."""
-    return d.representatives[np.asarray(action)]
-
-
 def compute_rewards(pred, actual, speed_norm, occupancy, weights: RewardWeights,
                     occ_epsilon: float = OCC_EPSILON_DEFAULT) -> np.ndarray:
     """Vectorized reward: lambda_p*r_p + lambda_c*r_c + lambda_o*r_o.
@@ -152,6 +147,11 @@ def compute_reward(pred: int, actual: int, speed_norm: float, occupancy: float,
                    weights: RewardWeights, occ_epsilon: float = OCC_EPSILON_DEFAULT) -> float:
     """Scalar form of compute_rewards."""
     return float(compute_rewards(pred, actual, speed_norm, occupancy, weights, occ_epsilon))
+
+
+def state_dim(window: int) -> int:
+    """Length of a state: own and neighbor-mean windows of three channels, plus the degree."""
+    return 6 * window + 1
 
 
 class StateAssembler:
@@ -189,7 +189,7 @@ class StateAssembler:
 
     @property
     def dim(self) -> int:
-        return 6 * self.window + 1
+        return state_dim(self.window)
 
     def node_channels(self, v: str) -> np.ndarray:
         """(T, 3) array of normalized flow, normalized speed, raw occupancy."""

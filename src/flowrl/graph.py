@@ -119,25 +119,6 @@ def apply_delta(g: GraphSnapshot, d: GraphDelta) -> GraphSnapshot:
     return GraphSnapshot(period=g.period + 1, nodes=frozenset(nodes), edges=frozenset(edges))
 
 
-def inverse_delta(g: GraphSnapshot, d: GraphDelta) -> GraphDelta:
-    """The delta that undoes d when applied after it.
-
-    Needs the pre-delta snapshot because removing a node implicitly drops
-    its incident edges, which the inverse must restore explicitly.
-    """
-    implicit = {
-        e for e in g.edges
-        if (e[0] in d.removed_nodes or e[1] in d.removed_nodes) and e not in d.removed_edges
-    }
-    return GraphDelta(
-        added_nodes=d.removed_nodes,
-        removed_nodes=d.added_nodes,
-        added_edges=d.removed_edges | frozenset(implicit),
-        removed_edges=frozenset(e for e in d.added_edges
-                                if e[0] not in d.added_nodes and e[1] not in d.added_nodes),
-    )
-
-
 def neighbors(g: GraphSnapshot, v: str) -> set[str]:
     """All nodes sharing an edge with v, excluding v itself."""
     if v not in g.nodes:
@@ -157,15 +138,6 @@ def node_diff(g_prev: GraphSnapshot, g_curr: GraphSnapshot):
     surviving = g_curr.nodes & g_prev.nodes
     removed = g_prev.nodes - g_curr.nodes
     return new, surviving, removed
-
-
-def degree_map(g: GraphSnapshot) -> dict[str, int]:
-    """Node id -> degree, with isolated nodes present at degree 0."""
-    deg = {n: 0 for n in g.nodes}
-    for u, v in g.edges:
-        deg[u] += 1
-        deg[v] += 1
-    return deg
 
 
 def csv_rows(path, header: list[str]):

@@ -201,9 +201,6 @@ class ConsolidationMemory:
     def periods(self) -> list[int]:
         return sorted(set(self.store.period.tolist()))
 
-    def for_period(self, period: int) -> ReplayBuffer:
-        return self.store.take(np.flatnonzero(self.store.period == period))
-
     def add_period(self, period: int, retained: ReplayBuffer) -> None:
         if period in self.periods():
             raise ValueError(f"period {period} already retained")

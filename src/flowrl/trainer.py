@@ -28,6 +28,7 @@ from .env import (
     compute_rewards,
     fit_calibration,
     fit_discretizer,
+    state_dim,
 )
 from .errors import DivergenceError
 from .ingest import PeriodDataset
@@ -95,6 +96,14 @@ class TrainerConfig:
             raise ValueError(f"horizons must be distinct, got {self.horizons}")
         if self.window < 1:
             raise ValueError("window must be >= 1")
+        if not self.learning_rate > 0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not self.sampling_omega >= 0:
+            raise ValueError(f"sampling_omega must be >= 0, got {self.sampling_omega}")
+        if not 0 < self.consolidation_fraction <= 1:
+            raise ValueError(f"consolidation_fraction must lie in (0, 1], got {self.consolidation_fraction}")
+        if not self.occ_epsilon > 0:
+            raise ValueError(f"occ_epsilon must be > 0, got {self.occ_epsilon}")
 
 
 def td_target(reward: float, next_q, gamma: float, terminal: bool) -> float:
@@ -537,7 +546,7 @@ def run_continual(datasets: list[PeriodDataset], cfg: TrainerConfig, weights: Re
     if not datasets:
         raise ValueError("no datasets to train on")
     agent = init_agent(
-        6 * cfg.window + 1, hidden=hidden, dueling=dueling, seed=seed,
+        state_dim(cfg.window), hidden=hidden, dueling=dueling, seed=seed,
         learning_rate=cfg.learning_rate, optimizer=optimizer,
     )
     reports = []
@@ -559,7 +568,7 @@ def run_full_retrain(datasets: list[PeriodDataset], cfg: TrainerConfig,
     consolidation. Returns (reports, experiences_touched_total)."""
     if not datasets:
         raise ValueError("no datasets to train on")
-    dim = 6 * cfg.window + 1
+    dim = state_dim(cfg.window)
     reports = []
     touched = 0
     for i, curr in enumerate(datasets):

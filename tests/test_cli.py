@@ -437,6 +437,46 @@ class TestExitCodes:
         bad.write_text("[trainer]\nturbo = yes\n")
         assert main(["generate", "--config", str(bad), "--out-dir", str(tmp_path / "x")]) == 1
 
+    def test_negative_seed_flag_is_usage_error(self, tmp_path, capsys):
+        assert main(["generate", "--seed", "-1", "--out-dir", str(tmp_path / "x")]) == 1
+        assert "--seed -1: seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("fault", [
+    "train-out-dir", "export-out-dir", "evaluate-out", "detect-out",
+    "corrupt-report", "timings-without-total",
+])
+def test_path_fault_is_data_error_naming_the_file(tmp_path, generated, capsys, fault):
+    data, config = generated
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file, not a directory\n")
+    reports = tmp_path / "reports"
+    fake_reports(reports)
+    if fault == "corrupt-report":
+        (reports / "report_2.json").write_text("{truncated")
+    if fault == "timings-without-total":
+        (reports / "timings_2.json").write_text('{"period": 2, "per_epoch_seconds": 0.5}')
+    checkpoint = tmp_path / "checkpoint_2.npz"
+    save_agent(init_agent(6 * 6 + 1), checkpoint)
+    common = ["--config", str(config), "--data-dir", str(data)]
+    missing = tmp_path / "missing" / "out.json"
+    argv, named = {
+        "train-out-dir": (["train", *common, "--out-dir", str(blocker / "run")], blocker / "run"),
+        "export-out-dir": (["export-figures", "--report-dir", str(reports),
+                            "--out-dir", str(blocker / "figures")], blocker / "figures"),
+        "evaluate-out": (["evaluate", *common, "--checkpoint", str(checkpoint), "--period", "2",
+                          "--out", str(missing)], missing),
+        "detect-out": (["detect", *common, "--period", "2", "--out", str(missing)], missing),
+        "corrupt-report": (["export-figures", "--report-dir", str(reports)], reports / "report_2.json"),
+        "timings-without-total": (["export-figures", "--report-dir", str(reports)],
+                                  reports / "timings_2.json"),
+    }[fault]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(named) in err
+    assert not list(tmp_path.rglob("*.tmp"))
+
 
 def test_freeze_after_first_period(tmp_path, generated):
     data, _ = generated

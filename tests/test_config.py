@@ -1,8 +1,72 @@
-import pytest
+import dataclasses
+from collections import Counter
 
-from flowrl.config import RunConfig, config_to_ini, parse_config
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from flowrl.config import KEYS, RunConfig, config_to_ini, parse_config
 from flowrl.errors import ConfigError
 from flowrl.ingest import DriftSpec
+
+# config_to_ini(RunConfig()), byte for byte as earlier releases echoed it.
+DEFAULT_ECHO = """\
+[run]
+seed = 0
+
+[env]
+window = 12
+occ_epsilon = 0.05
+
+[reward]
+lambda_p = 1.0
+lambda_c = 0.1
+lambda_o = 0.1
+
+[qnet]
+hidden = 64
+dueling = true
+optimizer = adam
+
+[replay]
+omega = 1.0
+consolidation_fraction = 0.05
+
+[trainer]
+gamma = 0.5
+learning_rate = 0.001
+batch_size = 128
+epochs = 3
+eps_start = 1.0
+eps_end = 0.05
+eps_decay_steps = 10000
+sync_interval = 500
+use_target_network = true
+mix_rho = 0.25
+horizons = 3,12
+freeze_after_first_period = false
+
+[drift]
+fraction = 0.1
+bins = 20
+smoothing = 1.0
+
+[generator]
+periods = 3
+initial_nodes = 20
+growth_per_period = 4
+profile_base = 20.0
+profile_peak = 120.0
+noise_sigma = 4.0
+drift = 
+steps_per_period = 2016
+phase_jitter_steps = 0.0
+amplitude_jitter = 0.0
+harmonic_mix = 0.0
+edges_per_new_node = 2
+start_period = 1
+
+"""
 
 
 def test_empty_config_gives_defaults():
@@ -88,6 +152,7 @@ drift = s0001:2:25.0
 steps_per_period = 300
 phase_jitter_steps = 12.0
 amplitude_jitter = 0.1
+harmonic_mix = 0.3
 edges_per_new_node = 3
 start_period = 1
 """
@@ -97,6 +162,54 @@ start_period = 1
 
 def test_echo_of_defaults_round_trips():
     config = RunConfig()
+    assert parse_config(config_to_ini(config)) == config
+
+
+def test_echo_of_defaults_is_pinned():
+    assert config_to_ini(RunConfig()) == DEFAULT_ECHO
+
+
+def test_key_table_names_every_field_once():
+    base = RunConfig()
+    owners = {None: base}
+    owners.update({f.name: getattr(base, f.name) for f in dataclasses.fields(base)
+                   if dataclasses.is_dataclass(getattr(base, f.name))})
+    named = Counter((part, f) for _, _, part, f, _ in KEYS)
+    assert max(named.values()) == 1
+    expected = {(part, f.name) for part, owner in owners.items() for f in dataclasses.fields(owner)
+                if not (part is None and f.name in owners)}
+    assert set(named) == expected
+    assert len({(section, key) for section, key, *_ in KEYS}) == len(KEYS)
+
+
+_UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+_KIND_VALUES = {
+    "integer": st.integers(5, 10**6),
+    "number": _UNIT,
+    "boolean": st.booleans(),
+    "string": st.sampled_from(["adam", "sgd"]),
+    "horizon list": st.lists(st.integers(1, 500), min_size=1, max_size=4, unique=True).map(tuple),
+    "drift list": st.lists(
+        st.builds(DriftSpec, st.from_regex(r"s[0-9]{1,4}", fullmatch=True), st.integers(-5, 50),
+                  st.floats(-1e6, 1e6, allow_nan=False)),
+        max_size=3,
+    ).map(tuple),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_echo_round_trips_any_valid_config(data):
+    updates: dict = {}
+    for _, key, part, f, (_, _, kind) in KEYS:
+        updates.setdefault(part, {})[f] = data.draw(_KIND_VALUES[kind], label=key)
+    base = RunConfig()
+    try:
+        parts = {part: dataclasses.replace(getattr(base, part), **values)
+                 for part, values in updates.items() if part is not None}
+        config = dataclasses.replace(base, **updates[None], **parts)
+    except ValueError:  # e.g. profile_base above profile_peak
+        assume(False)
     assert parse_config(config_to_ini(config)) == config
 
 
@@ -121,6 +234,18 @@ def test_unknown_key_rejected():
 def test_bad_value_rejected():
     with pytest.raises(ConfigError, match="trainer"):
         parse_config("[trainer]\nbatch_size = many\n")
+    # every float must be finite, so nan and inf fail before any range check
+    for section, key, raw in (
+        ("trainer", "learning_rate", "nan"),
+        ("reward", "lambda_p", "nan"),
+        ("drift", "smoothing", "nan"),
+        ("generator", "noise_sigma", "inf"),
+        ("trainer", "gamma", "-inf"),
+        ("generator", "drift", "s0001:2:nan"),
+        ("trainer", "horizons", ""),
+    ):
+        with pytest.raises(ConfigError, match=rf"\[{section}\] {key} = '{raw}' is not a valid"):
+            parse_config(f"[{section}]\n{key} = {raw}\n")
 
 
 def test_invariant_violations_become_config_errors():
@@ -130,6 +255,19 @@ def test_invariant_violations_become_config_errors():
         parse_config("[generator]\nperiods = 0\n")
     with pytest.raises(ConfigError):
         parse_config("[reward]\nlambda_p = 0\nlambda_c = 0\nlambda_o = 0\n")
+    for section, key, raw in (
+        ("run", "seed", "-3"),
+        ("replay", "consolidation_fraction", "0"),
+        ("replay", "consolidation_fraction", "1.5"),
+        ("replay", "omega", "-1"),
+        ("trainer", "learning_rate", "-0.1"),
+        ("trainer", "learning_rate", "0"),
+        ("env", "occ_epsilon", "0"),
+        ("env", "window", "0"),
+        ("drift", "bins", "1"),
+    ):
+        with pytest.raises(ConfigError, match=rf"\[{section}\] {key}: "):
+            parse_config(f"[{section}]\n{key} = {raw}\n")
 
 
 def test_bad_drift_entry_rejected():

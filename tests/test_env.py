@@ -17,7 +17,6 @@ from flowrl.env import (
     compute_rewards,
     fit_calibration,
     fit_discretizer,
-    representative_flow,
 )
 
 
@@ -95,12 +94,6 @@ class TestDiscretizer:
         assert np.all(np.diff(d.edges) > 0)
         for k in range(5):
             assert classify(d, d.representatives[k]) == k
-
-    def test_representative_flow_lookup(self):
-        d = fit_discretizer(np.arange(100, dtype=float))
-        np.testing.assert_array_equal(
-            representative_flow(d, [0, 4]), d.representatives[[0, 4]]
-        )
 
 
 class TestReward:

@@ -251,7 +251,7 @@ class TestConsolidationMemory:
         mem.add_period(2, store([0.5, 0.5], nodes=["b", "c"], period=2))
         assert mem.periods() == [1, 2]
         assert len(mem) == 3
-        assert mem.for_period(2).node_id.tolist() == ["b", "c"]
+        assert mem.store.node_id[mem.store.period == 2].tolist() == ["b", "c"]
 
     def test_duplicate_period_rejected(self):
         mem = ConsolidationMemory()

@@ -282,7 +282,7 @@ class TestRunPeriod:
         import math
         for report in reports:
             expected = math.ceil(0.05 * report.experiences_generated)
-            assert len(agent.memory.for_period(report.period)) == expected
+            assert int(np.sum(agent.memory.store.period == report.period)) == expected
 
     def test_report_dict_has_no_timings(self):
         ds = diurnal_dataset(seed=9, steps=120)
