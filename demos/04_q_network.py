@@ -14,7 +14,6 @@ from flowrl import (
     init_optimizer,
     loss_and_gradients,
     param_views,
-    tabular_q_update,
     td_targets,
 )
 
@@ -60,7 +59,7 @@ for s in range(3):
 print("\nhand-solved Q*:")
 print(np.round(q_star, 4))
 
-# tabular learner
+# tabular learner: one temporal-difference backup per step
 q_tab = np.zeros((4, 2))
 rng = np.random.default_rng(1)
 for _ in range(3000):
@@ -68,7 +67,7 @@ for _ in range(3000):
     for _ in range(20):
         a = int(rng.integers(0, 2))
         nxt, r, done = step(s, a)
-        tabular_q_update(q_tab, s, a, r, nxt, alpha=0.2, gamma=GAMMA)
+        q_tab[s, a] += 0.2 * (r + GAMMA * np.max(q_tab[nxt]) - q_tab[s, a])
         if done:
             break
         s = nxt

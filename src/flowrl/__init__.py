@@ -89,8 +89,6 @@ from .trainer import (
     run_full_retrain,
     run_period,
     save_agent,
-    tabular_q_update,
-    td_target,
     td_targets,
     train_on_buffer,
 )

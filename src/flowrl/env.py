@@ -29,8 +29,9 @@ class RewardWeights:
     lambda_o: float = 0.1
 
     def __post_init__(self):
-        if self.lambda_p < 0 or self.lambda_c < 0 or self.lambda_o < 0:
-            raise ValueError("reward weights must be nonnegative")
+        for name in ("lambda_p", "lambda_c", "lambda_o"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
         if self.lambda_p == self.lambda_c == self.lambda_o == 0:
             raise ValueError("at least one reward weight must be positive")
 

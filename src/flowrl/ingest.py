@@ -15,11 +15,12 @@ desk-scale experiments.
 from __future__ import annotations
 
 import csv
+import io
 import warnings
 from dataclasses import dataclass
 from datetime import datetime
 from functools import cached_property
-from itertools import islice, repeat
+from itertools import islice
 from pathlib import Path
 from types import MappingProxyType
 
@@ -271,19 +272,28 @@ def load_period(readings_path, adjacency_path, period: int, nodes_path=None) -> 
         raise DataError(str(e), path=str(path)) from None
 
 
+def _csv_field(text: str) -> str:
+    """`text` as csv.writer writes it as one field of a longer row."""
+    out = io.StringIO()
+    csv.writer(out).writerow(["", text])  # not alone: a lone empty field is written as ""
+    return out.getvalue()[1:-2]
+
+
 def write_period(dataset: PeriodDataset, readings_path, adjacency_path, nodes_path=None) -> None:
     """Write a period back to CSV; the inverse of load_period, bit-exact.
 
-    Rows are blocked by sensor in sorted id order, each block in time
-    order; floats are written with shortest round-trip repr.
+    The bytes are those of csv.writer: CRLF line ends, the id quoted as
+    csv quotes it, rows blocked by sensor in sorted id order, each block
+    in time order, floats written with shortest round-trip repr. Each
+    block is one string formatted from a per-sensor line template.
     """
     write_adjacency(dataset.snapshot, adjacency_path, nodes_path=nodes_path)
     stamps = np.datetime_as_string(dataset.times, unit="s").tolist()
     with open(Path(readings_path), "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(READINGS_HEADER)
+        f.write(",".join(READINGS_HEADER) + "\r\n")
         for sid, block in zip(dataset.nodes, dataset.values):
-            writer.writerows(zip(stamps, repeat(sid), *(map(repr, col) for col in block.T.tolist())))
+            line = "%s," + _csv_field(sid).replace("%", "%%") + ",%r,%r,%r\r\n"
+            f.write("".join(map(line.__mod__, zip(stamps, *block.T.tolist()))))
 
 
 @dataclass(frozen=True)
@@ -330,6 +340,17 @@ class GeneratorConfig:
             raise ValueError("harmonic_mix must lie in [0, 1]")
         if self.edges_per_new_node < 1:
             raise ValueError("edges_per_new_node must be >= 1")
+        last_period = self.start_period + self.periods - 1
+        for k, d in enumerate(self.drift):
+            if any(other.node == d.node for other in self.drift[:k]):
+                raise ValueError(f"multiple drift specs for node {d.node!r}")
+            if not self.start_period <= d.period <= last_period:
+                raise ValueError(f"drift spec for node {d.node!r} targets period {d.period}, "
+                                 f"outside [{self.start_period}, {last_period}]")
+            grown = self.initial_nodes + self.growth_per_period * (d.period - self.start_period)
+            if d.node not in map(_node_name, range(grown)):
+                raise ValueError(f"drift spec targets node {d.node!r} absent from the "
+                                 f"period-{d.period} graph")
 
 
 DAY_STEPS = 288  # 5-min steps per day
@@ -354,17 +375,7 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> list[PeriodDataset
     across periods unless a DriftSpec shifts it.
     """
     rng = np.random.default_rng([int(seed), 0xF10])
-    drift_by_node: dict[str, DriftSpec] = {}
-    last_period = config.start_period + config.periods - 1
-    for d in config.drift:
-        if d.node in drift_by_node:
-            raise ValueError(f"multiple drift specs for node {d.node!r}")
-        if not config.start_period <= d.period <= last_period:
-            raise ValueError(
-                f"drift spec for node {d.node!r} targets period {d.period}, outside "
-                f"[{config.start_period}, {last_period}]"
-            )
-        drift_by_node[d.node] = d
+    drift_by_node = {d.node: d for d in config.drift}
 
     # Topology for the first period: random tree plus extra chords.
     n0 = config.initial_nodes
@@ -409,12 +420,6 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> list[PeriodDataset
                 snapshot, GraphDelta.build(added_nodes=added, added_edges=new_edges)
             )
             total_nodes += len(added)
-
-        for d in drift_by_node.values():
-            if d.period == period and d.node not in snapshot.nodes:
-                raise ValueError(
-                    f"drift spec targets node {d.node!r} absent from the period-{period} graph"
-                )
 
         steps = np.arange(config.steps_per_period, dtype=float)
         times = np.datetime64(datetime(2000 + period, 1, 1), "s") + np.arange(

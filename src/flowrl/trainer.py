@@ -80,8 +80,9 @@ class TrainerConfig:
             raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not (0 <= self.eps_end <= 1 and 0 <= self.eps_start <= 1):
-            raise ValueError("epsilon bounds must lie in [0, 1]")
+        for name in ("eps_start", "eps_end"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
         if self.eps_decay_steps < 1:
             raise ValueError("eps_decay_steps must be >= 1")
         if not 0 <= self.mix_rho <= 1:
@@ -106,26 +107,13 @@ class TrainerConfig:
             raise ValueError(f"occ_epsilon must be > 0, got {self.occ_epsilon}")
 
 
-def td_target(reward: float, next_q, gamma: float, terminal: bool) -> float:
-    """Bootstrapped regression target: r, plus gamma*max(next_q) if non-terminal."""
-    if terminal:
-        return float(reward)
-    return float(reward) + gamma * float(np.max(next_q))
-
-
 def td_targets(rewards, next_qs, gamma: float, terminals) -> np.ndarray:
-    """Vectorized td_target over a batch; next_qs has shape (N, actions)."""
+    """Bootstrapped regression targets of a batch: r, plus gamma * max(next_q)
+    where not terminal; next_qs has shape (N, actions)."""
     rewards = np.asarray(rewards, dtype=float)
     terminals = np.asarray(terminals, dtype=bool)
     boot = gamma * np.max(np.asarray(next_qs, dtype=float), axis=1)
     return np.where(terminals, rewards, rewards + boot)
-
-
-def tabular_q_update(q_table: np.ndarray, s: int, a: int, r: float, s_next: int,
-                     alpha: float, gamma: float) -> np.ndarray:
-    """One temporal-difference backup on a dense Q table (in place)."""
-    q_table[s, a] += alpha * (r + gamma * np.max(q_table[s_next]) - q_table[s, a])
-    return q_table
 
 
 def epsilon_schedule(k: np.ndarray, cfg: TrainerConfig) -> np.ndarray:

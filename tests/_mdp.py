@@ -7,8 +7,9 @@ pays 0. With gamma = 0.5 the Bellman fixed point is solvable by hand.
 
 import numpy as np
 
+from _oracles import tabular_q_update
 from flowrl.qnet import QNetwork, forward_batch, init_optimizer, loss_and_gradients, apply_update
-from flowrl.trainer import tabular_q_update, td_targets
+from flowrl.trainer import td_targets
 
 N_STATES = 4
 N_ACTIONS = 2

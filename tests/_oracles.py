@@ -1,12 +1,41 @@
-"""Scalar and per-horizon twins of flowrl's batch evaluation, kept as
-test oracles: each does the work the plain way the batch code replaced."""
+"""Scalar and per-horizon twins of flowrl's batch code, kept as test
+oracles: each does the work the plain way the batch code replaced."""
+
+import csv
+from itertools import repeat
 
 import numpy as np
 
 from flowrl.env import WINDOW_DEFAULT, StateAssembler, classify
+from flowrl.ingest import READINGS_HEADER
 from flowrl.metrics import compute_metrics
 from flowrl.qnet import forward
 from flowrl.trainer import predict_horizon_block
+
+
+def td_target(reward: float, next_q, gamma: float, terminal: bool) -> float:
+    """Bootstrapped regression target: r, plus gamma*max(next_q) if non-terminal."""
+    if terminal:
+        return float(reward)
+    return float(reward) + gamma * float(np.max(next_q))
+
+
+def tabular_q_update(q_table: np.ndarray, s: int, a: int, r: float, s_next: int,
+                     alpha: float, gamma: float) -> np.ndarray:
+    """One temporal-difference backup on a dense Q table (in place)."""
+    q_table[s, a] += alpha * (r + gamma * np.max(q_table[s_next]) - q_table[s, a])
+    return q_table
+
+
+def write_readings_reference(dataset, readings_path) -> None:
+    """The readings CSV of `dataset` written one csv.writer row at a time:
+    rows blocked by sensor, each block in time order, floats as repr."""
+    stamps = np.datetime_as_string(dataset.times, unit="s").tolist()
+    with open(readings_path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(READINGS_HEADER)
+        for sid, block in zip(dataset.nodes, dataset.values):
+            writer.writerows(zip(stamps, repeat(sid), *(map(repr, col) for col in block.T.tolist())))
 
 
 def predict_horizon(net, dataset, node, t, horizon, discretizer, window=WINDOW_DEFAULT,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 
@@ -29,6 +30,19 @@ steps_per_period = 120
 noise_sigma = 2.0
 phase_jitter_steps = 15.0
 """
+
+
+# sha256 of every file `generate` writes for 2 periods of 40 steps, 5 sensors
+# (+1 in period 2), seed 0: any change to the bytes written shows here.
+GOLDEN_SHA256 = {
+    "adjacency_1.csv": "d17c50742e56e06435703c1ad85345ae041c67249e7c332a6d50d37a7c409400",
+    "adjacency_2.csv": "43dcadc2660e48bd5cd1eb168f479a10fe160da72435c6aef5683f0838714b2a",
+    "config_echo.ini": "0c81580187a645c57d9d43d7f0a7cbbf5afa3eb5d6f315a7af3c84c28f2ec0a7",
+    "nodes_1.csv": "e2202a158bdf23643085f6109a2880ea4a7ca970987e5d5e06ec028325826f5c",
+    "nodes_2.csv": "6508e5a06b851657e9ac6aebab7d1e52caf664ccfda60d745d481539960c5d5f",
+    "readings_1.csv": "15c99e5c839fbc996bb387b282f5d69edcee01d52764cdeaa980fcfb87e3d093",
+    "readings_2.csv": "db49f52222e89b1f24ac5d78e33a42538dbeb9feb57ff321a2b06e34ea027fda",
+}
 
 
 @pytest.fixture()
@@ -72,6 +86,15 @@ class TestGenerate:
         bad = tmp_path / "bad.ini"
         bad.write_text("[generator]\nperiods = 0\n")
         assert main(["generate", "--config", str(bad), "--out-dir", str(tmp_path / "x")]) == 1
+
+    def test_golden_file_hashes(self, tmp_path):
+        config = tmp_path / "golden.ini"
+        config.write_text("[run]\nseed = 0\n\n[generator]\nperiods = 2\ninitial_nodes = 5\n"
+                          "growth_per_period = 1\nsteps_per_period = 40\n")
+        out = tmp_path / "data"
+        assert main(["generate", "--config", str(config), "--out-dir", str(out)]) == 0
+        got = {name: hashlib.sha256(data).hexdigest() for name, data in dir_bytes(out, "*").items()}
+        assert got == GOLDEN_SHA256
 
     def test_seed_flag_overrides(self, tmp_path, tiny_config):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -440,6 +463,18 @@ class TestExitCodes:
     def test_negative_seed_flag_is_usage_error(self, tmp_path, capsys):
         assert main(["generate", "--seed", "-1", "--out-dir", str(tmp_path / "x")]) == 1
         assert "--seed -1: seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("drift, message", [
+        ("s0001:99:30.0", "drift spec for node 's0001' targets period 99, outside [1, 2]"),
+        ("nosuch:2:30.0", "drift spec targets node 'nosuch' absent from the period-2 graph"),
+        ("s0001:2:30.0, s0001:2:5.0", "multiple drift specs for node 's0001'"),
+    ])
+    def test_bad_drift_spec_is_config_error(self, tmp_path, capsys, drift, message):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(f"[generator]\nperiods = 2\ninitial_nodes = 3\ndrift = {drift}\n")
+        assert main(["generate", "--config", str(bad), "--out-dir", str(tmp_path / "x")]) == 1
+        assert f"[generator] drift: {message}" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
 

@@ -265,6 +265,8 @@ def test_invariant_violations_become_config_errors():
         ("env", "occ_epsilon", "0"),
         ("env", "window", "0"),
         ("drift", "bins", "1"),
+        ("trainer", "eps_start", "2"),
+        ("reward", "lambda_c", "-1"),
     ):
         with pytest.raises(ConfigError, match=rf"\[{section}\] {key}: "):
             parse_config(f"[{section}]\n{key} = {raw}\n")

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from _helpers import make_dataset, make_series
+from _oracles import write_readings_reference
 from flowrl.errors import DataError
 from flowrl.graph import GraphSnapshot
 from flowrl.ingest import (
@@ -272,6 +273,30 @@ class TestLoadPeriod:
             for a, b in zip(write_dataset(loaded, again), files):
                 assert a.read_bytes() == b.read_bytes()
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), length=st.integers(5, 8))
+    def test_readings_bytes_match_per_row_writer(self, data, length):
+        ids = sorted(data.draw(st.lists(
+            st.one_of(st.sampled_from(["a,b", 'say "hi"', "100%", "%s", "%%r", " s 1 ", ""]),
+                      st.text(alphabet=',"% sr1\n', max_size=5)),
+            min_size=1, max_size=4, unique=True)))
+        edge = [-0.0, 0.0, 5e-324, 1e-05, 0.0001]
+        finite = dict(allow_nan=False, allow_infinity=False)
+        flow, speed = (data.draw(arrays(np.float64, (len(ids), length), elements=st.one_of(
+            st.sampled_from(edge + [1e16]), st.floats(min_value=0.0, **finite)))) for _ in range(2))
+        occ = data.draw(arrays(np.float64, (len(ids), length), elements=st.one_of(
+            st.sampled_from(edge + [1.0]), st.floats(0.0, 1.0))))
+        ds = PeriodDataset(
+            period=3, snapshot=GraphSnapshot.build(3, ids, []), nodes=ids,
+            times=np.datetime64("2003-01-01T00:00:00") + 300 * np.arange(length),
+            values=np.stack([flow, speed, occ], axis=-1), splits=compute_splits(length),
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            readings, reference = Path(tmp, "readings.csv"), Path(tmp, "reference.csv")
+            write_period(ds, readings, Path(tmp, "adjacency.csv"))
+            write_readings_reference(ds, reference)
+            assert readings.read_bytes() == reference.read_bytes()
+
 
 class TestGenerator:
     def test_deterministic_for_fixed_seed(self):
@@ -327,14 +352,16 @@ class TestGenerator:
             assert prev.snapshot.edges < curr.snapshot.edges
 
     def test_drift_on_unknown_node_rejected(self):
-        cfg = small_config(periods=2, drift=(DriftSpec("ghost", 2, 10.0),))
-        with pytest.raises(ValueError, match="ghost"):
-            generate_synthetic(cfg, 1)
+        with pytest.raises(ValueError, match="'ghost' absent from the period-2 graph"):
+            small_config(periods=2, drift=(DriftSpec("ghost", 2, 10.0),))
+        with pytest.raises(ValueError, match="'s0003' absent from the period-1 graph"):
+            small_config(periods=2, growth_per_period=1, drift=(DriftSpec("s0003", 1, 10.0),))
+        grown = small_config(periods=2, growth_per_period=1, drift=(DriftSpec("s0003", 2, 10.0),))
+        assert generate_synthetic(grown, 1)[1].nodes[-1] == "s0003"
 
     def test_drift_period_out_of_range_rejected(self):
-        cfg = small_config(periods=2, drift=(DriftSpec("s0000", 9, 10.0),))
         with pytest.raises(ValueError, match="period 9"):
-            generate_synthetic(cfg, 1)
+            small_config(periods=2, drift=(DriftSpec("s0000", 9, 10.0),))
 
     def test_degenerate_configs_rejected(self):
         with pytest.raises(ValueError, match="periods"):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import _mdp
-from _oracles import evaluate_period_per_horizon, predict_horizon
+from _oracles import evaluate_period_per_horizon, predict_horizon, tabular_q_update, td_target
 from _helpers import make_dataset, make_series
 from flowrl.env import Calibration, RewardWeights, StateAssembler, classify, fit_discretizer
 from flowrl.drift import DriftConfig
@@ -24,8 +24,6 @@ from flowrl.trainer import (
     run_continual,
     run_period,
     save_agent,
-    tabular_q_update,
-    td_target,
     td_targets,
 )
 
