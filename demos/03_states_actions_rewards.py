@@ -35,7 +35,7 @@ for flow in (5.0, 40.0, 75.0, 999.0):
 W = 12
 assembler = StateAssembler(dataset, window=W)
 node = sorted(dataset.series)[0]
-state = assembler.state(node, t=100)
+state = assembler.states(node, [100])[0]
 print(f"\nstate for {node} at t=100: dimension {state.shape[0]} (= 6W+1 with W={W})")
 print("  own flow window (normalized):", np.round(state[:W], 2))
 print("  neighbor-mean flow window:   ", np.round(state[3 * W : 4 * W], 2))

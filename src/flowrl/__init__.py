@@ -22,7 +22,6 @@ from .env import (
     Discretizer,
     RewardWeights,
     StateAssembler,
-    build_state,
     classify,
     compute_reward,
     compute_rewards,
@@ -33,6 +32,7 @@ from .errors import ConfigError, DataError, DivergenceError, FlowRLError
 from .graph import (
     GraphDelta,
     GraphSnapshot,
+    NodeIdError,
     apply_delta,
     load_adjacency,
     neighbors,
@@ -67,6 +67,7 @@ from .qnet import (
 from .replay import (
     Batch,
     ConsolidationMemory,
+    KeyedStates,
     ReplayBuffer,
     assign_priority,
     mixed_batch,

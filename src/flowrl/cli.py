@@ -25,6 +25,7 @@ from .drift import detect
 from .errors import ConfigError, DataError
 from .env import StateAssembler, fit_calibration, fit_discretizer, state_dim
 from .ingest import generate_synthetic, load_period, write_period
+from .replay import ReplayBuffer
 from .trainer import evaluate_period, init_agent, load_agent, run_period, save_agent
 
 EXIT_OK = 0
@@ -199,6 +200,7 @@ def cmd_train(args) -> int:
         _write_json(out_dir / f"report_{period}.json", report.to_report_dict())
         _write_json(out_dir / f"timings_{period}.json", report.to_timings_dict())
         save_agent(agent, out_dir / f"checkpoint_{period}.npz")
+        agent.buffer = ReplayBuffer()  # the next period builds its own pool; free this one first
         test_summary = report.metrics.get("test", {})
         first = min(test_summary) if test_summary else None
         mae = f"{test_summary[first].mae:.3f}" if first is not None else "n/a"

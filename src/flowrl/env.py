@@ -158,10 +158,16 @@ def state_dim(window: int) -> int:
 class StateAssembler:
     """Builds state vectors for one period's dataset.
 
-    Normalized channels and neighbor means of every node are built once,
-    as (N, T, 3) arrays in the dataset's node order. Neighbor windows are
-    summed in sorted-id order, which makes the result independent of edge
-    iteration order.
+    Every node's normalized channels and neighbor means are built once into
+    one channel-major (N, 6, T + 1) table in the dataset's node order: the
+    own flow, speed and occupancy rows, then the neighbor-mean rows in the
+    same order. The last time column is padding, so that a window of W + 1
+    steps fits at every t <= T. Neighbor windows are summed in sorted-id
+    order, which makes the result independent of edge iteration order.
+
+    The table doubles as a keyed state store for replay: key i*(T+1) + t is
+    node i at time t, so a transition's next state is the key after its
+    own, and one (W + 1)-step window gather yields both.
     """
 
     def __init__(self, dataset: PeriodDataset, window: int = WINDOW_DEFAULT,
@@ -172,29 +178,60 @@ class StateAssembler:
         self.window = window
         self.calibration = calibration if calibration is not None else fit_calibration(dataset)
         v, cal = dataset.values, self.calibration
-        self._channels = np.stack([np.clip(v[..., 0] / cal.flow_max, 0.0, 1.0),
-                                   np.clip(v[..., 1] / cal.speed_max, 0.0, 1.0), v[..., 2]], axis=-1)
+        n, length, _ = v.shape
+        table = np.zeros((n, 6, length + 1))
+        own, acc = table[:, :3, :length], table[:, 3:, :length]
+        own[:, 0] = np.clip(v[..., 0] / cal.flow_max, 0.0, 1.0)
+        own[:, 1] = np.clip(v[..., 1] / cal.speed_max, 0.0, 1.0)
+        own[:, 2] = v[..., 2]
         # Sorted canonical edges list each (u, x) with u < x before any (x, w),
         # so every node's neighbor rows come out in sorted-id order.
         adjacent: list[list[int]] = [[] for _ in dataset.nodes]
         for a, b in sorted(dataset.snapshot.edges):
             adjacent[dataset.index[a]].append(dataset.index[b])
             adjacent[dataset.index[b]].append(dataset.index[a])
-        self._degree = np.array([len(a) for a in adjacent])
-        self._max_degree = self._degree.max(initial=0)
-        acc = np.zeros(v.shape)
-        for j in range(self._max_degree):  # the j-th neighbor of every node that has one
-            rows = np.flatnonzero(self._degree > j)
-            acc[rows] += self._channels[[adjacent[i][j] for i in rows]]
-        self._neighbor_mean = acc / np.maximum(self._degree, 1)[:, None, None]
+        degree = np.array([len(a) for a in adjacent], dtype=np.int64)
+        max_degree = degree.max(initial=0)
+        for j in range(max_degree):  # the j-th neighbor of every node that has one
+            rows = np.flatnonzero(degree > j)
+            acc[rows] += own[[adjacent[i][j] for i in rows]]
+        acc /= np.maximum(degree, 1)[:, None, None]
+        self._table = table
+        self._degree = degree / max_degree if max_degree > 0 else np.zeros(n)
+        self._windows = np.lib.stride_tricks.sliding_window_view(table, window + 1, axis=2)
+        self._ids = np.array(dataset.nodes, dtype=np.str_)
 
     @property
     def dim(self) -> int:
         return state_dim(self.window)
 
+    @property
+    def key_count(self) -> int:
+        """Number of state keys: one per node and time index 0..T."""
+        return self._table.shape[0] * self._table.shape[2]
+
     def node_channels(self, v: str) -> np.ndarray:
-        """(T, 3) array of normalized flow, normalized speed, raw occupancy."""
-        return self._channels[self.dataset.index[v]]
+        """(T, 3) view of normalized flow, normalized speed, raw occupancy."""
+        return self._table[self.dataset.index[v], :3, :-1].T
+
+    def keys(self, v: str, ts) -> np.ndarray:
+        """Keys of node v's states at time indices ts."""
+        return self.dataset.index[v] * self._table.shape[2] + np.asarray(ts, dtype=np.int64)
+
+    def _gather(self, nodes: np.ndarray, ts: np.ndarray, pairs: bool):
+        """States of node rows `nodes` at times ts, and with `pairs` the
+        states at ts + 1 too, copied out of one (W + 1)-step window gather."""
+        win = self._windows[nodes, :, ts - self.window]  # (n, 6, W + 1), oldest first
+        states = self._rows(win[..., :-1], nodes)
+        return (states, self._rows(win[..., 1:], nodes)) if pairs else states
+
+    def _rows(self, windows: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+        """(n, 6, W) channel windows and the nodes' degrees as state rows."""
+        n, w = len(nodes), self.window
+        out = np.empty((n, self.dim))
+        out[:, : 6 * w].reshape(n, 6, w, copy=False)[...] = windows
+        out[:, 6 * w] = self._degree[nodes]
+        return out
 
     def states(self, v: str, ts) -> np.ndarray:
         """State matrix for node v at each time index in ts.
@@ -203,7 +240,7 @@ class StateAssembler:
         window, neighbor-mean windows in the same channel order, degree],
         windows covering [t - window, t) oldest first; total 6W + 1.
         """
-        ts = np.asarray(ts, dtype=int)
+        ts = np.asarray(ts, dtype=np.int64).ravel()
         if v not in self.dataset.snapshot.nodes:
             raise ValueError(f"unknown node {v!r}")
         if ts.size and int(ts.min()) < self.window:
@@ -214,25 +251,15 @@ class StateAssembler:
             raise ValueError(
                 f"time index {int(ts.max())} beyond series length {self.dataset.length}"
             )
-        i = self.dataset.index[v]
-        own = self._channels[i]
-        nbr = self._neighbor_mean[i]
-        deg = self._degree[i] / self._max_degree if self._max_degree > 0 else 0.0
-        W = self.window
-        out = np.empty((ts.size, self.dim))
-        own_win = np.lib.stride_tricks.sliding_window_view(own, W, axis=0)  # (T-W+1, 3, W)
-        nbr_win = np.lib.stride_tricks.sliding_window_view(nbr, W, axis=0)
-        rows = ts - W
-        out[:, 0 : 3 * W] = own_win[rows].reshape(ts.size, 3 * W)
-        out[:, 3 * W : 6 * W] = nbr_win[rows].reshape(ts.size, 3 * W)
-        out[:, 6 * W] = deg
-        return out
+        return self._gather(np.full(ts.size, self.dataset.index[v]), ts, pairs=False)
 
-    def state(self, v: str, t: int) -> np.ndarray:
-        return self.states(v, [t])[0]
+    def pairs(self, keys) -> tuple[np.ndarray, np.ndarray]:
+        """(states, next states) of the given keys: the states at key k and
+        at k + 1, for keys of a time index below T."""
+        nodes, ts = np.divmod(keys, self._table.shape[2])
+        return self._gather(nodes, ts, pairs=True)
 
-
-def build_state(dataset: PeriodDataset, v: str, t: int, window: int = WINDOW_DEFAULT,
-                calibration: Calibration | None = None) -> np.ndarray:
-    """One state vector for (node, time); see StateAssembler.states."""
-    return StateAssembler(dataset, window=window, calibration=calibration).state(v, t)
+    def origins(self, keys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(node id, period, time index) of each key."""
+        nodes, ts = np.divmod(keys, self._table.shape[2])
+        return self._ids[nodes], np.full(len(ts), self.dataset.period, dtype=np.int64), ts

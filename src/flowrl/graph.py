@@ -23,6 +23,19 @@ def canonical_edge(u: str, v: str) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+class NodeIdError(ValueError):
+    """A node id that the period files cannot carry back: empty, padded
+    with whitespace, or holding a line break."""
+
+
+def check_node_id(v: str) -> None:
+    """Raise NodeIdError unless `v` reads back from a CSV cell as itself:
+    the loaders strip the graph files' cells, and a line break ends a
+    readings row."""
+    if not v or v != v.strip() or "\n" in v or "\r" in v:
+        raise NodeIdError(f"node id {v!r} is empty, padded with whitespace or holds a line break")
+
+
 @dataclass(frozen=True)
 class GraphSnapshot:
     """One period of the streaming network: a node set plus undirected edges."""
@@ -32,6 +45,8 @@ class GraphSnapshot:
     edges: frozenset[Edge]
 
     def __post_init__(self):
+        for v in self.nodes:
+            check_node_id(v)
         for u, v in self.edges:
             if u == v:
                 raise ValueError(f"self-loop edge on node {u!r}")
@@ -151,6 +166,15 @@ def csv_rows(path, header: list[str]):
         yield from ((reader.line_num, [c.strip() for c in cells]) for cells in reader if cells)
 
 
+def _node_cell(cell: str, path, line: int) -> str:
+    """A graph file's node-id cell, checked; a bad one is a DataError at its line."""
+    try:
+        check_node_id(cell)
+    except NodeIdError as e:
+        raise DataError(str(e), path=str(path), line=line) from None
+    return cell
+
+
 def load_adjacency(adjacency_path, period: int, nodes_path=None) -> GraphSnapshot:
     """Load one period's snapshot from CSV.
 
@@ -168,19 +192,15 @@ def load_adjacency(adjacency_path, period: int, nodes_path=None) -> GraphSnapsho
             continue
         if len(cells) != 2:
             raise DataError(f"expected 2 columns, got {len(cells)}", path=str(adjacency_path), line=line)
-        u, v = cells
-        if not u or not v:
-            raise DataError("empty node id", path=str(adjacency_path), line=line)
+        u, v = (_node_cell(cell, adjacency_path, line) for cell in cells)
         if u == v:
             raise DataError(f"self-loop edge on {u!r}", path=str(adjacency_path), line=line)
         nodes.update((u, v))
         edges.add(canonical_edge(u, v))
     if nodes_path is not None and Path(nodes_path).exists():
         for line, cells in csv_rows(nodes_path, ["node_id"]):
-            if cells[0]:
-                nodes.add(cells[0])
-            elif any(cells):
-                raise DataError("empty node id", path=str(nodes_path), line=line)
+            if any(cells):
+                nodes.add(_node_cell(cells[0], nodes_path, line))
     return GraphSnapshot(period=period, nodes=frozenset(nodes), edges=frozenset(edges))
 
 

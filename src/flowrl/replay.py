@@ -1,14 +1,18 @@
 """Experience storage: reward-prioritized replay plus a consolidation memory.
 
-Transitions are kept in columns (`ReplayBuffer`). A rollout of n steps
-stores its n + 1 state rows once, and each step's next state is the row
-after its own. Priorities equal the (floored) reward, which never changes
-once a transition exists, so the sampling distribution
-p_i^omega / sum_k p_k^omega becomes one cumulative sum per pool and every
-batch is a binary search of uniform draws, with replacement. After each
-period the top fraction of that period's transitions by priority is copied
-into a consolidation memory and replayed into later training batches to
-guard old-node knowledge against forgetting.
+Transitions are kept in columns (`ReplayBuffer`). Transition i goes from
+state row[i] to state row[i] + 1 of the store's `states`, which is either
+a matrix of its own or `KeyedStates`, keys into the state tables of the
+periods the transitions came from. A period's pool is keyed: it holds a
+key, an action, a reward and a terminal flag per transition, and a batch
+reads its states from the period's table by key. Priorities equal the
+(floored) reward, which never changes once a transition exists, so the
+sampling distribution p_i^omega / sum_k p_k^omega becomes one cumulative
+sum per pool and every batch is a binary search of uniform draws, with
+replacement. After each period the top fraction of that period's
+transitions by priority is copied, states included, into a consolidation
+memory and replayed into later training batches to guard old-node
+knowledge against forgetting.
 """
 
 from __future__ import annotations
@@ -21,16 +25,21 @@ import numpy as np
 PRIORITY_FLOOR = 1e-3
 CONSOLIDATION_FRACTION = 0.05
 
-# Per-transition columns of a ReplayBuffer; its `states` matrix holds the rows.
-COLUMNS = {
+# Per-transition columns of every ReplayBuffer.
+TRANSITION_COLUMNS = {
     "row": np.int64,
     "action": np.int64,
     "reward": np.float64,
     "terminal": np.bool_,
+}
+# The origin of each transition: stored by a store with a state matrix,
+# derived from the keys by a keyed one.
+ORIGIN_COLUMNS = {
     "node_id": np.str_,
     "period": np.int64,
     "t": np.int64,  # time index of the prediction step within its period
 }
+COLUMNS = {**TRANSITION_COLUMNS, **ORIGIN_COLUMNS}
 
 
 class Batch(NamedTuple):
@@ -49,79 +58,142 @@ def assign_priority(rewards, floor: float = PRIORITY_FLOOR) -> np.ndarray:
     return np.maximum(rewards, floor)
 
 
+class KeyedStates:
+    """The state keys of one or more period state tables, numbered back to
+    back: key offsets[p] + k is key k of tables[p]. A table is a
+    `StateAssembler`, or anything with its `key_count`, `pairs` and
+    `origins`."""
+
+    def __init__(self, *tables):
+        self.tables = tables
+        self.offsets = np.cumsum([0, *(table.key_count for table in tables)])
+
+    def __len__(self) -> int:
+        return int(self.offsets[-1])
+
+    def _by_table(self, keys, method: str) -> tuple[np.ndarray, ...]:
+        """`method` of each key's table, answered in key order."""
+        if len(self.tables) == 1:
+            return getattr(self.tables[0], method)(keys)
+        part = self.offsets.searchsorted(keys, side="right") - 1
+        answers = [getattr(table, method)(keys[part == p] - self.offsets[p])
+                   for p, table in enumerate(self.tables)]
+        back = np.argsort(np.argsort(part, kind="stable"))  # each key's place among the answers
+        return tuple(np.concatenate(pieces)[back] for pieces in zip(*answers))
+
+    def pairs(self, keys) -> tuple[np.ndarray, np.ndarray]:
+        return self._by_table(keys, "pairs")
+
+    def origins(self, keys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self._by_table(keys, "origins")
+
+
 class ReplayBuffer:
-    """Columnar transitions: transition i goes from states[row[i]] to
-    states[row[i] + 1], with the action, reward and terminal flag of that
-    step and its origin (node_id, period, t)."""
+    """Columnar transitions: transition i goes from state row[i] to
+    row[i] + 1 of `states`, with the action, reward and terminal flag of
+    that step and its origin (node_id, period, t).
+
+    `states` is either a matrix of state rows, with the origin columns
+    stored beside it, or `KeyedStates`, from whose keys the origin is
+    derived."""
 
     def __init__(self, states=None, **columns):
-        self.states = np.zeros((0, 0)) if states is None else np.asarray(states, dtype=float)
-        for name, dtype in COLUMNS.items():
+        keyed = isinstance(states, KeyedStates)
+        if not keyed:
+            states = np.zeros((0, 0)) if states is None else np.asarray(states, dtype=float)
+        self.states = states
+        for name, dtype in TRANSITION_COLUMNS.items():
             setattr(self, name, np.asarray(columns.pop(name, ()), dtype=dtype))
+        self._origins = None if keyed else tuple(
+            np.asarray(columns.pop(name, ()), dtype=dtype) for name, dtype in ORIGIN_COLUMNS.items()
+        )
         if columns:
             raise TypeError(f"unknown columns {sorted(columns)}")
-        self._fill = (len(self.row), len(self.states))  # next free transition and state row
+        self._fill = len(self.row)  # next free transition
         self._cdf: tuple[float, np.ndarray] | None = None
 
     @classmethod
-    def allocate(cls, transitions: int, rollouts: int, dim: int, node_ids) -> ReplayBuffer:
-        """Room for `rollouts` rollouts of `transitions` steps in all, to be
-        written by add_rollout; node_ids are the nodes that will roll out."""
-        width = np.array(list(node_ids), dtype=np.str_).dtype
-        columns = {name: np.empty(transitions, width if dtype is np.str_ else dtype)
-                   for name, dtype in COLUMNS.items()}
-        store = cls(np.empty((transitions + rollouts, dim)), **columns)
-        store._fill = (0, 0)
+    def allocate(cls, transitions: int, states: KeyedStates) -> ReplayBuffer:
+        """Room for `transitions` keyed transitions, to be written by add_rollout."""
+        store = cls(states, **{name: np.empty(transitions, dtype)
+                               for name, dtype in TRANSITION_COLUMNS.items()})
+        store._fill = 0
         return store
 
     def __len__(self) -> int:
         return len(self.row)
 
-    def columns(self) -> dict[str, np.ndarray]:
-        return {"states": self.states, **{name: getattr(self, name) for name in COLUMNS}}
+    @property
+    def keyed(self) -> bool:
+        return self._origins is None
 
-    def add_rollout(self, states, actions, rewards, node_id: str, period: int,
-                    t0: int) -> ReplayBuffer:
-        """Write one rollout (n + 1 state rows, n steps from time t0) into
-        the next free slots; returns a view of its transitions."""
+    def origins(self, idx=slice(None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(node_id, period, t) of transitions idx."""
+        if self.keyed:
+            return self.states.origins(self.row[idx])
+        return tuple(column[idx] for column in self._origins)
+
+    @property
+    def node_id(self) -> np.ndarray:
+        return self.origins()[0]
+
+    @property
+    def period(self) -> np.ndarray:
+        return self.origins()[1]
+
+    @property
+    def t(self) -> np.ndarray:
+        return self.origins()[2]
+
+    def columns(self) -> dict[str, np.ndarray]:
+        """`states` and every column a store of this kind keeps."""
+        columns = {"states": self.states, **{name: getattr(self, name) for name in TRANSITION_COLUMNS}}
+        if not self.keyed:
+            columns.update(zip(ORIGIN_COLUMNS, self._origins))
+        return columns
+
+    def add_rollout(self, keys, actions, rewards) -> ReplayBuffer:
+        """Write one rollout (n steps from state keys[0] to keys[-1] + 1)
+        into the next free slots; returns a view of its transitions."""
         n = len(actions)
-        s, r = self._fill
-        if n < 1 or s + n > len(self.row) or r + n + 1 > len(self.states):
+        s = self._fill
+        if n < 1 or s + n > len(self.row):
             raise ValueError(f"no room for a rollout of {n} steps")
-        self.states[r : r + n + 1] = states
         span = slice(s, s + n)
-        self.row[span] = np.arange(r, r + n)
+        self.row[span] = keys
         self.action[span] = actions
         self.reward[span] = rewards
         self.terminal[span] = np.arange(n) == n - 1
-        self.node_id[span] = node_id
-        self.period[span] = period
-        self.t[span] = np.arange(t0, t0 + n)
-        self._fill = (s + n, r + n + 1)
+        self._fill = s + n
         self._cdf = None
-        return ReplayBuffer(self.states, **{name: getattr(self, name)[span] for name in COLUMNS})
+        return ReplayBuffer(self.states, **{name: getattr(self, name)[span] for name in TRANSITION_COLUMNS})
 
     def extend(self, items: ReplayBuffer) -> None:
         """Append items' transitions; an empty store takes items' arrays
         without copying them."""
-        for name, column in concatenate(self, items).columns().items():
-            setattr(self, name, column)
-        self._fill = (len(self.row), len(self.states))
+        vars(self).update(vars(concatenate(self, items)))
+        self._fill = len(self.row)
         self._cdf = None
 
+    def _pairs(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        if self.keyed:
+            return self.states.pairs(rows)
+        return self.states[rows], self.states[rows + 1]
+
     def take(self, idx) -> ReplayBuffer:
-        """A compact copy of transitions idx, each with its own (state,
-        next state) pair of rows."""
+        """A compact copy of transitions idx with a state matrix of its
+        own, in which each has its own (state, next state) pair of rows."""
         idx = np.asarray(idx, dtype=np.int64)
-        pairs = np.stack([self.row[idx], self.row[idx] + 1], axis=1).ravel()
-        columns = {name: getattr(self, name)[idx] for name in COLUMNS}
+        states, next_states = self._pairs(self.row[idx])
+        columns = {name: getattr(self, name)[idx] for name in TRANSITION_COLUMNS}
+        columns.update(zip(ORIGIN_COLUMNS, self.origins(idx)))
         columns["row"] = np.arange(0, 2 * len(idx), 2)
-        return ReplayBuffer(self.states[pairs], **columns)
+        pairs = np.stack([states, next_states], axis=1).reshape(2 * len(idx), states.shape[1])
+        return ReplayBuffer(pairs, **columns)
 
     def gather(self, idx) -> Batch:
-        rows = self.row[idx]
-        return Batch(self.states[rows], self.action[idx], self.reward[idx],
-                     self.states[rows + 1], self.terminal[idx])
+        states, next_states = self._pairs(self.row[idx])
+        return Batch(states, self.action[idx], self.reward[idx], next_states, self.terminal[idx])
 
     def priorities(self) -> np.ndarray:
         return assign_priority(self.reward)
@@ -138,13 +210,20 @@ class ReplayBuffer:
 
 def concatenate(first: ReplayBuffer, second: ReplayBuffer) -> ReplayBuffer:
     """The transitions of both stores, first's before second's; an empty
-    side returns the other store itself."""
+    side returns the other store itself. Both keep a state matrix, or both
+    are keyed, and then the second's keys follow the first's."""
     if len(first) == 0 or len(second) == 0:
         return second if len(first) == 0 else first
+    if first.keyed != second.keyed:
+        raise TypeError("cannot concatenate a keyed store with a materialized one")
     columns = {name: np.concatenate([first_col, getattr(second, name)])
-               for name, first_col in first.columns().items() if name != "row"}
+               for name, first_col in first.columns().items() if name not in ("states", "row")}
     columns["row"] = np.concatenate([first.row, second.row + len(first.states)])
-    return ReplayBuffer(**columns)
+    if first.keyed:
+        states = KeyedStates(*first.states.tables, *second.states.tables)
+    else:
+        states = np.concatenate([first.states, second.states])
+    return ReplayBuffer(states, **columns)
 
 
 def sampling_probabilities(priorities, omega: float = 1.0) -> np.ndarray:
@@ -184,7 +263,8 @@ def retain_top_fraction(experiences: ReplayBuffer,
     if not 0 < fraction <= 1:
         raise ValueError(f"fraction must lie in (0, 1], got {fraction}")
     k = math.ceil(fraction * len(experiences))
-    order = np.lexsort((experiences.t, experiences.node_id, -experiences.priorities()))
+    node_id, _, t = experiences.origins()
+    order = np.lexsort((t, node_id, -experiences.priorities()))
     return experiences.take(order[:k])
 
 
@@ -204,6 +284,8 @@ class ConsolidationMemory:
     def add_period(self, period: int, retained: ReplayBuffer) -> None:
         if period in self.periods():
             raise ValueError(f"period {period} already retained")
+        if retained.keyed:
+            raise ValueError("retained transitions must carry their states, not keys into their period")
         if np.any(retained.period != period):
             raise ValueError(f"retained transitions do not all come from period {period}")
         self.store = concatenate(self.store, retained)

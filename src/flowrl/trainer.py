@@ -49,6 +49,7 @@ from .qnet import (
 from .replay import (
     COLUMNS,
     ConsolidationMemory,
+    KeyedStates,
     ReplayBuffer,
     mixed_batch,
     retain_top_fraction,
@@ -162,11 +163,12 @@ def generate_rollout(assembler: StateAssembler, discretizer: Discretizer, node: 
                      rng: np.random.Generator, weights: RewardWeights,
                      occ_epsilon: float, pool: ReplayBuffer | None = None) -> EpisodeRollout:
     """Traverse one node's split, writing chained transitions into `pool`
-    (a store of its own when None).
+    (a store of its own when None), which is keyed to the assembler.
 
-    The transition at time t holds the state built from [t-W, t), the
-    epsilon-greedy action, the reward against the actual class at t, and
-    the state at t+1; the final usable index is flagged terminal.
+    The transition at time t holds the key of the state built from
+    [t-W, t), the epsilon-greedy action and the reward against the actual
+    class at t; its next state is the state at t+1. The final usable index
+    is flagged terminal.
     """
     ds = assembler.dataset
     lo, hi = ds.splits.range_of(split)
@@ -177,8 +179,8 @@ def generate_rollout(assembler: StateAssembler, discretizer: Discretizer, node: 
     n = hi - t0
     if len(epsilons) != n:
         raise ValueError(f"need {n} epsilon values, got {len(epsilons)}")
-    states = assembler.states(node, np.arange(t0, hi + 1))
-    actions = select_actions(net, states[:n], epsilons, rng)
+    ts = np.arange(t0, hi)
+    actions = select_actions(net, assembler.states(node, ts), epsilons, rng)
     channels = assembler.node_channels(node)
     flows = ds.series[node].flow[t0:hi]
     actual = np.asarray(classify(discretizer, flows), dtype=int)
@@ -187,39 +189,22 @@ def generate_rollout(assembler: StateAssembler, discretizer: Discretizer, node: 
         weights, occ_epsilon,
     )
     if pool is None:
-        pool = ReplayBuffer.allocate(n, 1, assembler.dim, [node])
-    experiences = pool.add_rollout(states, actions, rewards, node, ds.period, t0)
+        pool = ReplayBuffer.allocate(n, KeyedStates(assembler))
+    experiences = pool.add_rollout(assembler.keys(node, ts), actions, rewards)
     return EpisodeRollout(node_id=node, split=split, experiences=experiences)
-
-
-def _rollout_plan(dataset: PeriodDataset, candidates, window: int) -> tuple[list[str], int]:
-    """The candidates that roll out over the training split, in sorted
-    order, and the number of steps each one takes."""
-    lo, hi = dataset.splits.train
-    n = hi - max(window, lo)
-    if n < 1:
-        return [], n
-    return sorted(candidates), n
-
-
-def _allocate_pool(plans, dim: int) -> ReplayBuffer:
-    """An empty store sized for every rollout of the given plans."""
-    nodes = [node for plan_nodes, _ in plans for node in plan_nodes]
-    steps = sum(len(plan_nodes) * n for plan_nodes, n in plans)
-    return ReplayBuffer.allocate(steps, len(nodes), dim, nodes)
 
 
 def generate_training_experiences(dataset: PeriodDataset, candidates, net: QNetwork,
                                   cfg: TrainerConfig, weights: RewardWeights,
                                   assembler: StateAssembler, discretizer: Discretizer,
-                                  rng: np.random.Generator,
-                                  pool: ReplayBuffer | None = None) -> ReplayBuffer:
+                                  rng: np.random.Generator) -> ReplayBuffer:
     """Rollouts over the training split for each candidate node, in sorted
-    order, written into `pool` (allocated here when None) and returned;
-    the epsilon schedule advances with the dataset's transition count."""
-    nodes, n = _rollout_plan(dataset, candidates, cfg.window)
-    if pool is None:
-        pool = _allocate_pool([(nodes, n)], assembler.dim)
+    order, written into one pool keyed to the assembler and returned; the
+    epsilon schedule advances with the dataset's transition count."""
+    lo, hi = dataset.splits.train
+    n = hi - max(cfg.window, lo)
+    nodes = sorted(candidates) if n >= 1 else []
+    pool = ReplayBuffer.allocate(len(nodes) * n, KeyedStates(assembler))
     for k, node in enumerate(nodes):
         eps = epsilon_schedule(np.arange(k * n, (k + 1) * n), cfg)
         generate_rollout(
@@ -276,9 +261,14 @@ def predict_horizon_block(net: QNetwork, assembler: StateAssembler, discretizer:
     Every step's greedy class is mapped to its representative flow, which
     is appended to the own-flow window; speed and occupancy slots are
     filled with their last observed values, and the neighbor block stays
-    frozen at the anchor. Rows never mix, so a row's forecast does not
-    depend on the other anchors of the block, and a repeated anchor is
-    rolled out once and its forecast copied to each of its rows.
+    frozen at the anchor. A repeated anchor is rolled out once and its
+    forecast copied to each of its rows.
+
+    The last bits of a row's Q-values depend on the block's row count: with
+    OpenBLAS 0.3.31 the (n, 64) @ (64, 5) advantage head rounds a row of a
+    block under 256 rows differently from the same row in a larger block.
+    Only each row's argmax, and so its forecast, is independent of the
+    other anchors, except at exact ties.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -422,18 +412,24 @@ def save_agent(agent: AgentState, path) -> None:
 
 
 def load_agent(path) -> AgentState:
-    with np.load(path) as data:
-        version = int(data["version"])
-        if version != AGENT_CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported agent checkpoint version {version}")
-        net = network_from_state_dict(data, prefix="net_")
-        opt = optimizer_from_state_dict(data, net, prefix="opt_")
-        store = ReplayBuffer(**{name: data[f"mem_{name}"] for name in ("states", *COLUMNS)})
-        if len(store) and store.states.shape[1] != net.input_dim:
-            raise ValueError(f"mem_states has shape {store.states.shape}, "
-                             f"expected (N, {net.input_dim})")
-        return AgentState(net=net, opt=opt, buffer=ReplayBuffer(),
-                          memory=ConsolidationMemory(store), updates=int(data["updates"]))
+    """The agent saved by save_agent; a wrong version, a misshaped array or
+    a non-finite value raises ValueError naming the key."""
+    with np.load(path) as npz:
+        data = {key: npz[key] for key in npz.files}
+    version = int(data["version"])
+    if version != AGENT_CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported agent checkpoint version {version}")
+    for key, column in data.items():
+        if column.dtype.kind == "f" and not np.isfinite(column).all():
+            raise ValueError(f"{key} holds non-finite values")
+    net = network_from_state_dict(data, prefix="net_")
+    opt = optimizer_from_state_dict(data, net, prefix="opt_")
+    store = ReplayBuffer(**{name: data[f"mem_{name}"] for name in ("states", *COLUMNS)})
+    if len(store) and store.states.shape[1] != net.input_dim:
+        raise ValueError(f"mem_states has shape {store.states.shape}, "
+                         f"expected (N, {net.input_dim})")
+    return AgentState(net=net, opt=opt, buffer=ReplayBuffer(),
+                      memory=ConsolidationMemory(store), updates=int(data["updates"]))
 
 
 def _period_report(curr: PeriodDataset, cfg: TrainerConfig, generated: int,
@@ -565,18 +561,15 @@ def run_full_retrain(datasets: list[PeriodDataset], cfg: TrainerConfig,
             learning_rate=cfg.learning_rate, optimizer=optimizer,
         )
         t_start = time.perf_counter()
-        seen = datasets[: i + 1]
-        pool = _allocate_pool([_rollout_plan(past, past.nodes, cfg.window) for past in seen], dim)
-        for past in seen:
+        for past in datasets[: i + 1]:
             calibration = fit_calibration(past)
             discretizer = fit_discretizer(past.flows_in("train"))
             assembler = StateAssembler(past, window=cfg.window, calibration=calibration)
             rng_rollout = np.random.default_rng([seed, past.period, i, 3])
-            generate_training_experiences(
-                past, past.nodes, agent.net, cfg, weights, assembler, discretizer,
-                rng_rollout, pool,
-            )
-        agent.buffer.extend(pool)
+            agent.buffer.extend(generate_training_experiences(
+                past, past.nodes, agent.net, cfg, weights, assembler, discretizer, rng_rollout
+            ))
+        pool = agent.buffer
         t_rollout = time.perf_counter()
         rng_train = np.random.default_rng([seed, curr.period, i, 4])
         epoch_losses = train_on_buffer(

@@ -6,7 +6,7 @@ from itertools import repeat
 
 import numpy as np
 
-from flowrl.env import WINDOW_DEFAULT, StateAssembler, classify
+from flowrl.env import WINDOW_DEFAULT, classify, fit_calibration
 from flowrl.ingest import READINGS_HEADER
 from flowrl.metrics import compute_metrics
 from flowrl.qnet import forward
@@ -38,6 +38,39 @@ def write_readings_reference(dataset, readings_path) -> None:
             writer.writerows(zip(stamps, repeat(sid), *(map(repr, col) for col in block.T.tolist())))
 
 
+def build_state(dataset, v, t, window=WINDOW_DEFAULT, calibration=None) -> np.ndarray:
+    """One state vector for (node, time), read straight from
+    `dataset.values` and the snapshot's edges one value at a time: the own
+    flow, speed and occupancy windows over [t - window, t), then the mean
+    of the neighbors' windows in the same order, their values added in
+    sorted-id order, then the degree over the largest degree."""
+    cal = calibration if calibration is not None else fit_calibration(dataset)
+    nodes = dataset.snapshot.nodes
+    if v not in nodes:
+        raise ValueError(f"unknown node {v!r}")
+    if not window <= t <= dataset.length:
+        raise ValueError(f"time index {t} outside [{window}, {dataset.length}]")
+
+    def channel(u, c, s):
+        value = dataset.values[dataset.index[u], s, c]
+        if c == 0:
+            return np.clip(value / cal.flow_max, 0.0, 1.0)
+        return np.clip(value / cal.speed_max, 0.0, 1.0) if c == 1 else value
+
+    adjacent = {u: sorted({b if a == u else a for a, b in dataset.snapshot.edges if u in (a, b)})
+                for u in nodes}
+    state = [channel(v, c, s) for c in range(3) for s in range(t - window, t)]
+    for c in range(3):
+        for s in range(t - window, t):
+            acc = 0.0
+            for u in adjacent[v]:
+                acc += channel(u, c, s)
+            state.append(acc / max(len(adjacent[v]), 1))
+    max_degree = max(len(a) for a in adjacent.values())
+    state.append(len(adjacent[v]) / max_degree if max_degree else 0.0)
+    return np.array(state, dtype=float)
+
+
 def predict_horizon(net, dataset, node, t, horizon, discretizer, window=WINDOW_DEFAULT,
                     calibration=None):
     """Autoregressive greedy forecast of `horizon` steps from anchor t, one
@@ -48,8 +81,8 @@ def predict_horizon(net, dataset, node, t, horizon, discretizer, window=WINDOW_D
     windows shift with their last slot held, and the neighbor block stays
     frozen at the anchor.
     """
-    assembler = StateAssembler(dataset, window=window, calibration=calibration)
-    state = assembler.state(node, t)
+    calibration = calibration if calibration is not None else fit_calibration(dataset)
+    state = build_state(dataset, node, t, window, calibration)
     classes, flows = np.empty(horizon, dtype=int), np.empty(horizon)
     for j in range(horizon):
         a = int(np.argmax(forward(net, state)))
@@ -57,7 +90,7 @@ def predict_horizon(net, dataset, node, t, horizon, discretizer, window=WINDOW_D
         for c in range(3):
             own = state[c * window : (c + 1) * window]
             own[:-1] = own[1:].copy()
-        state[window - 1] = min(max(flows[j] / assembler.calibration.flow_max, 0.0), 1.0)
+        state[window - 1] = min(max(flows[j] / calibration.flow_max, 0.0), 1.0)
     return classes, flows
 
 

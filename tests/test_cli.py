@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -260,6 +264,35 @@ class TestTrain:
         code = main([*args, "--config", str(config), "--data-dir", str(data)])
         assert code == 2
         assert f"{key} has shape" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,key", [
+        ("evaluate", "net_w1"), ("train", "net_w1"), ("train", "opt_m_wa"), ("evaluate", "opt_v_b1"),
+        ("train", "mem_states"), ("evaluate", "mem_reward"),
+    ])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_checkpoint_is_data_error(self, tmp_path, generated, capsys, command, key, bad):
+        data, config = generated
+        out = tmp_path / "out"
+        main(["train", "--config", str(config), "--data-dir", str(data), "--out-dir", str(out)])
+        for name in ("checkpoint_2.npz", "report_2.json"):
+            (out / name).unlink()
+        checkpoint = out / "checkpoint_1.npz"
+        with np.load(checkpoint) as saved:
+            payload = dict(saved)
+        assert payload[key].size > 0
+        payload[key].flat[0] = bad
+        np.savez(checkpoint, **payload)
+        capsys.readouterr()
+        if command == "evaluate":
+            args = ["evaluate", "--checkpoint", str(checkpoint), "--period", "1"]
+        else:
+            args = ["train", "--out-dir", str(out), "--resume"]
+        code = main([*args, "--config", str(config), "--data-dir", str(data)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"corrupt checkpoint {checkpoint}: {key} holds non-finite values" in captured.err
+        assert captured.out == ""  # no metrics printed, no period trained
+        assert not (out / "report_2.json").exists()
 
     def test_checkpoint_for_another_window_is_data_error(self, tmp_path, generated, capsys):
         data, config = generated
@@ -566,3 +599,22 @@ def test_text_writes_are_atomic(tmp_path):
         _write_text(path, "[run]\nseed = \ud800\n")
     assert path.read_text() == "[run]\nseed = 1\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config_echo.ini"]
+
+
+def test_reports_equal_across_blas_thread_counts(tmp_path, tiny_config):
+    """One tiny generate + train gives the same report bytes with one BLAS
+    thread and with two. The thread count is read when numpy loads, so
+    each run is a fresh interpreter."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    reports = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        data, out = tmp_path / f"data{threads}", tmp_path / f"out{threads}"
+        for args in (["generate", "--out-dir", str(data)],
+                     ["train", "--data-dir", str(data), "--out-dir", str(out)]):
+            subprocess.run([sys.executable, "-m", "flowrl", *args, "--config", str(tiny_config)],
+                           env=env, check=True, capture_output=True, timeout=300)
+        reports.append(dir_bytes(out, "report_*.json"))
+    assert sorted(reports[0]) == ["report_1.json", "report_2.json"]
+    assert reports[0] == reports[1]

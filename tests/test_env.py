@@ -6,12 +6,11 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from _helpers import make_dataset, make_series
-from flowrl.graph import neighbors
+from _oracles import build_state as oracle_state
 from flowrl.env import (
     Calibration,
     RewardWeights,
     StateAssembler,
-    build_state,
     classify,
     compute_reward,
     compute_rewards,
@@ -165,6 +164,13 @@ def star_dataset(flows_by_node, length=12):
 CAL = Calibration(flow_max=100.0, speed_max=60.0)
 
 
+def build_state(ds, v, t, window, calibration):
+    """The assembler's state for (v, t), which must equal the loop oracle's."""
+    state = StateAssembler(ds, window=window, calibration=calibration).states(v, [t])[0]
+    np.testing.assert_array_equal(state, oracle_state(ds, v, t, window, calibration))
+    return state
+
+
 class TestBuildState:
     def test_dimension_and_layout(self):
         ds = star_dataset({"h": np.arange(12), "a": np.arange(12) + 1})
@@ -246,15 +252,15 @@ class TestBuildState:
         ds = make_dataset(1, list(flows), [("n0", "n1"), ("n1", "n2")], series)
         asm = StateAssembler(ds, window=4, calibration=Calibration(100.0, 60.0))
         for v in flows:
-            s = asm.state(v, 8)
+            s = asm.states(v, [8])[0]
             assert np.all(np.isfinite(s))
             assert np.all(s >= 0) and np.all(s <= 1)
 
 
 def test_neighbor_means_equal_sorted_loop_reference():
-    """The per-node loop the assembler replaced, kept as the reference: a
-    neighbor mean adds the neighbors' normalized channels in sorted-id
-    order. Flows over many magnitudes make another order round differently."""
+    """The assembler's states equal the loop oracle's, which adds the
+    neighbors' normalized channels one value at a time in sorted-id order.
+    Flows over many magnitudes make another order round differently."""
     rng = np.random.default_rng(21)
     nodes = [f"n{i:02d}" for i in range(30)]
     edges = {tuple(map(str, rng.choice(nodes, 2, replace=False))) for _ in range(90)}
@@ -264,13 +270,35 @@ def test_neighbor_means_equal_sorted_loop_reference():
     asm = StateAssembler(ds, window=4, calibration=CAL)
     ts = np.arange(4, 41)
     for v in nodes:
-        acc = np.zeros((40, 3))
-        nbrs = sorted(neighbors(ds.snapshot, v))
-        for u in nbrs:
-            acc += asm.node_channels(u)
-        expected = acc / len(nbrs) if nbrs else acc
-        windows = np.lib.stride_tricks.sliding_window_view(expected, 4, axis=0)[ts - 4]
-        np.testing.assert_array_equal(asm.states(v, ts)[:, 12:24], windows.reshape(len(ts), 12))
+        expected = np.stack([oracle_state(ds, v, t, 4, CAL) for t in ts])
+        np.testing.assert_array_equal(asm.states(v, ts), expected)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), n=st.integers(1, 5), length=st.integers(6, 14), window=st.integers(1, 4))
+def test_keyed_pairs_equal_oracle_states(data, n, length, window):
+    """pairs(keys) is the state at each key and at the key after it, for
+    any graph; origins(keys) names the node and time of each key."""
+    nodes = [f"v{i}" for i in range(n)]
+    pairs = [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:]]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    values = data.draw(arrays(np.float64, (n, length, 3), elements=st.floats(0.0, 1.0)))
+    series = {v: make_series(v, 150 * values[i, :, 0], 90 * values[i, :, 1], values[i, :, 2])
+              for i, v in enumerate(nodes)}
+    ds = make_dataset(1, nodes, edges, series)
+    asm = StateAssembler(ds, window=window, calibration=CAL)
+    node = data.draw(st.sampled_from(nodes))
+    ts = np.array(data.draw(st.lists(st.integers(window, length - 1), min_size=1, max_size=6)))
+    keys = asm.keys(node, ts)
+    states, next_states = asm.pairs(keys)
+    for k, t in enumerate(ts):
+        np.testing.assert_array_equal(states[k], oracle_state(ds, node, int(t), window, CAL))
+        np.testing.assert_array_equal(next_states[k], oracle_state(ds, node, int(t) + 1, window, CAL))
+    np.testing.assert_array_equal(states, asm.states(node, ts))
+    ids, periods, times = asm.origins(keys)
+    assert ids.tolist() == [node] * len(ts)
+    assert periods.tolist() == [1] * len(ts)
+    assert times.tolist() == ts.tolist()
 
 
 def test_fit_calibration_uses_training_split():

@@ -4,13 +4,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from _helpers import make_dataset, make_series
 from _oracles import write_readings_reference
 from flowrl.errors import DataError
-from flowrl.graph import GraphSnapshot
+from flowrl.graph import GraphSnapshot, NodeIdError, load_adjacency
 from flowrl.ingest import (
     DriftSpec,
     GeneratorConfig,
@@ -275,10 +275,61 @@ class TestLoadPeriod:
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), length=st.integers(5, 8))
+    def test_round_trip_any_buildable_period(self, data, length):
+        """Every period that can be built loads back from what write_period
+        writes with the same nodes, times and values, bit for bit."""
+        ids = data.draw(st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=4, unique=True))
+        pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        finite = dict(allow_nan=False, allow_infinity=False)
+        flow, speed = (data.draw(arrays(np.float64, (len(ids), length),
+                                        elements=st.floats(min_value=0.0, **finite))) for _ in range(2))
+        occ = data.draw(arrays(np.float64, (len(ids), length), elements=st.floats(0.0, 1.0)))
+        try:
+            snapshot = GraphSnapshot.build(3, ids, edges)
+        except NodeIdError:
+            assume(False)
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        ds = PeriodDataset(
+            period=3, snapshot=snapshot, nodes=tuple(ids[i] for i in order),
+            times=np.datetime64("2003-01-01T00:00:00") + 300 * np.arange(length),
+            values=np.stack([flow, speed, occ], axis=-1)[order], splits=compute_splits(length),
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            loaded = load_period(*write_dataset(ds, Path(tmp))[:2], 3, nodes_path=Path(tmp, "nodes_3.csv"))
+        assert loaded.nodes == ds.nodes
+        assert np.array_equal(loaded.times, ds.times)
+        assert loaded.values.tobytes() == ds.values.tobytes()
+        assert loaded.snapshot == ds.snapshot
+
+    @pytest.mark.parametrize("bad", ["", " s 1 ", "s1 ", "\ts1", "s\n1", "s1\r", "\n", " "])
+    def test_unreadable_node_id_rejected(self, bad):
+        """An id that the period files cannot carry back (empty, padded with
+        whitespace or holding a line break) is refused where a snapshot is
+        built, before write_period could write it."""
+        with pytest.raises(NodeIdError, match="node id"):
+            GraphSnapshot.build(3, ["s0", bad], [])
+        with pytest.raises(NodeIdError, match="node id"):
+            GraphSnapshot(period=3, nodes=frozenset(["s0", bad]), edges=frozenset())
+
+    def test_line_break_id_in_graph_file_names_line(self, tmp_path):
+        adjacency = tmp_path / "adjacency.csv"
+        adjacency.write_text('from,to\r\ns0,s1\r\n"s\n2",s0\r\n')
+        # the csv reader numbers a record by the line it ends on
+        with pytest.raises(DataError, match=r"adjacency.csv:4: node id 's\\n2'"):
+            load_adjacency(adjacency, 1)
+        nodes = tmp_path / "nodes.csv"
+        nodes.write_text('node_id\r\n"s\r3"\r\n')
+        adjacency.write_text("from,to\r\ns0,s1\r\n")
+        with pytest.raises(DataError, match="nodes.csv:3: node id"):
+            load_adjacency(adjacency, 1, nodes_path=nodes)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), length=st.integers(5, 8))
     def test_readings_bytes_match_per_row_writer(self, data, length):
         ids = sorted(data.draw(st.lists(
-            st.one_of(st.sampled_from(["a,b", 'say "hi"', "100%", "%s", "%%r", " s 1 ", ""]),
-                      st.text(alphabet=',"% sr1\n', max_size=5)),
+            st.one_of(st.sampled_from(["a,b", 'say "hi"', "100%", "%s", "%%r", "s 1"]),
+                      st.text(alphabet=',"% sr1', min_size=1, max_size=5).filter(lambda v: v == v.strip())),
             min_size=1, max_size=4, unique=True)))
         edge = [-0.0, 0.0, 5e-324, 1e-05, 0.0001]
         finite = dict(allow_nan=False, allow_infinity=False)

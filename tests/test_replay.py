@@ -5,8 +5,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from _helpers import make_dataset, make_series
+from flowrl.env import StateAssembler
 from flowrl.replay import (
     ConsolidationMemory,
+    KeyedStates,
     ReplayBuffer,
     assign_priority,
     mixed_batch,
@@ -137,15 +140,38 @@ class TestBuffer:
             sample(ReplayBuffer(), 4, 1.0, np.random.default_rng(0))
 
     def test_allocated_pool_rejects_overfill(self):
-        pool = ReplayBuffer.allocate(5, 2, 2, ["a", "bb"])
-        pool.add_rollout(np.zeros((4, 2)), [0, 1, 2], [0.1, 0.2, 0.3], "a", 1, 10)
+        asm = two_node_assembler()
+        pool = ReplayBuffer.allocate(5, KeyedStates(asm))
+        pool.add_rollout(asm.keys("a", [2, 3, 4]), [0, 1, 2], [0.1, 0.2, 0.3])
         with pytest.raises(ValueError, match="no room"):
-            pool.add_rollout(np.zeros((4, 2)), [0, 1, 2], [0.1, 0.2, 0.3], "bb", 1, 10)
-        pool.add_rollout(np.ones((3, 2)), [3, 4], [0.4, 0.5], "bb", 1, 10)
+            pool.add_rollout(asm.keys("bb", [2, 3, 4]), [0, 1, 2], [0.1, 0.2, 0.3])
+        pool.add_rollout(asm.keys("bb", [2, 3]), [3, 4], [0.4, 0.5])
         assert len(pool) == 5
         assert pool.node_id.tolist() == ["a"] * 3 + ["bb"] * 2
+        assert pool.t.tolist() == [2, 3, 4, 2, 3]
+        assert pool.period.tolist() == [7] * 5
         assert pool.terminal.tolist() == [False, False, True, False, True]
-        assert pool.row.tolist() == [0, 1, 2, 4, 5]
+        assert pool.row.tolist() == [2, 3, 4, 11 + 2, 11 + 3]  # T + 1 = 11 keys per node
+
+    def test_keyed_and_materialized_stores_do_not_mix(self):
+        asm = two_node_assembler()
+        pool = ReplayBuffer.allocate(1, KeyedStates(asm))
+        pool.add_rollout(asm.keys("a", [5]), [1], [0.5])
+        with pytest.raises(TypeError, match="keyed"):
+            pool.extend(store([0.5]))
+        kept = pool.take([0])
+        assert not kept.keyed and kept.states.shape == (2, asm.dim)
+        assert transitions(kept) == transitions(pool)
+        memory = ConsolidationMemory()
+        with pytest.raises(ValueError, match="carry their states"):
+            memory.add_period(7, pool)
+        memory.add_period(7, kept)
+        assert not memory.store.keyed
+
+
+def two_node_assembler():
+    series = {v: make_series(v, np.arange(10.0) + i) for i, v in enumerate(("a", "bb"))}
+    return StateAssembler(make_dataset(7, ["a", "bb"], [("a", "bb")], series), window=2)
 
 
 class TestRetainTopFraction:

@@ -1,4 +1,5 @@
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,9 +8,16 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import _mdp
-from _oracles import evaluate_period_per_horizon, predict_horizon, tabular_q_update, td_target
+from _oracles import (
+    build_state,
+    evaluate_period_per_horizon,
+    predict_horizon,
+    tabular_q_update,
+    td_target,
+)
 from _helpers import make_dataset, make_series
 from flowrl.env import Calibration, RewardWeights, StateAssembler, classify, fit_discretizer
+from flowrl.replay import ReplayBuffer, mixed_batch, sample
 from flowrl.drift import DriftConfig
 from flowrl.ingest import GeneratorConfig, generate_synthetic
 from flowrl.qnet import QNetwork, forward, param_views
@@ -17,6 +25,7 @@ from flowrl.trainer import (
     TrainerConfig,
     epsilon_schedule,
     generate_rollout,
+    generate_training_experiences,
     init_agent,
     load_agent,
     evaluate_period,
@@ -117,10 +126,10 @@ class TestRollouts:
         batch = exps.gather(np.arange(len(exps)))
         np.testing.assert_array_equal(batch.next_states[:-1], batch.states[1:])
         assert np.all(np.diff(exps.t) == 1)
-        asm = StateAssembler(ds, window=6)
         for k in (0, len(exps) - 1):
-            np.testing.assert_array_equal(batch.states[k], asm.state(rollout.node_id, exps.t[k]))
-            np.testing.assert_array_equal(batch.next_states[k], asm.state(rollout.node_id, exps.t[k] + 1))
+            np.testing.assert_array_equal(batch.states[k], build_state(ds, rollout.node_id, exps.t[k], 6))
+            np.testing.assert_array_equal(batch.next_states[k],
+                                          build_state(ds, rollout.node_id, exps.t[k] + 1, 6))
 
     def test_terminal_only_on_last(self):
         rollout, _ = rollout_fixture(eps=0.3)
@@ -163,7 +172,7 @@ class TestPredictHorizon:
             self.net, self.ds, self.node, t, 1, self.disc, window=6,
             calibration=self.asm.calibration,
         )
-        s = self.asm.state(self.node, t)
+        s = self.asm.states(self.node, [t])[0]
         expected = int(np.argmax(forward(self.net, s)))
         assert classes.shape == (1,) and flows.shape == (1,)
         assert classes[0] == expected
@@ -217,7 +226,101 @@ class TestPredictHorizon:
 
     def test_too_little_history_rejected(self):
         with pytest.raises(ValueError, match="history"):
-            predict_horizon(self.net, self.ds, self.node, 2, 3, self.disc, window=6)
+            predict_horizon_block(self.net, self.asm, self.disc, self.node, np.array([2]), 3)
+
+
+def period_pool(ds, window=6, seed=4):
+    """A keyed pool of every node's training rollout over ds."""
+    cfg = TrainerConfig(window=window)
+    asm = StateAssembler(ds, window=window)
+    net = QNetwork.initialize(asm.dim, hidden=16, seed=seed)
+    return generate_training_experiences(ds, ds.nodes, net, cfg, RewardWeights(), asm,
+                                         fit_discretizer(ds.flows_in("train")),
+                                         np.random.default_rng(seed))
+
+
+class TestKeyedPool:
+    def test_mixed_batch_rows_equal_oracle_states(self):
+        """Every row of a mixed batch holds the oracle's states of its
+        transition: memory rows from the retained period-1 transitions,
+        buffer rows from the period-2 pool, terminal rows included, whose
+        next state is at the end of the training split."""
+        dss = generate_synthetic(GeneratorConfig(periods=2, initial_nodes=3, growth_per_period=1,
+                                                 steps_per_period=60, noise_sigma=2.0), 5)
+        cfg = TrainerConfig(epochs=1, batch_size=32, horizons=(1,), window=4)
+        agent = init_agent(4 * 6 + 1, hidden=16, seed=0)
+        run_period(None, dss[0], agent, cfg, RewardWeights(), seed=0)
+        pool = period_pool(dss[1], window=4)
+        memory = agent.memory
+        assert len(memory) > 0 and pool.keyed and not memory.store.keyed
+        n_memory, size, omega = 128, 512, 0.0
+        batch = mixed_batch(pool, memory, size, n_memory / size, omega, np.random.default_rng(8))
+        replay = np.random.default_rng(8)
+        mem_idx = memory.draw(n_memory, replay)
+        buf_idx = sample(pool, size - n_memory, omega, replay)
+        by_period = {ds.period: ds for ds in dss}
+        rows = [(memory.store, i) for i in mem_idx] + [(pool, i) for i in buf_idx]
+        hi = dss[1].splits.train[1]
+        ends = 0
+        for k, (store, i) in enumerate(rows):
+            (node,), (period,), (t,) = store.origins([i])
+            ds = by_period[int(period)]
+            np.testing.assert_array_equal(batch.states[k], build_state(ds, str(node), int(t), 4))
+            np.testing.assert_array_equal(batch.next_states[k], build_state(ds, str(node), int(t) + 1, 4))
+            assert batch.actions[k] == store.action[i] and batch.rewards[k] == store.reward[i]
+            assert batch.terminals[k] == store.terminal[i]
+            if store is pool and store.terminal[i]:
+                assert t + 1 == hi
+                ends += 1
+        assert set(memory.store.period[mem_idx].tolist()) == {1}
+        assert ends > 0
+
+    def test_period_pool_holds_at_most_100_bytes_per_transition(self):
+        """The pool keeps keys, not state rows: what building it and its
+        sampling distribution leaves allocated is at most 100 bytes per
+        transition (a materialized 73-float state row alone is 584)."""
+        ds = diurnal_dataset(nodes=6, steps=400)
+        cfg = TrainerConfig(window=12)
+        asm = StateAssembler(ds, window=12)
+        disc = fit_discretizer(ds.flows_in("train"))
+        net = QNetwork.initialize(asm.dim, hidden=16, seed=1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            pool = generate_training_experiences(ds, ds.nodes, net, cfg, RewardWeights(), asm, disc,
+                                                 np.random.default_rng(0))
+            pool.cdf(cfg.sampling_omega)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(pool) == 6 * (240 - 12)
+        assert held / len(pool) <= 100, f"{held / len(pool):.0f} bytes per transition"
+
+    def test_pools_of_several_periods_chain_their_keys(self):
+        """Extending a store with the pools of several periods keys each
+        period's transitions past the last: the chained store gathers the
+        same states and origins as each pool alone."""
+        dss = generate_synthetic(GeneratorConfig(periods=3, initial_nodes=3, growth_per_period=1,
+                                                 steps_per_period=50, noise_sigma=2.0), 6)
+        pools = [period_pool(ds) for ds in dss]
+        chained = ReplayBuffer()
+        for pool in pools:
+            chained.extend(pool)
+        assert len(chained.states.tables) == 3 and len(chained) == sum(map(len, pools))
+        idx = np.random.default_rng(0).permutation(len(chained))
+        batch = chained.gather(idx)
+        ids, periods, ts = chained.origins(idx)
+        start = np.cumsum([0] + [len(p) for p in pools])
+        for k, i in enumerate(idx):
+            p = int(np.searchsorted(start, i, side="right")) - 1
+            alone = pools[p].gather([i - start[p]])
+            np.testing.assert_array_equal(batch.states[k], alone.states[0])
+            np.testing.assert_array_equal(batch.next_states[k], alone.next_states[0])
+            assert (ids[k], periods[k], ts[k]) == tuple(c[0] for c in pools[p].origins([i - start[p]]))
+            assert periods[k] == dss[p].period
+        kept = chained.take(idx[:7])
+        assert not kept.keyed
+        np.testing.assert_array_equal(kept.gather(np.arange(7)).states, batch.states[:7])
 
 
 def constant_flow_dataset():
