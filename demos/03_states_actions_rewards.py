@@ -12,7 +12,7 @@ from flowrl import (
     RewardWeights,
     StateAssembler,
     classify,
-    compute_reward,
+    compute_rewards,
     fit_discretizer,
     generate_synthetic,
 )
@@ -44,6 +44,7 @@ print("  normalized degree:           ", round(float(state[-1]), 3))
 # --- reward: prediction closeness + speed bonus + inverse-occupancy bonus
 weights = RewardWeights(lambda_p=1.0, lambda_c=0.1, lambda_o=0.1)
 print("\nrewards under weights (1.0, 0.1, 0.1):")
-for pred, actual, speed, occ in [(2, 2, 0.8, 0.1), (1, 2, 0.5, 0.05), (0, 4, 0.2, 0.9)]:
-    r = compute_reward(pred, actual, speed, occ, weights)
+cases = [(2, 2, 0.8, 0.1), (1, 2, 0.5, 0.05), (0, 4, 0.2, 0.9)]
+rewards = compute_rewards(*zip(*cases), weights)
+for (pred, actual, speed, occ), r in zip(cases, rewards):
     print(f"  pred={pred} actual={actual} speed_norm={speed} occupancy={occ} -> r = {r:.3f}")

@@ -23,7 +23,6 @@ from .env import (
     RewardWeights,
     StateAssembler,
     classify,
-    compute_reward,
     compute_rewards,
     fit_calibration,
     fit_discretizer,
@@ -56,12 +55,10 @@ from .qnet import (
     QNetwork,
     apply_update,
     dueling_aggregate,
-    forward,
     forward_batch,
     init_optimizer,
     loss_and_gradients,
     param_views,
-    select_action,
     select_actions,
 )
 from .replay import (

@@ -144,12 +144,6 @@ def compute_rewards(pred, actual, speed_norm, occupancy, weights: RewardWeights,
     return weights.lambda_p * r_p + weights.lambda_c * r_c + weights.lambda_o * r_o
 
 
-def compute_reward(pred: int, actual: int, speed_norm: float, occupancy: float,
-                   weights: RewardWeights, occ_epsilon: float = OCC_EPSILON_DEFAULT) -> float:
-    """Scalar form of compute_rewards."""
-    return float(compute_rewards(pred, actual, speed_norm, occupancy, weights, occ_epsilon))
-
-
 def state_dim(window: int) -> int:
     """Length of a state: own and neighbor-mean windows of three channels, plus the degree."""
     return 6 * window + 1

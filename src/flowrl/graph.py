@@ -156,14 +156,19 @@ def node_diff(g_prev: GraphSnapshot, g_curr: GraphSnapshot):
 
 
 def csv_rows(path, header: list[str]):
-    """(line, stripped cells) of each non-empty line of a CSV file after its
-    header; a header other than `header` is a DataError."""
+    """(line, stripped cells) of each non-empty record of a CSV file after
+    its header; a header other than `header` is a DataError. The line is
+    the one a record starts on, also when a quoted cell spans lines."""
     with open(path, newline="") as f:
         reader = csv.reader(f)
         got = next(reader, None)
         if got is None or [h.strip() for h in got] != header:
             raise DataError(f"expected header {','.join(header)!r}, got {got!r}", path=str(path), line=1)
-        yield from ((reader.line_num, [c.strip() for c in cells]) for cells in reader if cells)
+        start = reader.line_num + 1
+        for cells in reader:  # reader.line_num is the line a record ends on
+            if cells:
+                yield start, [c.strip() for c in cells]
+            start = reader.line_num + 1
 
 
 def _node_cell(cell: str, path, line: int) -> str:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,21 +109,70 @@ def _forward_cached(net: QNetwork, states: np.ndarray):
     return q, (states, z1, h1, z2, h2)
 
 
-def forward_batch(net: QNetwork, states) -> np.ndarray:
-    """Q-values for a batch of states, shape (N, 5)."""
+class FrozenInput(NamedTuple):
+    """What stays fixed while a block of states changes only in its leading
+    columns: the first layer's pre-activation from the trailing columns,
+    with b1 added, the first-layer weights of the leading columns, and the
+    Q head (for a dueling net, value and advantage folded into one map).
+    Some fields are views of the net's parameters, so one is valid only
+    while those stay unchanged."""
+
+    z1: np.ndarray      # (n, hidden)
+    w_own: np.ndarray   # (hidden, leading columns)
+    head_w: np.ndarray  # (5, hidden)
+    head_b: np.ndarray  # (5,)
+
+
+def freeze_input(net: QNetwork, tail) -> FrozenInput:
+    """The fixed part of forward_batch(net, own, frozen) for states whose
+    trailing columns are `tail` (n, m) and whose leading input_dim - m
+    columns are passed as `own` at each call.
+
+    The dueling aggregate Q = V + A - mean(A) is linear in the last hidden
+    layer, so its head folds into weights wa + wv - mean_k(wa_k) and bias
+    ba + bv - mean(ba).
+    """
+    tail = np.asarray(tail, dtype=float)
+    if tail.ndim != 2 or not 0 < tail.shape[1] < net.input_dim:
+        raise ValueError(f"frozen columns have shape {tail.shape}, expected (N, m) with "
+                         f"0 < m < {net.input_dim}")
+    split = net.input_dim - tail.shape[1]
+    z1 = tail @ net.w1[:, split:].T
+    z1 += net.b1
+    if net.dueling:
+        head_w = net.wa + net.wv - net.wa.mean(axis=0)
+        head_b = net.ba + net.bv - net.ba.mean()
+    else:
+        head_w, head_b = net.wa, net.ba
+    return FrozenInput(z1, net.w1[:, :split], head_w, head_b)
+
+
+def forward_batch(net: QNetwork, states, frozen: FrozenInput | None = None) -> np.ndarray:
+    """Q-values for a batch of states, shape (N, 5).
+
+    With `frozen` (from freeze_input), `states` holds only each state's
+    leading columns and the rest of the first layer and the folded head
+    come from `frozen`. The split sums round differently, so such Q-values
+    match the full forward only to the last bits; read them through argmax.
+    """
     states = np.asarray(states, dtype=float)
-    if states.ndim != 2 or states.shape[1] != net.input_dim:
-        raise ValueError(f"state batch has shape {states.shape}, expected (N, {net.input_dim})")
-    q, _ = _forward_cached(net, states)
+    if frozen is None:
+        if states.ndim != 2 or states.shape[1] != net.input_dim:
+            raise ValueError(f"state batch has shape {states.shape}, expected (N, {net.input_dim})")
+        q, _ = _forward_cached(net, states)
+        return q
+    expected = (frozen.z1.shape[0], frozen.w_own.shape[1])
+    if states.shape != expected:
+        raise ValueError(f"leading state columns have shape {states.shape}, expected {expected}")
+    h = states @ frozen.w_own.T
+    h += frozen.z1
+    np.maximum(h, 0.0, out=h)
+    h = h @ net.w2.T
+    h += net.b2
+    np.maximum(h, 0.0, out=h)
+    q = h @ frozen.head_w.T
+    q += frozen.head_b
     return q
-
-
-def forward(net: QNetwork, state) -> np.ndarray:
-    """Q-values for a single state, shape (5,)."""
-    state = np.asarray(state, dtype=float)
-    if state.ndim != 1 or state.shape[0] != net.input_dim:
-        raise ValueError(f"state has shape {state.shape}, expected ({net.input_dim},)")
-    return forward_batch(net, state[None, :])[0]
 
 
 def loss_and_gradients(net: QNetwork, states, actions, targets):
@@ -212,15 +262,6 @@ def apply_update(net: QNetwork, grad: np.ndarray, opt: OptimizerState):
     opt.v += (1.0 - opt.beta2) * grad * grad
     net.theta -= opt.learning_rate * (opt.m / bc1) / (np.sqrt(opt.v / bc2) + opt.eps)
     return net, opt
-
-
-def select_action(net: QNetwork, state, epsilon: float, rng: np.random.Generator) -> int:
-    """Epsilon-greedy action; greedy ties break toward the lowest class."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
-    if rng.random() < epsilon:
-        return int(rng.integers(0, N_ACTIONS))
-    return int(np.argmax(forward(net, state)))
 
 
 def select_actions(net: QNetwork, states, epsilons, rng: np.random.Generator) -> np.ndarray:

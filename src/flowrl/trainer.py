@@ -37,6 +37,7 @@ from .qnet import (
     QNetwork,
     OptimizerState,
     forward_batch,
+    freeze_input,
     init_optimizer,
     loss_and_gradients,
     apply_update,
@@ -264,11 +265,15 @@ def predict_horizon_block(net: QNetwork, assembler: StateAssembler, discretizer:
     frozen at the anchor. A repeated anchor is rolled out once and its
     forecast copied to each of its rows.
 
-    The last bits of a row's Q-values depend on the block's row count: with
-    OpenBLAS 0.3.31 the (n, 64) @ (64, 5) advantage head rounds a row of a
-    block under 256 rows differently from the same row in a larger block.
-    Only each row's argmax, and so its forecast, is independent of the
-    other anchors, except at exact ties.
+    Only the own windows move, so the first layer's part from the neighbor
+    block, the degree and b1 is computed once per anchor, and a dueling
+    net's two heads are folded into one (freeze_input); each step
+    multiplies only the 3W own-window columns. The split sums give Q-values
+    whose last bits differ from the full forward, and the last bits of a
+    row also depend on the block's row count (with OpenBLAS 0.3.31 an
+    (n, 64) @ (64, 5) product rounds a row of a block under 256 rows
+    differently). Only each row's argmax is read, and it is independent of
+    both, except at exact ties, which go to the lowest class.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -277,19 +282,21 @@ def predict_horizon_block(net: QNetwork, assembler: StateAssembler, discretizer:
     anchors, rows = np.unique(anchors, return_inverse=True)
     states = assembler.states(node, anchors)
     n = states.shape[0]
-    windows = states[:, : 3 * w].reshape(n, 3, w, copy=False)  # own flow, speed, occupancy
+    frozen = freeze_input(net, states[:, 3 * w:])
+    own = np.ascontiguousarray(states[:, : 3 * w])
+    del states  # the block holds only own and frozen from here on
+    windows = own.reshape(n, 3, w, copy=False)  # own flow, speed, occupancy
     classes = np.empty((n, horizon), dtype=int)
-    flows = np.empty((n, horizon))
     for j in range(horizon):
-        a = np.argmax(forward_batch(net, states), axis=1)
+        a = np.argmax(forward_batch(net, own, frozen), axis=1)
         classes[:, j] = a
-        flows[:, j] = discretizer.representatives[a]
         if j + 1 < horizon:
             # shift every own window one step; the last speed/occupancy
             # slots keep their final observed values
             windows[:, :, :-1] = windows[:, :, 1:]
             windows[:, 0, -1] = rep_norm[a]
-    return classes[rows], flows[rows]
+    classes = classes[rows]
+    return classes, discretizer.representatives[classes]
 
 
 def evaluate_period(dataset: PeriodDataset, net: QNetwork, discretizer: Discretizer,

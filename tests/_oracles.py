@@ -6,11 +6,34 @@ from itertools import repeat
 
 import numpy as np
 
-from flowrl.env import WINDOW_DEFAULT, classify, fit_calibration
+from flowrl.env import OCC_EPSILON_DEFAULT, WINDOW_DEFAULT, classify, compute_rewards, fit_calibration
 from flowrl.ingest import READINGS_HEADER
 from flowrl.metrics import compute_metrics
-from flowrl.qnet import forward
+from flowrl.qnet import N_ACTIONS, forward_batch
 from flowrl.trainer import predict_horizon_block
+
+
+def forward(net, state) -> np.ndarray:
+    """Q-values for a single state, shape (5,): the full forward of one row."""
+    state = np.asarray(state, dtype=float)
+    if state.ndim != 1 or state.shape[0] != net.input_dim:
+        raise ValueError(f"state has shape {state.shape}, expected ({net.input_dim},)")
+    return forward_batch(net, state[None, :])[0]
+
+
+def select_action(net, state, epsilon: float, rng: np.random.Generator) -> int:
+    """Epsilon-greedy action for one state; greedy ties break toward the lowest class."""
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
+    if rng.random() < epsilon:
+        return int(rng.integers(0, N_ACTIONS))
+    return int(np.argmax(forward(net, state)))
+
+
+def compute_reward(pred: int, actual: int, speed_norm: float, occupancy: float,
+                   weights, occ_epsilon: float = OCC_EPSILON_DEFAULT) -> float:
+    """Scalar form of compute_rewards."""
+    return float(compute_rewards(pred, actual, speed_norm, occupancy, weights, occ_epsilon))
 
 
 def td_target(reward: float, next_q, gamma: float, terminal: bool) -> float:

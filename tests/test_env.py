@@ -6,13 +6,12 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from _helpers import make_dataset, make_series
-from _oracles import build_state as oracle_state
+from _oracles import build_state as oracle_state, compute_reward
 from flowrl.env import (
     Calibration,
     RewardWeights,
     StateAssembler,
     classify,
-    compute_reward,
     compute_rewards,
     fit_calibration,
     fit_discretizer,

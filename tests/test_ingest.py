@@ -315,14 +315,28 @@ class TestLoadPeriod:
     def test_line_break_id_in_graph_file_names_line(self, tmp_path):
         adjacency = tmp_path / "adjacency.csv"
         adjacency.write_text('from,to\r\ns0,s1\r\n"s\n2",s0\r\n')
-        # the csv reader numbers a record by the line it ends on
-        with pytest.raises(DataError, match=r"adjacency.csv:4: node id 's\\n2'"):
+        # a record is named by the line it starts on, not the one it ends on
+        with pytest.raises(DataError, match=r"adjacency.csv:3: node id 's\\n2'"):
             load_adjacency(adjacency, 1)
         nodes = tmp_path / "nodes.csv"
         nodes.write_text('node_id\r\n"s\r3"\r\n')
         adjacency.write_text("from,to\r\ns0,s1\r\n")
-        with pytest.raises(DataError, match="nodes.csv:3: node id"):
+        with pytest.raises(DataError, match="nodes.csv:2: node id"):
             load_adjacency(adjacency, 1, nodes_path=nodes)
+
+    def test_line_break_id_in_readings_names_line(self, tmp_path):
+        adjacency, readings = tmp_path / "adjacency.csv", tmp_path / "readings.csv"
+        adjacency.write_text("from,to\r\ns0,s1\r\n")
+        rows = ["2001-01-01T00:00:00,s0,1.0,2.0,0.1", '2001-01-01T00:00:00,"s\n1",1.0,2.0,0.1',
+                "2001-01-01T00:00:00,s1,1.0,2.0,0.1"]
+        readings.write_text("timestamp,sensor_id,flow,speed,occupancy\r\n" + "\r\n".join(rows) + "\r\n")
+        with pytest.raises(DataError, match=r"readings.csv:3: unknown sensor 's\\n1'"):
+            load_period(readings, adjacency, 1)
+        # a fault after the two-line record is named at its own line
+        rows[2] = rows[2].replace("00:00:00", "00:00:00.5")
+        readings.write_text("timestamp,sensor_id,flow,speed,occupancy\r\n" + "\r\n".join(rows) + "\r\n")
+        with pytest.raises(DataError, match=r"readings.csv:5: bad timestamp"):
+            load_period(readings, adjacency, 1)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), length=st.integers(5, 8))

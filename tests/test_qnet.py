@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from _oracles import forward, select_action
 from flowrl.qnet import (
     QNetwork,
     apply_update,
     dueling_aggregate,
-    forward,
     forward_batch,
+    freeze_input,
     init_optimizer,
     loss_and_gradients,
     param_views,
-    select_action,
     select_actions,
 )
 
@@ -142,6 +143,40 @@ class TestForward:
         net = small_net(6)
         s = np.linspace(0, 1, 7)
         np.testing.assert_array_equal(forward(net, s), forward(net, s))
+
+
+class TestSplitForward:
+    """forward_batch(net, own, freeze_input(net, tail)) against the full forward."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), dueling=st.booleans(), input_dim=st.integers(2, 20),
+           hidden=st.integers(1, 16), n=st.integers(1, 40), seed=st.integers(0, 2**16))
+    def test_matches_full_forward_at_any_split(self, data, dueling, input_dim, hidden, n, seed):
+        split = data.draw(st.integers(1, input_dim - 1))
+        rng = np.random.default_rng(seed)
+        net = small_net(input_dim=input_dim, hidden=hidden, dueling=dueling)
+        net.theta[:] = rng.standard_normal(net.theta.size)
+        states = rng.uniform(-1, 1, (n, input_dim))
+        full = forward_batch(net, states)
+        split_q = forward_batch(net, states[:, :split], freeze_input(net, states[:, split:]))
+        assert split_q.shape == full.shape == (n, 5)
+        # relative to the row's largest |Q|: an entry that cancels to near zero
+        # differs from the full forward by far more than 1e-12 of itself
+        scale = np.abs(full).max(axis=1, keepdims=True)
+        assert np.all(np.abs(split_q - full) <= 1e-12 * scale)
+        top2 = np.sort(full, axis=1)[:, -2:]
+        clear = top2[:, 1] - top2[:, 0] > 1e-9
+        np.testing.assert_array_equal(np.argmax(split_q, axis=1)[clear], np.argmax(full, axis=1)[clear])
+
+    def test_shapes_checked(self):
+        net = small_net(42)
+        for tail in (np.ones((3, 7)), np.ones((3, 0)), np.ones(4)):
+            with pytest.raises(ValueError, match="frozen columns"):
+                freeze_input(net, tail)
+        frozen = freeze_input(net, np.ones((3, 4)))
+        for own in (np.ones((3, 4)), np.ones((2, 3)), np.ones(3)):
+            with pytest.raises(ValueError, match=r"leading state columns .* expected \(3, 3\)"):
+                forward_batch(net, own, frozen)
 
 
 def fd_gradient(net, states, actions, targets, name, index, h=1e-5):

@@ -10,7 +10,9 @@ from hypothesis.extra.numpy import arrays
 import _mdp
 from _oracles import (
     build_state,
+    compute_reward,
     evaluate_period_per_horizon,
+    forward,
     predict_horizon,
     tabular_q_update,
     td_target,
@@ -20,7 +22,7 @@ from flowrl.env import Calibration, RewardWeights, StateAssembler, classify, fit
 from flowrl.replay import ReplayBuffer, mixed_batch, sample
 from flowrl.drift import DriftConfig
 from flowrl.ingest import GeneratorConfig, generate_synthetic
-from flowrl.qnet import QNetwork, forward, param_views
+from flowrl.qnet import QNetwork, param_views
 from flowrl.trainer import (
     TrainerConfig,
     epsilon_schedule,
@@ -147,8 +149,6 @@ class TestRollouts:
         rollout, ds = rollout_fixture(eps=0.5)
         disc = fit_discretizer(ds.flows_in("train"))
         asm = StateAssembler(ds, window=6)
-        from flowrl.env import compute_reward
-
         exps = rollout.experiences
         for node, t, action, reward in zip(exps.node_id[:20], exps.t[:20], exps.action[:20],
                                            exps.reward[:20]):
@@ -205,9 +205,9 @@ class TestPredictHorizon:
         real_forward = trainer_mod.forward_batch
         rows = []
 
-        def counting_forward(net, states):
+        def counting_forward(net, states, frozen=None):
             rows.append(states.shape[0])
-            return real_forward(net, states)
+            return real_forward(net, states, frozen)
 
         monkeypatch.setattr(trainer_mod, "forward_batch", counting_forward)
         anchors = np.array([40, 10, 40, 17, 10])
@@ -223,6 +223,15 @@ class TestPredictHorizon:
             )
             np.testing.assert_array_equal(blk_cls[i], cls)
             np.testing.assert_array_equal(blk_flow[i], flow)
+
+    def test_zero_net_forecasts_class_zero(self):
+        for dueling in (True, False):
+            net = QNetwork.initialize(self.asm.dim, hidden=16, seed=3, dueling=dueling)
+            net.theta[:] = 0.0  # every Q-value ties, so each step takes the lowest class
+            anchors = np.array([40, 10, 17, 40])
+            classes, flows = predict_horizon_block(net, self.asm, self.disc, self.node, anchors, 7)
+            np.testing.assert_array_equal(classes, np.zeros((4, 7), dtype=int))
+            np.testing.assert_array_equal(flows, np.full((4, 7), self.disc.representatives[0]))
 
     def test_too_little_history_rejected(self):
         with pytest.raises(ValueError, match="history"):
@@ -554,9 +563,9 @@ def test_evaluation_rolls_out_once_per_node(monkeypatch):
     real_forward = trainer_mod.forward_batch
     rows = []
 
-    def counting_forward(net, states):
+    def counting_forward(net, states, frozen=None):
         rows.append(states.shape[0])
-        return real_forward(net, states)
+        return real_forward(net, states, frozen)
 
     monkeypatch.setattr(trainer_mod, "forward_batch", counting_forward)
     evaluate_period(ds, net, disc, asm, (12, 3))
