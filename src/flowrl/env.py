@@ -149,6 +149,15 @@ def state_dim(window: int) -> int:
     return 6 * window + 1
 
 
+def window_rows(windows: np.ndarray, degree: np.ndarray) -> np.ndarray:
+    """State rows from (n, 6, W) channel windows and the n nodes' degrees."""
+    n, _, w = windows.shape
+    out = np.empty((n, state_dim(w)))
+    out[:, : 6 * w].reshape(n, 6, w, copy=False)[...] = windows
+    out[:, 6 * w] = degree
+    return out
+
+
 class StateAssembler:
     """Builds state vectors for one period's dataset.
 
@@ -161,7 +170,7 @@ class StateAssembler:
 
     The table doubles as a keyed state store for replay: key i*(T+1) + t is
     node i at time t, so a transition's next state is the key after its
-    own, and one (W + 1)-step window gather yields both.
+    own, and one (W + 1)-step window (`windows`) yields both.
     """
 
     def __init__(self, dataset: PeriodDataset, window: int = WINDOW_DEFAULT,
@@ -212,21 +221,6 @@ class StateAssembler:
         """Keys of node v's states at time indices ts."""
         return self.dataset.index[v] * self._table.shape[2] + np.asarray(ts, dtype=np.int64)
 
-    def _gather(self, nodes: np.ndarray, ts: np.ndarray, pairs: bool):
-        """States of node rows `nodes` at times ts, and with `pairs` the
-        states at ts + 1 too, copied out of one (W + 1)-step window gather."""
-        win = self._windows[nodes, :, ts - self.window]  # (n, 6, W + 1), oldest first
-        states = self._rows(win[..., :-1], nodes)
-        return (states, self._rows(win[..., 1:], nodes)) if pairs else states
-
-    def _rows(self, windows: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-        """(n, 6, W) channel windows and the nodes' degrees as state rows."""
-        n, w = len(nodes), self.window
-        out = np.empty((n, self.dim))
-        out[:, : 6 * w].reshape(n, 6, w, copy=False)[...] = windows
-        out[:, 6 * w] = self._degree[nodes]
-        return out
-
     def states(self, v: str, ts) -> np.ndarray:
         """State matrix for node v at each time index in ts.
 
@@ -245,13 +239,15 @@ class StateAssembler:
             raise ValueError(
                 f"time index {int(ts.max())} beyond series length {self.dataset.length}"
             )
-        return self._gather(np.full(ts.size, self.dataset.index[v]), ts, pairs=False)
+        windows, degree = self.windows(self.keys(v, ts))
+        return window_rows(windows[..., :-1], degree)
 
-    def pairs(self, keys) -> tuple[np.ndarray, np.ndarray]:
-        """(states, next states) of the given keys: the states at key k and
-        at k + 1, for keys of a time index below T."""
+    def windows(self, keys) -> tuple[np.ndarray, np.ndarray]:
+        """The (6, W + 1) window of each key, oldest first, and its node's
+        degree: [..., :-1] is the state at key k, and for a time index
+        below T, [..., 1:] is the state at k + 1. Both are copies."""
         nodes, ts = np.divmod(keys, self._table.shape[2])
-        return self._gather(nodes, ts, pairs=True)
+        return self._windows[nodes, :, ts - self.window], self._degree[nodes]
 
     def origins(self, keys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(node id, period, time index) of each key."""

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 import warnings
 from dataclasses import dataclass
 from datetime import datetime
@@ -38,6 +39,9 @@ CHANNELS = ("flow", "speed", "occupancy")
 # which leaves a fraction of a second too, so it is rejected the same way.
 _ROW_DTYPE = np.dtype([("time", "M8[ns]"), ("sensor", object),
                        ("flow", "f8"), ("speed", "f8"), ("occupancy", "f8")])
+# Parsing at ns drops any digit past the ninth of a fraction, so a
+# timestamp with more is found in the text.
+_PAST_NS = re.compile(rb":\d\d\.\d{10}")
 
 
 @dataclass(eq=False)
@@ -187,6 +191,21 @@ def _row_problem(cells: list[str]) -> str | None:
     return None
 
 
+def _past_ns(path) -> bool:
+    """Whether the file's text matches _PAST_NS. It is read in 1 MiB blocks,
+    so that it is never held whole, and a block is searched only if it holds
+    a ':' three bytes before a '.', as every match does."""
+    with open(path, "rb") as f:
+        tail = b""
+        while block := f.read(1 << 20):
+            text = tail + block
+            buf = np.frombuffer(text, np.uint8)
+            if ((buf[:-3] == ord(":")) & (buf[3:] == ord("."))).any() and _PAST_NS.search(text):
+                return True
+            tail = block[-16:]
+    return False
+
+
 def load_period(readings_path, adjacency_path, period: int, nodes_path=None) -> PeriodDataset:
     """Load one period from a readings CSV plus its adjacency CSV.
 
@@ -219,6 +238,9 @@ def load_period(readings_path, adjacency_path, period: int, nodes_path=None) -> 
         raise DataError(f"unreadable readings: {e}", path=str(path)) from None
 
     bad = np.isnat(rows["time"]) | (rows["time"].view(np.int64) % 10**9 != 0)
+    if _past_ns(path):  # a match may also lie in a sensor id
+        bad[[k for k, (_, cells) in enumerate(csv_rows(path, READINGS_HEADER))
+             if _PAST_NS.search(cells[0].encode())]] = True
     if bad.any():
         raise fault(np.argmax(bad),
                     lambda cells: f"bad timestamp {cells[0]!r} (naive ISO-8601 to the second expected)")

@@ -1,18 +1,16 @@
 """Experience storage: reward-prioritized replay plus a consolidation memory.
 
-Transitions are kept in columns (`ReplayBuffer`). Transition i goes from
-state row[i] to state row[i] + 1 of the store's `states`, which is either
-a matrix of its own or `KeyedStates`, keys into the state tables of the
-periods the transitions came from. A period's pool is keyed: it holds a
-key, an action, a reward and a terminal flag per transition, and a batch
-reads its states from the period's table by key. Priorities equal the
+A period's pool (`ReplayBuffer`) keeps its transitions in columns: a key
+into the period's state table, an action, a reward and a terminal flag.
+Transition i goes from the state at key row[i] to the one at row[i] + 1,
+and a batch reads both from one window of the table. Priorities equal the
 (floored) reward, which never changes once a transition exists, so the
 sampling distribution p_i^omega / sum_k p_k^omega becomes one cumulative
 sum per pool and every batch is a binary search of uniform draws, with
 replacement. After each period the top fraction of that period's
-transitions by priority is copied, states included, into a consolidation
-memory and replayed into later training batches to guard old-node
-knowledge against forgetting.
+transitions by priority goes into a consolidation memory, each with the
+window its states are cut from, and is replayed into later training
+batches to guard old-node knowledge against forgetting.
 """
 
 from __future__ import annotations
@@ -22,24 +20,30 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .env import window_rows
+
 PRIORITY_FLOOR = 1e-3
 CONSOLIDATION_FRACTION = 0.05
 
-# Per-transition columns of every ReplayBuffer.
-TRANSITION_COLUMNS = {
+# Per-transition columns of a ReplayBuffer.
+COLUMNS = {
     "row": np.int64,
     "action": np.int64,
     "reward": np.float64,
     "terminal": np.bool_,
 }
-# The origin of each transition: stored by a store with a state matrix,
-# derived from the keys by a keyed one.
-ORIGIN_COLUMNS = {
+# Per-transition columns of a ConsolidationMemory: the five of its
+# window_columns, in their order, then the origin.
+MEMORY_COLUMNS = {
+    "windows": np.float64,  # (N, 6, W + 1): the state is [..., :-1], the next state [..., 1:]
+    "degree": np.float64,
+    "action": np.int64,
+    "reward": np.float64,
+    "terminal": np.bool_,
     "node_id": np.str_,
     "period": np.int64,
     "t": np.int64,  # time index of the prediction step within its period
 }
-COLUMNS = {**TRANSITION_COLUMNS, **ORIGIN_COLUMNS}
 
 
 class Batch(NamedTuple):
@@ -48,6 +52,12 @@ class Batch(NamedTuple):
     rewards: np.ndarray
     next_states: np.ndarray
     terminals: np.ndarray
+
+
+def _window_batch(windows, degree, actions, rewards, terminals) -> Batch:
+    """A batch whose state and next state of row i are cut from windows[i]."""
+    return Batch(window_rows(windows[..., :-1], degree), actions, rewards,
+                 window_rows(windows[..., 1:], degree), terminals)
 
 
 def assign_priority(rewards, floor: float = PRIORITY_FLOOR) -> np.ndarray:
@@ -61,15 +71,12 @@ def assign_priority(rewards, floor: float = PRIORITY_FLOOR) -> np.ndarray:
 class KeyedStates:
     """The state keys of one or more period state tables, numbered back to
     back: key offsets[p] + k is key k of tables[p]. A table is a
-    `StateAssembler`, or anything with its `key_count`, `pairs` and
+    `StateAssembler`, or anything with its `key_count`, `windows` and
     `origins`."""
 
     def __init__(self, *tables):
         self.tables = tables
         self.offsets = np.cumsum([0, *(table.key_count for table in tables)])
-
-    def __len__(self) -> int:
-        return int(self.offsets[-1])
 
     def _by_table(self, keys, method: str) -> tuple[np.ndarray, ...]:
         """`method` of each key's table, answered in key order."""
@@ -81,32 +88,22 @@ class KeyedStates:
         back = np.argsort(np.argsort(part, kind="stable"))  # each key's place among the answers
         return tuple(np.concatenate(pieces)[back] for pieces in zip(*answers))
 
-    def pairs(self, keys) -> tuple[np.ndarray, np.ndarray]:
-        return self._by_table(keys, "pairs")
+    def windows(self, keys) -> tuple[np.ndarray, np.ndarray]:
+        return self._by_table(keys, "windows")
 
     def origins(self, keys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self._by_table(keys, "origins")
 
 
 class ReplayBuffer:
-    """Columnar transitions: transition i goes from state row[i] to
-    row[i] + 1 of `states`, with the action, reward and terminal flag of
-    that step and its origin (node_id, period, t).
+    """Columnar transitions keyed into `states` (KeyedStates): transition i
+    goes from key row[i] to row[i] + 1, with the action, reward and
+    terminal flag of that step."""
 
-    `states` is either a matrix of state rows, with the origin columns
-    stored beside it, or `KeyedStates`, from whose keys the origin is
-    derived."""
-
-    def __init__(self, states=None, **columns):
-        keyed = isinstance(states, KeyedStates)
-        if not keyed:
-            states = np.zeros((0, 0)) if states is None else np.asarray(states, dtype=float)
-        self.states = states
-        for name, dtype in TRANSITION_COLUMNS.items():
+    def __init__(self, states: KeyedStates | None = None, **columns):
+        self.states = states if states is not None else KeyedStates()
+        for name, dtype in COLUMNS.items():
             setattr(self, name, np.asarray(columns.pop(name, ()), dtype=dtype))
-        self._origins = None if keyed else tuple(
-            np.asarray(columns.pop(name, ()), dtype=dtype) for name, dtype in ORIGIN_COLUMNS.items()
-        )
         if columns:
             raise TypeError(f"unknown columns {sorted(columns)}")
         self._fill = len(self.row)  # next free transition
@@ -114,43 +111,21 @@ class ReplayBuffer:
 
     @classmethod
     def allocate(cls, transitions: int, states: KeyedStates) -> ReplayBuffer:
-        """Room for `transitions` keyed transitions, to be written by add_rollout."""
-        store = cls(states, **{name: np.empty(transitions, dtype)
-                               for name, dtype in TRANSITION_COLUMNS.items()})
+        """Room for `transitions` transitions, to be written by add_rollout."""
+        store = cls(states, **{name: np.empty(transitions, dtype) for name, dtype in COLUMNS.items()})
         store._fill = 0
         return store
 
     def __len__(self) -> int:
         return len(self.row)
 
-    @property
-    def keyed(self) -> bool:
-        return self._origins is None
-
     def origins(self, idx=slice(None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(node_id, period, t) of transitions idx."""
-        if self.keyed:
-            return self.states.origins(self.row[idx])
-        return tuple(column[idx] for column in self._origins)
+        return self.states.origins(self.row[idx])
 
-    @property
-    def node_id(self) -> np.ndarray:
-        return self.origins()[0]
-
-    @property
-    def period(self) -> np.ndarray:
-        return self.origins()[1]
-
-    @property
-    def t(self) -> np.ndarray:
-        return self.origins()[2]
-
-    def columns(self) -> dict[str, np.ndarray]:
-        """`states` and every column a store of this kind keeps."""
-        columns = {"states": self.states, **{name: getattr(self, name) for name in TRANSITION_COLUMNS}}
-        if not self.keyed:
-            columns.update(zip(ORIGIN_COLUMNS, self._origins))
-        return columns
+    def subset(self, idx) -> ReplayBuffer:
+        """Transitions idx, keyed into the same states."""
+        return ReplayBuffer(self.states, **{name: getattr(self, name)[idx] for name in COLUMNS})
 
     def add_rollout(self, keys, actions, rewards) -> ReplayBuffer:
         """Write one rollout (n steps from state keys[0] to keys[-1] + 1)
@@ -166,34 +141,28 @@ class ReplayBuffer:
         self.terminal[span] = np.arange(n) == n - 1
         self._fill = s + n
         self._cdf = None
-        return ReplayBuffer(self.states, **{name: getattr(self, name)[span] for name in TRANSITION_COLUMNS})
+        return self.subset(span)
 
     def extend(self, items: ReplayBuffer) -> None:
-        """Append items' transitions; an empty store takes items' arrays
-        without copying them."""
-        vars(self).update(vars(concatenate(self, items)))
+        """Append items' transitions, their keys numbered after this store's;
+        an empty store takes items' arrays without copying them."""
+        if len(self) == 0:
+            vars(self).update(vars(items))
+        elif len(items):
+            for name in COLUMNS:
+                setattr(self, name, np.concatenate([getattr(self, name), getattr(items, name)]))
+            self.row[-len(items):] += self.states.offsets[-1]
+            self.states = KeyedStates(*self.states.tables, *items.states.tables)
         self._fill = len(self.row)
         self._cdf = None
 
-    def _pairs(self, rows) -> tuple[np.ndarray, np.ndarray]:
-        if self.keyed:
-            return self.states.pairs(rows)
-        return self.states[rows], self.states[rows + 1]
-
-    def take(self, idx) -> ReplayBuffer:
-        """A compact copy of transitions idx with a state matrix of its
-        own, in which each has its own (state, next state) pair of rows."""
-        idx = np.asarray(idx, dtype=np.int64)
-        states, next_states = self._pairs(self.row[idx])
-        columns = {name: getattr(self, name)[idx] for name in TRANSITION_COLUMNS}
-        columns.update(zip(ORIGIN_COLUMNS, self.origins(idx)))
-        columns["row"] = np.arange(0, 2 * len(idx), 2)
-        pairs = np.stack([states, next_states], axis=1).reshape(2 * len(idx), states.shape[1])
-        return ReplayBuffer(pairs, **columns)
+    def window_columns(self, idx) -> tuple[np.ndarray, ...]:
+        """(windows, degree, action, reward, terminal) of transitions idx."""
+        return (*self.states.windows(self.row[idx]), self.action[idx], self.reward[idx],
+                self.terminal[idx])
 
     def gather(self, idx) -> Batch:
-        states, next_states = self._pairs(self.row[idx])
-        return Batch(states, self.action[idx], self.reward[idx], next_states, self.terminal[idx])
+        return _window_batch(*self.window_columns(idx))
 
     def priorities(self) -> np.ndarray:
         return assign_priority(self.reward)
@@ -206,24 +175,6 @@ class ReplayBuffer:
             cdf /= cdf[-1]
             self._cdf = (omega, cdf)
         return self._cdf[1]
-
-
-def concatenate(first: ReplayBuffer, second: ReplayBuffer) -> ReplayBuffer:
-    """The transitions of both stores, first's before second's; an empty
-    side returns the other store itself. Both keep a state matrix, or both
-    are keyed, and then the second's keys follow the first's."""
-    if len(first) == 0 or len(second) == 0:
-        return second if len(first) == 0 else first
-    if first.keyed != second.keyed:
-        raise TypeError("cannot concatenate a keyed store with a materialized one")
-    columns = {name: np.concatenate([first_col, getattr(second, name)])
-               for name, first_col in first.columns().items() if name not in ("states", "row")}
-    columns["row"] = np.concatenate([first.row, second.row + len(first.states)])
-    if first.keyed:
-        states = KeyedStates(*first.states.tables, *second.states.tables)
-    else:
-        states = np.concatenate([first.states, second.states])
-    return ReplayBuffer(states, **columns)
 
 
 def sampling_probabilities(priorities, omega: float = 1.0) -> np.ndarray:
@@ -256,7 +207,8 @@ def retain_top_fraction(experiences: ReplayBuffer,
     """The ceil(fraction*N) highest-priority transitions of a period.
 
     Ties break by (node_id, t) ascending, so the retained set is
-    deterministic. The result is a copy of a subset of the input.
+    deterministic. The result is a subset of the input, keyed into the
+    same states.
     """
     if len(experiences) == 0:
         raise ValueError("cannot retain from an empty collection")
@@ -265,33 +217,53 @@ def retain_top_fraction(experiences: ReplayBuffer,
     k = math.ceil(fraction * len(experiences))
     node_id, _, t = experiences.origins()
     order = np.lexsort((t, node_id, -experiences.priorities()))
-    return experiences.take(order[:k])
+    return experiences.subset(order[:k])
 
 
 class ConsolidationMemory:
     """Retained top-priority transitions of every past period, in the order
-    the periods were added."""
+    the periods were added, in the columns of MEMORY_COLUMNS: each keeps
+    the (6, W + 1) window that its state and next state are cut from, so
+    the memory holds no reference to a period's state table."""
 
-    def __init__(self, store: ReplayBuffer | None = None):
-        self.store = store if store is not None else ReplayBuffer()
+    def __init__(self, **columns):
+        for name, dtype in MEMORY_COLUMNS.items():
+            setattr(self, name, np.asarray(columns.pop(name, ()), dtype=dtype))
+        if columns:
+            raise TypeError(f"unknown columns {sorted(columns)}")
 
     def __len__(self) -> int:
-        return len(self.store)
+        return len(self.action)
+
+    def columns(self) -> dict[str, np.ndarray]:
+        return {name: getattr(self, name) for name in MEMORY_COLUMNS}
 
     def periods(self) -> list[int]:
-        return sorted(set(self.store.period.tolist()))
+        return sorted(set(self.period.tolist()))
 
     def add_period(self, period: int, retained: ReplayBuffer) -> None:
+        """Append the retained transitions of `period`, copying out the
+        window of each."""
         if period in self.periods():
             raise ValueError(f"period {period} already retained")
-        if retained.keyed:
-            raise ValueError("retained transitions must carry their states, not keys into their period")
-        if np.any(retained.period != period):
+        node_id, periods, t = retained.origins()
+        if np.any(periods != period):
             raise ValueError(f"retained transitions do not all come from period {period}")
-        self.store = concatenate(self.store, retained)
+        added = dict(zip(MEMORY_COLUMNS, (*retained.window_columns(slice(None)), node_id, periods, t)))
+        if len(self):
+            added = {name: np.concatenate([getattr(self, name), column]) for name, column in added.items()}
+        vars(self).update(added)
+
+    def window_columns(self, idx) -> tuple[np.ndarray, ...]:
+        """(windows, degree, action, reward, terminal) of transitions idx."""
+        return (self.windows[idx], self.degree[idx], self.action[idx], self.reward[idx],
+                self.terminal[idx])
+
+    def gather(self, idx) -> Batch:
+        return _window_batch(*self.window_columns(idx))
 
     def draw(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """Indices of a uniform draw with replacement from the store."""
+        """Indices of a uniform draw with replacement from the memory."""
         if count == 0:
             return np.empty(0, dtype=np.int64)
         if len(self) == 0:
@@ -306,7 +278,8 @@ def mixed_batch(buffer: ReplayBuffer, memory: ConsolidationMemory, batch_size: i
     buffer.
 
     Memory rows are drawn first and come first, then buffer rows, so the
-    draw order is reproducible for a fixed generator.
+    draw order is reproducible for a fixed generator. The windows of both
+    are cut into state rows together.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -317,9 +290,7 @@ def mixed_batch(buffer: ReplayBuffer, memory: ConsolidationMemory, batch_size: i
     n_memory = int(rho * batch_size + 0.5) if len(memory) > 0 else 0
     parts = []
     if n_memory:
-        parts.append(memory.store.gather(memory.draw(n_memory, rng)))
+        parts.append(memory.window_columns(memory.draw(n_memory, rng)))
     if n_memory < batch_size:
-        parts.append(buffer.gather(sample(buffer, batch_size - n_memory, omega, rng)))
-    if len(parts) == 1:
-        return parts[0]
-    return Batch(*(np.concatenate(pair) for pair in zip(*parts)))
+        parts.append(buffer.window_columns(sample(buffer, batch_size - n_memory, omega, rng)))
+    return _window_batch(*(parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))))

@@ -34,6 +34,7 @@ from .errors import DivergenceError
 from .ingest import PeriodDataset
 from .metrics import MetricSet, compute_metrics
 from .qnet import (
+    N_ACTIONS,
     QNetwork,
     OptimizerState,
     forward_batch,
@@ -48,7 +49,7 @@ from .qnet import (
     select_actions,
 )
 from .replay import (
-    COLUMNS,
+    MEMORY_COLUMNS,
     ConsolidationMemory,
     KeyedStates,
     ReplayBuffer,
@@ -401,7 +402,7 @@ class PeriodReport:
         return {"period": self.period, **{k: float(v) for k, v in self.timings.items()}}
 
 
-AGENT_CHECKPOINT_VERSION = 2
+AGENT_CHECKPOINT_VERSION = 3
 
 
 def save_agent(agent: AgentState, path) -> None:
@@ -412,15 +413,16 @@ def save_agent(agent: AgentState, path) -> None:
     payload.update(network_state_dict(agent.net, prefix="net_"))
     payload.update(optimizer_state_dict(agent.opt, agent.net, prefix="opt_"))
     payload["updates"] = np.array(agent.updates)
-    for name, column in agent.memory.store.columns().items():
+    for name, column in agent.memory.columns().items():
         payload[f"mem_{name}"] = column
     with atomic_write(path) as f:
         np.savez(f, **payload)
 
 
 def load_agent(path) -> AgentState:
-    """The agent saved by save_agent; a wrong version, a misshaped array or
-    a non-finite value raises ValueError naming the key."""
+    """The agent saved by save_agent; a wrong version, a misshaped array, a
+    non-finite value or an action outside the action space raises
+    ValueError naming the key."""
     with np.load(path) as npz:
         data = {key: npz[key] for key in npz.files}
     version = int(data["version"])
@@ -431,12 +433,17 @@ def load_agent(path) -> AgentState:
             raise ValueError(f"{key} holds non-finite values")
     net = network_from_state_dict(data, prefix="net_")
     opt = optimizer_from_state_dict(data, net, prefix="opt_")
-    store = ReplayBuffer(**{name: data[f"mem_{name}"] for name in ("states", *COLUMNS)})
-    if len(store) and store.states.shape[1] != net.input_dim:
-        raise ValueError(f"mem_states has shape {store.states.shape}, "
-                         f"expected (N, {net.input_dim})")
-    return AgentState(net=net, opt=opt, buffer=ReplayBuffer(),
-                      memory=ConsolidationMemory(store), updates=int(data["updates"]))
+    memory = ConsolidationMemory(**{name: data[f"mem_{name}"] for name in MEMORY_COLUMNS})
+    rows = memory.windows.shape[:1]
+    expected = (*rows, 6, (net.input_dim - 1) // 6 + 1)  # a state is 6W + 1 long
+    if rows != (0,) and memory.windows.shape != expected:
+        raise ValueError(f"mem_windows has shape {memory.windows.shape}, expected {expected}")
+    for name, column in memory.columns().items():
+        if name != "windows" and column.shape != rows:
+            raise ValueError(f"mem_{name} has shape {column.shape}, expected {rows} like mem_windows")
+    if np.any((memory.action < 0) | (memory.action >= N_ACTIONS)):
+        raise ValueError(f"mem_action holds actions outside [0, {N_ACTIONS - 1}]")
+    return AgentState(net=net, opt=opt, buffer=ReplayBuffer(), memory=memory, updates=int(data["updates"]))
 
 
 def _period_report(curr: PeriodDataset, cfg: TrainerConfig, generated: int,

@@ -39,3 +39,31 @@ def make_dataset(period, nodes, edges, series):
                        for i in ids])
     return PeriodDataset(period=period, snapshot=snapshot, nodes=ids, times=first.timestamps,
                          values=values, splits=compute_splits(len(first)))
+
+
+class WindowTable:
+    """A state table for replay tests that answers `key_count`, `windows`
+    and `origins` like a StateAssembler: key k is transition k, whose
+    (6, 2) window reads [t_k, t_k + 1] in every channel and whose degree
+    is r_k, so its state is [t_k] * 6 + [r_k] and its next state
+    [t_k + 1] * 6 + [r_k]."""
+
+    def __init__(self, ts, rewards, nodes, period):
+        ts = np.asarray(ts, dtype=np.int64)
+        self.key_count = len(ts)
+        self._windows = np.repeat(np.stack([ts, ts + 1], 1)[:, None].astype(float), 6, axis=1)
+        self._degree = np.asarray(rewards, dtype=float)
+        self._ids = np.array(nodes, dtype=np.str_)
+        self._period = period
+        self._ts = ts
+
+    def windows(self, keys):
+        return self._windows[keys], self._degree[keys]
+
+    def origins(self, keys):
+        return self._ids[keys], np.full(len(keys), self._period, dtype=np.int64), self._ts[keys]
+
+
+def window_table_rows(ts, rewards):
+    """The WindowTable state rows [t] * 6 + [r] of each (t, r)."""
+    return np.column_stack([np.repeat(np.asarray(ts, dtype=float)[:, None], 6, axis=1), rewards])

@@ -125,14 +125,14 @@ def test_criterion_03_tabular_oracle_agreement():
 def test_criterion_04_sampling_fidelity():
     buf = store([3.0, 1.0], nodes=["heavy", "light"])
     idx = sample(buf, 100_000, 1.0, np.random.default_rng(4))
-    freq = np.count_nonzero(buf.node_id[idx] == "heavy") / len(idx)
+    freq = np.count_nonzero(buf.origins(idx)[0] == "heavy") / len(idx)
     assert 0.74 <= freq <= 0.76, f"P(heavy) = {freq}"
 
     priorities = [5.0, 0.01, 1.0, 2.5, 0.4]
     buf2 = store(priorities, nodes=[f"n{i}" for i in range(5)])
     idx2 = sample(buf2, 100_000, 0.0, np.random.default_rng(5))
     counts = {f"n{i}": 0 for i in range(5)}
-    for node in buf2.node_id[idx2].tolist():
+    for node in buf2.origins(idx2)[0].tolist():
         counts[node] += 1
     freqs = {k: v / len(idx2) for k, v in counts.items()}
     for node, f in freqs.items():

@@ -244,7 +244,7 @@ class TestTrain:
             assert "data error: corrupt checkpoint" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,key", [
-        ("evaluate", "net_b2"), ("train", "opt_v_wa"), ("train", "mem_states"),
+        ("evaluate", "net_b2"), ("train", "opt_v_wa"), ("train", "mem_windows"),
     ])
     def test_misshaped_checkpoint_is_data_error(self, tmp_path, generated, capsys, command, key):
         data, config = generated
@@ -267,7 +267,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("command,key", [
         ("evaluate", "net_w1"), ("train", "net_w1"), ("train", "opt_m_wa"), ("evaluate", "opt_v_b1"),
-        ("train", "mem_states"), ("evaluate", "mem_reward"),
+        ("train", "mem_windows"), ("evaluate", "mem_reward"),
     ])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_checkpoint_is_data_error(self, tmp_path, generated, capsys, command, key, bad):
@@ -335,21 +335,53 @@ class TestTrain:
         assert not (out / "checkpoint_1.npz").exists()
 
     def test_version_1_checkpoint_is_data_error(self, tmp_path, generated, capsys):
+        """Versions 1 and 2 (state rows in mem_states) are both rejected."""
         data, config = generated
         out = tmp_path / "out"
         main(["train", "--config", str(config), "--data-dir", str(data), "--out-dir", str(out)])
         (out / "checkpoint_2.npz").unlink()
         with np.load(out / "checkpoint_1.npz") as saved:
             payload = dict(saved)
-        payload["version"] = np.array(1)
-        np.savez(out / "checkpoint_1.npz", **payload)
+        for version in (1, 2):
+            payload["version"] = np.array(version)
+            np.savez(out / "checkpoint_1.npz", **payload)
+            capsys.readouterr()
+            code = main([
+                "train", "--config", str(config), "--data-dir", str(data),
+                "--out-dir", str(out), "--resume",
+            ])
+            assert code == 2
+            assert f"unsupported agent checkpoint version {version}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,change,message", [
+        ("mem_reward", lambda column: column[:-3], "mem_reward has shape"),
+        ("mem_degree", lambda column: column[1:], "mem_degree has shape"),
+        ("mem_windows", lambda column: column[..., :-2], "mem_windows has shape"),
+        ("mem_windows", lambda column: column[:, :5], "mem_windows has shape"),
+        ("mem_action", lambda column: column + 5, "mem_action holds actions outside [0, 4]"),
+        ("mem_action", lambda column: column - 5, "mem_action holds actions outside [0, 4]"),
+    ], ids=["short-reward", "short-degree", "narrow-windows", "five-channels", "action-above", "action-below"])
+    def test_inconsistent_memory_is_data_error(self, tmp_path, generated, capsys, key, change, message):
+        """Memory columns of unequal length, windows that do not fit the
+        network's input and actions outside the action space are named
+        when the checkpoint is read, before any period trains."""
+        data, config = generated
+        out = tmp_path / "out"
+        main(["train", "--config", str(config), "--data-dir", str(data), "--out-dir", str(out)])
+        for name in ("checkpoint_2.npz", "report_2.json"):
+            (out / name).unlink()
+        checkpoint = out / "checkpoint_1.npz"
+        with np.load(checkpoint) as saved:
+            payload = dict(saved)
+        payload[key] = change(payload[key])
+        np.savez(checkpoint, **payload)
         capsys.readouterr()
-        code = main([
-            "train", "--config", str(config), "--data-dir", str(data),
-            "--out-dir", str(out), "--resume",
-        ])
+        code = main(["train", "--config", str(config), "--data-dir", str(data), "--out-dir", str(out),
+                     "--resume"])
+        captured = capsys.readouterr()
         assert code == 2
-        assert "unsupported agent checkpoint version 1" in capsys.readouterr().err
+        assert f"data error: corrupt checkpoint {checkpoint}: {message}" in captured.err
+        assert not (out / "report_2.json").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_flow_is_data_error(self, tmp_path, generated, capsys, value):

@@ -15,6 +15,7 @@ from flowrl.env import (
     compute_rewards,
     fit_calibration,
     fit_discretizer,
+    window_rows,
 )
 
 
@@ -276,8 +277,8 @@ def test_neighbor_means_equal_sorted_loop_reference():
 @settings(max_examples=30, deadline=None)
 @given(data=st.data(), n=st.integers(1, 5), length=st.integers(6, 14), window=st.integers(1, 4))
 def test_keyed_pairs_equal_oracle_states(data, n, length, window):
-    """pairs(keys) is the state at each key and at the key after it, for
-    any graph; origins(keys) names the node and time of each key."""
+    """windows(keys) holds the state at each key and at the key after it,
+    for any graph; origins(keys) names the node and time of each key."""
     nodes = [f"v{i}" for i in range(n)]
     pairs = [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:]]
     edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
@@ -289,7 +290,8 @@ def test_keyed_pairs_equal_oracle_states(data, n, length, window):
     node = data.draw(st.sampled_from(nodes))
     ts = np.array(data.draw(st.lists(st.integers(window, length - 1), min_size=1, max_size=6)))
     keys = asm.keys(node, ts)
-    states, next_states = asm.pairs(keys)
+    windows, degree = asm.windows(keys)
+    states, next_states = window_rows(windows[..., :-1], degree), window_rows(windows[..., 1:], degree)
     for k, t in enumerate(ts):
         np.testing.assert_array_equal(states[k], oracle_state(ds, node, int(t), window, CAL))
         np.testing.assert_array_equal(next_states[k], oracle_state(ds, node, int(t) + 1, window, CAL))

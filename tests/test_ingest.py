@@ -184,15 +184,25 @@ class TestLoadPeriod:
             load_period(tmp_path / "nope.csv", tmp_path / "adj.csv", 1)
 
     # "{}" stands for the row's own timestamp; 1500 is outside datetime64[ns],
-    # whose parser wraps it to a time with a fraction of a second
+    # whose parser wraps it to a time with a fraction of a second; a tenth
+    # fraction digit is past the ns that the parser keeps
     @pytest.mark.parametrize("stamp", ["not-a-time", "{}+00:00", "{}Z", "{}.5", "NaT", "",
-                                       "1500-01-01T00:20:00"])
+                                       "1500-01-01T00:20:00", "{}.0000000005", "{}.0000000000"])
     def test_bad_timestamp_names_line(self, tmp_path, stamp):
         def mutate(line):
             old, rest = line.split(",", 1)
             return f"{stamp.format(old)},{rest}"
 
         self._broken_row_case(tmp_path, mutate, match="bad timestamp")
+
+    def test_fraction_like_sensor_id_loads(self, tmp_path):
+        """A sensor id that reads like a long fraction is no timestamp fault."""
+        series = {v: make_series(v, np.arange(20.0) + i) for i, v in enumerate(("a", "x:12.0123456789"))}
+        ds = make_dataset(1, list(series), [], series)
+        readings, adjacency, nodes = write_dataset(ds, tmp_path)
+        loaded = load_period(readings, adjacency, 1, nodes_path=nodes)
+        assert loaded.nodes == ds.nodes
+        np.testing.assert_array_equal(loaded.values, ds.values)
 
     def test_duplicate_reading_names_line(self, tmp_path):
         ds = generate_synthetic(small_config(), 1)[0]

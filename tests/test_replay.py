@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from _helpers import make_dataset, make_series
+from _helpers import WindowTable, make_dataset, make_series, window_table_rows
 from flowrl.env import StateAssembler
 from flowrl.replay import (
     ConsolidationMemory,
@@ -20,29 +20,35 @@ from flowrl.replay import (
 
 
 def store(rewards, nodes=None, ts=None, period=1, actions=None):
-    """Independent transitions: transition i goes from [t_i, r_i] to [t_i + 1, r_i]."""
+    """Independent transitions over a WindowTable: transition i goes from
+    [t_i] * 6 + [r_i] to [t_i + 1] * 6 + [r_i]."""
     rewards = np.asarray(rewards, dtype=float)
     n = len(rewards)
     ts = np.arange(n) if ts is None else np.asarray(ts)
-    pairs = np.stack([np.stack([ts, rewards], 1), np.stack([ts + 1, rewards], 1)], axis=1)
+    nodes = [f"n{i}" for i in range(n)] if nodes is None else nodes
     return ReplayBuffer(
-        pairs.reshape(2 * n, 2),
-        row=np.arange(0, 2 * n, 2),
+        KeyedStates(WindowTable(ts, rewards, nodes, period)),
+        row=np.arange(n),
         action=np.zeros(n) if actions is None else actions,
         reward=rewards,
         terminal=np.zeros(n, dtype=bool),
-        node_id=[f"n{i}" for i in range(n)] if nodes is None else nodes,
-        period=np.full(n, period),
-        t=ts,
     )
 
 
-def transitions(buf):
+def origins(store):
+    """(node_id, period, t) of every transition of a pool or a memory."""
+    if isinstance(store, ReplayBuffer):
+        return store.origins()
+    return store.node_id, store.period, store.t
+
+
+def transitions(store):
     """(node_id, t, reward, state, next state) of every transition, as hashable tuples."""
-    batch = buf.gather(np.arange(len(buf)))
+    batch = store.gather(np.arange(len(store)))
+    node_id, _, ts = origins(store)
     return [
         (str(node), int(t), float(r), tuple(s), tuple(s2))
-        for node, t, r, s, s2 in zip(buf.node_id, buf.t, batch.rewards, batch.states, batch.next_states)
+        for node, t, r, s, s2 in zip(node_id, ts, batch.rewards, batch.states, batch.next_states)
     ]
 
 
@@ -101,24 +107,24 @@ class TestBuffer:
         for i, r in enumerate(rewards):
             buf.extend(store([r], nodes=[f"n{i}"], ts=[i]))
         assert len(buf) == 50
-        assert buf.node_id.tolist() == [f"n{i}" for i in range(50)]
+        assert buf.origins()[0].tolist() == [f"n{i}" for i in range(50)]
         batch = buf.gather(np.arange(50))
-        np.testing.assert_array_equal(batch.states, np.stack([np.arange(50), rewards], 1))
-        np.testing.assert_array_equal(batch.next_states, np.stack([np.arange(50) + 1, rewards], 1))
+        np.testing.assert_array_equal(batch.states, window_table_rows(np.arange(50), rewards))
+        np.testing.assert_array_equal(batch.next_states, window_table_rows(np.arange(50) + 1, rewards))
         np.testing.assert_array_equal(buf.priorities(), np.maximum(rewards, 1e-3))
 
     def test_sample_distribution_three_one(self):
         buf = store([3.0, 1.0], nodes=["heavy", "light"])
         rng = np.random.default_rng(42)
         idx = sample(buf, 100_000, 1.0, rng)
-        freq = np.count_nonzero(buf.node_id[idx] == "heavy") / len(idx)
+        freq = np.count_nonzero(buf.origins(idx)[0] == "heavy") / len(idx)
         assert 0.74 <= freq <= 0.76
 
     def test_sample_deterministic_for_fixed_seed(self):
         buf = store(0.1 * (np.arange(20) + 1))
         b1 = sample(buf, 32, 1.0, np.random.default_rng(9))
         b2 = sample(buf, 32, 1.0, np.random.default_rng(9))
-        assert buf.node_id[b1].tolist() == buf.node_id[b2].tolist()
+        assert buf.origins(b1)[0].tolist() == buf.origins(b2)[0].tolist()
 
     @settings(max_examples=100, deadline=None)
     @given(rewards=arrays(np.float64, st.integers(1, 2000), elements=st.floats(0.0, 1.5)),
@@ -147,26 +153,29 @@ class TestBuffer:
             pool.add_rollout(asm.keys("bb", [2, 3, 4]), [0, 1, 2], [0.1, 0.2, 0.3])
         pool.add_rollout(asm.keys("bb", [2, 3]), [3, 4], [0.4, 0.5])
         assert len(pool) == 5
-        assert pool.node_id.tolist() == ["a"] * 3 + ["bb"] * 2
-        assert pool.t.tolist() == [2, 3, 4, 2, 3]
-        assert pool.period.tolist() == [7] * 5
+        node_id, period, t = pool.origins()
+        assert node_id.tolist() == ["a"] * 3 + ["bb"] * 2
+        assert t.tolist() == [2, 3, 4, 2, 3]
+        assert period.tolist() == [7] * 5
         assert pool.terminal.tolist() == [False, False, True, False, True]
         assert pool.row.tolist() == [2, 3, 4, 11 + 2, 11 + 3]  # T + 1 = 11 keys per node
 
-    def test_keyed_and_materialized_stores_do_not_mix(self):
+    def test_memory_copies_windows_out_of_the_pool(self):
+        """The memory keeps each retained transition's (6, W + 1) window and
+        degree, copied out of the period's table, and replays the pool's
+        transitions unchanged; a pool of another period is rejected."""
         asm = two_node_assembler()
-        pool = ReplayBuffer.allocate(1, KeyedStates(asm))
+        pool = ReplayBuffer.allocate(2, KeyedStates(asm))
         pool.add_rollout(asm.keys("a", [5]), [1], [0.5])
-        with pytest.raises(TypeError, match="keyed"):
-            pool.extend(store([0.5]))
-        kept = pool.take([0])
-        assert not kept.keyed and kept.states.shape == (2, asm.dim)
-        assert transitions(kept) == transitions(pool)
+        pool.add_rollout(asm.keys("bb", [9]), [3], [0.25])
         memory = ConsolidationMemory()
-        with pytest.raises(ValueError, match="carry their states"):
-            memory.add_period(7, pool)
-        memory.add_period(7, kept)
-        assert not memory.store.keyed
+        with pytest.raises(ValueError, match="period 8"):
+            memory.add_period(8, pool)
+        memory.add_period(7, pool)
+        assert memory.windows.shape == (2, 6, 3) and memory.degree.tolist() == [1.0, 1.0]
+        assert not np.shares_memory(memory.windows, asm._table)
+        assert transitions(memory) == transitions(pool)
+        assert memory.period.tolist() == [7, 7] and memory.t.tolist() == [5, 9]
 
 
 def two_node_assembler():
@@ -184,7 +193,7 @@ class TestRetainTopFraction:
     def test_all_equal_uses_tie_order(self):
         items = store(np.full(100, 0.5), nodes=[f"n{i:03d}" for i in range(100)])
         kept = retain_top_fraction(items, 0.05)
-        assert kept.node_id.tolist() == [f"n{i:03d}" for i in range(5)]
+        assert kept.origins()[0].tolist() == [f"n{i:03d}" for i in range(5)]
 
     def test_matches_iterative_selection_oracle(self):
         rng = np.random.default_rng(4)
@@ -277,7 +286,7 @@ class TestConsolidationMemory:
         mem.add_period(2, store([0.5, 0.5], nodes=["b", "c"], period=2))
         assert mem.periods() == [1, 2]
         assert len(mem) == 3
-        assert mem.store.node_id[mem.store.period == 2].tolist() == ["b", "c"]
+        assert mem.node_id[mem.period == 2].tolist() == ["b", "c"]
 
     def test_duplicate_period_rejected(self):
         mem = ConsolidationMemory()
@@ -289,18 +298,18 @@ class TestConsolidationMemory:
         mem = fill_memory(3)
         drawn = mem.draw(1000, np.random.default_rng(0))
         assert len(drawn) == 1000
-        assert set(mem.store.node_id[drawn].tolist()) == {"mem0", "mem1", "mem2"}
+        assert set(mem.node_id[drawn].tolist()) == {"mem0", "mem1", "mem2"}
 
 
 def test_memory_columns_round_trip(tmp_path):
     mem = ConsolidationMemory()
     mem.add_period(1, store(0.1 * np.arange(7), ts=np.arange(7), actions=np.arange(7) % 5))
     mem.add_period(2, store([0.3, 0.9], nodes=["x", "yy"], period=2))
-    np.savez(tmp_path / "mem.npz", **mem.store.columns())
+    np.savez(tmp_path / "mem.npz", **mem.columns())
     with np.load(tmp_path / "mem.npz") as data:
-        back = ReplayBuffer(**data)
+        back = ConsolidationMemory(**data)
     assert len(back) == len(mem) == 9
-    for name, column in mem.store.columns().items():
+    for name, column in mem.columns().items():
         np.testing.assert_array_equal(getattr(back, name), column)
         assert getattr(back, name).dtype == column.dtype
-    assert transitions(back) == transitions(mem.store)
+    assert transitions(back) == transitions(mem)

@@ -19,7 +19,7 @@ from _oracles import (
 )
 from _helpers import make_dataset, make_series
 from flowrl.env import Calibration, RewardWeights, StateAssembler, classify, fit_discretizer
-from flowrl.replay import ReplayBuffer, mixed_batch, sample
+from flowrl.replay import KeyedStates, ReplayBuffer, mixed_batch, sample
 from flowrl.drift import DriftConfig
 from flowrl.ingest import GeneratorConfig, generate_synthetic
 from flowrl.qnet import QNetwork, param_views
@@ -127,11 +127,12 @@ class TestRollouts:
         assert len(exps) > 0
         batch = exps.gather(np.arange(len(exps)))
         np.testing.assert_array_equal(batch.next_states[:-1], batch.states[1:])
-        assert np.all(np.diff(exps.t) == 1)
+        ts = exps.origins()[2]
+        assert np.all(np.diff(ts) == 1)
         for k in (0, len(exps) - 1):
-            np.testing.assert_array_equal(batch.states[k], build_state(ds, rollout.node_id, exps.t[k], 6))
+            np.testing.assert_array_equal(batch.states[k], build_state(ds, rollout.node_id, ts[k], 6))
             np.testing.assert_array_equal(batch.next_states[k],
-                                          build_state(ds, rollout.node_id, exps.t[k] + 1, 6))
+                                          build_state(ds, rollout.node_id, ts[k] + 1, 6))
 
     def test_terminal_only_on_last(self):
         rollout, _ = rollout_fixture(eps=0.3)
@@ -150,8 +151,8 @@ class TestRollouts:
         disc = fit_discretizer(ds.flows_in("train"))
         asm = StateAssembler(ds, window=6)
         exps = rollout.experiences
-        for node, t, action, reward in zip(exps.node_id[:20], exps.t[:20], exps.action[:20],
-                                           exps.reward[:20]):
+        node_id, _, ts = exps.origins(slice(20))
+        for node, t, action, reward in zip(node_id, ts, exps.action[:20], exps.reward[:20]):
             actual = int(classify(disc, ds.series[node].flow[t]))
             speed_norm = float(asm.node_channels(node)[t, 1])
             occ = float(ds.series[node].occupancy[t])
@@ -261,18 +262,22 @@ class TestKeyedPool:
         run_period(None, dss[0], agent, cfg, RewardWeights(), seed=0)
         pool = period_pool(dss[1], window=4)
         memory = agent.memory
-        assert len(memory) > 0 and pool.keyed and not memory.store.keyed
+        assert len(memory) > 0 and isinstance(pool.states, KeyedStates)
+        assert memory.windows.shape == (len(memory), 6, 4 + 1)
         n_memory, size, omega = 128, 512, 0.0
         batch = mixed_batch(pool, memory, size, n_memory / size, omega, np.random.default_rng(8))
         replay = np.random.default_rng(8)
         mem_idx = memory.draw(n_memory, replay)
         buf_idx = sample(pool, size - n_memory, omega, replay)
         by_period = {ds.period: ds for ds in dss}
-        rows = [(memory.store, i) for i in mem_idx] + [(pool, i) for i in buf_idx]
+        rows = [(memory, i) for i in mem_idx] + [(pool, i) for i in buf_idx]
         hi = dss[1].splits.train[1]
         ends = 0
         for k, (store, i) in enumerate(rows):
-            (node,), (period,), (t,) = store.origins([i])
+            if store is pool:
+                (node,), (period,), (t,) = pool.origins([i])
+            else:
+                node, period, t = memory.node_id[i], memory.period[i], memory.t[i]
             ds = by_period[int(period)]
             np.testing.assert_array_equal(batch.states[k], build_state(ds, str(node), int(t), 4))
             np.testing.assert_array_equal(batch.next_states[k], build_state(ds, str(node), int(t) + 1, 4))
@@ -281,8 +286,32 @@ class TestKeyedPool:
             if store is pool and store.terminal[i]:
                 assert t + 1 == hi
                 ends += 1
-        assert set(memory.store.period[mem_idx].tolist()) == {1}
+        assert set(memory.period[mem_idx].tolist()) == {1}
         assert ends > 0
+
+    def test_memory_states_equal_assembler_and_oracle_states(self):
+        """Every retained transition of a run_period gathers, from the
+        memory's windows, the state and next state that its period's
+        assembler builds at t and t + 1, bit for bit, and that the oracle
+        builds from the dataset's values."""
+        dss = generate_synthetic(GeneratorConfig(periods=2, initial_nodes=3, growth_per_period=1,
+                                                 steps_per_period=60, noise_sigma=2.0), 9)
+        cfg = TrainerConfig(epochs=1, batch_size=32, horizons=(1,), window=4,
+                            consolidation_fraction=0.2)
+        agent = init_agent(4 * 6 + 1, hidden=16, seed=0)
+        for prev, curr in zip([None, *dss], dss):
+            run_period(prev, curr, agent, cfg, RewardWeights(), seed=0, drift_cfg=DriftConfig(fraction=1.0))
+        memory = agent.memory
+        assert memory.periods() == [1, 2]
+        batch = memory.gather(np.arange(len(memory)))
+        for k in range(len(memory)):
+            ds = dss[int(memory.period[k]) - 1]
+            node, t = str(memory.node_id[k]), int(memory.t[k])
+            asm = StateAssembler(ds, window=4)
+            np.testing.assert_array_equal(batch.states[k], asm.states(node, [t])[0])
+            np.testing.assert_array_equal(batch.next_states[k], asm.states(node, [t + 1])[0])
+            np.testing.assert_array_equal(batch.states[k], build_state(ds, node, t, 4))
+            np.testing.assert_array_equal(batch.next_states[k], build_state(ds, node, t + 1, 4))
 
     def test_period_pool_holds_at_most_100_bytes_per_transition(self):
         """The pool keeps keys, not state rows: what building it and its
@@ -327,8 +356,8 @@ class TestKeyedPool:
             np.testing.assert_array_equal(batch.next_states[k], alone.next_states[0])
             assert (ids[k], periods[k], ts[k]) == tuple(c[0] for c in pools[p].origins([i - start[p]]))
             assert periods[k] == dss[p].period
-        kept = chained.take(idx[:7])
-        assert not kept.keyed
+        kept = chained.subset(idx[:7])
+        assert kept.states is chained.states
         np.testing.assert_array_equal(kept.gather(np.arange(7)).states, batch.states[:7])
 
 
@@ -392,7 +421,7 @@ class TestRunPeriod:
         import math
         for report in reports:
             expected = math.ceil(0.05 * report.experiences_generated)
-            assert int(np.sum(agent.memory.store.period == report.period)) == expected
+            assert int(np.sum(agent.memory.period == report.period)) == expected
 
     def test_report_dict_has_no_timings(self):
         ds = diurnal_dataset(seed=9, steps=120)
@@ -432,12 +461,12 @@ def test_agent_checkpoint_round_trip(tmp_path):
     assert loaded.opt.step == agent.opt.step
     assert loaded.updates == agent.updates
     assert len(loaded.memory) == len(agent.memory) > 0
-    for name, column in agent.memory.store.columns().items():
-        np.testing.assert_array_equal(getattr(loaded.memory.store, name), column)
+    for name, column in agent.memory.columns().items():
+        np.testing.assert_array_equal(getattr(loaded.memory, name), column)
     assert len(agent.buffer) > 0
     assert len(loaded.buffer) == 0  # the period pool is not saved
     with np.load(path) as data:
-        assert int(data["version"]) == 2
+        assert int(data["version"]) == 3
         assert not [key for key in data.files if key.startswith("buf_")]
     s = np.linspace(0, 1, agent.net.input_dim)
     np.testing.assert_array_equal(forward(agent.net, s), forward(loaded.net, s))
