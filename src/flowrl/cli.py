@@ -16,6 +16,7 @@ import json
 import re
 import sys
 import zipfile
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from .config import RunConfig, config_to_ini, load_config
 from .drift import detect
 from .errors import ConfigError, DataError
 from .env import StateAssembler, fit_calibration, fit_discretizer, state_dim
-from .ingest import generate_synthetic, load_period, write_period
+from .ingest import ReadingError, generate_synthetic, load_period, write_period
 from .replay import ReplayBuffer
 from .trainer import evaluate_period, init_agent, load_agent, run_period, save_agent
 
@@ -68,6 +69,16 @@ def _discover_periods(data_dir: Path) -> list[int]:
 def _load_dataset(data_dir: Path, period: int):
     readings, adjacency, nodes = _period_files(data_dir, period)
     return load_period(readings, adjacency, period, nodes_path=nodes)
+
+
+@contextmanager
+def _readings_of(data_dir: Path, period: int):
+    """Turn a ReadingError raised inside (readings that load but cannot be
+    binned or scored) into a DataError naming the period's readings file."""
+    try:
+        yield
+    except ReadingError as e:
+        raise DataError(str(e), path=str(_period_files(data_dir, period)[0])) from None
 
 
 def _make_dir(path: Path) -> Path:
@@ -195,8 +206,9 @@ def cmd_train(args) -> int:
         cfg = config.trainer
         if config.freeze_after_first_period and period != periods[0]:
             cfg = replace(cfg, epochs=0)
-        report = run_period(prev, curr, agent, cfg, config.weights, config.seed,
-                            drift_cfg=config.drift)
+        with _readings_of(data_dir, period):
+            report = run_period(prev, curr, agent, cfg, config.weights, config.seed,
+                                drift_cfg=config.drift)
         _write_json(out_dir / f"report_{period}.json", report.to_report_dict())
         _write_json(out_dir / f"timings_{period}.json", report.to_timings_dict())
         save_agent(agent, out_dir / f"checkpoint_{period}.npz")
@@ -220,12 +232,13 @@ def cmd_evaluate(args) -> int:
         raise DataError(f"checkpoint not found: {checkpoint}")
     agent = _load_checkpoint(checkpoint, config)
     dataset = _load_dataset(data_dir, args.period)
-    calibration = fit_calibration(dataset)
-    discretizer = fit_discretizer(dataset.flows_in("train"))
-    assembler = StateAssembler(dataset, window=config.trainer.window, calibration=calibration)
-    metrics, per_node = evaluate_period(
-        dataset, agent.net, discretizer, assembler, config.trainer.horizons
-    )
+    with _readings_of(data_dir, args.period):
+        calibration = fit_calibration(dataset)
+        discretizer = fit_discretizer(dataset.flows_in("train"))
+        assembler = StateAssembler(dataset, window=config.trainer.window, calibration=calibration)
+        metrics, per_node = evaluate_period(
+            dataset, agent.net, discretizer, assembler, config.trainer.horizons
+        )
     payload = {
         "period": args.period,
         "metrics": {

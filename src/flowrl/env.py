@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import PeriodDataset
+from .ingest import PeriodDataset, ReadingError
 
 N_CLASSES = 5
 WINDOW_DEFAULT = 12  # one hour of 5-min steps
@@ -91,26 +91,28 @@ class Discretizer:
 def fit_discretizer(training_flows) -> Discretizer:
     """Fit class edges at the 20/40/60/80th percentiles of training flows.
 
-    Representatives are the median training flow of each bin. Degenerate
-    inputs (fewer than five distinct values, or percentile ties) raise.
+    Representatives are the median training flow of each bin. Flows that
+    cannot be binned (fewer than five distinct values, or percentile ties)
+    are a fault of the period's readings and raise a ReadingError.
     """
     flows = np.asarray(training_flows, dtype=float).ravel()
     if flows.size == 0:
         raise ValueError("cannot fit discretizer on empty flows")
     distinct = np.unique(flows)
     if distinct.size < N_CLASSES:
-        raise ValueError(
-            f"degenerate binning: need >= {N_CLASSES} distinct flow values, got {distinct.size}"
+        raise ReadingError(
+            f"degenerate binning: need >= {N_CLASSES} distinct training flow values, got {distinct.size}"
         )
     edges = np.percentile(flows, [20, 40, 60, 80])
     if not np.all(np.diff(edges) > 0):
-        raise ValueError(f"degenerate binning: percentile edges not strictly increasing: {edges.tolist()}")
+        raise ReadingError("degenerate binning: training-flow percentile edges not strictly "
+                           f"increasing: {edges.tolist()}")
     classes = np.searchsorted(edges, flows, side="right")
     reps = np.empty(N_CLASSES)
     for k in range(N_CLASSES):
         members = flows[classes == k]
         if members.size == 0:
-            raise ValueError(f"degenerate binning: class {k} has no training flows")
+            raise ReadingError(f"degenerate binning: class {k} has no training flows")
         reps[k] = np.median(members)
     return Discretizer(edges=edges, representatives=reps)
 

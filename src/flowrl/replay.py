@@ -8,9 +8,9 @@ and a batch reads both from one window of the table. Priorities equal the
 sampling distribution p_i^omega / sum_k p_k^omega becomes one cumulative
 sum per pool and every batch is a binary search of uniform draws, with
 replacement. After each period the top fraction of that period's
-transitions by priority goes into a consolidation memory, each with the
-window its states are cut from, and is replayed into later training
-batches to guard old-node knowledge against forgetting.
+transitions by priority goes into a consolidation memory, which keeps
+each time step of their windows once, and is replayed into later
+training batches to guard old-node knowledge against forgetting.
 """
 
 from __future__ import annotations
@@ -32,10 +32,12 @@ COLUMNS = {
     "reward": np.float64,
     "terminal": np.bool_,
 }
-# Per-transition columns of a ConsolidationMemory: the five of its
-# window_columns, in their order, then the origin.
+# Columns of a ConsolidationMemory: its table of distinct time steps, then
+# per transition the table row where its window starts, the other four of
+# its window_columns in their order, and the origin.
 MEMORY_COLUMNS = {
-    "windows": np.float64,  # (N, 6, W + 1): the state is [..., :-1], the next state [..., 1:]
+    "steps": np.float64,  # (C, 6): own flow, speed, occupancy, then the neighbour means
+    "start": np.int64,  # the (6, W + 1) window is steps[start : start + W + 1].T
     "degree": np.float64,
     "action": np.int64,
     "reward": np.float64,
@@ -72,7 +74,7 @@ class KeyedStates:
     """The state keys of one or more period state tables, numbered back to
     back: key offsets[p] + k is key k of tables[p]. A table is a
     `StateAssembler`, or anything with its `key_count`, `windows` and
-    `origins`."""
+    `origins` whose window of key k holds the steps at keys k - W .. k."""
 
     def __init__(self, *tables):
         self.tables = tables
@@ -222,15 +224,27 @@ def retain_top_fraction(experiences: ReplayBuffer,
 
 class ConsolidationMemory:
     """Retained top-priority transitions of every past period, in the order
-    the periods were added, in the columns of MEMORY_COLUMNS: each keeps
-    the (6, W + 1) window that its state and next state are cut from, so
-    the memory holds no reference to a period's state table."""
+    the periods were added, in the columns of MEMORY_COLUMNS. Each
+    distinct time step of their (6, W + 1) windows is kept once, as a row
+    of `steps`, so the memory holds no reference to a period's state
+    table. Retained transitions cluster in time, and neighbouring windows
+    share all but one of their steps."""
 
-    def __init__(self, **columns):
+    def __init__(self, window: int | None = None, **columns):
+        self.window = window  # W, set by the first period added when None
         for name, dtype in MEMORY_COLUMNS.items():
-            setattr(self, name, np.asarray(columns.pop(name, ()), dtype=dtype))
+            empty = np.empty((0, 6)) if name == "steps" else ()
+            setattr(self, name, np.asarray(columns.pop(name, empty), dtype=dtype))
         if columns:
             raise TypeError(f"unknown columns {sorted(columns)}")
+        self._index_windows()
+
+    def _index_windows(self) -> None:
+        """Cache the windows of the table: _windows[s] is the (6, W + 1)
+        window that starts at row s, a view."""
+        w = self.window
+        self._windows = (np.lib.stride_tricks.sliding_window_view(self.steps, w + 1, axis=0)
+                         if w is not None and len(self.steps) > w else None)
 
     def __len__(self) -> int:
         return len(self.action)
@@ -242,22 +256,33 @@ class ConsolidationMemory:
         return sorted(set(self.period.tolist()))
 
     def add_period(self, period: int, retained: ReplayBuffer) -> None:
-        """Append the retained transitions of `period`, copying out the
-        window of each."""
+        """Append the retained transitions of `period`, copying out each
+        distinct step of their windows once."""
         if period in self.periods():
             raise ValueError(f"period {period} already retained")
         node_id, periods, t = retained.origins()
         if np.any(periods != period):
             raise ValueError(f"retained transitions do not all come from period {period}")
-        added = dict(zip(MEMORY_COLUMNS, (*retained.window_columns(slice(None)), node_id, periods, t)))
-        if len(self):
-            added = {name: np.concatenate([getattr(self, name), column]) for name, column in added.items()}
-        vars(self).update(added)
+        windows, *rest = retained.window_columns(slice(None))
+        w = windows.shape[-1] - 1
+        if self.window not in (None, w):
+            raise ValueError(f"retained windows span {w + 1} steps, the memory's {self.window + 1}")
+        # The window of key k holds the steps at keys k - W .. k, which are
+        # consecutive, so the distinct keys in order hold every window's
+        # steps next to each other.
+        keys, first = np.unique(retained.row[:, None] + np.arange(-w, 1), return_index=True)
+        window_of, step_of = np.divmod(first, w + 1)
+        steps = windows[window_of, :, step_of]
+        start = len(self.steps) + keys.searchsorted(retained.row - w)
+        added = zip(MEMORY_COLUMNS, (steps, start, *rest, node_id, periods, t))
+        vars(self).update({name: np.concatenate([getattr(self, name), column]) for name, column in added})
+        self.window = w
+        self._index_windows()
 
     def window_columns(self, idx) -> tuple[np.ndarray, ...]:
         """(windows, degree, action, reward, terminal) of transitions idx."""
-        return (self.windows[idx], self.degree[idx], self.action[idx], self.reward[idx],
-                self.terminal[idx])
+        return (self._windows[self.start[idx]], self.degree[idx], self.action[idx],
+                self.reward[idx], self.terminal[idx])
 
     def gather(self, idx) -> Batch:
         return _window_batch(*self.window_columns(idx))

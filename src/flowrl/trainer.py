@@ -31,7 +31,7 @@ from .env import (
     state_dim,
 )
 from .errors import DivergenceError
-from .ingest import PeriodDataset
+from .ingest import PeriodDataset, ReadingError
 from .metrics import MetricSet, compute_metrics
 from .qnet import (
     N_ACTIONS,
@@ -315,7 +315,8 @@ def evaluate_period(dataset: PeriodDataset, net: QNetwork, discretizer: Discreti
     anchors of a shorter horizon include those of a longer one, and a
     repeated anchor is rolled out once, so each anchor of a split is
     rolled out once per node. A forecast reads no flow past its anchor, so
-    the extra steps of the shorter horizons' anchors change nothing.
+    the extra steps of the shorter horizons' anchors change nothing. A
+    scored (split, h) whose actual flows are all zero raises a ReadingError.
     """
     nodes = dataset.nodes
     segments = []  # (split, h, t0, anchor count) per scored (split, h), in report order
@@ -345,6 +346,9 @@ def evaluate_period(dataset: PeriodDataset, net: QNetwork, discretizer: Discreti
         part = slice(start, start + m)
         start += m
         actual = actual_flow[:, part]
+        if not actual.any():
+            raise ReadingError(f"every actual flow of the {split} split at horizon {h} is zero, "
+                               "so its MAPE is undefined")
         metrics[split][h] = compute_metrics(
             pred_flow[:, part].ravel(), actual.ravel(),
             pred_cls[:, part].ravel(), classify(discretizer, actual).ravel(),
@@ -402,7 +406,7 @@ class PeriodReport:
         return {"period": self.period, **{k: float(v) for k, v in self.timings.items()}}
 
 
-AGENT_CHECKPOINT_VERSION = 3
+AGENT_CHECKPOINT_VERSION = 4
 
 
 def save_agent(agent: AgentState, path) -> None:
@@ -433,14 +437,20 @@ def load_agent(path) -> AgentState:
             raise ValueError(f"{key} holds non-finite values")
     net = network_from_state_dict(data, prefix="net_")
     opt = optimizer_from_state_dict(data, net, prefix="opt_")
-    memory = ConsolidationMemory(**{name: data[f"mem_{name}"] for name in MEMORY_COLUMNS})
-    rows = memory.windows.shape[:1]
-    expected = (*rows, 6, (net.input_dim - 1) // 6 + 1)  # a state is 6W + 1 long
-    if rows != (0,) and memory.windows.shape != expected:
-        raise ValueError(f"mem_windows has shape {memory.windows.shape}, expected {expected}")
-    for name, column in memory.columns().items():
-        if name != "windows" and column.shape != rows:
-            raise ValueError(f"mem_{name} has shape {column.shape}, expected {rows} like mem_windows")
+    window = (net.input_dim - 1) // 6  # a state is 6W + 1 long
+    columns = {name: data[f"mem_{name}"] for name in MEMORY_COLUMNS}
+    steps, start = columns["steps"], columns["start"]
+    if steps.ndim != 2 or steps.shape[1] != 6:
+        raise ValueError(f"mem_steps has shape {steps.shape}, expected (C, 6)")
+    rows = columns["action"].shape[:1]
+    for name, column in columns.items():
+        if name != "steps" and column.shape != rows:
+            raise ValueError(f"mem_{name} has shape {column.shape}, expected {rows} like mem_action")
+    last = len(steps) - window - 1  # the last row a window of W + 1 steps can start at
+    if np.any((start < 0) | (start > last)):
+        raise ValueError(f"mem_start holds window starts outside [0, {last}] "
+                         f"for a table of {len(steps)} steps and windows of {window + 1}")
+    memory = ConsolidationMemory(window, **columns)
     if np.any((memory.action < 0) | (memory.action >= N_ACTIONS)):
         raise ValueError(f"mem_action holds actions outside [0, {N_ACTIONS - 1}]")
     return AgentState(net=net, opt=opt, buffer=ReplayBuffer(), memory=memory, updates=int(data["updates"]))

@@ -46,7 +46,10 @@ class WindowTable:
     and `origins` like a StateAssembler: key k is transition k, whose
     (6, 2) window reads [t_k, t_k + 1] in every channel and whose degree
     is r_k, so its state is [t_k] * 6 + [r_k] and its next state
-    [t_k + 1] * 6 + [r_k]."""
+    [t_k + 1] * 6 + [r_k]. The windows of keys k - 1 and k agree on the
+    step they share, as a ConsolidationMemory expects of a table, when
+    t_k = t_{k-1} + 1, so tests that retain into a memory keep ts
+    consecutive."""
 
     def __init__(self, ts, rewards, nodes, period):
         ts = np.asarray(ts, dtype=np.int64)

@@ -11,7 +11,7 @@ import pytest
 
 from flowrl.cli import _write_json, _write_text, main
 from flowrl.ingest import load_period
-from flowrl.trainer import init_agent, save_agent
+from flowrl.trainer import init_agent, load_agent, save_agent
 
 TINY_CONFIG = """
 [run]
@@ -244,7 +244,7 @@ class TestTrain:
             assert "data error: corrupt checkpoint" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,key", [
-        ("evaluate", "net_b2"), ("train", "opt_v_wa"), ("train", "mem_windows"),
+        ("evaluate", "net_b2"), ("train", "opt_v_wa"), ("train", "mem_steps"),
     ])
     def test_misshaped_checkpoint_is_data_error(self, tmp_path, generated, capsys, command, key):
         data, config = generated
@@ -267,7 +267,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("command,key", [
         ("evaluate", "net_w1"), ("train", "net_w1"), ("train", "opt_m_wa"), ("evaluate", "opt_v_b1"),
-        ("train", "mem_windows"), ("evaluate", "mem_reward"),
+        ("train", "mem_steps"), ("evaluate", "mem_reward"),
     ])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_checkpoint_is_data_error(self, tmp_path, generated, capsys, command, key, bad):
@@ -353,18 +353,48 @@ class TestTrain:
             assert code == 2
             assert f"unsupported agent checkpoint version {version}" in capsys.readouterr().err
 
+    def test_version_3_checkpoint_is_data_error(self, tmp_path, generated, capsys):
+        """A format-3 file, whose memory keeps one (6, W + 1) window per
+        transition in mem_windows, is rejected by its version."""
+        data, config = generated
+        out = tmp_path / "out"
+        main(["train", "--config", str(config), "--data-dir", str(data), "--out-dir", str(out)])
+        for name in ("checkpoint_2.npz", "report_2.json"):
+            (out / name).unlink()
+        checkpoint = out / "checkpoint_1.npz"
+        memory = load_agent(checkpoint).memory
+        with np.load(checkpoint) as saved:
+            payload = {key: saved[key] for key in saved.files if key not in ("mem_steps", "mem_start")}
+        payload["mem_windows"] = memory.window_columns(np.arange(len(memory)))[0]
+        payload["version"] = np.array(3)
+        np.savez(checkpoint, **payload)
+        capsys.readouterr()
+        code = main(["train", "--config", str(config), "--data-dir", str(data), "--out-dir", str(out),
+                     "--resume"])
+        assert code == 2
+        assert f"corrupt checkpoint {checkpoint}: unsupported agent checkpoint version 3" in capsys.readouterr().err
+        assert not (out / "report_2.json").exists()
+
     @pytest.mark.parametrize("key,change,message", [
         ("mem_reward", lambda column: column[:-3], "mem_reward has shape"),
         ("mem_degree", lambda column: column[1:], "mem_degree has shape"),
-        ("mem_windows", lambda column: column[..., :-2], "mem_windows has shape"),
-        ("mem_windows", lambda column: column[:, :5], "mem_windows has shape"),
+        ("mem_start", lambda column: column[:-3], "mem_start has shape"),
+        ("mem_steps", lambda column: column[:-2], "mem_start holds window starts outside [0, "),
+        ("mem_steps", lambda column: column[:, :5], "mem_steps has shape"),
+        ("mem_steps", lambda column: column.ravel(), "mem_steps has shape"),
+        ("mem_start", lambda column: np.where(np.arange(len(column)) == 1, -1, column),
+         "mem_start holds window starts outside [0, "),
+        ("mem_start", lambda column: column + 1, "mem_start holds window starts outside [0, "),
         ("mem_action", lambda column: column + 5, "mem_action holds actions outside [0, 4]"),
         ("mem_action", lambda column: column - 5, "mem_action holds actions outside [0, 4]"),
-    ], ids=["short-reward", "short-degree", "narrow-windows", "five-channels", "action-above", "action-below"])
+    ], ids=["short-reward", "short-degree", "short-start", "narrow-windows", "five-channels",
+            "flat-steps", "start-below", "start-past-end", "action-above", "action-below"])
     def test_inconsistent_memory_is_data_error(self, tmp_path, generated, capsys, key, change, message):
-        """Memory columns of unequal length, windows that do not fit the
-        network's input and actions outside the action space are named
-        when the checkpoint is read, before any period trains."""
+        """Memory columns of unequal length, a step table that is not
+        (C, 6), windows that start outside it or run past its end (a table
+        two steps short narrows the last window) and actions outside the
+        action space are named when the checkpoint is read, before any
+        period trains."""
         data, config = generated
         out = tmp_path / "out"
         main(["train", "--config", str(config), "--data-dir", str(data), "--out-dir", str(out)])
@@ -541,6 +571,49 @@ class TestExitCodes:
         assert main(["generate", "--config", str(bad), "--out-dir", str(tmp_path / "x")]) == 1
         assert f"[generator] drift: {message}" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+
+def set_flows(readings, value, steps=slice(None)):
+    """Rewrite the flow of every reading at the time indices `steps` of the file's axis."""
+    header, *rows = [line.split(",") for line in readings.read_text().splitlines()]
+    chosen = set(sorted({row[0] for row in rows})[steps])
+    rows = [[row[0], row[1], value, *row[3:]] if row[0] in chosen else row for row in rows]
+    readings.write_text("".join(",".join(row) + "\n" for row in [header, *rows]))
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+@pytest.mark.parametrize("fault,period,message", [
+    ("constant-flows", 1, "degenerate binning: need >= 5 distinct training flow values, got 1"),
+    ("tied-flows", 1, "degenerate binning: training-flow percentile edges not strictly increasing"),
+    ("zero-test-flows", 2, "every actual flow of the test split at horizon 3 is zero"),
+], ids=["constant-flows", "tied-flows", "zero-test-flows"])
+def test_unscorable_readings_are_data_errors(tmp_path, capsys, command, fault, period, message):
+    """Readings that load but whose training flows cannot be binned, or
+    whose scored flows are all zero, end train and evaluate with a data
+    error naming the period's readings file."""
+    config = tmp_path / "smoke.ini"
+    config.write_text("[generator]\nperiods = 2\ninitial_nodes = 5\ngrowth_per_period = 1\n"
+                      "steps_per_period = 60\n")
+    data = tmp_path / "data"
+    main(["generate", "--config", str(config), "--seed", "3", "--out-dir", str(data)])
+    readings = data / f"readings_{period}.csv"
+    if fault == "constant-flows":
+        set_flows(readings, "10.0")
+    elif fault == "tied-flows":
+        set_flows(readings, "10.0", slice(0, 30))  # 30 of the 36 training steps
+    else:
+        set_flows(readings, "0.0", slice(48, 60))  # the test split of 60 steps
+    common = ["--config", str(config), "--seed", "3", "--data-dir", str(data)]
+    if command == "train":
+        argv = ["train", *common, "--out-dir", str(tmp_path / "out")]
+    else:
+        checkpoint = tmp_path / "checkpoint.npz"
+        save_agent(init_agent(6 * 12 + 1), checkpoint)
+        argv = ["evaluate", *common, "--checkpoint", str(checkpoint), "--period", str(period)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert f"data error: {readings}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / f"report_{period}.json").exists()
 
 
 @pytest.mark.parametrize("fault", [

@@ -1,4 +1,6 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from flowrl.replay import (
     sample,
     sampling_probabilities,
 )
+from flowrl.trainer import init_agent, load_agent, save_agent
 
 
 def store(rewards, nodes=None, ts=None, period=1, actions=None):
@@ -161,21 +164,25 @@ class TestBuffer:
         assert pool.row.tolist() == [2, 3, 4, 11 + 2, 11 + 3]  # T + 1 = 11 keys per node
 
     def test_memory_copies_windows_out_of_the_pool(self):
-        """The memory keeps each retained transition's (6, W + 1) window and
-        degree, copied out of the period's table, and replays the pool's
-        transitions unchanged; a pool of another period is rejected."""
+        """The memory keeps each distinct step of the retained transitions'
+        (6, W + 1) windows once, copied out of the period's table, with
+        each transition's degree, and replays the pool's transitions
+        unchanged; a pool of another period is rejected."""
         asm = two_node_assembler()
-        pool = ReplayBuffer.allocate(2, KeyedStates(asm))
-        pool.add_rollout(asm.keys("a", [5]), [1], [0.5])
+        pool = ReplayBuffer.allocate(3, KeyedStates(asm))
+        pool.add_rollout(asm.keys("a", [5, 6]), [1, 2], [0.5, 0.75])
         pool.add_rollout(asm.keys("bb", [9]), [3], [0.25])
         memory = ConsolidationMemory()
         with pytest.raises(ValueError, match="period 8"):
             memory.add_period(8, pool)
         memory.add_period(7, pool)
-        assert memory.windows.shape == (2, 6, 3) and memory.degree.tolist() == [1.0, 1.0]
-        assert not np.shares_memory(memory.windows, asm._table)
+        # a@3..5 and a@4..6 share two steps; bb@7..9 stands apart
+        expected = np.concatenate([asm._table[0, :, 3:7], asm._table[1, :, 7:10]], axis=1).T
+        np.testing.assert_array_equal(memory.steps, expected)
+        assert memory.start.tolist() == [0, 1, 4] and memory.degree.tolist() == [1.0, 1.0, 1.0]
+        assert not np.shares_memory(memory.steps, asm._table)
         assert transitions(memory) == transitions(pool)
-        assert memory.period.tolist() == [7, 7] and memory.t.tolist() == [5, 9]
+        assert memory.period.tolist() == [7, 7, 7] and memory.t.tolist() == [5, 6, 9]
 
 
 def two_node_assembler():
@@ -307,9 +314,103 @@ def test_memory_columns_round_trip(tmp_path):
     mem.add_period(2, store([0.3, 0.9], nodes=["x", "yy"], period=2))
     np.savez(tmp_path / "mem.npz", **mem.columns())
     with np.load(tmp_path / "mem.npz") as data:
-        back = ConsolidationMemory(**data)
+        back = ConsolidationMemory(mem.window, **data)
     assert len(back) == len(mem) == 9
     for name, column in mem.columns().items():
         np.testing.assert_array_equal(getattr(back, name), column)
         assert getattr(back, name).dtype == column.dtype
     assert transitions(back) == transitions(mem)
+
+
+class StepTable:
+    """One period's state table for the memory property test: key
+    i * (T + 1) + t is node i at time t, and its window reads the random
+    steps t - W .. t of node i, gathered one step at a time."""
+
+    def __init__(self, period, values, degree, window):
+        self.values, self.degree, self.period, self.window = values, degree, period, window
+        self.key_count = values.shape[0] * values.shape[2]
+
+    def windows(self, keys):
+        out = np.empty((len(keys), 6, self.window + 1))
+        for k, key in enumerate(keys):
+            node, t = divmod(int(key), self.values.shape[2])
+            for j in range(self.window + 1):
+                out[k, :, j] = self.values[node, :, t - self.window + j]
+        return out, self.degree[keys // self.values.shape[2]]
+
+    def origins(self, keys):
+        nodes, ts = np.divmod(keys, self.values.shape[2])
+        return np.array([f"n{i}" for i in nodes], dtype=np.str_), np.full(len(keys), self.period), ts
+
+
+class WindowMemory:
+    """The oracle of ConsolidationMemory: one copied (6, W + 1) window per
+    retained transition, with no steps shared."""
+
+    def __init__(self):
+        self.parts = []
+
+    def add_period(self, retained):
+        self.parts.append(retained.window_columns(np.arange(len(retained))))
+
+    def __len__(self):
+        return sum(len(part[1]) for part in self.parts)
+
+    def window_columns(self, idx):
+        return tuple(np.concatenate(column)[idx] for column in zip(*self.parts))
+
+    def draw(self, count, rng):
+        return rng.integers(0, len(self), size=count)
+
+
+@st.composite
+def retained_periods(draw):
+    """W, then per period a StepTable and a retained pool: a random subset
+    of the period's transitions in random order, so that windows overlap,
+    touch and lie apart."""
+    window = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    periods = []
+    for period in range(1, draw(st.integers(1, 3)) + 1):
+        nodes, length = draw(st.integers(1, 3)), window + draw(st.integers(1, 12))
+        table = StepTable(period, rng.random((nodes, 6, length + 1)), rng.random(nodes), window)
+        keys = [i * (length + 1) + t for i in range(nodes) for t in range(window, length)]
+        keys = draw(st.lists(st.sampled_from(keys), min_size=1, unique=True))
+        n = len(keys)
+        retained = ReplayBuffer(KeyedStates(table), row=keys, action=rng.integers(0, 5, n),
+                                reward=rng.random(n), terminal=rng.random(n) < 0.2)
+        periods.append((period, retained))
+    return window, periods
+
+
+def assert_bitwise_equal(got, expected):
+    for a, b in zip(got, expected, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(retained_periods(), st.integers(0, 2**32 - 1))
+def test_step_table_memory_matches_one_window_per_transition(drawn, seed):
+    """The memory's windows, and the mixed batches built from them, equal
+    those of a memory that copies one window per transition, bit for bit,
+    before and after a checkpoint round trip."""
+    window, periods = drawn
+    memory, oracle = ConsolidationMemory(), WindowMemory()
+    for period, retained in periods:
+        memory.add_period(period, retained)
+        oracle.add_period(retained)
+    rng = np.random.default_rng(seed)
+    idx = np.concatenate([np.arange(len(oracle)), rng.integers(0, len(oracle), 50)])
+    buffer = periods[-1][1]
+    agent = init_agent(6 * window + 1, hidden=4)
+    agent.memory = memory
+    with tempfile.TemporaryDirectory() as tmp:
+        save_agent(agent, Path(tmp) / "agent.npz")
+        loaded = load_agent(Path(tmp) / "agent.npz").memory
+    for got in (memory, loaded):
+        assert len(got) == len(oracle)
+        assert_bitwise_equal(got.window_columns(idx), oracle.window_columns(idx))
+        for rho in (0.25, 1.0):
+            assert_bitwise_equal(mixed_batch(buffer, got, 32, rho, 1.0, np.random.default_rng(seed)),
+                                 mixed_batch(buffer, oracle, 32, rho, 1.0, np.random.default_rng(seed)))

@@ -263,7 +263,7 @@ class TestKeyedPool:
         pool = period_pool(dss[1], window=4)
         memory = agent.memory
         assert len(memory) > 0 and isinstance(pool.states, KeyedStates)
-        assert memory.windows.shape == (len(memory), 6, 4 + 1)
+        assert memory.window == 4 and memory.steps.shape[1] == 6
         n_memory, size, omega = 128, 512, 0.0
         batch = mixed_batch(pool, memory, size, n_memory / size, omega, np.random.default_rng(8))
         replay = np.random.default_rng(8)
@@ -291,7 +291,7 @@ class TestKeyedPool:
 
     def test_memory_states_equal_assembler_and_oracle_states(self):
         """Every retained transition of a run_period gathers, from the
-        memory's windows, the state and next state that its period's
+        memory's step table, the state and next state that its period's
         assembler builds at t and t + 1, bit for bit, and that the oracle
         builds from the dataset's values."""
         dss = generate_synthetic(GeneratorConfig(periods=2, initial_nodes=3, growth_per_period=1,
@@ -303,6 +303,7 @@ class TestKeyedPool:
             run_period(prev, curr, agent, cfg, RewardWeights(), seed=0, drift_cfg=DriftConfig(fraction=1.0))
         memory = agent.memory
         assert memory.periods() == [1, 2]
+        assert len(memory.steps) < len(memory) * (4 + 1)  # neighbouring windows share steps
         batch = memory.gather(np.arange(len(memory)))
         for k in range(len(memory)):
             ds = dss[int(memory.period[k]) - 1]
@@ -466,7 +467,7 @@ def test_agent_checkpoint_round_trip(tmp_path):
     assert len(agent.buffer) > 0
     assert len(loaded.buffer) == 0  # the period pool is not saved
     with np.load(path) as data:
-        assert int(data["version"]) == 3
+        assert int(data["version"]) == 4
         assert not [key for key in data.files if key.startswith("buf_")]
     s = np.linspace(0, 1, agent.net.input_dim)
     np.testing.assert_array_equal(forward(agent.net, s), forward(loaded.net, s))
