@@ -186,8 +186,9 @@ class StateAssembler:
         n, length, _ = v.shape
         table = np.zeros((n, 6, length + 1))
         own, acc = table[:, :3, :length], table[:, 3:, :length]
-        own[:, 0] = np.clip(v[..., 0] / cal.flow_max, 0.0, 1.0)
-        own[:, 1] = np.clip(v[..., 1] / cal.speed_max, 0.0, 1.0)
+        for c, bound in ((0, cal.flow_max), (1, cal.speed_max)):  # in place: no temporary of the table's size
+            np.divide(v[..., c], bound, out=own[:, c])
+            np.clip(own[:, c], 0.0, 1.0, out=own[:, c])
         own[:, 2] = v[..., 2]
         # Sorted canonical edges list each (u, x) with u < x before any (x, w),
         # so every node's neighbor rows come out in sorted-id order.
@@ -195,11 +196,11 @@ class StateAssembler:
         for a, b in sorted(dataset.snapshot.edges):
             adjacent[dataset.index[a]].append(dataset.index[b])
             adjacent[dataset.index[b]].append(dataset.index[a])
+        for i, neighbors in enumerate(adjacent):
+            for j in neighbors:
+                acc[i] += own[j]
         degree = np.array([len(a) for a in adjacent], dtype=np.int64)
         max_degree = degree.max(initial=0)
-        for j in range(max_degree):  # the j-th neighbor of every node that has one
-            rows = np.flatnonzero(degree > j)
-            acc[rows] += own[[adjacent[i][j] for i in rows]]
         acc /= np.maximum(degree, 1)[:, None, None]
         self._table = table
         self._degree = degree / max_degree if max_degree > 0 else np.zeros(n)

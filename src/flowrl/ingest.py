@@ -5,11 +5,13 @@ Readings are 5-minute aggregates of (flow, speed, occupancy) per sensor.
 A period holds them as one (N, T, 3) float64 array: N sensors in sorted id
 order, every node of the period's graph, on one shared axis of T
 timestamps 300 s apart. `PeriodDataset`'s constructor is the one place
-that checks readings. `load_period` parses a CSV in one `np.loadtxt`
-call, places each row on the (sensor, time) grid and maps any fault back
-to its file and line. The synthetic generator produces multi-period
-streams with a growing topology and optionally planted regime shifts, for
-desk-scale experiments.
+that checks readings. `load_period` reads a CSV once, in blocks of whole
+records that `np.loadtxt` parses into compact columns, places each row on
+the (sensor, time) grid and maps any fault back to its file and line. It
+holds the text and its Python objects one block at a time, and rows in
+`write_period`'s order become the tensor without a copy. The synthetic
+generator produces multi-period streams with a growing topology and
+optionally planted regime shifts, for desk-scale experiments.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import warnings
 from dataclasses import dataclass
 from datetime import datetime
 from functools import cached_property
-from itertools import islice
+from itertools import islice, repeat
 from pathlib import Path
 from types import MappingProxyType
 
@@ -37,11 +39,17 @@ CHANNELS = ("flow", "speed", "occupancy")
 # Timestamps parse at ns so that a fractional second shows instead of being
 # cut off. A year outside datetime64[ns]'s range wraps modulo 2**64 ns,
 # which leaves a fraction of a second too, so it is rejected the same way.
-_ROW_DTYPE = np.dtype([("time", "M8[ns]"), ("sensor", object),
-                       ("flow", "f8"), ("speed", "f8"), ("occupancy", "f8")])
+def _row_dtype(sensor) -> np.dtype:
+    return np.dtype([("time", "M8[ns]"), ("sensor", sensor), ("flow", "f8"), ("speed", "f8"), ("occupancy", "f8")])
+
+
+_ROW_DTYPE = _row_dtype(object)
 # Parsing at ns drops any digit past the ninth of a fraction, so a
 # timestamp with more is found in the text.
 _PAST_NS = re.compile(rb":\d\d\.\d{10}")
+# Characters of readings text parsed per block; a block grows to the end of
+# the record it stops in.
+READ_BLOCK = 1 << 18
 
 
 @dataclass(eq=False)
@@ -191,19 +199,87 @@ def _row_problem(cells: list[str]) -> str | None:
     return None
 
 
-def _past_ns(path) -> bool:
-    """Whether the file's text matches _PAST_NS. It is read in 1 MiB blocks,
-    so that it is never held whole, and a block is searched only if it holds
-    a ':' three bytes before a '.', as every match does."""
-    with open(path, "rb") as f:
-        tail = b""
-        while block := f.read(1 << 20):
-            text = tail + block
-            buf = np.frombuffer(text, np.uint8)
-            if ((buf[:-3] == ord(":")) & (buf[3:] == ord("."))).any() and _PAST_NS.search(text):
-                return True
-            tail = block[-16:]
-    return False
+def _record_end(text: str) -> int:
+    """The index just past the last newline of `text` that ends a record,
+    or 0. `text` starts at a record's start. As np.loadtxt reads a quote,
+    it opens a quoted cell only at a cell's start, a doubled quote stays
+    inside it and any other quote closes it."""
+    safe, start = 0, 0  # start: where the text outside quotes resumes
+    q = text.find('"')
+    while q >= 0:
+        if q and text[q - 1] not in ",\n":  # a literal quote inside a cell
+            q = text.find('"', q + 1)
+            continue
+        safe = max(safe, text.rfind("\n", start, q) + 1)
+        close = text.find('"', q + 1)
+        while close >= 0 and text.startswith('"', close + 1):
+            close = text.find('"', close + 2)
+        if close < 0 or close + 1 == len(text):  # the cell may go on past the text
+            return safe
+        start = close + 1
+        q = text.find('"', start)
+    return max(safe, text.rfind("\n", start) + 1)
+
+
+def _blocks(path):
+    """The readings after the header line, as np.loadtxt reads a path (the
+    locale's encoding, universal newlines): (text, lines) of blocks of
+    about READ_BLOCK characters that each end at a record's end."""
+    with open(path) as f:
+        f.readline()
+        carry: list[str] = []
+        while lines := f.readlines(READ_BLOCK):
+            lines = carry + lines
+            text = "".join(lines)
+            end, keep, size = _record_end(text), len(lines), len(text)
+            while size > end:  # the lines of a record that goes on in the next block
+                keep -= 1
+                size -= len(lines[keep])
+            carry, lines, text = lines[keep:], lines[:keep], text[:end]
+            if text.strip("\n"):
+                yield text, lines
+        if carry and (text := "".join(carry)).strip("\n"):
+            yield text, carry
+
+
+def _past_ns(text: str) -> bool:
+    """Whether `text` matches _PAST_NS (a match may also lie in a sensor
+    id). It is searched only if it holds a ':' three bytes before a '.', as
+    every match does."""
+    data = text.encode()
+    buf = np.frombuffer(data, np.uint8)
+    return bool(((buf[:-3] == ord(":")) & (buf[3:] == ord("."))).any()) and _PAST_NS.search(data) is not None
+
+
+def _parse(source, dtype=_ROW_DTYPE, skiprows: int = 0) -> np.ndarray:
+    """Readings rows of `source` as np.loadtxt parses them, any warning
+    (numpy takes a zone suffix with only a warning) raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return np.loadtxt(source, dtype=dtype, delimiter=",", skiprows=skiprows,
+                          comments=None, quotechar='"', ndmin=1)
+
+
+def _parsed_blocks(path, id_width: int):
+    """Each block of the readings text (`_blocks`) with its rows as
+    np.loadtxt parses them, each sensor id cut to `id_width` characters.
+    A file it cannot parse is a DataError at the first row that it cannot
+    take."""
+    compact = _row_dtype(f"U{id_width}")  # no Python object per row
+    try:
+        for text, lines in _blocks(path):
+            # a U cell drops trailing NULs, so a block that holds a NUL keeps its ids whole
+            yield text, _parse(lines, _ROW_DTYPE if "\x00" in text else compact)
+    except (ValueError, Warning) as e:
+        # re-scan for the message only: the first row np.loadtxt cannot take
+        for line, cells in csv_rows(path, READINGS_HEADER):
+            if (problem := _row_problem(cells)) is not None:
+                raise DataError(problem, path=str(path), line=line) from None
+        try:  # numpy's own words, with rows counted over the whole file
+            _parse(path, skiprows=1)
+        except (ValueError, Warning) as whole:
+            e = whole
+        raise DataError(f"unreadable readings: {e}", path=str(path)) from None
 
 
 def load_period(readings_path, adjacency_path, period: int, nodes_path=None) -> PeriodDataset:
@@ -213,6 +289,14 @@ def load_period(readings_path, adjacency_path, period: int, nodes_path=None) -> 
     any order, timestamps naive ISO-8601 to the second. Every sensor must
     be a graph node, and every node needs one reading at each time of a
     shared 300 s axis. A fault raises a DataError with file and line.
+
+    The file is read once, in blocks of whole records (`_blocks`). Each
+    block is parsed by np.loadtxt into columns of time, roster index and
+    the three channels, so the text and its Python objects are held one
+    block at a time. The checks run once every block has parsed. Rows in
+    (sensor, time) order, as `write_period` writes them, make the channel
+    columns the period tensor as they stand; other orders are scattered
+    onto the grid.
     """
     snapshot = load_adjacency(adjacency_path, period, nodes_path=nodes_path)
     path = Path(readings_path)
@@ -225,62 +309,91 @@ def load_period(readings_path, adjacency_path, period: int, nodes_path=None) -> 
         line, cells = next(islice(csv_rows(path, READINGS_HEADER), int(row), None))
         return DataError(message(cells) if callable(message) else message, path=str(path), line=line)
 
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # numpy takes a zone suffix with only a warning
-            rows = np.loadtxt(path, dtype=_ROW_DTYPE, delimiter=",", skiprows=1,
-                              comments=None, quotechar='"', ndmin=1)
-    except (ValueError, Warning) as e:
-        # re-scan for the message only: the first row np.loadtxt cannot take
-        for line, cells in csv_rows(path, READINGS_HEADER):
-            if (problem := _row_problem(cells)) is not None:
-                raise DataError(problem, path=str(path), line=line) from None
-        raise DataError(f"unreadable readings: {e}", path=str(path)) from None
-
-    bad = np.isnat(rows["time"]) | (rows["time"].view(np.int64) % 10**9 != 0)
-    if _past_ns(path):  # a match may also lie in a sensor id
-        bad[[k for k, (_, cells) in enumerate(csv_rows(path, READINGS_HEADER))
-             if _PAST_NS.search(cells[0].encode())]] = True
-    if bad.any():
-        raise fault(np.argmax(bad),
-                    lambda cells: f"bad timestamp {cells[0]!r} (naive ISO-8601 to the second expected)")
     roster = {node: i for i, node in enumerate(sorted(snapshot.nodes))}
-    sensor = np.fromiter((roster.get(s, -1) for s in rows["sensor"]), np.intp, count=rows.size)
-    if np.any(sensor < 0):
-        row = np.argmax(sensor < 0)
-        raise fault(row, f"unknown sensor {rows['sensor'][row]!r} (not in adjacency graph)")
+    size = path.stat().st_size
+    time, sensor, floats = np.empty(0, "M8[ns]"), np.empty(0, np.intp), np.empty((0, len(CHANNELS)))
+    rows, read = 0, 0  # rows parsed and characters read so far
+    bad_time = unknown = None  # the first row of each fault
+    past_ns = False
+    # an id longer than every roster id is cut to a width no roster id has
+    for block, part in _parsed_blocks(path, max(map(len, roster), default=0) + 1):
+        past_ns = past_ns or _past_ns(block)
+        k, read = len(part), read + len(block)
+        if rows + k > len(time):  # room for the rows that the file's size still promises
+            cap = max(rows + k, (rows + k) * size // read) + k
+            for column in (time, sensor, floats):
+                column.resize((cap, *column.shape[1:]), refcheck=False)
+        span = slice(rows, rows + k)
+        time[span] = part["time"]
+        ids = part["sensor"]  # looked up once per run of one id, as write_period writes them
+        starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
+        sensor[span] = np.repeat(np.fromiter(map(roster.get, ids[starts], repeat(-1)), np.intp, count=len(starts)),
+                                 np.diff(starts, append=k))
+        for c, name in enumerate(CHANNELS):
+            floats[span, c] = part[name]
+        if bad_time is None:
+            bad = np.isnat(part["time"]) | (part["time"].view(np.int64) % 10**9 != 0)
+            bad_time = rows + int(np.argmax(bad)) if bad.any() else None
+        if unknown is None and (miss := sensor[span] < 0).any():
+            j = int(np.argmax(miss))
+            unknown = (rows + j, _parse(io.StringIO(block))["sensor"][j])  # the id uncut
+        rows += k
+        del block, part  # before the next block is read
+    for column in (time, sensor, floats):
+        column.resize((rows, *column.shape[1:]), refcheck=False)
+
+    if past_ns:
+        late = next((k for k, (_, cells) in enumerate(csv_rows(path, READINGS_HEADER))
+                     if _PAST_NS.search(cells[0].encode())), None)
+        if late is not None:
+            bad_time = late if bad_time is None else min(bad_time, late)
+    if bad_time is not None:
+        raise fault(bad_time,
+                    lambda cells: f"bad timestamp {cells[0]!r} (naive ISO-8601 to the second expected)")
+    if unknown is not None:
+        raise fault(unknown[0], f"unknown sensor {unknown[1]!r} (not in adjacency graph)")
     # index the sensors that have readings, so a node without any is reported by PeriodDataset
     present = np.bincount(sensor, minlength=len(roster)) > 0
     nodes = [node for node, seen in zip(roster, present) if seen]
-    sensor = (np.cumsum(present) - 1)[sensor]
+    if not present.all():
+        sensor = (np.cumsum(present) - 1)[sensor]
 
-    times, t = np.unique(rows["time"], return_inverse=True)
-    n, width = len(nodes), len(times)
-    cell = sensor * width + t
-    per_cell = np.bincount(cell, minlength=n * width)
-    if np.any(per_cell != 1):  # report the earliest time that is not one reading per sensor
-        k, i = divmod(int(np.argmax((per_cell != 1).reshape(n, width).T)), n)
-        at = np.datetime_as_string(times[k], unit="s")
-        if per_cell[i * width + k] > 1:
-            raise fault(np.flatnonzero(cell == i * width + k)[1], f"sensor {nodes[i]!r}: second reading at {at}")
-        own = np.flatnonzero(sensor == i)  # point at the reading after the gap, else the last one
-        later = own[t[own] > k]
-        row = later[np.argmin(t[later])] if later.size else own[np.argmax(t[own])]
-        raise fault(row, f"sensor {nodes[i]!r}: timestamp gap, no reading at {at} on the shared "
-                         f"{STEP_SECONDS}s axis")
-    values = np.empty((n * width, len(CHANNELS)))
-    for c, name in enumerate(CHANNELS):
-        values[cell, c] = rows[name]
-    row_of = np.empty((n, width), dtype=np.intp)
-    row_of.flat[cell] = np.arange(rows.size)
-    del rows
+    n = len(nodes)
+    width = rows // n
+    cell = None  # the grid cell of each row, where row r does not hold cell r
+    if (n * width == rows and np.all(time[1:width] > time[:width - 1])
+            and np.all(sensor.reshape(n, width) == np.arange(n)[:, None])
+            and np.all(time.reshape(n, width) == time[:width])):
+        times = time[:width].copy()
+        del time, sensor
+    else:
+        times, t = np.unique(time, return_inverse=True)
+        del time
+        width = len(times)
+        cell = sensor * width + t
+        per_cell = np.bincount(cell, minlength=n * width)
+        if np.any(per_cell != 1):  # report the earliest time that is not one reading per sensor
+            k, i = divmod(int(np.argmax((per_cell != 1).reshape(n, width).T)), n)
+            at = np.datetime_as_string(times[k], unit="s")
+            if per_cell[i * width + k] > 1:
+                raise fault(np.flatnonzero(cell == i * width + k)[1], f"sensor {nodes[i]!r}: second reading at {at}")
+            own = np.flatnonzero(sensor == i)  # point at the reading after the gap, else the last one
+            later = own[t[own] > k]
+            row = later[np.argmin(t[later])] if later.size else own[np.argmax(t[own])]
+            raise fault(row, f"sensor {nodes[i]!r}: timestamp gap, no reading at {at} on the shared "
+                             f"{STEP_SECONDS}s axis")
+        del sensor, t, per_cell
+        values = np.empty_like(floats)
+        values[cell] = floats
+        floats = values
 
     try:
-        return PeriodDataset(period=period, snapshot=snapshot, nodes=tuple(nodes),
-                             times=times.astype("datetime64[s]"),
-                             values=values.reshape(n, width, len(CHANNELS)), splits=compute_splits(width))
+        return PeriodDataset(period=period, snapshot=snapshot, nodes=tuple(nodes), times=times,
+                             values=floats.reshape(n, width, len(CHANNELS)), splits=compute_splits(width))
     except ReadingError as e:
         if e.t is not None:
+            row_of = np.empty((n, width), dtype=np.intp)
+            row_of.flat[slice(None) if cell is None else cell] = np.arange(rows)
             raise fault(row_of[nodes.index(e.node), e.t] if e.node is not None else row_of[:, e.t].min(),
                         str(e)) from None
         declared = ((adjacency_path, ["from", "to"]), (nodes_path, ["node_id"]))

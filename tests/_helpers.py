@@ -1,5 +1,6 @@
 """Shared fixture builders for hand-constructed datasets."""
 
+import tracemalloc
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -70,3 +71,15 @@ class WindowTable:
 def window_table_rows(ts, rewards):
     """The WindowTable state rows [t] * 6 + [r] of each (t, r)."""
     return np.column_stack([np.repeat(np.asarray(ts, dtype=float)[:, None], 6, axis=1), rewards])
+
+
+def traced_peak(build):
+    """build()'s result and the traced memory it held at most beyond what
+    was traced before it ran."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = build()
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from _helpers import make_dataset, make_series
+from _helpers import make_dataset, make_series, traced_peak
 from _oracles import build_state as oracle_state, compute_reward
 from flowrl.env import (
     Calibration,
@@ -17,6 +17,7 @@ from flowrl.env import (
     fit_discretizer,
     window_rows,
 )
+from flowrl.ingest import GeneratorConfig, generate_synthetic
 
 
 def percentile_oracle(sorted_values, q):
@@ -272,6 +273,20 @@ def test_neighbor_means_equal_sorted_loop_reference():
     for v in nodes:
         expected = np.stack([oracle_state(ds, v, t, 4, CAL) for t in ts])
         np.testing.assert_array_equal(asm.states(v, ts), expected)
+
+
+def test_state_table_built_in_place():
+    """Building the state table holds little beyond the table itself: the
+    channels are normalized in place and neighbor windows are summed one
+    node at a time (a gather of every node's j-th neighbor held 2x)."""
+    config = GeneratorConfig(periods=1, initial_nodes=60, growth_per_period=0, steps_per_period=2000,
+                             edges_per_new_node=3)
+    ds = generate_synthetic(config, 3)[0]
+    cal = fit_calibration(ds)
+    asm, peak = traced_peak(lambda: StateAssembler(ds, calibration=cal))
+    table = asm.key_count * 6 * 8  # (N, 6, T + 1) float64
+    assert table > 2e6
+    assert peak <= 1.1 * table, peak / table
 
 
 @settings(max_examples=30, deadline=None)

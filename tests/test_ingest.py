@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from _helpers import make_dataset, make_series
+import flowrl.ingest as ingest
+from _helpers import make_dataset, make_series, traced_peak
 from _oracles import write_readings_reference
 from flowrl.errors import DataError
 from flowrl.graph import GraphSnapshot, NodeIdError, load_adjacency
@@ -371,6 +372,157 @@ class TestLoadPeriod:
             write_period(ds, readings, Path(tmp, "adjacency.csv"))
             write_readings_reference(ds, reference)
             assert readings.read_bytes() == reference.read_bytes()
+
+
+def readings_text(rows, newline="\r\n", final=True):
+    return newline.join(["timestamp,sensor_id,flow,speed,occupancy", *rows]) + (newline if final else "")
+
+
+def load_fault(*args, **kwargs):
+    """The DataError text load_period raises, or None if it loads."""
+    try:
+        load_period(*args, **kwargs)
+    except DataError as e:
+        return str(e)
+    return None
+
+
+class TestLoadPeriodBlocks:
+    """load_period reads the file in blocks of READ_BLOCK characters; no block
+    size may change what it returns or the fault it names."""
+
+    TINY = [1, 7, 64, 97]
+
+    def test_line_break_record_across_every_boundary(self, tmp_path, monkeypatch):
+        adjacency, readings = tmp_path / "adjacency.csv", tmp_path / "readings.csv"
+        adjacency.write_text("from,to\r\ns0,s1\r\n")
+        rows = ["2001-01-01T00:00:00,s0,1.0,2.0,0.1", '2001-01-01T00:00:00,"s\n1",1.0,2.0,0.1',
+                "2001-01-01T00:00:00,s1,1.0,2.0,0.1"]
+        text = readings_text(rows)
+        stamped = readings_text(rows[:2] + [rows[2].replace("00:00:00", "00:00:00.5")])
+        for block in [*self.TINY, *range(30, 80)]:  # a first read of 35-57 characters ends inside the quoted cell
+            monkeypatch.setattr(ingest, "READ_BLOCK", block)
+            readings.write_text(text)
+            assert load_fault(readings, adjacency, 1).endswith("readings.csv:3: unknown sensor 's\\n1' "
+                                                               "(not in adjacency graph)")
+            readings.write_text(stamped)
+            assert "readings.csv:5: bad timestamp" in load_fault(readings, adjacency, 1)
+
+    @pytest.mark.parametrize("block", TINY)
+    @pytest.mark.parametrize("newline", ["\r\n", "\n"])
+    @pytest.mark.parametrize("final", [True, False])
+    def test_same_tensor_at_any_block_size(self, tmp_path, monkeypatch, block, newline, final):
+        ds = generate_synthetic(small_config(), 1)[0]
+        readings, adjacency, nodes = write_dataset(ds, tmp_path)
+        header, *rows = readings.read_text().splitlines()
+        readings.write_bytes(readings_text(rows, newline, final).encode())
+        monkeypatch.setattr(ingest, "READ_BLOCK", block)
+        loaded = load_period(readings, adjacency, ds.period, nodes_path=nodes)
+        assert loaded.nodes == ds.nodes
+        assert np.array_equal(loaded.times, ds.times)
+        assert loaded.values.tobytes() == ds.values.tobytes()
+
+    @pytest.mark.parametrize("block", TINY)
+    @pytest.mark.parametrize("mutate,match", [
+        (lambda cells: cells[:2] + ["not-a-number"] + cells[3:], "readings_1.csv:{line}: bad numeric value"),
+        (lambda cells: ["2001-01-01T00:00:00.0000000005"] + cells[1:], "readings_1.csv:{line}: bad timestamp"),
+        (lambda cells: cells[:1] + ["rogue"] + cells[2:], "readings_1.csv:{line}: unknown sensor 'rogue'"),
+        (lambda cells: cells[:4] + ["1.5"], "readings_1.csv:{line}: occupancy 1.5 outside"),
+        # np.loadtxt refuses a trailing space that the csv re-scan strips: numpy's message, its row
+        # counted over the whole file
+        (lambda cells: [cells[0] + " "] + cells[1:], "readings_1.csv: unreadable readings: could not "
+                                                     "convert string '{stamp} ' to datetime64[ns] at row {row}"),
+    ])
+    def test_fault_in_last_block_same_at_any_block_size(self, tmp_path, monkeypatch, block, mutate, match):
+        ds = generate_synthetic(small_config(), 1)[0]
+        readings, adjacency, nodes = write_dataset(ds, tmp_path)
+        lines = readings.read_text().splitlines()
+        lines[-2] = ",".join(mutate(lines[-2].split(",")))
+        readings.write_text("\n".join(lines) + "\n")
+        default = load_fault(readings, adjacency, ds.period, nodes_path=nodes)
+        stamp = lines[-2].split(",")[0].strip()
+        assert match.format(line=len(lines) - 1, row=len(lines) - 3, stamp=stamp) in default
+        monkeypatch.setattr(ingest, "READ_BLOCK", block)
+        assert load_fault(readings, adjacency, ds.period, nodes_path=nodes) == default
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), length=st.integers(5, 7), block=st.integers(1, 120))
+    def test_any_buildable_period_at_any_block_size(self, data, length, block):
+        ids = data.draw(st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=4, unique=True))
+        try:
+            snapshot = GraphSnapshot.build(3, ids, [])
+        except NodeIdError:
+            assume(False)
+        ids = sorted(ids)
+        values = data.draw(arrays(np.float64, (len(ids), length, 3), elements=st.floats(0.0, 1.0)))
+        ds = PeriodDataset(period=3, snapshot=snapshot, nodes=ids,
+                           times=np.datetime64("2003-01-01T00:00:00") + 300 * np.arange(length),
+                           values=values, splits=compute_splits(length))
+        with tempfile.TemporaryDirectory() as tmp:
+            files = write_dataset(ds, Path(tmp))
+            previous, ingest.READ_BLOCK = ingest.READ_BLOCK, block
+            try:
+                loaded = load_period(files[0], files[1], 3, nodes_path=files[2])
+            finally:
+                ingest.READ_BLOCK = previous
+        assert loaded.nodes == ds.nodes
+        assert loaded.values.tobytes() == ds.values.tobytes()
+
+
+class TestSensorIds:
+    """Ids that a fixed-width or prefix match would confuse load back as
+    themselves, and a readings id outside the graph is named in full."""
+
+    def _case(self, tmp_path, graph_ids, reading_ids):
+        """Readings of `reading_ids` at 5 times each, sensor-blocked, under
+        a graph of `graph_ids`."""
+        ds = make_dataset(1, graph_ids, [], {v: make_series(v, np.arange(5.0) + i)
+                                             for i, v in enumerate(graph_ids)})
+        readings, adjacency, nodes = write_dataset(ds, tmp_path)
+        if reading_ids != graph_ids:
+            stand_in = make_dataset(1, reading_ids, [], {v: make_series(v, np.arange(5.0) + i)
+                                                         for i, v in enumerate(reading_ids)})
+            write_period(stand_in, readings, tmp_path / "unused_adjacency.csv")
+        return ds, (readings, adjacency, 1), {"nodes_path": nodes}
+
+    @pytest.mark.parametrize("block", [None, 7, 64])
+    @pytest.mark.parametrize("ids", [["s1", "s10"], ["s", "s\x00"], ["s\x00", "t"], ["é", "ß1", "s"],
+                                     ["s1", "s1\x00\x00", "s10"]])
+    def test_round_trip(self, tmp_path, monkeypatch, ids, block):
+        if block:
+            monkeypatch.setattr(ingest, "READ_BLOCK", block)
+        ds, args, kwargs = self._case(tmp_path, ids, ids)
+        loaded = load_period(*args, **kwargs)
+        assert loaded.nodes == ds.nodes
+        assert loaded.values.tobytes() == ds.values.tobytes()
+
+    @pytest.mark.parametrize("block", [None, 7, 64])
+    @pytest.mark.parametrize("graph,readings,unknown", [
+        (["s1", "s2"], ["s10", "s2"], "s10"),  # a known id is a prefix of it
+        (["s10", "s2"], ["s1", "s2"], "s1"),  # it is a prefix of a known id
+        (["s1", "s2"], ["s1", "s2000000000000000"], "s2000000000000000"),  # longer than every id
+        (["s", "t"], ["s\x00", "t"], "s\x00"),  # a trailing NUL
+        (["s", "t"], ["s", "tü"], "tü"),  # not ASCII
+    ])
+    def test_unknown_id_named_in_full(self, tmp_path, monkeypatch, graph, readings, unknown, block):
+        if block:
+            monkeypatch.setattr(ingest, "READ_BLOCK", block)
+        _, args, kwargs = self._case(tmp_path, graph, readings)
+        line = 2 + 5 * sorted(readings).index(unknown)  # the first row of its sensor block
+        with pytest.raises(DataError) as err:
+            load_period(*args, **kwargs)
+        assert str(err.value).endswith(f"readings_1.csv:{line}: unknown sensor {unknown!r} (not in adjacency graph)")
+
+
+def test_load_period_memory_is_bounded_by_its_tensor(tmp_path):
+    """Set-up memory: loading a period holds less than 4x the tensor it
+    returns (a whole-file parse held 7x, in rows of Python objects)."""
+    ds = generate_synthetic(small_config(initial_nodes=60, steps_per_period=2000), 3)[0]
+    assert ds.values.nbytes > 2e6
+    files = write_dataset(ds, tmp_path)
+    loaded, peak = traced_peak(lambda: load_period(files[0], files[1], ds.period, nodes_path=files[2]))
+    assert loaded.values.tobytes() == ds.values.tobytes()
+    assert peak <= 4 * loaded.values.nbytes, peak / loaded.values.nbytes
 
 
 class TestGenerator:
