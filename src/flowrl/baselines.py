@@ -21,7 +21,7 @@ def last_value_forecast(dataset: PeriodDataset, node: str, anchors, horizon: int
     anchors = np.asarray(anchors, dtype=int)
     if anchors.size and anchors.min() < 1:
         raise ValueError("anchors must leave at least one observed value behind them")
-    return dataset.series[node].flow[anchors - 1]
+    return dataset.values[dataset.index[node], anchors - 1, 0]
 
 
 def historical_average_forecast(dataset: PeriodDataset, node: str, anchors, horizon: int,
@@ -35,7 +35,7 @@ def historical_average_forecast(dataset: PeriodDataset, node: str, anchors, hori
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     anchors = np.asarray(anchors, dtype=int)
     lo, hi = dataset.splits.train
-    flows = dataset.series[node].flow[lo:hi]
+    flows = dataset.values[dataset.index[node], lo:hi, 0]
     positions = (np.arange(lo, hi)) % day_steps
     sums = np.zeros(day_steps)
     counts = np.zeros(day_steps)

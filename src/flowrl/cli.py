@@ -17,17 +17,19 @@ import re
 import sys
 import zipfile
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .atomic import atomic_write
 from .config import RunConfig, config_to_ini, load_config
 from .drift import detect
 from .errors import ConfigError, DataError
-from .env import StateAssembler, fit_calibration, fit_discretizer, state_dim
+# fit_calibration and fit_discretizer are unused here; perfbench/spans.py wraps cli.fit_*
+from .env import fit_calibration, fit_discretizer, state_dim  # noqa: F401
 from .ingest import ReadingError, generate_synthetic, load_period, write_period
+from .metrics import metrics_dict
 from .replay import ReplayBuffer
-from .trainer import evaluate_period, init_agent, load_agent, run_period, save_agent
+from .trainer import evaluate_period, fit_period, init_agent, load_agent, run_period, save_agent
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -51,15 +53,19 @@ def _period_files(data_dir: Path, period: int) -> list[Path]:
     return [data_dir / f"{kind}_{period}.csv" for kind in ("readings", "adjacency", "nodes")]
 
 
+def _numbered(directory: Path, kind: str, suffix: str) -> list[tuple[int, Path]]:
+    """(n, path) of each <kind>_<n><suffix> file in `directory`, by n."""
+    found = []
+    for path in directory.glob(f"{kind}_*{suffix}"):
+        if m := re.fullmatch(rf"{kind}_(-?\d+){re.escape(suffix)}", path.name):
+            found.append((int(m.group(1)), path))
+    return sorted(found)
+
+
 def _discover_periods(data_dir: Path) -> list[int]:
-    periods = []
-    for path in data_dir.glob("readings_*.csv"):
-        m = re.fullmatch(r"readings_(-?\d+)\.csv", path.name)
-        if m:
-            periods.append(int(m.group(1)))
+    periods = [n for n, _ in _numbered(data_dir, "readings", ".csv")]
     if not periods:
         raise DataError(f"no readings_<period>.csv files found in {data_dir}")
-    periods.sort()
     for a, b in zip(periods, periods[1:]):
         if b != a + 1:
             raise DataError(f"period sequence has a gap between {a} and {b} in {data_dir}")
@@ -175,16 +181,11 @@ def cmd_train(args) -> int:
     start_index = 0
     agent = None
     if args.resume:
-        done = sorted(
-            int(m.group(1))
-            for p in out_dir.glob("checkpoint_*.npz")
-            if (m := re.fullmatch(r"checkpoint_(-?\d+)\.npz", p.name))
-        )
+        done = _numbered(out_dir, "checkpoint", ".npz")
         if done:
-            last = done[-1]
+            last, checkpoint = done[-1]
             if last not in periods:
                 raise DataError(f"checkpoint for period {last} has no matching data in {data_dir}")
-            checkpoint = out_dir / f"checkpoint_{last}.npz"
             agent = _load_checkpoint(checkpoint, config)
             _check_resumable(agent, config, checkpoint)
             start_index = periods.index(last) + 1
@@ -233,20 +234,11 @@ def cmd_evaluate(args) -> int:
     agent = _load_checkpoint(checkpoint, config)
     dataset = _load_dataset(data_dir, args.period)
     with _readings_of(data_dir, args.period):
-        calibration = fit_calibration(dataset)
-        discretizer = fit_discretizer(dataset.flows_in("train"))
-        assembler = StateAssembler(dataset, window=config.trainer.window, calibration=calibration)
+        discretizer, assembler = fit_period(dataset, config.trainer.window)
         metrics, per_node = evaluate_period(
             dataset, agent.net, discretizer, assembler, config.trainer.horizons
         )
-    payload = {
-        "period": args.period,
-        "metrics": {
-            split: {str(h): ms.as_dict() for h, ms in per_split.items()}
-            for split, per_split in metrics.items()
-        },
-        "per_node_test_mae": per_node,
-    }
+    payload = {"period": args.period, "metrics": metrics_dict(metrics), "per_node_test_mae": per_node}
     if args.out:
         _write_json(Path(args.out), payload)
     print(json.dumps(payload["metrics"], sort_keys=True, indent=2))
@@ -258,12 +250,7 @@ def cmd_detect(args) -> int:
     data_dir = Path(args.data_dir)
     prev = _load_dataset(data_dir, args.period - 1)
     curr = _load_dataset(data_dir, args.period)
-    report = detect(
-        prev, curr,
-        fraction=config.drift.fraction,
-        bins=config.drift.bins,
-        smoothing=config.drift.smoothing,
-    )
+    report = detect(prev, curr, **asdict(config.drift))
     payload = report.to_json_dict()
     if args.out:
         _write_json(Path(args.out), payload)
@@ -283,14 +270,9 @@ def _test_metric_rows(period: int, report: dict) -> list[list]:
 def cmd_export_figures(args) -> int:
     report_dir = Path(args.report_dir)
     out_dir = _make_dir(Path(args.out_dir) if args.out_dir else report_dir)
-    reports = []
-    for path in report_dir.glob("report_*.json"):
-        m = re.fullmatch(r"report_(-?\d+)\.json", path.name)
-        if m:
-            reports.append((int(m.group(1)), path))
+    reports = _numbered(report_dir, "report", ".json")
     if not reports:
         raise DataError(f"no report_<period>.json files found in {report_dir}")
-    reports.sort()
 
     metric_rows = [["period", "horizon", "metric", "value"]]
     timing_rows = [["period", "total_seconds", "per_epoch_seconds"]]

@@ -1,8 +1,9 @@
 """Evolution detection between consecutive periods via per-node KL scores.
 
 Each surviving node's flow distribution is histogrammed over the pooled
-two-period range and scored with KL(current || previous); the top fraction
-plus every newly added node become the retraining candidate set.
+two-period range and scored with KL(current || previous), every node in
+one pass over the two period tensors; the top fraction plus every newly
+added node become the retraining candidate set.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import node_diff
-from .ingest import PeriodDataset, SensorSeries
+from .ingest import PeriodDataset
 
 BINS_DEFAULT = 20
 SMOOTHING_DEFAULT = 1.0
@@ -22,6 +23,8 @@ FRACTION_DEFAULT = 0.10
 
 @dataclass(frozen=True)
 class DriftConfig:
+    """The keyword arguments of `detect`, checked."""
+
     fraction: float = FRACTION_DEFAULT
     bins: int = BINS_DEFAULT
     smoothing: float = SMOOTHING_DEFAULT
@@ -59,20 +62,37 @@ class NodeHistogram:
             raise ValueError(f"masses sum to {float(self.masses.sum())}, expected 1")
 
 
-def build_histogram(series: SensorSeries, edges, smoothing: float = SMOOTHING_DEFAULT,
+def _masses(flows: np.ndarray, edges: np.ndarray, smoothing: float) -> np.ndarray:
+    """Smoothed masses (count_k + s) / (T + B*s) of each row of `flows`
+    (N, T) in the bins of its row of `edges` (N, B + 1): a value outside
+    the edges counts in the nearest end bin, and the last bin is closed."""
+    n, bins = edges.shape[0], edges.shape[1] - 1
+    counts = np.empty((n, bins), dtype=np.intp)
+    for i in range(n):  # row by row, so that no (N, T) index array is held
+        at = edges[i].searchsorted(flows[i], side="right") - 1
+        counts[i] = np.bincount(np.clip(at, 0, bins - 1), minlength=bins)
+    return (counts + smoothing) / (flows.shape[1] + bins * smoothing)
+
+
+def _kl(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """KL(p || q) in nats along the last axis; zero p-masses contribute zero."""
+    if np.any(q <= 0):
+        raise ValueError("q has zero-mass bins; smooth before computing KL")
+    terms = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0) / q), 0.0)
+    return terms.sum(axis=-1)
+
+
+def build_histogram(flows, edges, smoothing: float = SMOOTHING_DEFAULT,
                     period: int = 0) -> NodeHistogram:
     """Count flows into bins and Laplace-smooth: (count_k + s) / (N + B*s)."""
     edges = np.asarray(edges, dtype=float)
-    values = np.asarray(series.flow, dtype=float)
+    values = np.asarray(flows, dtype=float)
     if values.size == 0:
-        raise ValueError(f"sensor {series.sensor_id!r}: empty series")
-    if not np.all(np.diff(edges) > 0):
-        raise ValueError("histogram edges must be strictly ascending")
-    clipped = np.clip(values, edges[0], edges[-1])
-    counts, _ = np.histogram(clipped, bins=edges)
-    bins = edges.size - 1
-    masses = (counts + smoothing) / (values.size + bins * smoothing)
-    return NodeHistogram(node_id=series.sensor_id, period=period, edges=edges, masses=masses)
+        raise ValueError("empty flow array")
+    if not np.isfinite(values).all():
+        raise ValueError("flows must be finite")
+    masses = _masses(values.reshape(1, -1), edges[None], smoothing)[0]
+    return NodeHistogram(node_id="", period=period, edges=edges, masses=masses)
 
 
 def kl_divergence(p: NodeHistogram, q: NodeHistogram) -> float:
@@ -81,11 +101,7 @@ def kl_divergence(p: NodeHistogram, q: NodeHistogram) -> float:
         raise ValueError(
             f"histograms are binned differently ({p.node_id!r} vs {q.node_id!r})"
         )
-    if np.any(q.masses <= 0):
-        raise ValueError("q has zero-mass bins; smooth before computing KL")
-    pm = p.masses
-    terms = np.where(pm > 0, pm * np.log(np.where(pm > 0, pm, 1.0) / q.masses), 0.0)
-    return float(terms.sum())
+    return float(_kl(p.masses, q.masses))
 
 
 @dataclass(frozen=True)
@@ -121,17 +137,15 @@ def detect(prev: PeriodDataset, curr: PeriodDataset, fraction: float = FRACTION_
             f"periods are not consecutive: {prev.period} then {curr.period}"
         )
     new, surviving, _removed = node_diff(prev.snapshot, curr.snapshot)
-    scores: dict[str, float] = {}
-    for node in sorted(surviving):
-        pooled_lo = min(prev.series[node].flow.min(), curr.series[node].flow.min())
-        pooled_hi = max(prev.series[node].flow.max(), curr.series[node].flow.max())
-        if pooled_hi <= pooled_lo:
-            pooled_lo -= 0.5
-            pooled_hi += 0.5
-        edges = np.linspace(pooled_lo, pooled_hi, bins + 1)
-        h_prev = build_histogram(prev.series[node], edges, smoothing, period=prev.period)
-        h_curr = build_histogram(curr.series[node], edges, smoothing, period=curr.period)
-        scores[node] = kl_divergence(h_curr, h_prev)
+    nodes = sorted(surviving)
+    before = prev.values[[prev.index[node] for node in nodes], :, 0]
+    after = curr.values[[curr.index[node] for node in nodes], :, 0]
+    lo = np.minimum(before.min(axis=1), after.min(axis=1))
+    hi = np.maximum(before.max(axis=1), after.max(axis=1))
+    widen = np.where(hi <= lo, 0.5, 0.0)  # a flat pair of rows gets a unit-wide range
+    edges = np.linspace(lo - widen, hi + widen, bins + 1, axis=1)
+    kl = _kl(_masses(after, edges, smoothing), _masses(before, edges, smoothing))
+    scores = dict(zip(nodes, kl.tolist()))
 
     k = math.ceil(fraction * len(surviving))
     ranked = sorted(scores, key=lambda n: (-scores[n], n))

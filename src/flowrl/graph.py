@@ -156,7 +156,7 @@ def node_diff(g_prev: GraphSnapshot, g_curr: GraphSnapshot):
 
 
 def csv_rows(path, header: list[str]):
-    """(line, stripped cells) of each non-empty record of a CSV file after
+    """(line, cells as written) of each non-empty record of a CSV file after
     its header; a header other than `header` is a DataError. The line is
     the one a record starts on, also when a quoted cell spans lines."""
     with open(path, newline="") as f:
@@ -167,7 +167,7 @@ def csv_rows(path, header: list[str]):
         start = reader.line_num + 1
         for cells in reader:  # reader.line_num is the line a record ends on
             if cells:
-                yield start, [c.strip() for c in cells]
+                yield start, cells
             start = reader.line_num + 1
 
 
@@ -193,6 +193,7 @@ def load_adjacency(adjacency_path, period: int, nodes_path=None) -> GraphSnapsho
     nodes: set[str] = set()
     edges: set[Edge] = set()
     for line, cells in csv_rows(adjacency_path, ["from", "to"]):
+        cells = [c.strip() for c in cells]
         if not any(cells):
             continue
         if len(cells) != 2:
@@ -204,6 +205,7 @@ def load_adjacency(adjacency_path, period: int, nodes_path=None) -> GraphSnapsho
         edges.add(canonical_edge(u, v))
     if nodes_path is not None and Path(nodes_path).exists():
         for line, cells in csv_rows(nodes_path, ["node_id"]):
+            cells = [c.strip() for c in cells]
             if any(cells):
                 nodes.add(_node_cell(cells[0], nodes_path, line))
     return GraphSnapshot(period=period, nodes=frozenset(nodes), edges=frozenset(edges))

@@ -214,7 +214,7 @@ def _record_end(text: str) -> int:
         close = text.find('"', q + 1)
         while close >= 0 and text.startswith('"', close + 1):
             close = text.find('"', close + 2)
-        if close < 0 or close + 1 == len(text):  # the cell may go on past the text
+        if close < 0:  # the cell may go on past the text
             return safe
         start = close + 1
         q = text.find('"', start)
@@ -238,8 +238,8 @@ def _blocks(path):
             carry, lines, text = lines[keep:], lines[:keep], text[:end]
             if text.strip("\n"):
                 yield text, lines
-        if carry and (text := "".join(carry)).strip("\n"):
-            yield text, carry
+        if carry:  # the record the file ends in, never blank
+            yield "".join(carry), carry
 
 
 def _past_ns(text: str) -> bool:
@@ -355,8 +355,7 @@ def load_period(readings_path, adjacency_path, period: int, nodes_path=None) -> 
     # index the sensors that have readings, so a node without any is reported by PeriodDataset
     present = np.bincount(sensor, minlength=len(roster)) > 0
     nodes = [node for node, seen in zip(roster, present) if seen]
-    if not present.all():
-        sensor = (np.cumsum(present) - 1)[sensor]
+    sensor = (np.cumsum(present) - 1)[sensor]
 
     n = len(nodes)
     width = rows // n
@@ -400,7 +399,7 @@ def load_period(readings_path, adjacency_path, period: int, nodes_path=None) -> 
         for graph_file, header in declared:  # a node without readings: point where it is declared
             if graph_file is not None and Path(graph_file).exists():
                 for line, cells in csv_rows(graph_file, header):
-                    if e.node in cells:
+                    if e.node in map(str.strip, cells):
                         raise DataError(f"{e} in {path.name}", path=str(graph_file), line=line) from None
         raise DataError(str(e), path=str(path)) from None
     except ValueError as e:  # too short to split

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -15,14 +15,11 @@ class MetricSet:
     class_accuracy: float
     count: int
 
-    def as_dict(self) -> dict:
-        return {
-            "mae": self.mae,
-            "rmse": self.rmse,
-            "mape": self.mape,
-            "class_accuracy": self.class_accuracy,
-            "count": self.count,
-        }
+
+def metrics_dict(metrics: dict[str, dict[int, MetricSet]]) -> dict:
+    """JSON form of split -> horizon -> MetricSet, the horizons as strings."""
+    return {split: {str(h): asdict(ms) for h, ms in per_split.items()}
+            for split, per_split in metrics.items()}
 
 
 def compute_metrics(predicted_flows, actual_flows, predicted_classes, actual_classes) -> MetricSet:

@@ -163,9 +163,6 @@ class ReplayBuffer:
         return (*self.states.windows(self.row[idx]), self.action[idx], self.reward[idx],
                 self.terminal[idx])
 
-    def gather(self, idx) -> Batch:
-        return _window_batch(*self.window_columns(idx))
-
     def priorities(self) -> np.ndarray:
         return assign_priority(self.reward)
 
@@ -283,9 +280,6 @@ class ConsolidationMemory:
         """(windows, degree, action, reward, terminal) of transitions idx."""
         return (self._windows[self.start[idx]], self.degree[idx], self.action[idx],
                 self.reward[idx], self.terminal[idx])
-
-    def gather(self, idx) -> Batch:
-        return _window_batch(*self.window_columns(idx))
 
     def draw(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Indices of a uniform draw with replacement from the memory."""

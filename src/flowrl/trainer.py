@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .env import (
 )
 from .errors import DivergenceError
 from .ingest import PeriodDataset, ReadingError
-from .metrics import MetricSet, compute_metrics
+from .metrics import MetricSet, compute_metrics, metrics_dict
 from .qnet import (
     N_ACTIONS,
     QNetwork,
@@ -160,12 +160,19 @@ def init_agent(input_dim: int, hidden: int = 64, dueling: bool = True, seed: int
     )
 
 
+def fit_period(dataset: PeriodDataset, window: int) -> tuple[Discretizer, StateAssembler]:
+    """The discretizer and the state assembler of one period, both fitted on
+    its training split; the assembler holds the calibration."""
+    discretizer = fit_discretizer(dataset.flows_in("train"))
+    return discretizer, StateAssembler(dataset, window=window, calibration=fit_calibration(dataset))
+
+
 def generate_rollout(assembler: StateAssembler, discretizer: Discretizer, node: str,
                      split: str, net: QNetwork, epsilons: np.ndarray,
                      rng: np.random.Generator, weights: RewardWeights,
-                     occ_epsilon: float, pool: ReplayBuffer | None = None) -> EpisodeRollout:
-    """Traverse one node's split, writing chained transitions into `pool`
-    (a store of its own when None), which is keyed to the assembler.
+                     occ_epsilon: float, pool: ReplayBuffer) -> EpisodeRollout:
+    """Traverse one node's split, writing chained transitions into `pool`,
+    which is keyed to the assembler.
 
     The transition at time t holds the key of the state built from
     [t-W, t), the epsilon-greedy action and the reward against the actual
@@ -174,24 +181,18 @@ def generate_rollout(assembler: StateAssembler, discretizer: Discretizer, node: 
     """
     ds = assembler.dataset
     lo, hi = ds.splits.range_of(split)
-    w = assembler.window
-    t0 = max(w, lo)
-    if hi - t0 < 1:
-        return EpisodeRollout(node_id=node, split=split, experiences=ReplayBuffer())
+    t0 = max(assembler.window, lo)
     n = hi - t0
     if len(epsilons) != n:
         raise ValueError(f"need {n} epsilon values, got {len(epsilons)}")
     ts = np.arange(t0, hi)
     actions = select_actions(net, assembler.states(node, ts), epsilons, rng)
     channels = assembler.node_channels(node)
-    flows = ds.series[node].flow[t0:hi]
-    actual = np.asarray(classify(discretizer, flows), dtype=int)
+    own = ds.values[ds.index[node], t0:hi]  # flow, speed, occupancy
+    actual = np.asarray(classify(discretizer, own[:, 0]), dtype=int)
     rewards = compute_rewards(
-        actions, actual, channels[t0:hi, 1], ds.series[node].occupancy[t0:hi],
-        weights, occ_epsilon,
+        actions, actual, channels[t0:hi, 1], own[:, 2], weights, occ_epsilon,
     )
-    if pool is None:
-        pool = ReplayBuffer.allocate(n, KeyedStates(assembler))
     experiences = pool.add_rollout(assembler.keys(node, ts), actions, rewards)
     return EpisodeRollout(node_id=node, split=split, experiences=experiences)
 
@@ -301,8 +302,8 @@ def predict_horizon_block(net: QNetwork, assembler: StateAssembler, discretizer:
 
 
 def evaluate_period(dataset: PeriodDataset, net: QNetwork, discretizer: Discretizer,
-                    assembler: StateAssembler, horizons, splits=("val", "test")):
-    """Metrics over every node, per split and horizon.
+                    assembler: StateAssembler, horizons):
+    """Metrics over every node, on the val and test splits at each horizon.
 
     Returns (metrics, per_node_test_mae) where metrics maps
     split -> horizon -> MetricSet pooled over nodes, and the per-node dict
@@ -319,12 +320,12 @@ def evaluate_period(dataset: PeriodDataset, net: QNetwork, discretizer: Discreti
     scored (split, h) whose actual flows are all zero raises a ReadingError.
     """
     nodes = dataset.nodes
+    metrics: dict[str, dict[int, MetricSet]] = {"val": {}, "test": {}}
     segments = []  # (split, h, t0, anchor count) per scored (split, h), in report order
-    for split in splits:
+    for split in metrics:
         lo, hi = dataset.splits.range_of(split)
         t0 = max(assembler.window, lo)
         segments += [(split, h, t0, hi - h - t0 + 1) for h in horizons if hi - h >= t0]
-    metrics: dict[str, dict[int, MetricSet]] = {split: {} for split in splits}
     per_node_test_mae: dict[str, float] = {}
     if not segments:
         return metrics, per_node_test_mae
@@ -392,10 +393,7 @@ class PeriodReport:
             },
             "updates": self.updates,
             "epoch_losses": [float(x) for x in self.epoch_losses],
-            "metrics": {
-                split: {str(h): ms.as_dict() for h, ms in per_split.items()}
-                for split, per_split in self.metrics.items()
-            },
+            "metrics": metrics_dict(self.metrics),
             "per_node_test_mae": {k: float(v) for k, v in self.per_node_test_mae.items()},
         }
         if self.drift_scores is not None:
@@ -506,19 +504,14 @@ def run_period(prev: PeriodDataset | None, curr: PeriodDataset, agent: AgentStat
         drifted: tuple[str, ...] = ()
         drift_scores = None
     else:
-        report = drift_mod.detect(
-            prev, curr, fraction=drift_cfg.fraction, bins=drift_cfg.bins,
-            smoothing=drift_cfg.smoothing,
-        )
+        report = drift_mod.detect(prev, curr, **asdict(drift_cfg))
         candidates = report.candidates
         new_nodes = report.new_nodes
         drifted = report.top_kl_nodes
         drift_scores = report.scores
     t_detect = time.perf_counter()
 
-    calibration = fit_calibration(curr)
-    discretizer = fit_discretizer(curr.flows_in("train"))
-    assembler = StateAssembler(curr, window=cfg.window, calibration=calibration)
+    discretizer, assembler = fit_period(curr, cfg.window)
 
     # The buffer holds only the current period's pool; cross-period recall
     # flows exclusively through the consolidation memory. Dropping the last
@@ -586,9 +579,7 @@ def run_full_retrain(datasets: list[PeriodDataset], cfg: TrainerConfig,
         )
         t_start = time.perf_counter()
         for past in datasets[: i + 1]:
-            calibration = fit_calibration(past)
-            discretizer = fit_discretizer(past.flows_in("train"))
-            assembler = StateAssembler(past, window=cfg.window, calibration=calibration)
+            discretizer, assembler = fit_period(past, cfg.window)
             rng_rollout = np.random.default_rng([seed, past.period, i, 3])
             agent.buffer.extend(generate_training_experiences(
                 past, past.nodes, agent.net, cfg, weights, assembler, discretizer, rng_rollout

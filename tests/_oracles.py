@@ -10,6 +10,7 @@ from flowrl.env import OCC_EPSILON_DEFAULT, WINDOW_DEFAULT, classify, compute_re
 from flowrl.ingest import READINGS_HEADER
 from flowrl.metrics import compute_metrics
 from flowrl.qnet import N_ACTIONS, forward_batch
+from flowrl.replay import _window_batch
 from flowrl.trainer import predict_horizon_block
 
 
@@ -48,6 +49,30 @@ def tabular_q_update(q_table: np.ndarray, s: int, a: int, r: float, s_next: int,
     """One temporal-difference backup on a dense Q table (in place)."""
     q_table[s, a] += alpha * (r + gamma * np.max(q_table[s_next]) - q_table[s, a])
     return q_table
+
+
+def gather(store, idx):
+    """The Batch of transitions idx of a ReplayBuffer or ConsolidationMemory:
+    each state and next state cut from the transition's window."""
+    return _window_batch(*store.window_columns(idx))
+
+
+def drift_scores_reference(prev, curr, bins: int, smoothing: float) -> dict[str, float]:
+    """KL(current || previous) of every node in both periods, one node at a
+    time: np.histogram counts of the flows over np.linspace edges between
+    the pooled min and max (widened by 0.5 each way when they meet), then
+    Laplace-smoothed masses and the KL sum."""
+    scores = {}
+    for node in sorted(set(prev.nodes) & set(curr.nodes)):
+        a = prev.values[prev.index[node], :, 0]
+        b = curr.values[curr.index[node], :, 0]
+        lo, hi = min(a.min(), b.min()), max(a.max(), b.max())
+        if hi <= lo:
+            lo, hi = lo - 0.5, hi + 0.5
+        edges = np.linspace(lo, hi, bins + 1)
+        p, q = ((np.histogram(x, bins=edges)[0] + smoothing) / (x.size + bins * smoothing) for x in (b, a))
+        scores[node] = float(np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0) / q), 0.0).sum())
+    return scores
 
 
 def write_readings_reference(dataset, readings_path) -> None:
@@ -138,11 +163,11 @@ def evaluate_node_per_horizon(net, assembler, discretizer, node, split, horizons
     return out
 
 
-def evaluate_period_per_horizon(dataset, net, discretizer, assembler, horizons,
-                                splits=("val", "test")):
+def evaluate_period_per_horizon(dataset, net, discretizer, assembler, horizons):
     """evaluate_period with one rollout per (node, split, horizon), the
     results pooled over nodes by concatenation."""
     nodes = dataset.nodes
+    splits = ("val", "test")
     results = {
         (node, split): evaluate_node_per_horizon(net, assembler, discretizer, node, split, horizons)
         for node in nodes
@@ -163,7 +188,7 @@ def evaluate_period_per_horizon(dataset, net, discretizer, assembler, horizons,
             )
     per_node_test_mae = {}
     for node in nodes:
-        part = results[(node, "test")][horizons[0]] if "test" in splits else None
+        part = results[(node, "test")][horizons[0]]
         if part is not None:
             per_node_test_mae[node] = float(np.mean(np.abs(part[0] - part[2])))
     return metrics, per_node_test_mae

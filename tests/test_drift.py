@@ -1,12 +1,15 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from _helpers import make_dataset, make_series
+from _oracles import drift_scores_reference
 from flowrl.drift import NodeHistogram, build_histogram, detect, kl_divergence
-from flowrl.ingest import DriftSpec, GeneratorConfig, generate_synthetic
+from flowrl.graph import GraphSnapshot
+from flowrl.ingest import DriftSpec, GeneratorConfig, PeriodDataset, compute_splits, generate_synthetic
 
 
 def hist(masses, edges=None, node="n", period=1):
@@ -26,8 +29,7 @@ class TestBuildHistogram:
             if np.any(np.diff(edges) <= 0):
                 continue
             lam = float(rng.uniform(0.1, 2))
-            series = make_series("x", values, np.zeros(values.size), np.zeros(values.size))
-            h = build_histogram(series, edges, lam)
+            h = build_histogram(values, edges, lam)
             counts = np.zeros(edges.size - 1)
             for v in values:  # brute-force binning, last bin closed above
                 for k in range(edges.size - 1):
@@ -40,24 +42,24 @@ class TestBuildHistogram:
             assert abs(h.masses.sum() - 1) < 1e-9
 
     def test_single_bin_mass_approaches_one(self):
-        series = make_series("x", np.full(100, 5.0))
-        h = build_histogram(series, np.array([0.0, 4.0, 6.0, 10.0]), smoothing=1e-9)
+        h = build_histogram(np.full(100, 5.0), np.array([0.0, 4.0, 6.0, 10.0]), smoothing=1e-9)
         assert h.masses[1] > 0.999999
 
     def test_one_value_per_bin_with_unit_smoothing_is_uniform(self):
-        series = make_series("x", np.array([0.5, 1.5, 2.5, 3.5, 4.5]))
-        h = build_histogram(series, np.arange(6, dtype=float), smoothing=1.0)
+        h = build_histogram(np.array([0.5, 1.5, 2.5, 3.5, 4.5]), np.arange(6, dtype=float), smoothing=1.0)
         np.testing.assert_allclose(h.masses, 0.2)
 
     def test_empty_series_rejected(self):
-        fake = SimpleNamespace(flow=np.array([]), sensor_id="x")
         with pytest.raises(ValueError, match="empty"):
-            build_histogram(fake, np.array([0.0, 1.0, 2.0]))
+            build_histogram(np.array([]), np.array([0.0, 1.0, 2.0]))
+
+    def test_non_finite_flows_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            build_histogram(np.array([1.0, np.nan]), np.array([0.0, 1.0, 2.0]))
 
     def test_bad_edges_rejected(self):
-        series = make_series("x", np.arange(10))
         with pytest.raises(ValueError, match="ascending"):
-            build_histogram(series, np.array([0.0, 2.0, 1.0]))
+            build_histogram(np.arange(10), np.array([0.0, 2.0, 1.0]))
 
 
 class TestKL:
@@ -194,6 +196,13 @@ class TestDetect:
         assert ranked[0] == "s0004"
         assert report.scores["s0004"] > 5 * report.scores[ranked[1]]
 
+    def test_unsmoothed_empty_bin_rejected(self):
+        flows = {"a": np.r_[np.zeros(20), np.full(20, 10.0)]}  # the middle bins stay empty
+        ds1, ds2 = two_periods(["a"], flows, flows)
+        with pytest.raises(ValueError, match="zero-mass"):
+            detect(ds1, ds2, smoothing=0.0)
+        assert detect(ds1, ds2, smoothing=0.5).scores == {"a": 0.0}
+
     def test_non_consecutive_rejected(self):
         rng = np.random.default_rng(9)
         flows = {"a": rng.uniform(0, 10, 40)}
@@ -212,6 +221,34 @@ class TestDetect:
         assert payload["period"] == 2
         assert all(set(entry) == {"node", "kl"} for entry in payload["scores"])
         assert isinstance(payload["candidates"], list)
+
+
+def drawn_period(data, period, nodes, length):
+    """A period of `nodes` whose flows lie on a 0.25 grid, so that many land
+    exactly on bin edges; some rows are constant."""
+    values = np.full((len(nodes), length, 3), 0.1)
+    values[..., 0] = data.draw(arrays(np.int64, (len(nodes), length), elements=st.integers(0, 12))) / 4
+    constant = data.draw(arrays(np.bool_, len(nodes)))
+    values[constant, :, 0] = values[constant, :1, 0]
+    return PeriodDataset(period=period, snapshot=GraphSnapshot.build(period, nodes, []), nodes=nodes,
+                         times=np.datetime64("2001-01-01T00:00:00") + 300 * np.arange(length),
+                         values=values, splits=compute_splits(length))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), survivors=st.integers(1, 40), removed=st.integers(0, 3), added=st.integers(0, 3),
+       lengths=st.tuples(st.integers(5, 30), st.integers(5, 30)), bins=st.integers(2, 30),
+       smoothing=st.sampled_from([1.0, 0.5, 0.01]))
+def test_tensor_scores_match_per_node_histograms(data, survivors, removed, added, lengths, bins, smoothing):
+    # removed ("a…") and added ("b…") ids sort before the survivors, so a
+    # survivor's row differs between the two periods
+    kept = [f"n{i:02d}" for i in range(survivors)]
+    prev = drawn_period(data, 1, [f"a{i}" for i in range(removed)] + kept, lengths[0])
+    curr = drawn_period(data, 2, [f"b{i}" for i in range(added)] + kept, lengths[1])
+    scores = detect(prev, curr, bins=bins, smoothing=smoothing).scores
+    want = drift_scores_reference(prev, curr, bins, smoothing)
+    assert list(scores) == list(want) == kept
+    assert np.array(list(scores.values())).tobytes() == np.array(list(want.values())).tobytes()
 
 
 def test_drift_config_validation():

@@ -408,6 +408,20 @@ class TestLoadPeriodBlocks:
             readings.write_text(stamped)
             assert "readings.csv:5: bad timestamp" in load_fault(readings, adjacency, 1)
 
+    def test_quotes_inside_cells_at_every_boundary(self, tmp_path, monkeypatch):
+        # np.loadtxt opens a quoted cell only at a cell's start, so the quote of s"0 is part of the
+        # id, and a doubled quote stays inside its quoted cell; taken for opening or closing
+        # quotes, either would end a block inside the quoted two-line record
+        adjacency, readings = tmp_path / "adjacency.csv", tmp_path / "readings.csv"
+        adjacency.write_text('from,to\r\n"s""0",s1\r\n')
+        readings.write_text(readings_text(['2001-01-01T00:00:00,s"0,1.0,2.0,0.1',
+                                           '2001-01-01T00:00:00,"s""\n1",1.0,2.0,0.1',
+                                           "2001-01-01T00:00:00,s1,1.0,2.0,0.1"]))
+        for block in [*self.TINY, *range(30, 130)]:
+            monkeypatch.setattr(ingest, "READ_BLOCK", block)
+            assert load_fault(readings, adjacency, 1).endswith("""readings.csv:3: unknown sensor 's"\\n1' """
+                                                               "(not in adjacency graph)")
+
     @pytest.mark.parametrize("block", TINY)
     @pytest.mark.parametrize("newline", ["\r\n", "\n"])
     @pytest.mark.parametrize("final", [True, False])
@@ -428,10 +442,12 @@ class TestLoadPeriodBlocks:
         (lambda cells: ["2001-01-01T00:00:00.0000000005"] + cells[1:], "readings_1.csv:{line}: bad timestamp"),
         (lambda cells: cells[:1] + ["rogue"] + cells[2:], "readings_1.csv:{line}: unknown sensor 'rogue'"),
         (lambda cells: cells[:4] + ["1.5"], "readings_1.csv:{line}: occupancy 1.5 outside"),
-        # np.loadtxt refuses a trailing space that the csv re-scan strips: numpy's message, its row
-        # counted over the whole file
-        (lambda cells: [cells[0] + " "] + cells[1:], "readings_1.csv: unreadable readings: could not "
-                                                     "convert string '{stamp} ' to datetime64[ns] at row {row}"),
+        # np.loadtxt refuses a trailing space, and the re-scan checks the cell as it sees it
+        (lambda cells: [cells[0] + " "] + cells[1:], "readings_1.csv:{line}: bad timestamp '{stamp} '"),
+        # a digit that float() takes and np.loadtxt does not: numpy's message, its row counted over
+        # the whole file
+        (lambda cells: cells[:2] + ["\u0661"] + cells[3:], "readings_1.csv: unreadable readings: could not "
+                                                            "convert string '\u0661' to float64 at row {row}"),
     ])
     def test_fault_in_last_block_same_at_any_block_size(self, tmp_path, monkeypatch, block, mutate, match):
         ds = generate_synthetic(small_config(), 1)[0]
@@ -444,6 +460,20 @@ class TestLoadPeriodBlocks:
         assert match.format(line=len(lines) - 1, row=len(lines) - 3, stamp=stamp) in default
         monkeypatch.setattr(ingest, "READ_BLOCK", block)
         assert load_fault(readings, adjacency, ds.period, nodes_path=nodes) == default
+
+    @pytest.mark.parametrize("block", TINY)
+    @pytest.mark.parametrize("mutate,match", [
+        (lambda cells: ["2001-01-01T00:00:00.5"] + cells[1:], "readings_1.csv:2: bad timestamp"),
+        (lambda cells: cells[:1] + ["rogue"] + cells[2:], "readings_1.csv:2: unknown sensor 'rogue'"),
+    ])
+    def test_fault_in_first_block_kept_past_clean_blocks(self, tmp_path, monkeypatch, block, mutate, match):
+        ds = generate_synthetic(small_config(), 1)[0]
+        readings, adjacency, nodes = write_dataset(ds, tmp_path)
+        lines = readings.read_text().splitlines()
+        lines[1] = ",".join(mutate(lines[1].split(",")))
+        readings.write_text("\n".join(lines) + "\n")
+        monkeypatch.setattr(ingest, "READ_BLOCK", block)
+        assert match in load_fault(readings, adjacency, ds.period, nodes_path=nodes)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), length=st.integers(5, 7), block=st.integers(1, 120))

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from _helpers import WindowTable, make_dataset, make_series, window_table_rows
+from _oracles import gather
 from flowrl.env import StateAssembler
 from flowrl.replay import (
     ConsolidationMemory,
@@ -47,7 +48,7 @@ def origins(store):
 
 def transitions(store):
     """(node_id, t, reward, state, next state) of every transition, as hashable tuples."""
-    batch = store.gather(np.arange(len(store)))
+    batch = gather(store, np.arange(len(store)))
     node_id, _, ts = origins(store)
     return [
         (str(node), int(t), float(r), tuple(s), tuple(s2))
@@ -111,7 +112,7 @@ class TestBuffer:
             buf.extend(store([r], nodes=[f"n{i}"], ts=[i]))
         assert len(buf) == 50
         assert buf.origins()[0].tolist() == [f"n{i}" for i in range(50)]
-        batch = buf.gather(np.arange(50))
+        batch = gather(buf, np.arange(50))
         np.testing.assert_array_equal(batch.states, window_table_rows(np.arange(50), rewards))
         np.testing.assert_array_equal(batch.next_states, window_table_rows(np.arange(50) + 1, rewards))
         np.testing.assert_array_equal(buf.priorities(), np.maximum(rewards, 1e-3))

@@ -13,6 +13,7 @@ from _oracles import (
     compute_reward,
     evaluate_period_per_horizon,
     forward,
+    gather,
     predict_horizon,
     tabular_q_update,
     td_target,
@@ -115,8 +116,9 @@ def rollout_fixture(eps=0.0, seed=3):
     n = hi - max(6, lo)
     net = QNetwork.initialize(asm.dim, hidden=16, seed=1)
     rng = np.random.default_rng(seed)
+    pool = ReplayBuffer.allocate(n, KeyedStates(asm))
     return generate_rollout(
-        asm, disc, node, "train", net, np.full(n, eps), rng, RewardWeights(), 0.05
+        asm, disc, node, "train", net, np.full(n, eps), rng, RewardWeights(), 0.05, pool
     ), ds
 
 
@@ -125,7 +127,7 @@ class TestRollouts:
         rollout, ds = rollout_fixture(eps=0.3)
         exps = rollout.experiences
         assert len(exps) > 0
-        batch = exps.gather(np.arange(len(exps)))
+        batch = gather(exps, np.arange(len(exps)))
         np.testing.assert_array_equal(batch.next_states[:-1], batch.states[1:])
         ts = exps.origins()[2]
         assert np.all(np.diff(ts) == 1)
@@ -304,7 +306,7 @@ class TestKeyedPool:
         memory = agent.memory
         assert memory.periods() == [1, 2]
         assert len(memory.steps) < len(memory) * (4 + 1)  # neighbouring windows share steps
-        batch = memory.gather(np.arange(len(memory)))
+        batch = gather(memory, np.arange(len(memory)))
         for k in range(len(memory)):
             ds = dss[int(memory.period[k]) - 1]
             node, t = str(memory.node_id[k]), int(memory.t[k])
@@ -347,19 +349,19 @@ class TestKeyedPool:
             chained.extend(pool)
         assert len(chained.states.tables) == 3 and len(chained) == sum(map(len, pools))
         idx = np.random.default_rng(0).permutation(len(chained))
-        batch = chained.gather(idx)
+        batch = gather(chained, idx)
         ids, periods, ts = chained.origins(idx)
         start = np.cumsum([0] + [len(p) for p in pools])
         for k, i in enumerate(idx):
             p = int(np.searchsorted(start, i, side="right")) - 1
-            alone = pools[p].gather([i - start[p]])
+            alone = gather(pools[p], [i - start[p]])
             np.testing.assert_array_equal(batch.states[k], alone.states[0])
             np.testing.assert_array_equal(batch.next_states[k], alone.next_states[0])
             assert (ids[k], periods[k], ts[k]) == tuple(c[0] for c in pools[p].origins([i - start[p]]))
             assert periods[k] == dss[p].period
         kept = chained.subset(idx[:7])
         assert kept.states is chained.states
-        np.testing.assert_array_equal(kept.gather(np.arange(7)).states, batch.states[:7])
+        np.testing.assert_array_equal(gather(kept, np.arange(7)).states, batch.states[:7])
 
 
 def constant_flow_dataset():
@@ -565,18 +567,17 @@ def test_block_rollout_matches_scalar_oracle(window, horizon, flow_max, seed, da
     window=st.integers(1, 12),
     nodes=st.integers(1, 5),
     steps=st.integers(30, 90),
-    splits=st.sampled_from([("val", "test"), ("train", "val", "test"), ("test",), ("val",)]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_evaluate_period_matches_per_horizon_rollouts(horizons, window, nodes, steps, splits, seed):
+def test_evaluate_period_matches_per_horizon_rollouts(horizons, window, nodes, steps, seed):
     ds = noisy_dataset(seed, nodes, steps)
     disc = fit_discretizer(ds.flows_in("train"))
     asm = StateAssembler(ds, window=window)
     net = QNetwork.initialize(asm.dim, hidden=16)
     net.theta[:] = np.random.default_rng(seed).standard_normal(net.theta.size)
     horizons = tuple(horizons)
-    metrics, per_node = evaluate_period(ds, net, disc, asm, horizons, splits)
-    want_metrics, want_per_node = evaluate_period_per_horizon(ds, net, disc, asm, horizons, splits)
+    metrics, per_node = evaluate_period(ds, net, disc, asm, horizons)
+    want_metrics, want_per_node = evaluate_period_per_horizon(ds, net, disc, asm, horizons)
     assert [(s, list(m)) for s, m in metrics.items()] == \
         [(s, list(m)) for s, m in want_metrics.items()]
     assert metrics == want_metrics
