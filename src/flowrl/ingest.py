@@ -192,8 +192,13 @@ def _row_problem(cells: list[str]) -> str | None:
             np.datetime64(cells[0], "ns")
         except (ValueError, Warning):
             return f"bad timestamp {cells[0]!r}"
+    # np.loadtxt takes neither the non-ASCII digits ('١', '１') nor the digit
+    # separators that float() takes; the Unicode whitespace it does take
+    # around a number is stripped by csv_rows
+    if not all(c.isascii() for c in cells[2:]):
+        return "bad numeric value"
     try:
-        [float(c.replace("_", "x")) for c in cells[2:]]  # np.loadtxt takes no digit separators
+        [float(c.replace("_", "x")) for c in cells[2:]]
     except ValueError:
         return "bad numeric value"
     return None

@@ -39,12 +39,19 @@ def compute_metrics(predicted_flows, actual_flows, predicted_classes, actual_cla
     if pf.size == 0:
         raise ValueError("cannot compute metrics on empty inputs")
 
+    # the error arrays are reused in place, so at most three input-sized
+    # temporaries are alive at once
     err = pf - af
-    mae = float(np.mean(np.abs(err)))
-    rmse = float(np.sqrt(np.mean(err**2)))
+    abs_err = np.abs(err)
+    mae = float(np.mean(abs_err))
+    rmse = float(np.sqrt(np.mean(np.square(err, out=err))))
+    del err
     nonzero = af != 0
     if not np.any(nonzero):
         raise ValueError("MAPE undefined: all actual flows are zero")
-    mape = float(np.mean(np.abs(err[nonzero]) / np.abs(af[nonzero]))) * 100.0
+    relative = abs_err[nonzero]
+    scale = af[nonzero]
+    relative /= np.abs(scale, out=scale)
+    mape = float(np.mean(relative)) * 100.0
     accuracy = float(np.mean(pc == ac))
     return MetricSet(mae=mae, rmse=rmse, mape=mape, class_accuracy=accuracy, count=int(pf.size))

@@ -316,8 +316,14 @@ def evaluate_period(dataset: PeriodDataset, net: QNetwork, discretizer: Discreti
     anchors of a shorter horizon include those of a longer one, and a
     repeated anchor is rolled out once, so each anchor of a split is
     rolled out once per node. A forecast reads no flow past its anchor, so
-    the extra steps of the shorter horizons' anchors change nothing. A
-    scored (split, h) whose actual flows are all zero raises a ReadingError.
+    the extra steps of the shorter horizons' anchors change nothing.
+
+    Of a node's rollout only its greedy classes are kept, one int8 per
+    scored forecast, and its block is freed once the next node's has
+    returned. The predicted flows (the classes' representatives), the
+    actual flows and the actual classes are made one (split, h) at a
+    time. A scored (split, h) whose actual flows are all zero raises a
+    ReadingError.
     """
     nodes = dataset.nodes
     metrics: dict[str, dict[int, MetricSet]] = {"val": {}, "test": {}}
@@ -332,30 +338,29 @@ def evaluate_period(dataset: PeriodDataset, net: QNetwork, discretizer: Discreti
     anchors = np.concatenate([np.arange(t0, t0 + m) for _, _, t0, m in segments])
     steps = np.concatenate([np.full(m, h - 1) for _, h, _, m in segments])
     rows = np.arange(len(anchors))
-    pred_flow = np.empty((len(nodes), len(anchors)))
-    pred_cls = np.empty((len(nodes), len(anchors)), dtype=int)
+    classes = np.empty((len(nodes), len(anchors)), dtype=np.int8)  # five classes
     for i, node in enumerate(nodes):
-        classes, flows = predict_horizon_block(
-            net, assembler, discretizer, node, anchors, max(horizons)
-        )
-        pred_flow[i] = flows[rows, steps]
-        pred_cls[i] = classes[rows, steps]
-    actual_flow = dataset.values[:, anchors + steps, 0]
+        # the last node's block stays alive until this one's returns: freed
+        # first, it lets malloc trim the heap top after every rollout, and the
+        # next rollout faults those pages back in
+        block = predict_horizon_block(net, assembler, discretizer, node, anchors, max(horizons))
+        classes[i] = block[0][rows, steps]
 
     start = 0
-    for split, h, _, m in segments:
-        part = slice(start, start + m)
+    for split, h, t0, m in segments:
+        pred_cls = classes[:, start:start + m]
         start += m
-        actual = actual_flow[:, part]
+        actual = dataset.values[:, t0 + h - 1: t0 + h - 1 + m, 0]
         if not actual.any():
             raise ReadingError(f"every actual flow of the {split} split at horizon {h} is zero, "
                                "so its MAPE is undefined")
+        pred = discretizer.representatives[pred_cls]
         metrics[split][h] = compute_metrics(
-            pred_flow[:, part].ravel(), actual.ravel(),
-            pred_cls[:, part].ravel(), classify(discretizer, actual).ravel(),
+            pred.ravel(), actual.ravel(),
+            pred_cls.ravel(), classify(discretizer, actual).ravel(),
         )
         if split == "test" and h == horizons[0]:
-            err = np.abs(pred_flow[:, part] - actual)
+            err = np.abs(pred - actual)
             per_node_test_mae = {node: float(np.mean(err[i])) for i, node in enumerate(nodes)}
     return metrics, per_node_test_mae
 

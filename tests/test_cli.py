@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import flowrl.cli as cli
 from flowrl.cli import _write_json, _write_text, main
 from flowrl.ingest import load_period
 from flowrl.trainer import init_agent, load_agent, save_agent
@@ -148,6 +150,47 @@ class TestTrain:
             "--out-dir", str(resumed), "--resume",
         ]) == 0
         assert (resumed / "report_2.json").read_bytes() == (full / "report_2.json").read_bytes()
+
+    def test_resume_after_failed_checkpoint_save(self, tmp_path, generated, monkeypatch, capsys):
+        """The disk fills up while period 2's checkpoint is written, after its
+        report: the run fails and leaves no checkpoint for period 2, and
+        --resume redoes period 2 as an uninterrupted run does."""
+        data, config = generated
+        full, out = tmp_path / "full", tmp_path / "out"
+        main(["train", "--config", str(config), "--data-dir", str(data), "--out-dir", str(full)])
+        real_save = cli.save_agent
+        failed = []
+
+        def disk_full_once(agent, path):
+            if path.name != "checkpoint_2.npz" or failed:
+                return real_save(agent, path)
+            failed.append(path)
+
+            def partial_savez(f, **arrays):
+                f.write(b"PK\x03\x04")  # a zip's first bytes, then nothing fits
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            with monkeypatch.context() as m:
+                m.setattr(np, "savez", partial_savez)
+                return real_save(agent, path)
+
+        monkeypatch.setattr(cli, "save_agent", disk_full_once)
+        train = ["train", "--config", str(config), "--data-dir", str(data), "--out-dir", str(out)]
+        capsys.readouterr()
+        assert main(train) != 0
+        assert "No space left on device" in capsys.readouterr().err
+        assert failed == [out / "checkpoint_2.npz"]
+        assert (out / "report_2.json").exists()
+        assert not (out / "checkpoint_2.npz").exists()
+        assert not (out / "checkpoint_2.npz.tmp").exists()
+
+        assert main(train + ["--resume"]) == 0
+        assert "resuming after period 1" in capsys.readouterr().out
+        assert (out / "report_2.json").read_bytes() == (full / "report_2.json").read_bytes()
+        with np.load(out / "checkpoint_2.npz") as got, np.load(full / "checkpoint_2.npz") as want:
+            assert sorted(got.files) == sorted(want.files)
+            for name in want.files:
+                np.testing.assert_array_equal(got[name], want[name], err_msg=name, strict=True)
 
     @pytest.mark.parametrize("section,key,value,saved,configured", [
         ("qnet", "hidden", "16", "64", "16"),

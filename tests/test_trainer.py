@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import _mdp
@@ -18,7 +18,7 @@ from _oracles import (
     tabular_q_update,
     td_target,
 )
-from _helpers import make_dataset, make_series
+from _helpers import make_dataset, make_series, traced_peak
 from flowrl.env import Calibration, RewardWeights, StateAssembler, classify, fit_discretizer
 from flowrl.replay import KeyedStates, ReplayBuffer, mixed_batch, sample
 from flowrl.drift import DriftConfig
@@ -32,6 +32,7 @@ from flowrl.trainer import (
     init_agent,
     load_agent,
     evaluate_period,
+    fit_period,
     predict_horizon_block,
     run_continual,
     run_period,
@@ -569,6 +570,7 @@ def test_block_rollout_matches_scalar_oracle(window, horizon, flow_max, seed, da
     steps=st.integers(30, 90),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(horizons=[12, 3], window=6, nodes=3, steps=90, seed=7)  # the longest horizon first
 def test_evaluate_period_matches_per_horizon_rollouts(horizons, window, nodes, steps, seed):
     ds = noisy_dataset(seed, nodes, steps)
     disc = fit_discretizer(ds.flows_in("train"))
@@ -582,6 +584,19 @@ def test_evaluate_period_matches_per_horizon_rollouts(horizons, window, nodes, s
         [(s, list(m)) for s, m in want_metrics.items()]
     assert metrics == want_metrics
     assert list(per_node.items()) == list(want_per_node.items())
+
+
+def test_evaluation_memory_is_bounded_by_a_segment():
+    """evaluate_period holds one int8 class per scored forecast, one
+    node's rollout and one (split, h) segment's arrays at a time, far
+    below the state table (a whole period's flows and classes held 0.69x)."""
+    ds = diurnal_dataset(seed=5, nodes=120, steps=400)
+    disc, asm = fit_period(ds, 12)
+    net = QNetwork.initialize(asm.dim, hidden=16, seed=2)
+    _, peak = traced_peak(lambda: evaluate_period(ds, net, disc, asm, (3, 12)))
+    table = asm._table.nbytes
+    assert table > 2e6
+    assert peak <= 0.35 * table, peak / table
 
 
 def test_evaluation_rolls_out_once_per_node(monkeypatch):
