@@ -3,7 +3,8 @@
 A state fuses a sensor's own recent window with the mean window of its
 graph neighbors plus its normalized degree. Flow values are discretized
 into five classes that double as the action space; the reward combines
-prediction closeness with speed and (inverse) occupancy terms.
+prediction closeness with speed and (inverse) occupancy terms. The
+keyed state table that replay reads is built at replay's first read.
 """
 
 from __future__ import annotations
@@ -161,18 +162,18 @@ def window_rows(windows: np.ndarray, degree: np.ndarray) -> np.ndarray:
 
 
 class StateAssembler:
-    """Builds state vectors for one period's dataset.
+    """Builds state vectors for one period's dataset from each node's
+    normalized flow and speed, raw occupancy and the means of its neighbors'
+    channels, summed in sorted-id order so that edge order does not matter.
 
-    Every node's normalized channels and neighbor means are built once into
-    one channel-major (N, 6, T + 1) table in the dataset's node order: the
-    own flow, speed and occupancy rows, then the neighbor-mean rows in the
-    same order. The last time column is padding, so that a window of W + 1
-    steps fits at every t <= T. Neighbor windows are summed in sorted-id
-    order, which makes the result independent of edge iteration order.
-
-    The table doubles as a keyed state store for replay: key i*(T+1) + t is
-    node i at time t, so a transition's next state is the key after its
-    own, and one (W + 1)-step window (`windows`) yields both.
+    Replay reads states by key: key i*(T+1) + t is node i at time t, so a
+    transition's next state is the key after its own, and one (W + 1)-step
+    window (`windows`) yields both. The first `windows` call builds every
+    node's channels into one channel-major (N, 6, T + 1) table; its last
+    time column is padding, so that a window of W + 1 steps fits at every
+    t <= T. Until then, `states` and `node_channels` compute one node's
+    channels over the span they read, with the same operations in the same
+    order, so their bytes are the same; evaluation never builds the table.
     """
 
     def __init__(self, dataset: PeriodDataset, window: int = WINDOW_DEFAULT,
@@ -182,30 +183,19 @@ class StateAssembler:
         self.dataset = dataset
         self.window = window
         self.calibration = calibration if calibration is not None else fit_calibration(dataset)
-        v, cal = dataset.values, self.calibration
-        n, length, _ = v.shape
-        table = np.zeros((n, 6, length + 1))
-        own, acc = table[:, :3, :length], table[:, 3:, :length]
-        for c, bound in ((0, cal.flow_max), (1, cal.speed_max)):  # in place: no temporary of the table's size
-            np.divide(v[..., c], bound, out=own[:, c])
-            np.clip(own[:, c], 0.0, 1.0, out=own[:, c])
-        own[:, 2] = v[..., 2]
         # Sorted canonical edges list each (u, x) with u < x before any (x, w),
         # so every node's neighbor rows come out in sorted-id order.
         adjacent: list[list[int]] = [[] for _ in dataset.nodes]
         for a, b in sorted(dataset.snapshot.edges):
             adjacent[dataset.index[a]].append(dataset.index[b])
             adjacent[dataset.index[b]].append(dataset.index[a])
-        for i, neighbors in enumerate(adjacent):
-            for j in neighbors:
-                acc[i] += own[j]
         degree = np.array([len(a) for a in adjacent], dtype=np.int64)
         max_degree = degree.max(initial=0)
-        acc /= np.maximum(degree, 1)[:, None, None]
-        self._table = table
-        self._degree = degree / max_degree if max_degree > 0 else np.zeros(n)
-        self._windows = np.lib.stride_tricks.sliding_window_view(table, window + 1, axis=2)
+        self._adjacent = adjacent
+        self._degree = degree / max_degree if max_degree > 0 else np.zeros(len(adjacent))
         self._ids = np.array(dataset.nodes, dtype=np.str_)
+        self._stride = dataset.length + 1  # keys per node
+        self._table = None
 
     @property
     def dim(self) -> int:
@@ -214,15 +204,51 @@ class StateAssembler:
     @property
     def key_count(self) -> int:
         """Number of state keys: one per node and time index 0..T."""
-        return self._table.shape[0] * self._table.shape[2]
+        return len(self._ids) * self._stride
+
+    def _normalize(self, readings: np.ndarray, own: np.ndarray) -> None:
+        """Write (..., T, 3) readings into (..., 3, T) own channels."""
+        for c, bound in ((0, self.calibration.flow_max), (1, self.calibration.speed_max)):
+            np.divide(readings[..., c], bound, out=own[..., c, :])  # in place: no temporary of own's size
+            np.clip(own[..., c, :], 0.0, 1.0, out=own[..., c, :])
+        own[..., 2, :] = readings[..., 2]
+
+    def _build_table(self) -> None:
+        n, length, _ = self.dataset.values.shape
+        table = np.zeros((n, 6, length + 1))
+        own, acc = table[:, :3, :length], table[:, 3:, :length]
+        self._normalize(self.dataset.values, own)
+        for i, neighbors in enumerate(self._adjacent):
+            for j in neighbors:
+                acc[i] += own[j]
+        acc /= np.maximum([len(a) for a in self._adjacent], 1)[:, None, None]
+        self._table = table
+        self._windows = np.lib.stride_tricks.sliding_window_view(table, self.window + 1, axis=2)
+
+    def _node_row(self, i: int, lo: int, hi: int) -> np.ndarray:
+        """Node i's (6, hi - lo) table row over time indices [lo, hi), from
+        one gather of its own and its neighbors' readings."""
+        neighbors = self._adjacent[i]
+        own = np.empty((len(neighbors) + 1, 3, hi - lo))
+        self._normalize(self.dataset.values[[i, *neighbors], lo:hi], own)
+        row = np.zeros((6, hi - lo))
+        row[:3] = own[0]
+        for channels in own[1:]:
+            row[3:] += channels
+        row[3:] /= max(len(neighbors), 1)
+        return row
 
     def node_channels(self, v: str) -> np.ndarray:
-        """(T, 3) view of normalized flow, normalized speed, raw occupancy."""
-        return self._table[self.dataset.index[v], :3, :-1].T
+        """(T, 3) normalized flow, normalized speed, raw occupancy."""
+        if self._table is not None:
+            return self._table[self.dataset.index[v], :3, :-1].T
+        own = np.empty((3, self.dataset.length))
+        self._normalize(self.dataset.values[self.dataset.index[v]], own)
+        return own.T
 
     def keys(self, v: str, ts) -> np.ndarray:
         """Keys of node v's states at time indices ts."""
-        return self.dataset.index[v] * self._table.shape[2] + np.asarray(ts, dtype=np.int64)
+        return self.dataset.index[v] * self._stride + np.asarray(ts, dtype=np.int64)
 
     def states(self, v: str, ts) -> np.ndarray:
         """State matrix for node v at each time index in ts.
@@ -231,28 +257,32 @@ class StateAssembler:
         window, neighbor-mean windows in the same channel order, degree],
         windows covering [t - window, t) oldest first; total 6W + 1.
         """
-        ts = np.asarray(ts, dtype=np.int64).ravel()
+        ts, w = np.asarray(ts, dtype=np.int64).ravel(), self.window
         if v not in self.dataset.snapshot.nodes:
             raise ValueError(f"unknown node {v!r}")
-        if ts.size and int(ts.min()) < self.window:
-            raise ValueError(
-                f"time index {int(ts.min())} < window {self.window}: not enough history"
-            )
-        if ts.size and int(ts.max()) > self.dataset.length:
-            raise ValueError(
-                f"time index {int(ts.max())} beyond series length {self.dataset.length}"
-            )
-        windows, degree = self.windows(self.keys(v, ts))
-        return window_rows(windows[..., :-1], degree)
+        lo, hi = (int(ts.min()), int(ts.max())) if ts.size else (w, w)
+        if lo < w:
+            raise ValueError(f"time index {lo} < window {w}: not enough history")
+        if hi > self.dataset.length:
+            raise ValueError(f"time index {hi} beyond series length {self.dataset.length}")
+        if self._table is not None:
+            windows, degree = self.windows(self.keys(v, ts))
+            return window_rows(windows[..., :-1], degree)
+        i = self.dataset.index[v]
+        windows = np.lib.stride_tricks.sliding_window_view(self._node_row(i, lo - w, hi), w, axis=1)
+        return window_rows(windows[:, ts - lo].transpose(1, 0, 2), np.full(ts.size, self._degree[i]))
 
     def windows(self, keys) -> tuple[np.ndarray, np.ndarray]:
         """The (6, W + 1) window of each key, oldest first, and its node's
         degree: [..., :-1] is the state at key k, and for a time index
-        below T, [..., 1:] is the state at k + 1. Both are copies."""
-        nodes, ts = np.divmod(keys, self._table.shape[2])
+        below T, [..., 1:] is the state at k + 1. Both are copies. The
+        first call builds the table."""
+        if self._table is None:
+            self._build_table()
+        nodes, ts = np.divmod(keys, self._stride)
         return self._windows[nodes, :, ts - self.window], self._degree[nodes]
 
     def origins(self, keys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(node id, period, time index) of each key."""
-        nodes, ts = np.divmod(keys, self._table.shape[2])
+        nodes, ts = np.divmod(keys, self._stride)
         return self._ids[nodes], np.full(len(ts), self.dataset.period, dtype=np.int64), ts

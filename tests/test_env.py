@@ -276,14 +276,16 @@ def test_neighbor_means_equal_sorted_loop_reference():
 
 
 def test_state_table_built_in_place():
-    """Building the state table holds little beyond the table itself: the
-    channels are normalized in place and neighbor windows are summed one
-    node at a time (a gather of every node's j-th neighbor held 2x)."""
+    """Building the state table, which the first windows() call does, holds
+    little beyond the table itself: the channels are normalized in place
+    and neighbor windows are summed one node at a time (a gather of every
+    node's j-th neighbor held 2x)."""
     config = GeneratorConfig(periods=1, initial_nodes=60, growth_per_period=0, steps_per_period=2000,
                              edges_per_new_node=3)
     ds = generate_synthetic(config, 3)[0]
-    cal = fit_calibration(ds)
-    asm, peak = traced_peak(lambda: StateAssembler(ds, calibration=cal))
+    asm = StateAssembler(ds, calibration=fit_calibration(ds))
+    node = ds.nodes[0]
+    _, peak = traced_peak(lambda: asm.windows(asm.keys(node, [asm.window])))
     table = asm.key_count * 6 * 8  # (N, 6, T + 1) float64
     assert table > 2e6
     assert peak <= 1.1 * table, peak / table
@@ -315,6 +317,38 @@ def test_keyed_pairs_equal_oracle_states(data, n, length, window):
     assert ids.tolist() == [node] * len(ts)
     assert periods.tolist() == [1] * len(ts)
     assert times.tolist() == ts.tolist()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(1, 5), length=st.integers(6, 14), window=st.integers(1, 4))
+def test_states_same_before_and_after_the_table(data, n, length, window):
+    """states and node_channels give the same bytes whether they compute a
+    node's channels from its readings or read the table that the first
+    windows() call builds, and the states equal the loop oracle's: on any
+    graph with an isolated node, for drawn, empty, single, unsorted and
+    repeated time indices."""
+    nodes = [f"v{i}" for i in range(n)] + ["iso"]
+    pairs = [(a, b) for i, a in enumerate(nodes[:-1]) for b in nodes[i + 1:-1]]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    values = data.draw(arrays(np.float64, (n + 1, length, 3), elements=st.floats(0.0, 1.0)))
+    series = {v: make_series(v, 150 * values[i, :, 0], 90 * values[i, :, 1], values[i, :, 2])
+              for i, v in enumerate(nodes)}
+    ds = make_dataset(1, nodes, edges, series)
+    asm = StateAssembler(ds, window=window, calibration=CAL)
+    drawn = data.draw(st.lists(st.integers(window, length), max_size=6))
+    cases = [np.array(ts, dtype=np.int64) for ts in (drawn, [], [length], [length, window, length, window])]
+    before = {v: ([asm.states(v, ts) for ts in cases], asm.node_channels(v)) for v in nodes}
+    asm.windows(asm.keys(nodes[0], [window]))
+    for v in nodes:
+        states, channels = before[v]
+        assert channels.shape == (length, 3)
+        assert channels.tobytes() == asm.node_channels(v).tobytes()
+        for ts, rows in zip(cases, states):
+            assert rows.shape == (ts.size, 6 * window + 1)
+            assert rows.tobytes() == asm.states(v, ts).tobytes()
+            for row, t in zip(rows, ts):
+                np.testing.assert_array_equal(row, oracle_state(ds, v, int(t), window, CAL))
+                np.testing.assert_array_equal(row[: 3 * window], channels[t - window:t].T.ravel())
 
 
 def test_fit_calibration_uses_training_split():

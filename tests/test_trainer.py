@@ -19,7 +19,7 @@ from _oracles import (
     td_target,
 )
 from _helpers import make_dataset, make_series, traced_peak
-from flowrl.env import Calibration, RewardWeights, StateAssembler, classify, fit_discretizer
+from flowrl.env import Calibration, RewardWeights, StateAssembler, classify, fit_discretizer, state_dim
 from flowrl.replay import KeyedStates, ReplayBuffer, mixed_batch, sample
 from flowrl.drift import DriftConfig
 from flowrl.ingest import GeneratorConfig, generate_synthetic
@@ -594,9 +594,33 @@ def test_evaluation_memory_is_bounded_by_a_segment():
     disc, asm = fit_period(ds, 12)
     net = QNetwork.initialize(asm.dim, hidden=16, seed=2)
     _, peak = traced_peak(lambda: evaluate_period(ds, net, disc, asm, (3, 12)))
-    table = asm._table.nbytes
+    table = asm.key_count * 6 * 8  # the (N, 6, T + 1) float64 state table
     assert table > 2e6
     assert peak <= 0.35 * table, peak / table
+
+
+def test_evaluation_never_builds_the_state_table(monkeypatch):
+    """Setting up and evaluating a period computes each node's states from
+    its readings and never builds the state table that replay reads: no
+    windows() call, and a traced peak far below the table's size (a set-up
+    that built the table held 1.3x)."""
+    def no_windows(self, keys):
+        raise AssertionError("evaluation read the keyed state table")
+
+    monkeypatch.setattr(StateAssembler, "windows", no_windows)
+    ds = diurnal_dataset(seed=5, nodes=120, steps=400)
+    net = QNetwork.initialize(state_dim(12), hidden=16, seed=2)
+    fit_period(ds, 12)  # its first call imports numpy.ma, which would be traced
+
+    def set_up_and_evaluate():
+        disc, asm = fit_period(ds, 12)
+        evaluate_period(ds, net, disc, asm, (3, 12))
+        return asm
+
+    asm, peak = traced_peak(set_up_and_evaluate)
+    table = asm.key_count * 6 * 8
+    assert table > 2e6
+    assert peak < 0.5 * table, peak / table
 
 
 def test_evaluation_rolls_out_once_per_node(monkeypatch):
