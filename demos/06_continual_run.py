@@ -6,6 +6,7 @@ top-priority experiences; the frozen baseline never trains after period 1.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -40,7 +41,7 @@ weights = RewardWeights()
 
 t0 = time.perf_counter()
 _, continual = run_continual(datasets, cfg, weights, seed=21)
-_, frozen = run_continual(datasets, cfg, weights, seed=21, freeze_after_first=True)
+_, frozen = run_continual(datasets, replace(cfg, freeze_after_first_period=True), weights, seed=21)
 print(f"two regimes trained in {time.perf_counter() - t0:.1f}s\n")
 
 print("period | candidates | experiences |  continual mae (15m/60m) | frozen mae (15m/60m)")

@@ -28,7 +28,6 @@ from .errors import ConfigError, DataError
 from .env import fit_calibration, fit_discretizer, state_dim  # noqa: F401
 from .ingest import ReadingError, generate_synthetic, load_period, write_period
 from .metrics import metrics_dict
-from .replay import ReplayBuffer
 from .trainer import evaluate_period, fit_period, init_agent, load_agent, run_period, save_agent
 
 EXIT_OK = 0
@@ -201,19 +200,16 @@ def cmd_train(args) -> int:
         )
     _echo_config(config, out_dir)
 
-    prev = _load_dataset(data_dir, periods[start_index - 1]) if start_index > 0 else None
+    # the period before the first one left to run; a finished run loads none
+    prev = _load_dataset(data_dir, periods[start_index - 1]) if 0 < start_index < len(periods) else None
     for period in periods[start_index:]:
         curr = _load_dataset(data_dir, period)
-        cfg = config.trainer
-        if config.freeze_after_first_period and period != periods[0]:
-            cfg = replace(cfg, epochs=0)
         with _readings_of(data_dir, period):
-            report = run_period(prev, curr, agent, cfg, config.weights, config.seed,
+            report = run_period(prev, curr, agent, config.trainer, config.weights, config.seed,
                                 drift_cfg=config.drift)
         _write_json(out_dir / f"report_{period}.json", report.to_report_dict())
         _write_json(out_dir / f"timings_{period}.json", report.to_timings_dict())
         save_agent(agent, out_dir / f"checkpoint_{period}.npz")
-        agent.buffer = ReplayBuffer()  # the next period builds its own pool; free this one first
         test_summary = report.metrics.get("test", {})
         first = min(test_summary) if test_summary else None
         mae = f"{test_summary[first].mae:.3f}" if first is not None else "n/a"

@@ -44,7 +44,6 @@ class RunConfig:
     trainer: TrainerConfig = field(default_factory=TrainerConfig)
     drift: DriftConfig = field(default_factory=DriftConfig)
     generator: GeneratorConfig = field(default_factory=GeneratorConfig)
-    freeze_after_first_period: bool = False
 
     def __post_init__(self):
         if self.seed < 0:
@@ -115,7 +114,7 @@ KEYS = (
     ("trainer", "use_target_network", "trainer", "use_target_network", _BOOL),
     ("trainer", "mix_rho", "trainer", "mix_rho", _FLOAT),
     ("trainer", "horizons", "trainer", "horizons", _HORIZONS),
-    ("trainer", "freeze_after_first_period", None, "freeze_after_first_period", _BOOL),
+    ("trainer", "freeze_after_first_period", "trainer", "freeze_after_first_period", _BOOL),
     ("drift", "fraction", "drift", "fraction", _FLOAT),
     ("drift", "bins", "drift", "bins", _INT),
     ("drift", "smoothing", "drift", "smoothing", _FLOAT),

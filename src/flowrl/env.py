@@ -3,8 +3,9 @@
 A state fuses a sensor's own recent window with the mean window of its
 graph neighbors plus its normalized degree. Flow values are discretized
 into five classes that double as the action space; the reward combines
-prediction closeness with speed and (inverse) occupancy terms. The
-keyed state table that replay reads is built at replay's first read.
+prediction closeness with speed and (inverse) occupancy terms. States
+are computed node by node; only replay reads states by key, from a table
+it builds at its first read.
 """
 
 from __future__ import annotations
@@ -166,14 +167,14 @@ class StateAssembler:
     normalized flow and speed, raw occupancy and the means of its neighbors'
     channels, summed in sorted-id order so that edge order does not matter.
 
-    Replay reads states by key: key i*(T+1) + t is node i at time t, so a
-    transition's next state is the key after its own, and one (W + 1)-step
-    window (`windows`) yields both. The first `windows` call builds every
-    node's channels into one channel-major (N, 6, T + 1) table; its last
-    time column is padding, so that a window of W + 1 steps fits at every
-    t <= T. Until then, `states` and `node_channels` compute one node's
-    channels over the span they read, with the same operations in the same
-    order, so their bytes are the same; evaluation never builds the table.
+    `states` and `node_channels` compute one node's channels over the span
+    they read. Replay reads states by key: key i*(T+1) + t is node i at
+    time t, so a transition's next state is the key after its own, and one
+    (W + 1)-step window (`windows`) yields both. The first `windows` call
+    builds every node's channels into one channel-major (N, 6, T + 1)
+    table, with the same operations in the same order, so its states have
+    the same bytes; its last time column is padding, so that a window of
+    W + 1 steps fits at every t <= T. Only replay builds the table.
     """
 
     def __init__(self, dataset: PeriodDataset, window: int = WINDOW_DEFAULT,
@@ -240,8 +241,6 @@ class StateAssembler:
 
     def node_channels(self, v: str) -> np.ndarray:
         """(T, 3) normalized flow, normalized speed, raw occupancy."""
-        if self._table is not None:
-            return self._table[self.dataset.index[v], :3, :-1].T
         own = np.empty((3, self.dataset.length))
         self._normalize(self.dataset.values[self.dataset.index[v]], own)
         return own.T
@@ -265,9 +264,6 @@ class StateAssembler:
             raise ValueError(f"time index {lo} < window {w}: not enough history")
         if hi > self.dataset.length:
             raise ValueError(f"time index {hi} beyond series length {self.dataset.length}")
-        if self._table is not None:
-            windows, degree = self.windows(self.keys(v, ts))
-            return window_rows(windows[..., :-1], degree)
         i = self.dataset.index[v]
         windows = np.lib.stride_tricks.sliding_window_view(self._node_row(i, lo - w, hi), w, axis=1)
         return window_rows(windows[:, ts - lo].transpose(1, 0, 2), np.full(ts.size, self._degree[i]))

@@ -77,6 +77,9 @@ class TrainerConfig:
     horizons: tuple[int, ...] = (3, 12)
     window: int = WINDOW_DEFAULT
     occ_epsilon: float = OCC_EPSILON_DEFAULT
+    # After the first period (any period run with a previous one), train no
+    # epochs: the frozen model still rolls out, retains and evaluates.
+    freeze_after_first_period: bool = False
 
     def __post_init__(self):
         if not 0 <= self.gamma < 1:
@@ -138,15 +141,13 @@ class EpisodeRollout:
 
 @dataclass(eq=False)
 class AgentState:
-    """Everything that persists across periods; `buffer` is the current
-    period's pool and is not saved."""
+    """Everything that persists across periods, which is what save_agent
+    writes. A period's pool, target net and state table are its own."""
 
     net: QNetwork
     opt: OptimizerState
-    buffer: ReplayBuffer
     memory: ConsolidationMemory
     updates: int = 0
-    target: QNetwork | None = None
 
 
 def init_agent(input_dim: int, hidden: int = 64, dueling: bool = True, seed: int = 0,
@@ -155,7 +156,6 @@ def init_agent(input_dim: int, hidden: int = 64, dueling: bool = True, seed: int
     return AgentState(
         net=net,
         opt=init_optimizer(net, learning_rate=learning_rate, method=optimizer),
-        buffer=ReplayBuffer(),
         memory=ConsolidationMemory(),
     )
 
@@ -216,29 +216,28 @@ def generate_training_experiences(dataset: PeriodDataset, candidates, net: QNetw
     return pool
 
 
-def train_on_buffer(agent: AgentState, n_experiences: int, cfg: TrainerConfig,
+def train_on_buffer(agent: AgentState, pool: ReplayBuffer, cfg: TrainerConfig,
                     rng: np.random.Generator, period: int) -> list[float]:
-    """Run cfg.epochs passes of mixed batches; returns mean loss per epoch.
+    """Run cfg.epochs passes of batches mixing `pool` with the agent's
+    memory; returns mean loss per epoch.
 
     An epoch is ceil(N/B) batches, sampled with replacement, N being the
-    number of freshly generated experiences. The TD target uses a frozen
-    copy of the net, re-synced every sync_interval updates. A non-finite
-    loss or parameter after an update raises DivergenceError.
+    pool's length. The TD target uses a frozen copy of the net, re-synced
+    every sync_interval updates. A non-finite loss or parameter after an
+    update raises DivergenceError.
     """
-    if n_experiences == 0 or cfg.epochs == 0 or len(agent.buffer) == 0:
+    if len(pool) == 0 or cfg.epochs == 0:
         return []
-    batches_per_epoch = math.ceil(n_experiences / cfg.batch_size)
-    agent.target = agent.net.copy()  # fresh sync at phase start keeps resumed runs exact
+    batches_per_epoch = math.ceil(len(pool) / cfg.batch_size)
+    target = agent.net.copy()  # fresh sync at phase start keeps resumed runs exact
     epoch_losses: list[float] = []
     for epoch in range(cfg.epochs):
         losses = np.empty(batches_per_epoch)
         for b in range(batches_per_epoch):
             states, actions, rewards, next_states, terminals = mixed_batch(
-                agent.buffer, agent.memory, cfg.batch_size, cfg.mix_rho,
-                cfg.sampling_omega, rng,
+                pool, agent.memory, cfg.batch_size, cfg.mix_rho, cfg.sampling_omega, rng,
             )
-            target_net = agent.target if cfg.use_target_network else agent.net
-            next_q = forward_batch(target_net, next_states)
+            next_q = forward_batch(target if cfg.use_target_network else agent.net, next_states)
             targets = td_targets(rewards, next_q, cfg.gamma, terminals)
             loss, grad = loss_and_gradients(agent.net, states, actions, targets)
             apply_update(agent.net, grad, agent.opt)
@@ -250,7 +249,7 @@ def train_on_buffer(agent: AgentState, n_experiences: int, cfg: TrainerConfig,
                     f"{np.count_nonzero(~np.isfinite(agent.net.theta))} non-finite parameters"
                 )
             if cfg.use_target_network and agent.updates % cfg.sync_interval == 0:
-                agent.target = agent.net.copy()
+                target = agent.net.copy()
             losses[b] = loss
         epoch_losses.append(float(losses.mean()))
     return epoch_losses
@@ -413,9 +412,8 @@ AGENT_CHECKPOINT_VERSION = 4
 
 
 def save_agent(agent: AgentState, path) -> None:
-    """Versioned npz checkpoint of network, optimizer, update count and
-    consolidation memory. The period pool is left out: the next period
-    replaces it, and training re-syncs the target network."""
+    """Versioned npz checkpoint of the whole agent: network, optimizer,
+    update count and consolidation memory."""
     payload: dict = {"version": np.array(AGENT_CHECKPOINT_VERSION)}
     payload.update(network_state_dict(agent.net, prefix="net_"))
     payload.update(optimizer_state_dict(agent.opt, agent.net, prefix="opt_"))
@@ -456,7 +454,7 @@ def load_agent(path) -> AgentState:
     memory = ConsolidationMemory(window, **columns)
     if np.any((memory.action < 0) | (memory.action >= N_ACTIONS)):
         raise ValueError(f"mem_action holds actions outside [0, {N_ACTIONS - 1}]")
-    return AgentState(net=net, opt=opt, buffer=ReplayBuffer(), memory=memory, updates=int(data["updates"]))
+    return AgentState(net=net, opt=opt, memory=memory, updates=int(data["updates"]))
 
 
 def _period_report(curr: PeriodDataset, cfg: TrainerConfig, generated: int,
@@ -498,10 +496,14 @@ def run_period(prev: PeriodDataset | None, curr: PeriodDataset, agent: AgentStat
 
     Without a previous period (bootstrap) every node is a candidate;
     otherwise drift detection picks new nodes plus the top-KL fraction of
-    survivors. Only candidates generate training rollouts; evaluation
-    always covers all nodes.
+    survivors, and cfg.freeze_after_first_period skips training. Only
+    candidates generate training rollouts; evaluation always covers all
+    nodes. The period's pool and state table are freed when it returns;
+    only the net and the consolidation memory carry over.
     """
     drift_cfg = drift_cfg or DriftConfig()
+    if prev is not None and cfg.freeze_after_first_period:
+        cfg = replace(cfg, epochs=0)
     t_start = time.perf_counter()
     if prev is None:
         candidates = curr.nodes
@@ -517,20 +519,15 @@ def run_period(prev: PeriodDataset | None, curr: PeriodDataset, agent: AgentStat
     t_detect = time.perf_counter()
 
     discretizer, assembler = fit_period(curr, cfg.window)
-
-    # The buffer holds only the current period's pool; cross-period recall
-    # flows exclusively through the consolidation memory. Dropping the last
-    # pool first keeps a single pool in memory.
-    agent.buffer = ReplayBuffer()
+    pool = ReplayBuffer()
     rng_rollout = np.random.default_rng([seed, curr.period, 1])
-    agent.buffer.extend(generate_training_experiences(
+    pool.extend(generate_training_experiences(
         curr, candidates, agent.net, cfg, weights, assembler, discretizer, rng_rollout
     ))
-    pool = agent.buffer
     t_rollout = time.perf_counter()
 
     rng_train = np.random.default_rng([seed, curr.period, 2])
-    epoch_losses = train_on_buffer(agent, len(pool), cfg, rng_train, curr.period)
+    epoch_losses = train_on_buffer(agent, pool, cfg, rng_train, curr.period)
     t_train = time.perf_counter()
 
     if len(pool):
@@ -546,8 +543,7 @@ def run_period(prev: PeriodDataset | None, curr: PeriodDataset, agent: AgentStat
 
 def run_continual(datasets: list[PeriodDataset], cfg: TrainerConfig, weights: RewardWeights,
                   seed: int, drift_cfg: DriftConfig | None = None, hidden: int = 64,
-                  dueling: bool = True, optimizer: str = "adam",
-                  freeze_after_first: bool = False):
+                  dueling: bool = True, optimizer: str = "adam"):
     """Continual training across a dataset sequence; returns (agent, reports)."""
     if not datasets:
         raise ValueError("no datasets to train on")
@@ -555,14 +551,8 @@ def run_continual(datasets: list[PeriodDataset], cfg: TrainerConfig, weights: Re
         state_dim(cfg.window), hidden=hidden, dueling=dueling, seed=seed,
         learning_rate=cfg.learning_rate, optimizer=optimizer,
     )
-    reports = []
-    prev = None
-    for i, curr in enumerate(datasets):
-        period_cfg = cfg
-        if freeze_after_first and i > 0:
-            period_cfg = replace(cfg, epochs=0)
-        reports.append(run_period(prev, curr, agent, period_cfg, weights, seed, drift_cfg=drift_cfg))
-        prev = curr
+    reports = [run_period(prev, curr, agent, cfg, weights, seed, drift_cfg=drift_cfg)
+               for prev, curr in zip([None, *datasets], datasets)]
     return agent, reports
 
 
@@ -583,18 +573,16 @@ def run_full_retrain(datasets: list[PeriodDataset], cfg: TrainerConfig,
             learning_rate=cfg.learning_rate, optimizer=optimizer,
         )
         t_start = time.perf_counter()
+        pool = ReplayBuffer()
         for past in datasets[: i + 1]:
             discretizer, assembler = fit_period(past, cfg.window)
             rng_rollout = np.random.default_rng([seed, past.period, i, 3])
-            agent.buffer.extend(generate_training_experiences(
+            pool.extend(generate_training_experiences(
                 past, past.nodes, agent.net, cfg, weights, assembler, discretizer, rng_rollout
             ))
-        pool = agent.buffer
         t_rollout = time.perf_counter()
         rng_train = np.random.default_rng([seed, curr.period, i, 4])
-        epoch_losses = train_on_buffer(
-            agent, len(pool), replace(cfg, mix_rho=0.0), rng_train, curr.period
-        )
+        epoch_losses = train_on_buffer(agent, pool, replace(cfg, mix_rho=0.0), rng_train, curr.period)
         t_train = time.perf_counter()
 
         # the last dataset seen is curr, so its discretizer and assembler score it

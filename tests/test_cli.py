@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,9 @@ import pytest
 
 import flowrl.cli as cli
 from flowrl.cli import _write_json, _write_text, main
+from flowrl.config import load_config
 from flowrl.ingest import load_period
-from flowrl.trainer import init_agent, load_agent, save_agent
+from flowrl.trainer import init_agent, load_agent, run_continual, save_agent
 
 TINY_CONFIG = """
 [run]
@@ -191,6 +193,22 @@ class TestTrain:
             assert sorted(got.files) == sorted(want.files)
             for name in want.files:
                 np.testing.assert_array_equal(got[name], want[name], err_msg=name, strict=True)
+
+    def test_resume_of_a_finished_run_loads_no_period(self, tmp_path, generated, capsys):
+        """--resume after the last period has no period left to run, so it
+        loads none: a last readings file that no longer loads changes
+        nothing."""
+        data, config = generated
+        out = tmp_path / "out"
+        train = ["train", "--config", str(config), "--data-dir", str(data), "--out-dir", str(out)]
+        assert main(train) == 0
+        reports = dir_bytes(out, "report_*.json")
+        readings = data / "readings_2.csv"
+        readings.write_text(readings.read_text().splitlines()[0] + "\n")  # the header only
+        capsys.readouterr()
+        assert main(train + ["--resume"]) == 0
+        assert "resuming after period 2" in capsys.readouterr().out
+        assert dir_bytes(out, "report_*.json") == reports
 
     @pytest.mark.parametrize("section,key,value,saved,configured", [
         ("qnet", "hidden", "16", "64", "16"),
@@ -695,17 +713,39 @@ def test_path_fault_is_data_error_naming_the_file(tmp_path, generated, capsys, f
 
 
 def test_freeze_after_first_period(tmp_path, generated):
-    data, _ = generated
+    """The freeze rule is run_period's: a frozen run trains period 1 only,
+    a frozen run stopped after period 1 and resumed rewrites period 2's
+    report byte for byte, and run_continual with the same TrainerConfig
+    gives the same reports as the CLI."""
+    data, config = generated
     frozen_cfg = tmp_path / "frozen.ini"
     frozen_cfg.write_text(
         TINY_CONFIG.replace("[trainer]", "[trainer]\nfreeze_after_first_period = true")
     )
-    out = tmp_path / "frozen_run"
-    assert main(["train", "--config", str(frozen_cfg), "--data-dir", str(data), "--out-dir", str(out)]) == 0
+    out, resumed = tmp_path / "frozen_run", tmp_path / "resumed"
+    train = ["train", "--config", str(frozen_cfg), "--data-dir", str(data)]
+    assert main(train + ["--out-dir", str(out)]) == 0
     report1 = json.loads((out / "report_1.json").read_text())
     report2 = json.loads((out / "report_2.json").read_text())
     assert report1["updates"] > 0
     assert report2["updates"] == 0  # frozen model still evaluates but never trains
+
+    resumed.mkdir()
+    shutil.copy(out / "checkpoint_1.npz", resumed / "checkpoint_1.npz")
+    assert main(train + ["--out-dir", str(resumed), "--resume"]) == 0
+    assert (resumed / "report_2.json").read_bytes() == (out / "report_2.json").read_bytes()
+
+    run = load_config(config)
+    datasets = [cli._load_dataset(data, period) for period in (1, 2)]
+    _, reports = run_continual(
+        datasets, replace(run.trainer, freeze_after_first_period=True), run.weights, run.seed,
+        drift_cfg=run.drift, hidden=run.qnet.hidden, dueling=run.qnet.dueling,
+        optimizer=run.qnet.optimizer,
+    )
+    for report in reports:
+        path = tmp_path / f"library_{report.period}.json"
+        _write_json(path, report.to_report_dict())
+        assert path.read_bytes() == (out / f"report_{report.period}.json").read_bytes()
 
 
 def test_export_figures_from_real_run(tmp_path, generated):

@@ -321,12 +321,13 @@ def test_keyed_pairs_equal_oracle_states(data, n, length, window):
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data(), n=st.integers(1, 5), length=st.integers(6, 14), window=st.integers(1, 4))
-def test_states_same_before_and_after_the_table(data, n, length, window):
-    """states and node_channels give the same bytes whether they compute a
-    node's channels from its readings or read the table that the first
-    windows() call builds, and the states equal the loop oracle's: on any
-    graph with an isolated node, for drawn, empty, single, unsorted and
-    repeated time indices."""
+def test_replay_table_agrees_with_per_node_states(data, n, length, window):
+    """The windows that replay cuts from the state table hold the bytes
+    that states() computes node by node, at each key and (below T) at the
+    key after it, so training's TD targets read the states that rollouts
+    act on. The states equal the loop oracle's, on any graph with an
+    isolated node, for drawn, empty, single, unsorted and repeated time
+    indices."""
     nodes = [f"v{i}" for i in range(n)] + ["iso"]
     pairs = [(a, b) for i, a in enumerate(nodes[:-1]) for b in nodes[i + 1:-1]]
     edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
@@ -337,15 +338,17 @@ def test_states_same_before_and_after_the_table(data, n, length, window):
     asm = StateAssembler(ds, window=window, calibration=CAL)
     drawn = data.draw(st.lists(st.integers(window, length), max_size=6))
     cases = [np.array(ts, dtype=np.int64) for ts in (drawn, [], [length], [length, window, length, window])]
-    before = {v: ([asm.states(v, ts) for ts in cases], asm.node_channels(v)) for v in nodes}
-    asm.windows(asm.keys(nodes[0], [window]))
     for v in nodes:
-        states, channels = before[v]
+        channels = asm.node_channels(v)
         assert channels.shape == (length, 3)
-        assert channels.tobytes() == asm.node_channels(v).tobytes()
-        for ts, rows in zip(cases, states):
+        for ts in cases:
+            rows = asm.states(v, ts)
             assert rows.shape == (ts.size, 6 * window + 1)
-            assert rows.tobytes() == asm.states(v, ts).tobytes()
+            windows, degree = asm.windows(asm.keys(v, ts))
+            assert window_rows(windows[..., :-1], degree).tobytes() == rows.tobytes()
+            inside = ts < length
+            assert (window_rows(windows[inside][..., 1:], degree[inside]).tobytes()
+                    == asm.states(v, ts[inside] + 1).tobytes())
             for row, t in zip(rows, ts):
                 np.testing.assert_array_equal(row, oracle_state(ds, v, int(t), window, CAL))
                 np.testing.assert_array_equal(row[: 3 * window], channels[t - window:t].T.ravel())

@@ -1,5 +1,8 @@
+import dataclasses
+import gc
 import tempfile
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +28,7 @@ from flowrl.drift import DriftConfig
 from flowrl.ingest import GeneratorConfig, generate_synthetic
 from flowrl.qnet import QNetwork, param_views
 from flowrl.trainer import (
+    AgentState,
     TrainerConfig,
     epsilon_schedule,
     generate_rollout,
@@ -467,13 +471,37 @@ def test_agent_checkpoint_round_trip(tmp_path):
     assert len(loaded.memory) == len(agent.memory) > 0
     for name, column in agent.memory.columns().items():
         np.testing.assert_array_equal(getattr(loaded.memory, name), column)
-    assert len(agent.buffer) > 0
-    assert len(loaded.buffer) == 0  # the period pool is not saved
     with np.load(path) as data:
         assert int(data["version"]) == 4
         assert not [key for key in data.files if key.startswith("buf_")]
     s = np.linspace(0, 1, agent.net.input_dim)
     np.testing.assert_array_equal(forward(agent.net, s), forward(loaded.net, s))
+
+
+def test_period_working_set_is_freed_when_it_returns(monkeypatch):
+    """The agent holds only what save_agent writes, so once run_period
+    returns nothing keeps that period's pool or the state table it keys
+    into alive: a weak reference to its assembler is dead."""
+    import flowrl.trainer as trainer_mod
+
+    assemblers = []
+    real_fit_period = trainer_mod.fit_period
+
+    def recording_fit_period(dataset, window):
+        discretizer, assembler = real_fit_period(dataset, window)
+        assemblers.append(weakref.ref(assembler))
+        return discretizer, assembler
+
+    monkeypatch.setattr(trainer_mod, "fit_period", recording_fit_period)
+    ds = diurnal_dataset(seed=11, steps=120)
+    cfg = TrainerConfig(epochs=1, batch_size=32, horizons=(1,), window=6)
+    agent = init_agent(state_dim(6), hidden=16, seed=0)
+    run_period(None, ds, agent, cfg, RewardWeights(), seed=0)
+    gc.collect()
+    assert agent.updates > 0 and len(agent.memory) > 0  # replay read the table
+    assert len(assemblers) == 1
+    assert assemblers[0]() is None
+    assert [f.name for f in dataclasses.fields(AgentState)] == ["net", "opt", "memory", "updates"]
 
 
 def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
