@@ -4,13 +4,14 @@ A state fuses a sensor's own recent window with the mean window of its
 graph neighbors plus its normalized degree. Flow values are discretized
 into five classes that double as the action space; the reward combines
 prediction closeness with speed and (inverse) occupancy terms. States
-are computed node by node; only replay reads states by key, from a table
-it builds at its first read.
+are computed node by node; only replay reads states by key, from a
+time-major step table built at its first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -168,13 +169,12 @@ class StateAssembler:
     channels, summed in sorted-id order so that edge order does not matter.
 
     `states` and `node_channels` compute one node's channels over the span
-    they read. Replay reads states by key: key i*(T+1) + t is node i at
-    time t, so a transition's next state is the key after its own, and one
-    (W + 1)-step window (`windows`) yields both. The first `windows` call
-    builds every node's channels into one channel-major (N, 6, T + 1)
-    table, with the same operations in the same order, so its states have
-    the same bytes; its last time column is padding, so that a window of
-    W + 1 steps fits at every t <= T. Only replay builds the table.
+    they read. Replay reads `steps`, a time-major (N * (T + 1), 6) step
+    table whose row i * (T + 1) + t, the state key, holds node i's channels
+    at time t. The last row per node is padding, so the W + 1 rows ending
+    at key k hold the state at k and, below T, the one at k + 1. The table
+    is built at its first read, node by node with the rows `states`
+    computes, so its states have the same bytes.
     """
 
     def __init__(self, dataset: PeriodDataset, window: int = WINDOW_DEFAULT,
@@ -196,48 +196,40 @@ class StateAssembler:
         self._degree = degree / max_degree if max_degree > 0 else np.zeros(len(adjacent))
         self._ids = np.array(dataset.nodes, dtype=np.str_)
         self._stride = dataset.length + 1  # keys per node
-        self._table = None
 
     @property
     def dim(self) -> int:
         return state_dim(self.window)
 
-    @property
-    def key_count(self) -> int:
-        """Number of state keys: one per node and time index 0..T."""
-        return len(self._ids) * self._stride
-
     def _normalize(self, readings: np.ndarray, own: np.ndarray) -> None:
-        """Write (..., T, 3) readings into (..., 3, T) own channels."""
+        """Write (L, 3) readings into (3, L) own channels, each one
+        contiguous run, which numpy's elementwise loops handle fastest."""
         for c, bound in ((0, self.calibration.flow_max), (1, self.calibration.speed_max)):
-            np.divide(readings[..., c], bound, out=own[..., c, :])  # in place: no temporary of own's size
-            np.clip(own[..., c, :], 0.0, 1.0, out=own[..., c, :])
-        own[..., 2, :] = readings[..., 2]
+            np.divide(readings[:, c], bound, out=own[c])  # in place: no temporary of own's size
+            np.clip(own[c], 0.0, 1.0, out=own[c])
+        own[2] = readings[:, 2]
 
-    def _build_table(self) -> None:
-        n, length, _ = self.dataset.values.shape
-        table = np.zeros((n, 6, length + 1))
-        own, acc = table[:, :3, :length], table[:, 3:, :length]
-        self._normalize(self.dataset.values, own)
-        for i, neighbors in enumerate(self._adjacent):
-            for j in neighbors:
-                acc[i] += own[j]
-        acc /= np.maximum([len(a) for a in self._adjacent], 1)[:, None, None]
-        self._table = table
-        self._windows = np.lib.stride_tricks.sliding_window_view(table, self.window + 1, axis=2)
-
-    def _node_row(self, i: int, lo: int, hi: int) -> np.ndarray:
-        """Node i's (6, hi - lo) table row over time indices [lo, hi), from
-        one gather of its own and its neighbors' readings."""
-        neighbors = self._adjacent[i]
-        own = np.empty((len(neighbors) + 1, 3, hi - lo))
-        self._normalize(self.dataset.values[[i, *neighbors], lo:hi], own)
-        row = np.zeros((6, hi - lo))
-        row[:3] = own[0]
-        for channels in own[1:]:
-            row[3:] += channels
-        row[3:] /= max(len(neighbors), 1)
+    def _node_row(self, i: int, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Node i's (hi - lo, 6) table rows over time indices [lo, hi),
+        written into `out` when given: its own channels, then the mean of
+        its neighbors', each neighbor normalized in turn into one buffer."""
+        own, acc, channels = np.empty((3, hi - lo)), np.zeros((3, hi - lo)), np.empty((3, hi - lo))
+        self._normalize(self.dataset.values[i, lo:hi], own)
+        for j in self._adjacent[i]:
+            self._normalize(self.dataset.values[j, lo:hi], channels)
+            acc += channels
+        acc /= max(len(self._adjacent[i]), 1)
+        row = np.empty((hi - lo, 6)) if out is None else out
+        row[:, :3], row[:, 3:] = own.T, acc.T
         return row
+
+    @cached_property
+    def steps(self) -> np.ndarray:
+        """The (N * (T + 1), 6) step table, built at the first read."""
+        steps = np.zeros((len(self._ids), self._stride, 6))
+        for i in range(len(self._ids)):
+            self._node_row(i, 0, self.dataset.length, steps[i, :-1])
+        return steps.reshape(-1, 6)
 
     def node_channels(self, v: str) -> np.ndarray:
         """(T, 3) normalized flow, normalized speed, raw occupancy."""
@@ -265,18 +257,12 @@ class StateAssembler:
         if hi > self.dataset.length:
             raise ValueError(f"time index {hi} beyond series length {self.dataset.length}")
         i = self.dataset.index[v]
-        windows = np.lib.stride_tricks.sliding_window_view(self._node_row(i, lo - w, hi), w, axis=1)
-        return window_rows(windows[:, ts - lo].transpose(1, 0, 2), np.full(ts.size, self._degree[i]))
+        windows = np.lib.stride_tricks.sliding_window_view(self._node_row(i, lo - w, hi), w, axis=0)
+        return window_rows(windows[ts - lo], np.full(ts.size, self._degree[i]))
 
-    def windows(self, keys) -> tuple[np.ndarray, np.ndarray]:
-        """The (6, W + 1) window of each key, oldest first, and its node's
-        degree: [..., :-1] is the state at key k, and for a time index
-        below T, [..., 1:] is the state at k + 1. Both are copies. The
-        first call builds the table."""
-        if self._table is None:
-            self._build_table()
-        nodes, ts = np.divmod(keys, self._stride)
-        return self._windows[nodes, :, ts - self.window], self._degree[nodes]
+    def degree(self, keys) -> np.ndarray:
+        """The normalized degree of each key's node."""
+        return self._degree[np.asarray(keys) // self._stride]
 
     def origins(self, keys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(node id, period, time index) of each key."""

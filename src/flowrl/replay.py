@@ -1,21 +1,25 @@
 """Experience storage: reward-prioritized replay plus a consolidation memory.
 
-A period's pool (`ReplayBuffer`) keeps its transitions in columns: a key
-into the period's state table, an action, a reward and a terminal flag.
-Transition i goes from the state at key row[i] to the one at row[i] + 1,
-and a batch reads both from one window of the table. Priorities equal the
-(floored) reward, which never changes once a transition exists, so the
-sampling distribution p_i^omega / sum_k p_k^omega becomes one cumulative
-sum per pool and every batch is a binary search of uniform draws, with
-replacement. After each period the top fraction of that period's
-transitions by priority goes into a consolidation memory, which keeps
-each time step of their windows once, and is replayed into later
+Both stores keep transitions in one format: columns over a time-major
+(K, 6) step table, where transition i reads the W + 1 rows from start[i]
+on, its state cut from the first W and its next state from the last W,
+with its node's degree, its action, reward and terminal flag. A period's
+pool (`ReplayBuffer`) reads the table of its period's `StateAssembler`,
+in which a row is a state key, so start[i] is the key of its state minus
+W. Priorities equal the (floored) reward, which never changes once a
+transition exists, so the sampling distribution
+p_i^omega / sum_k p_k^omega becomes one cumulative sum per pool and
+every batch is a binary search of uniform draws, with replacement. After
+each period the top fraction of that period's transitions by priority
+goes into a consolidation memory, which copies each table row of their
+windows once into a table of its own, and is replayed into later
 training batches to guard old-node knowledge against forgetting.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -25,23 +29,20 @@ from .env import window_rows
 PRIORITY_FLOOR = 1e-3
 CONSOLIDATION_FRACTION = 0.05
 
-# Per-transition columns of a ReplayBuffer.
+# Per-transition columns of a ReplayBuffer, in window_columns order after
+# start.
 COLUMNS = {
-    "row": np.int64,
-    "action": np.int64,
-    "reward": np.float64,
-    "terminal": np.bool_,
-}
-# Columns of a ConsolidationMemory: its table of distinct time steps, then
-# per transition the table row where its window starts, the other four of
-# its window_columns in their order, and the origin.
-MEMORY_COLUMNS = {
-    "steps": np.float64,  # (C, 6): own flow, speed, occupancy, then the neighbour means
     "start": np.int64,  # the (6, W + 1) window is steps[start : start + W + 1].T
     "degree": np.float64,
     "action": np.int64,
     "reward": np.float64,
     "terminal": np.bool_,
+}
+# Columns of a ConsolidationMemory: its step table, then a ReplayBuffer's
+# columns and the origin of each transition.
+MEMORY_COLUMNS = {
+    "steps": np.float64,  # (C, 6): own flow, speed, occupancy, then the neighbour means
+    **COLUMNS,
     "node_id": np.str_,
     "period": np.int64,
     "t": np.int64,  # time index of the prediction step within its period
@@ -70,74 +71,68 @@ def assign_priority(rewards, floor: float = PRIORITY_FLOOR) -> np.ndarray:
     return np.maximum(rewards, floor)
 
 
-class KeyedStates:
-    """The state keys of one or more period state tables, numbered back to
-    back: key offsets[p] + k is key k of tables[p]. A table is a
-    `StateAssembler`, or anything with its `key_count`, `windows` and
-    `origins` whose window of key k holds the steps at keys k - W .. k."""
-
-    def __init__(self, *tables):
-        self.tables = tables
-        self.offsets = np.cumsum([0, *(table.key_count for table in tables)])
-
-    def _by_table(self, keys, method: str) -> tuple[np.ndarray, ...]:
-        """`method` of each key's table, answered in key order."""
-        if len(self.tables) == 1:
-            return getattr(self.tables[0], method)(keys)
-        part = self.offsets.searchsorted(keys, side="right") - 1
-        answers = [getattr(table, method)(keys[part == p] - self.offsets[p])
-                   for p, table in enumerate(self.tables)]
-        back = np.argsort(np.argsort(part, kind="stable"))  # each key's place among the answers
-        return tuple(np.concatenate(pieces)[back] for pieces in zip(*answers))
-
-    def windows(self, keys) -> tuple[np.ndarray, np.ndarray]:
-        return self._by_table(keys, "windows")
-
-    def origins(self, keys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self._by_table(keys, "origins")
-
-
 class ReplayBuffer:
-    """Columnar transitions keyed into `states` (KeyedStates): transition i
-    goes from key row[i] to row[i] + 1, with the action, reward and
-    terminal flag of that step."""
+    """Columnar transitions over the step table `steps` of windows of
+    W + 1 rows. A period's pool has a `source`, its period's
+    `StateAssembler` (or anything with its `steps`, `window`, `degree` and
+    `origins`), and reads the source's table at its first batch; a store
+    extended with the pools of several periods holds their tables back to
+    back and has no source."""
 
-    def __init__(self, states: KeyedStates | None = None, **columns):
-        self.states = states if states is not None else KeyedStates()
-        for name, dtype in COLUMNS.items():
-            setattr(self, name, np.asarray(columns.pop(name, ()), dtype=dtype))
+    COLUMNS = COLUMNS
+
+    def __init__(self, source=None, **columns):
+        self.source = source
+        self.window = source.window if source is not None else None
+        for name, dtype in self.COLUMNS.items():
+            empty = np.empty((0, 6)) if name == "steps" else ()
+            setattr(self, name, np.asarray(columns.pop(name, empty), dtype=dtype))
         if columns:
             raise TypeError(f"unknown columns {sorted(columns)}")
-        self._fill = len(self.row)  # next free transition
+        self._fill = len(self.action)  # next free transition
         self._cdf: tuple[float, np.ndarray] | None = None
 
+    @cached_property
+    def steps(self) -> np.ndarray:
+        """The source's step table, read at the first batch."""
+        return self.source.steps
+
+    @cached_property
+    def _windows(self) -> np.ndarray:
+        """_windows[s] is the (6, W + 1) window that starts at row s, a view."""
+        return np.lib.stride_tricks.sliding_window_view(self.steps, self.window + 1, axis=0)
+
     @classmethod
-    def allocate(cls, transitions: int, states: KeyedStates) -> ReplayBuffer:
+    def allocate(cls, transitions: int, source) -> ReplayBuffer:
         """Room for `transitions` transitions, to be written by add_rollout."""
-        store = cls(states, **{name: np.empty(transitions, dtype) for name, dtype in COLUMNS.items()})
+        store = cls(source, **{name: np.empty(transitions, dtype) for name, dtype in COLUMNS.items()})
         store._fill = 0
         return store
 
     def __len__(self) -> int:
-        return len(self.row)
+        return len(self.action)
 
     def origins(self, idx=slice(None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(node_id, period, t) of transitions idx."""
-        return self.states.origins(self.row[idx])
+        return self.source.origins(self.start[idx] + self.window)
 
     def subset(self, idx) -> ReplayBuffer:
-        """Transitions idx, keyed into the same states."""
-        return ReplayBuffer(self.states, **{name: getattr(self, name)[idx] for name in COLUMNS})
+        """Transitions idx, over the same step table."""
+        kept = ReplayBuffer(self.source, **{name: getattr(self, name)[idx] for name in COLUMNS})
+        if "steps" in vars(self):
+            kept.steps, kept.window = self.steps, self.window
+        return kept
 
     def add_rollout(self, keys, actions, rewards) -> ReplayBuffer:
         """Write one rollout (n steps from state keys[0] to keys[-1] + 1)
         into the next free slots; returns a view of its transitions."""
         n = len(actions)
         s = self._fill
-        if n < 1 or s + n > len(self.row):
+        if n < 1 or s + n > len(self):
             raise ValueError(f"no room for a rollout of {n} steps")
         span = slice(s, s + n)
-        self.row[span] = keys
+        self.start[span] = np.asarray(keys) - self.window
+        self.degree[span] = self.source.degree(keys)
         self.action[span] = actions
         self.reward[span] = rewards
         self.terminal[span] = np.arange(n) == n - 1
@@ -146,22 +141,25 @@ class ReplayBuffer:
         return self.subset(span)
 
     def extend(self, items: ReplayBuffer) -> None:
-        """Append items' transitions, their keys numbered after this store's;
+        """Append items' transitions, their step table after this store's;
         an empty store takes items' arrays without copying them."""
         if len(self) == 0:
             vars(self).update(vars(items))
         elif len(items):
+            offset = len(self.steps)
+            self.steps = np.concatenate([self.steps, items.steps])
             for name in COLUMNS:
                 setattr(self, name, np.concatenate([getattr(self, name), getattr(items, name)]))
-            self.row[-len(items):] += self.states.offsets[-1]
-            self.states = KeyedStates(*self.states.tables, *items.states.tables)
-        self._fill = len(self.row)
+            self.start[-len(items):] += offset
+            self.source = None
+            vars(self).pop("_windows", None)
+        self._fill = len(self)
         self._cdf = None
 
     def window_columns(self, idx) -> tuple[np.ndarray, ...]:
         """(windows, degree, action, reward, terminal) of transitions idx."""
-        return (*self.states.windows(self.row[idx]), self.action[idx], self.reward[idx],
-                self.terminal[idx])
+        return (self._windows[self.start[idx]], self.degree[idx], self.action[idx],
+                self.reward[idx], self.terminal[idx])
 
     def priorities(self) -> np.ndarray:
         return assign_priority(self.reward)
@@ -206,8 +204,8 @@ def retain_top_fraction(experiences: ReplayBuffer,
     """The ceil(fraction*N) highest-priority transitions of a period.
 
     Ties break by (node_id, t) ascending, so the retained set is
-    deterministic. The result is a subset of the input, keyed into the
-    same states.
+    deterministic. The result is a subset of the input, over the same
+    step table.
     """
     if len(experiences) == 0:
         raise ValueError("cannot retain from an empty collection")
@@ -219,32 +217,19 @@ def retain_top_fraction(experiences: ReplayBuffer,
     return experiences.subset(order[:k])
 
 
-class ConsolidationMemory:
+class ConsolidationMemory(ReplayBuffer):
     """Retained top-priority transitions of every past period, in the order
-    the periods were added, in the columns of MEMORY_COLUMNS. Each
-    distinct time step of their (6, W + 1) windows is kept once, as a row
-    of `steps`, so the memory holds no reference to a period's state
-    table. Retained transitions cluster in time, and neighbouring windows
-    share all but one of their steps."""
+    the periods were added, in the columns of MEMORY_COLUMNS: a store over
+    a step table of its own, so that it holds no reference to a period's
+    table, with each transition's origin. Each table row of the retained
+    windows is copied once; retained transitions cluster in time, and
+    neighbouring windows share all but one of their rows."""
+
+    COLUMNS = MEMORY_COLUMNS
 
     def __init__(self, window: int | None = None, **columns):
+        super().__init__(**columns)
         self.window = window  # W, set by the first period added when None
-        for name, dtype in MEMORY_COLUMNS.items():
-            empty = np.empty((0, 6)) if name == "steps" else ()
-            setattr(self, name, np.asarray(columns.pop(name, empty), dtype=dtype))
-        if columns:
-            raise TypeError(f"unknown columns {sorted(columns)}")
-        self._index_windows()
-
-    def _index_windows(self) -> None:
-        """Cache the windows of the table: _windows[s] is the (6, W + 1)
-        window that starts at row s, a view."""
-        w = self.window
-        self._windows = (np.lib.stride_tricks.sliding_window_view(self.steps, w + 1, axis=0)
-                         if w is not None and len(self.steps) > w else None)
-
-    def __len__(self) -> int:
-        return len(self.action)
 
     def columns(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in MEMORY_COLUMNS}
@@ -253,33 +238,24 @@ class ConsolidationMemory:
         return sorted(set(self.period.tolist()))
 
     def add_period(self, period: int, retained: ReplayBuffer) -> None:
-        """Append the retained transitions of `period`, copying out each
-        distinct step of their windows once."""
+        """Append the retained transitions of `period`, copying each row of
+        their windows out of the period's table once."""
         if period in self.periods():
             raise ValueError(f"period {period} already retained")
         node_id, periods, t = retained.origins()
         if np.any(periods != period):
             raise ValueError(f"retained transitions do not all come from period {period}")
-        windows, *rest = retained.window_columns(slice(None))
-        w = windows.shape[-1] - 1
+        w = retained.window
         if self.window not in (None, w):
             raise ValueError(f"retained windows span {w + 1} steps, the memory's {self.window + 1}")
-        # The window of key k holds the steps at keys k - W .. k, which are
-        # consecutive, so the distinct keys in order hold every window's
-        # steps next to each other.
-        keys, first = np.unique(retained.row[:, None] + np.arange(-w, 1), return_index=True)
-        window_of, step_of = np.divmod(first, w + 1)
-        steps = windows[window_of, :, step_of]
-        start = len(self.steps) + keys.searchsorted(retained.row - w)
-        added = zip(MEMORY_COLUMNS, (steps, start, *rest, node_id, periods, t))
-        vars(self).update({name: np.concatenate([getattr(self, name), column]) for name, column in added})
+        rows = np.unique(retained.start[:, None] + np.arange(w + 1))
+        added = {name: getattr(retained, name) for name in COLUMNS}
+        added.update(steps=retained.steps[rows], start=len(self.steps) + rows.searchsorted(retained.start),
+                     node_id=node_id, period=periods, t=t)
+        vars(self).update({name: np.concatenate([getattr(self, name), added[name]])
+                           for name in MEMORY_COLUMNS})
         self.window = w
-        self._index_windows()
-
-    def window_columns(self, idx) -> tuple[np.ndarray, ...]:
-        """(windows, degree, action, reward, terminal) of transitions idx."""
-        return (self._windows[self.start[idx]], self.degree[idx], self.action[idx],
-                self.reward[idx], self.terminal[idx])
+        vars(self).pop("_windows", None)
 
     def draw(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Indices of a uniform draw with replacement from the memory."""

@@ -51,7 +51,6 @@ from .qnet import (
 from .replay import (
     MEMORY_COLUMNS,
     ConsolidationMemory,
-    KeyedStates,
     ReplayBuffer,
     mixed_batch,
     retain_top_fraction,
@@ -172,12 +171,12 @@ def generate_rollout(assembler: StateAssembler, discretizer: Discretizer, node: 
                      rng: np.random.Generator, weights: RewardWeights,
                      occ_epsilon: float, pool: ReplayBuffer) -> EpisodeRollout:
     """Traverse one node's split, writing chained transitions into `pool`,
-    which is keyed to the assembler.
+    whose source is the assembler.
 
-    The transition at time t holds the key of the state built from
-    [t-W, t), the epsilon-greedy action and the reward against the actual
-    class at t; its next state is the state at t+1. The final usable index
-    is flagged terminal.
+    The transition at time t holds the table row where the state built
+    from [t-W, t) starts, the epsilon-greedy action and the reward against
+    the actual class at t; its next state is the state at t+1. The final
+    usable index is flagged terminal.
     """
     ds = assembler.dataset
     lo, hi = ds.splits.range_of(split)
@@ -202,12 +201,12 @@ def generate_training_experiences(dataset: PeriodDataset, candidates, net: QNetw
                                   assembler: StateAssembler, discretizer: Discretizer,
                                   rng: np.random.Generator) -> ReplayBuffer:
     """Rollouts over the training split for each candidate node, in sorted
-    order, written into one pool keyed to the assembler and returned; the
+    order, written into one pool over the assembler's table and returned; the
     epsilon schedule advances with the dataset's transition count."""
     lo, hi = dataset.splits.train
     n = hi - max(cfg.window, lo)
     nodes = sorted(candidates) if n >= 1 else []
-    pool = ReplayBuffer.allocate(len(nodes) * n, KeyedStates(assembler))
+    pool = ReplayBuffer.allocate(len(nodes) * n, assembler)
     for k, node in enumerate(nodes):
         eps = epsilon_schedule(np.arange(k * n, (k + 1) * n), cfg)
         generate_rollout(

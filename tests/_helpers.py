@@ -7,6 +7,7 @@ import numpy as np
 
 from flowrl.graph import GraphSnapshot
 from flowrl.ingest import PeriodDataset, SensorSeries, compute_splits
+from flowrl.replay import ReplayBuffer
 
 
 def iso_timestamps(n, start="2001-01-01T00:00:00"):
@@ -43,29 +44,39 @@ def make_dataset(period, nodes, edges, series):
 
 
 class WindowTable:
-    """A state table for replay tests that answers `key_count`, `windows`
-    and `origins` like a StateAssembler: key k is transition k, whose
-    (6, 2) window reads [t_k, t_k + 1] in every channel and whose degree
-    is r_k, so its state is [t_k] * 6 + [r_k] and its next state
-    [t_k + 1] * 6 + [r_k]. The windows of keys k - 1 and k agree on the
-    step they share, as a ConsolidationMemory expects of a table, when
-    t_k = t_{k-1} + 1, so tests that retain into a memory keep ts
-    consecutive."""
+    """A replay source for replay tests with the `steps`, `window`,
+    `degree` and `origins` of a StateAssembler, holding independent
+    transitions: W = 1, and transition k owns rows 2k and 2k + 1 of the
+    step table, which read t_k and t_k + 1 in every channel. Its key, the
+    row its state ends at, is 2k + 1, and its degree is r_k, so its state
+    is [t_k] * 6 + [r_k] and its next state [t_k + 1] * 6 + [r_k]."""
+
+    window = 1
 
     def __init__(self, ts, rewards, nodes, period):
         ts = np.asarray(ts, dtype=np.int64)
-        self.key_count = len(ts)
-        self._windows = np.repeat(np.stack([ts, ts + 1], 1)[:, None].astype(float), 6, axis=1)
+        self.steps = np.repeat(np.stack([ts, ts + 1], 1).reshape(-1, 1).astype(float), 6, axis=1)
+        self.keys = 2 * np.arange(len(ts)) + 1
         self._degree = np.asarray(rewards, dtype=float)
         self._ids = np.array(nodes, dtype=np.str_)
         self._period = period
         self._ts = ts
 
-    def windows(self, keys):
-        return self._windows[keys], self._degree[keys]
+    def degree(self, keys):
+        return self._degree[keys // 2]
 
     def origins(self, keys):
-        return self._ids[keys], np.full(len(keys), self._period, dtype=np.int64), self._ts[keys]
+        return self._ids[keys // 2], np.full(len(keys), self._period, dtype=np.int64), self._ts[keys // 2]
+
+
+def table_windows(source, keys):
+    """(windows, degree) of each key of a replay source, read the way
+    replay reads a pool: the (6, W + 1) window whose last row is the key."""
+    keys = np.asarray(keys, dtype=np.int64)
+    pool = ReplayBuffer(source, start=keys - source.window, degree=source.degree(keys),
+                        action=np.zeros(len(keys)), reward=np.zeros(len(keys)),
+                        terminal=np.zeros(len(keys), dtype=bool))
+    return pool.window_columns(slice(None))[:2]
 
 
 def window_table_rows(ts, rewards):

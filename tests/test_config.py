@@ -2,12 +2,12 @@ import dataclasses
 from collections import Counter
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowrl.config import KEYS, RunConfig, config_to_ini, parse_config
 from flowrl.errors import ConfigError
-from flowrl.ingest import DriftSpec
+from flowrl.ingest import DriftSpec, _node_name
 
 # config_to_ini(RunConfig()), byte for byte as earlier releases echoed it.
 DEFAULT_ECHO = """\
@@ -189,27 +189,44 @@ _KIND_VALUES = {
     "boolean": st.booleans(),
     "string": st.sampled_from(["adam", "sgd"]),
     "horizon list": st.lists(st.integers(1, 500), min_size=1, max_size=4, unique=True).map(tuple),
-    "drift list": st.lists(
-        st.builds(DriftSpec, st.from_regex(r"s[0-9]{1,4}", fullmatch=True), st.integers(-5, 50),
-                  st.floats(-1e6, 1e6, allow_nan=False)),
-        max_size=3,
-    ).map(tuple),
+}
+
+
+@st.composite
+def _drift_spec(draw, generator):
+    """A drift spec that the drawn generator admits: a period it makes, and
+    a node of that period's graph (one of the first 10^4)."""
+    first = generator["start_period"]
+    period = draw(st.integers(first, first + generator["periods"] - 1))
+    grown = generator["initial_nodes"] + generator["growth_per_period"] * (period - first)
+    node = _node_name(draw(st.integers(0, min(grown, 10**4) - 1)))
+    return DriftSpec(node, period, draw(st.floats(-1e6, 1e6, allow_nan=False)))
+
+
+# Keys whose valid range depends on keys drawn before them, drawn last.
+_DEPENDENT = {
+    "profile_peak": lambda g: st.floats(g["profile_base"], 1.0, exclude_max=True),
+    "drift": lambda g: st.lists(_drift_spec(g), max_size=3, unique_by=lambda d: d.node).map(tuple),
 }
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_echo_round_trips_any_valid_config(data):
+    """Every key drawn from its valid range, the generator's dependent keys
+    from the range that the keys they depend on leave, echoes and parses
+    back to the same config."""
     updates: dict = {}
     for _, key, part, f, (_, _, kind) in KEYS:
-        updates.setdefault(part, {})[f] = data.draw(_KIND_VALUES[kind], label=key)
+        if f not in _DEPENDENT:
+            updates.setdefault(part, {})[f] = data.draw(_KIND_VALUES[kind], label=key)
+    generator = updates["generator"]
+    for f, strategy in _DEPENDENT.items():
+        generator[f] = data.draw(strategy(generator), label=f)
     base = RunConfig()
-    try:
-        parts = {part: dataclasses.replace(getattr(base, part), **values)
-                 for part, values in updates.items() if part is not None}
-        config = dataclasses.replace(base, **updates[None], **parts)
-    except ValueError:  # e.g. profile_base above profile_peak
-        assume(False)
+    parts = {part: dataclasses.replace(getattr(base, part), **values)
+             for part, values in updates.items() if part is not None}
+    config = dataclasses.replace(base, **updates[None], **parts)
     assert parse_config(config_to_ini(config)) == config
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from _helpers import make_dataset, make_series, traced_peak
+from _helpers import make_dataset, make_series, table_windows, traced_peak
 from _oracles import build_state as oracle_state, compute_reward
 from flowrl.env import (
     Calibration,
@@ -276,17 +276,16 @@ def test_neighbor_means_equal_sorted_loop_reference():
 
 
 def test_state_table_built_in_place():
-    """Building the state table, which the first windows() call does, holds
-    little beyond the table itself: the channels are normalized in place
-    and neighbor windows are summed one node at a time (a gather of every
-    node's j-th neighbor held 2x)."""
+    """Building the state table, which the first read of `steps` does,
+    holds little beyond the table itself: each node's rows are written in
+    place, its neighbors normalized one at a time into one buffer (a
+    gather of every node's j-th neighbor held 2x)."""
     config = GeneratorConfig(periods=1, initial_nodes=60, growth_per_period=0, steps_per_period=2000,
                              edges_per_new_node=3)
     ds = generate_synthetic(config, 3)[0]
     asm = StateAssembler(ds, calibration=fit_calibration(ds))
-    node = ds.nodes[0]
-    _, peak = traced_peak(lambda: asm.windows(asm.keys(node, [asm.window])))
-    table = asm.key_count * 6 * 8  # (N, 6, T + 1) float64
+    _, peak = traced_peak(lambda: asm.steps)
+    table = len(ds.nodes) * (ds.length + 1) * 6 * 8  # (N * (T + 1), 6) float64
     assert table > 2e6
     assert peak <= 1.1 * table, peak / table
 
@@ -294,8 +293,9 @@ def test_state_table_built_in_place():
 @settings(max_examples=30, deadline=None)
 @given(data=st.data(), n=st.integers(1, 5), length=st.integers(6, 14), window=st.integers(1, 4))
 def test_keyed_pairs_equal_oracle_states(data, n, length, window):
-    """windows(keys) holds the state at each key and at the key after it,
-    for any graph; origins(keys) names the node and time of each key."""
+    """The window replay reads at each key holds the state at the key and
+    at the key after it, for any graph; origins(keys) names the node and
+    time of each key."""
     nodes = [f"v{i}" for i in range(n)]
     pairs = [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:]]
     edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
@@ -307,7 +307,7 @@ def test_keyed_pairs_equal_oracle_states(data, n, length, window):
     node = data.draw(st.sampled_from(nodes))
     ts = np.array(data.draw(st.lists(st.integers(window, length - 1), min_size=1, max_size=6)))
     keys = asm.keys(node, ts)
-    windows, degree = asm.windows(keys)
+    windows, degree = table_windows(asm, keys)
     states, next_states = window_rows(windows[..., :-1], degree), window_rows(windows[..., 1:], degree)
     for k, t in enumerate(ts):
         np.testing.assert_array_equal(states[k], oracle_state(ds, node, int(t), window, CAL))
@@ -344,7 +344,7 @@ def test_replay_table_agrees_with_per_node_states(data, n, length, window):
         for ts in cases:
             rows = asm.states(v, ts)
             assert rows.shape == (ts.size, 6 * window + 1)
-            windows, degree = asm.windows(asm.keys(v, ts))
+            windows, degree = table_windows(asm, asm.keys(v, ts))
             assert window_rows(windows[..., :-1], degree).tobytes() == rows.tobytes()
             inside = ts < length
             assert (window_rows(windows[inside][..., 1:], degree[inside]).tobytes()

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from _helpers import WindowTable, make_dataset, make_series, window_table_rows
+from _helpers import WindowTable, make_dataset, make_series, traced_peak, window_table_rows
 from _oracles import gather
-from flowrl.env import StateAssembler
+from flowrl.env import RewardWeights, StateAssembler
+from flowrl.ingest import GeneratorConfig, generate_synthetic
+from flowrl.qnet import QNetwork
 from flowrl.replay import (
     ConsolidationMemory,
-    KeyedStates,
     ReplayBuffer,
     assign_priority,
     mixed_batch,
@@ -20,7 +21,14 @@ from flowrl.replay import (
     sample,
     sampling_probabilities,
 )
-from flowrl.trainer import init_agent, load_agent, save_agent
+from flowrl.trainer import (
+    TrainerConfig,
+    fit_period,
+    generate_training_experiences,
+    init_agent,
+    load_agent,
+    save_agent,
+)
 
 
 def store(rewards, nodes=None, ts=None, period=1, actions=None):
@@ -30,9 +38,11 @@ def store(rewards, nodes=None, ts=None, period=1, actions=None):
     n = len(rewards)
     ts = np.arange(n) if ts is None else np.asarray(ts)
     nodes = [f"n{i}" for i in range(n)] if nodes is None else nodes
+    table = WindowTable(ts, rewards, nodes, period)
     return ReplayBuffer(
-        KeyedStates(WindowTable(ts, rewards, nodes, period)),
-        row=np.arange(n),
+        table,
+        start=table.keys - table.window,
+        degree=table.degree(table.keys),
         action=np.zeros(n) if actions is None else actions,
         reward=rewards,
         terminal=np.zeros(n, dtype=bool),
@@ -41,9 +51,9 @@ def store(rewards, nodes=None, ts=None, period=1, actions=None):
 
 def origins(store):
     """(node_id, period, t) of every transition of a pool or a memory."""
-    if isinstance(store, ReplayBuffer):
-        return store.origins()
-    return store.node_id, store.period, store.t
+    if isinstance(store, ConsolidationMemory):
+        return store.node_id, store.period, store.t
+    return store.origins()
 
 
 def transitions(store):
@@ -111,7 +121,6 @@ class TestBuffer:
         for i, r in enumerate(rewards):
             buf.extend(store([r], nodes=[f"n{i}"], ts=[i]))
         assert len(buf) == 50
-        assert buf.origins()[0].tolist() == [f"n{i}" for i in range(50)]
         batch = gather(buf, np.arange(50))
         np.testing.assert_array_equal(batch.states, window_table_rows(np.arange(50), rewards))
         np.testing.assert_array_equal(batch.next_states, window_table_rows(np.arange(50) + 1, rewards))
@@ -151,7 +160,7 @@ class TestBuffer:
 
     def test_allocated_pool_rejects_overfill(self):
         asm = two_node_assembler()
-        pool = ReplayBuffer.allocate(5, KeyedStates(asm))
+        pool = ReplayBuffer.allocate(5, asm)
         pool.add_rollout(asm.keys("a", [2, 3, 4]), [0, 1, 2], [0.1, 0.2, 0.3])
         with pytest.raises(ValueError, match="no room"):
             pool.add_rollout(asm.keys("bb", [2, 3, 4]), [0, 1, 2], [0.1, 0.2, 0.3])
@@ -162,15 +171,15 @@ class TestBuffer:
         assert t.tolist() == [2, 3, 4, 2, 3]
         assert period.tolist() == [7] * 5
         assert pool.terminal.tolist() == [False, False, True, False, True]
-        assert pool.row.tolist() == [2, 3, 4, 11 + 2, 11 + 3]  # T + 1 = 11 keys per node
+        assert (pool.start + asm.window).tolist() == [2, 3, 4, 11 + 2, 11 + 3]  # T + 1 = 11 keys per node
 
     def test_memory_copies_windows_out_of_the_pool(self):
-        """The memory keeps each distinct step of the retained transitions'
+        """The memory keeps each distinct row of the retained transitions'
         (6, W + 1) windows once, copied out of the period's table, with
         each transition's degree, and replays the pool's transitions
         unchanged; a pool of another period is rejected."""
         asm = two_node_assembler()
-        pool = ReplayBuffer.allocate(3, KeyedStates(asm))
+        pool = ReplayBuffer.allocate(3, asm)
         pool.add_rollout(asm.keys("a", [5, 6]), [1, 2], [0.5, 0.75])
         pool.add_rollout(asm.keys("bb", [9]), [3], [0.25])
         memory = ConsolidationMemory()
@@ -178,10 +187,10 @@ class TestBuffer:
             memory.add_period(8, pool)
         memory.add_period(7, pool)
         # a@3..5 and a@4..6 share two steps; bb@7..9 stands apart
-        expected = np.concatenate([asm._table[0, :, 3:7], asm._table[1, :, 7:10]], axis=1).T
+        expected = np.concatenate([asm.steps[3:7], asm.steps[11 + 7:11 + 10]])
         np.testing.assert_array_equal(memory.steps, expected)
         assert memory.start.tolist() == [0, 1, 4] and memory.degree.tolist() == [1.0, 1.0, 1.0]
-        assert not np.shares_memory(memory.steps, asm._table)
+        assert not np.shares_memory(memory.steps, asm.steps)
         assert transitions(memory) == transitions(pool)
         assert memory.period.tolist() == [7, 7, 7] and memory.t.tolist() == [5, 6, 9]
 
@@ -323,14 +332,40 @@ def test_memory_columns_round_trip(tmp_path):
     assert transitions(back) == transitions(mem)
 
 
+def test_add_period_copies_rows_not_windows():
+    """Retaining the top 5% of a 120-sensor, 400-step period copies each
+    table row of their windows once, and nothing window by window: the
+    memory's add_period holds at most 3x the bytes it adds (one copied
+    (6, W + 1) window per transition held 6.4x)."""
+    config = GeneratorConfig(periods=1, initial_nodes=120, growth_per_period=0, steps_per_period=400,
+                             noise_sigma=2.0, phase_jitter_steps=20.0)
+    ds = generate_synthetic(config, 5)[0]
+    disc, asm = fit_period(ds, 12)
+    net = QNetwork.initialize(asm.dim, hidden=16, seed=1)
+    pool = generate_training_experiences(ds, ds.nodes, net, TrainerConfig(window=12), RewardWeights(),
+                                         asm, disc, np.random.default_rng(0))
+    retained = retain_top_fraction(pool, 0.05)
+    assert asm.steps.shape == (120 * 401, 6)  # built before the trace: replay builds it first
+    memory = ConsolidationMemory()
+    _, peak = traced_peak(lambda: memory.add_period(ds.period, retained))
+    added = sum(column.nbytes for column in memory.columns().values())
+    assert len(memory) == len(retained) > 1000
+    assert peak <= 3 * added, peak / added
+
+
 class StepTable:
-    """One period's state table for the memory property test: key
-    i * (T + 1) + t is node i at time t, and its window reads the random
-    steps t - W .. t of node i, gathered one step at a time."""
+    """One period's replay source for the memory property test: key
+    i * (T + 1) + t is node i at time t, and row key of `steps` holds the
+    random channels values[i, :, t]. `windows` is the oracle's gather: the
+    window of a key reads the steps t - W .. t of node i one step at a
+    time."""
 
     def __init__(self, period, values, degree, window):
-        self.values, self.degree, self.period, self.window = values, degree, period, window
-        self.key_count = values.shape[0] * values.shape[2]
+        self.values, self._degree, self.period, self.window = values, degree, period, window
+        self.steps = values.transpose(0, 2, 1).reshape(-1, 6)
+
+    def degree(self, keys):
+        return self._degree[keys // self.values.shape[2]]
 
     def windows(self, keys):
         out = np.empty((len(keys), 6, self.window + 1))
@@ -338,7 +373,7 @@ class StepTable:
             node, t = divmod(int(key), self.values.shape[2])
             for j in range(self.window + 1):
                 out[k, :, j] = self.values[node, :, t - self.window + j]
-        return out, self.degree[keys // self.values.shape[2]]
+        return out, self.degree(keys)
 
     def origins(self, keys):
         nodes, ts = np.divmod(keys, self.values.shape[2])
@@ -353,7 +388,8 @@ class WindowMemory:
         self.parts = []
 
     def add_period(self, retained):
-        self.parts.append(retained.window_columns(np.arange(len(retained))))
+        columns = (retained.action, retained.reward, retained.terminal)
+        self.parts.append((*retained.source.windows(retained.start + retained.window), *columns))
 
     def __len__(self):
         return sum(len(part[1]) for part in self.parts)
@@ -378,9 +414,10 @@ def retained_periods(draw):
         table = StepTable(period, rng.random((nodes, 6, length + 1)), rng.random(nodes), window)
         keys = [i * (length + 1) + t for i in range(nodes) for t in range(window, length)]
         keys = draw(st.lists(st.sampled_from(keys), min_size=1, unique=True))
-        n = len(keys)
-        retained = ReplayBuffer(KeyedStates(table), row=keys, action=rng.integers(0, 5, n),
-                                reward=rng.random(n), terminal=rng.random(n) < 0.2)
+        keys, n = np.array(keys), len(keys)
+        retained = ReplayBuffer(table, start=keys - window, degree=table.degree(keys),
+                                action=rng.integers(0, 5, n), reward=rng.random(n),
+                                terminal=rng.random(n) < 0.2)
         periods.append((period, retained))
     return window, periods
 

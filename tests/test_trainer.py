@@ -23,7 +23,7 @@ from _oracles import (
 )
 from _helpers import make_dataset, make_series, traced_peak
 from flowrl.env import Calibration, RewardWeights, StateAssembler, classify, fit_discretizer, state_dim
-from flowrl.replay import KeyedStates, ReplayBuffer, mixed_batch, sample
+from flowrl.replay import ReplayBuffer, mixed_batch, sample
 from flowrl.drift import DriftConfig
 from flowrl.ingest import GeneratorConfig, generate_synthetic
 from flowrl.qnet import QNetwork, param_views
@@ -121,7 +121,7 @@ def rollout_fixture(eps=0.0, seed=3):
     n = hi - max(6, lo)
     net = QNetwork.initialize(asm.dim, hidden=16, seed=1)
     rng = np.random.default_rng(seed)
-    pool = ReplayBuffer.allocate(n, KeyedStates(asm))
+    pool = ReplayBuffer.allocate(n, asm)
     return generate_rollout(
         asm, disc, node, "train", net, np.full(n, eps), rng, RewardWeights(), 0.05, pool
     ), ds
@@ -247,7 +247,7 @@ class TestPredictHorizon:
 
 
 def period_pool(ds, window=6, seed=4):
-    """A keyed pool of every node's training rollout over ds."""
+    """A pool of every node's training rollout over ds."""
     cfg = TrainerConfig(window=window)
     asm = StateAssembler(ds, window=window)
     net = QNetwork.initialize(asm.dim, hidden=16, seed=seed)
@@ -269,7 +269,7 @@ class TestKeyedPool:
         run_period(None, dss[0], agent, cfg, RewardWeights(), seed=0)
         pool = period_pool(dss[1], window=4)
         memory = agent.memory
-        assert len(memory) > 0 and isinstance(pool.states, KeyedStates)
+        assert len(memory) > 0 and isinstance(pool.source, StateAssembler)
         assert memory.window == 4 and memory.steps.shape[1] == 6
         n_memory, size, omega = 128, 512, 0.0
         batch = mixed_batch(pool, memory, size, n_memory / size, omega, np.random.default_rng(8))
@@ -343,29 +343,27 @@ class TestKeyedPool:
         assert held / len(pool) <= 100, f"{held / len(pool):.0f} bytes per transition"
 
     def test_pools_of_several_periods_chain_their_keys(self):
-        """Extending a store with the pools of several periods keys each
-        period's transitions past the last: the chained store gathers the
-        same states and origins as each pool alone."""
+        """Extending a store with the pools of several periods puts each
+        period's step table after the last, and its window starts with it:
+        the chained store gathers the same states as each pool alone."""
         dss = generate_synthetic(GeneratorConfig(periods=3, initial_nodes=3, growth_per_period=1,
                                                  steps_per_period=50, noise_sigma=2.0), 6)
         pools = [period_pool(ds) for ds in dss]
         chained = ReplayBuffer()
         for pool in pools:
             chained.extend(pool)
-        assert len(chained.states.tables) == 3 and len(chained) == sum(map(len, pools))
+        assert chained.source is None and len(chained) == sum(map(len, pools))
+        assert len(chained.steps) == sum(len(pool.steps) for pool in pools)
         idx = np.random.default_rng(0).permutation(len(chained))
         batch = gather(chained, idx)
-        ids, periods, ts = chained.origins(idx)
         start = np.cumsum([0] + [len(p) for p in pools])
         for k, i in enumerate(idx):
             p = int(np.searchsorted(start, i, side="right")) - 1
             alone = gather(pools[p], [i - start[p]])
             np.testing.assert_array_equal(batch.states[k], alone.states[0])
             np.testing.assert_array_equal(batch.next_states[k], alone.next_states[0])
-            assert (ids[k], periods[k], ts[k]) == tuple(c[0] for c in pools[p].origins([i - start[p]]))
-            assert periods[k] == dss[p].period
         kept = chained.subset(idx[:7])
-        assert kept.states is chained.states
+        assert kept.steps is chained.steps
         np.testing.assert_array_equal(gather(kept, np.arange(7)).states, batch.states[:7])
 
 
@@ -622,7 +620,7 @@ def test_evaluation_memory_is_bounded_by_a_segment():
     disc, asm = fit_period(ds, 12)
     net = QNetwork.initialize(asm.dim, hidden=16, seed=2)
     _, peak = traced_peak(lambda: evaluate_period(ds, net, disc, asm, (3, 12)))
-    table = asm.key_count * 6 * 8  # the (N, 6, T + 1) float64 state table
+    table = len(ds.nodes) * (ds.length + 1) * 6 * 8  # the (N * (T + 1), 6) float64 state table
     assert table > 2e6
     assert peak <= 0.35 * table, peak / table
 
@@ -630,12 +628,12 @@ def test_evaluation_memory_is_bounded_by_a_segment():
 def test_evaluation_never_builds_the_state_table(monkeypatch):
     """Setting up and evaluating a period computes each node's states from
     its readings and never builds the state table that replay reads: no
-    windows() call, and a traced peak far below the table's size (a set-up
+    read of `steps`, and a traced peak far below the table's size (a set-up
     that built the table held 1.3x)."""
-    def no_windows(self, keys):
+    def no_steps(self):
         raise AssertionError("evaluation read the keyed state table")
 
-    monkeypatch.setattr(StateAssembler, "windows", no_windows)
+    monkeypatch.setattr(StateAssembler, "steps", property(no_steps))
     ds = diurnal_dataset(seed=5, nodes=120, steps=400)
     net = QNetwork.initialize(state_dim(12), hidden=16, seed=2)
     fit_period(ds, 12)  # its first call imports numpy.ma, which would be traced
@@ -646,7 +644,7 @@ def test_evaluation_never_builds_the_state_table(monkeypatch):
         return asm
 
     asm, peak = traced_peak(set_up_and_evaluate)
-    table = asm.key_count * 6 * 8
+    table = len(ds.nodes) * (ds.length + 1) * 6 * 8
     assert table > 2e6
     assert peak < 0.5 * table, peak / table
 
