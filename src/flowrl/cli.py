@@ -94,12 +94,18 @@ def _make_dir(path: Path) -> Path:
     return path
 
 
-def _write_text(path: Path, text: str) -> None:
+@contextmanager
+def _writing(path: Path):
+    """Yield `path`; an OSError raised inside is a DataError naming it."""
     try:
-        with atomic_write(path) as f:
-            f.write(text.encode())
+        yield path
     except OSError as e:
         raise DataError(f"cannot write {path}: {e}") from None
+
+
+def _write_text(path: Path, text: str) -> None:
+    with _writing(path), atomic_write(path) as f:
+        f.write(text.encode())
 
 
 def _echo_config(config: RunConfig, out_dir: Path) -> None:
@@ -165,7 +171,8 @@ def cmd_generate(args) -> int:
     datasets = generate_synthetic(config.generator, config.seed)
     for ds in datasets:
         readings, adjacency, nodes = _period_files(out_dir, ds.period)
-        write_period(ds, readings, adjacency, nodes_path=nodes)
+        with _writing(out_dir):
+            write_period(ds, readings, adjacency, nodes_path=nodes)
     _echo_config(config, out_dir)
     print(f"wrote {len(datasets)} periods to {out_dir}")
     return EXIT_OK
@@ -209,7 +216,8 @@ def cmd_train(args) -> int:
                                 drift_cfg=config.drift)
         _write_json(out_dir / f"report_{period}.json", report.to_report_dict())
         _write_json(out_dir / f"timings_{period}.json", report.to_timings_dict())
-        save_agent(agent, out_dir / f"checkpoint_{period}.npz")
+        with _writing(out_dir / f"checkpoint_{period}.npz") as path:
+            save_agent(agent, path)
         test_summary = report.metrics.get("test", {})
         first = min(test_summary) if test_summary else None
         mae = f"{test_summary[first].mae:.3f}" if first is not None else "n/a"

@@ -1,9 +1,10 @@
 """Evolution detection between consecutive periods via per-node KL scores.
 
 Each surviving node's flow distribution is histogrammed over the pooled
-two-period range and scored with KL(current || previous), every node in
-one pass over the two period tensors; the top fraction plus every newly
-added node become the retraining candidate set.
+two-period range (`_masses`) and scored with KL(current || previous)
+(`_kl`), every node in one pass over the two period tensors; the top
+fraction plus every newly added node become the retraining candidate set.
+`_masses` and `_kl` are the package's one binning and KL code.
 """
 
 from __future__ import annotations
@@ -38,30 +39,6 @@ class DriftConfig:
             raise ValueError(f"smoothing must be >= 0, got {self.smoothing}")
 
 
-@dataclass(frozen=True)
-class NodeHistogram:
-    """Smoothed probability masses of one node's flow values in one period."""
-
-    node_id: str
-    period: int
-    edges: np.ndarray  # (bins + 1,) ascending bin boundaries
-    masses: np.ndarray  # (bins,) strictly positive when smoothed, sum to 1
-
-    def __post_init__(self):
-        object.__setattr__(self, "edges", np.asarray(self.edges, dtype=float))
-        object.__setattr__(self, "masses", np.asarray(self.masses, dtype=float))
-        if self.edges.ndim != 1 or self.edges.size < 3:
-            raise ValueError("need at least 2 bins worth of edges")
-        if not np.all(np.diff(self.edges) > 0):
-            raise ValueError("histogram edges must be strictly ascending")
-        if self.masses.shape != (self.edges.size - 1,):
-            raise ValueError(
-                f"expected {self.edges.size - 1} masses, got shape {self.masses.shape}"
-            )
-        if abs(float(self.masses.sum()) - 1.0) > 1e-9:
-            raise ValueError(f"masses sum to {float(self.masses.sum())}, expected 1")
-
-
 def _masses(flows: np.ndarray, edges: np.ndarray, smoothing: float) -> np.ndarray:
     """Smoothed masses (count_k + s) / (T + B*s) of each row of `flows`
     (N, T) in the bins of its row of `edges` (N, B + 1): a value outside
@@ -80,28 +57,6 @@ def _kl(p: np.ndarray, q: np.ndarray) -> np.ndarray:
         raise ValueError("q has zero-mass bins; smooth before computing KL")
     terms = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0) / q), 0.0)
     return terms.sum(axis=-1)
-
-
-def build_histogram(flows, edges, smoothing: float = SMOOTHING_DEFAULT,
-                    period: int = 0) -> NodeHistogram:
-    """Count flows into bins and Laplace-smooth: (count_k + s) / (N + B*s)."""
-    edges = np.asarray(edges, dtype=float)
-    values = np.asarray(flows, dtype=float)
-    if values.size == 0:
-        raise ValueError("empty flow array")
-    if not np.isfinite(values).all():
-        raise ValueError("flows must be finite")
-    masses = _masses(values.reshape(1, -1), edges[None], smoothing)[0]
-    return NodeHistogram(node_id="", period=period, edges=edges, masses=masses)
-
-
-def kl_divergence(p: NodeHistogram, q: NodeHistogram) -> float:
-    """KL(p || q) in nats over matching bins; zero p-masses contribute zero."""
-    if p.edges.shape != q.edges.shape or not np.array_equal(p.edges, q.edges):
-        raise ValueError(
-            f"histograms are binned differently ({p.node_id!r} vs {q.node_id!r})"
-        )
-    return float(_kl(p.masses, q.masses))
 
 
 @dataclass(frozen=True)

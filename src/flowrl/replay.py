@@ -75,9 +75,7 @@ class ReplayBuffer:
     """Columnar transitions over the step table `steps` of windows of
     W + 1 rows. A period's pool has a `source`, its period's
     `StateAssembler` (or anything with its `steps`, `window`, `degree` and
-    `origins`), and reads the source's table at its first batch; a store
-    extended with the pools of several periods holds their tables back to
-    back and has no source."""
+    `origins`), and reads the source's table at its first batch."""
 
     COLUMNS = COLUMNS
 
@@ -117,11 +115,8 @@ class ReplayBuffer:
         return self.source.origins(self.start[idx] + self.window)
 
     def subset(self, idx) -> ReplayBuffer:
-        """Transitions idx, over the same step table."""
-        kept = ReplayBuffer(self.source, **{name: getattr(self, name)[idx] for name in COLUMNS})
-        if "steps" in vars(self):
-            kept.steps, kept.window = self.steps, self.window
-        return kept
+        """Transitions idx, over the same source."""
+        return ReplayBuffer(self.source, **{name: getattr(self, name)[idx] for name in COLUMNS})
 
     def add_rollout(self, keys, actions, rewards) -> ReplayBuffer:
         """Write one rollout (n steps from state keys[0] to keys[-1] + 1)
@@ -141,20 +136,11 @@ class ReplayBuffer:
         return self.subset(span)
 
     def extend(self, items: ReplayBuffer) -> None:
-        """Append items' transitions, their step table after this store's;
-        an empty store takes items' arrays without copying them."""
-        if len(self) == 0:
-            vars(self).update(vars(items))
-        elif len(items):
-            offset = len(self.steps)
-            self.steps = np.concatenate([self.steps, items.steps])
-            for name in COLUMNS:
-                setattr(self, name, np.concatenate([getattr(self, name), getattr(items, name)]))
-            self.start[-len(items):] += offset
-            self.source = None
-            vars(self).pop("_windows", None)
-        self._fill = len(self)
-        self._cdf = None
+        """Take items' transitions into this empty store without copying
+        them; the pools of several periods go into a ConsolidationMemory."""
+        if len(self):
+            raise ValueError(f"cannot extend a store of {len(self)} transitions")
+        vars(self).update(vars(items))
 
     def window_columns(self, idx) -> tuple[np.ndarray, ...]:
         """(windows, degree, action, reward, terminal) of transitions idx."""
@@ -218,12 +204,12 @@ def retain_top_fraction(experiences: ReplayBuffer,
 
 
 class ConsolidationMemory(ReplayBuffer):
-    """Retained top-priority transitions of every past period, in the order
-    the periods were added, in the columns of MEMORY_COLUMNS: a store over
-    a step table of its own, so that it holds no reference to a period's
-    table, with each transition's origin. Each table row of the retained
-    windows is copied once; retained transitions cluster in time, and
-    neighbouring windows share all but one of their rows."""
+    """Transitions of several periods, in the order the periods were added,
+    in the columns of MEMORY_COLUMNS: a store over a step table of its own,
+    so that it holds no reference to a period's table, with each
+    transition's origin: the agent's retained transitions of every past
+    period, or the full-retrain baseline's pool. Each table row of the
+    added windows is copied once, as neighbouring windows share rows."""
 
     COLUMNS = MEMORY_COLUMNS
 
@@ -234,12 +220,16 @@ class ConsolidationMemory(ReplayBuffer):
     def columns(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in MEMORY_COLUMNS}
 
+    def origins(self, idx=slice(None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(node_id, period, t) of transitions idx."""
+        return self.node_id[idx], self.period[idx], self.t[idx]
+
     def periods(self) -> list[int]:
         return sorted(set(self.period.tolist()))
 
     def add_period(self, period: int, retained: ReplayBuffer) -> None:
-        """Append the retained transitions of `period`, copying each row of
-        their windows out of the period's table once."""
+        """Append the transitions of `period`'s pool `retained`, copying each
+        row of their windows out of its table once, one column at a time."""
         if period in self.periods():
             raise ValueError(f"period {period} already retained")
         node_id, periods, t = retained.origins()
@@ -252,10 +242,11 @@ class ConsolidationMemory(ReplayBuffer):
         added = {name: getattr(retained, name) for name in COLUMNS}
         added.update(steps=retained.steps[rows], start=len(self.steps) + rows.searchsorted(retained.start),
                      node_id=node_id, period=periods, t=t)
-        vars(self).update({name: np.concatenate([getattr(self, name), added[name]])
-                           for name in MEMORY_COLUMNS})
+        for name in MEMORY_COLUMNS:
+            setattr(self, name, np.concatenate([getattr(self, name), added.pop(name)]))
         self.window = w
         vars(self).pop("_windows", None)
+        self._cdf = None
 
     def draw(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Indices of a uniform draw with replacement from the memory."""

@@ -559,8 +559,8 @@ def run_full_retrain(datasets: list[PeriodDataset], cfg: TrainerConfig,
                      weights: RewardWeights, seed: int, hidden: int = 64,
                      dueling: bool = True, optimizer: str = "adam"):
     """Retrain-from-scratch baseline: each period trains a fresh network on
-    every node of every period seen so far, with no drift selection and no
-    consolidation. Returns (reports, experiences_touched_total)."""
+    every node of every period seen so far, pooled in one ConsolidationMemory,
+    with no drift selection. Returns (reports, experiences_touched_total)."""
     if not datasets:
         raise ValueError("no datasets to train on")
     dim = state_dim(cfg.window)
@@ -572,16 +572,16 @@ def run_full_retrain(datasets: list[PeriodDataset], cfg: TrainerConfig,
             learning_rate=cfg.learning_rate, optimizer=optimizer,
         )
         t_start = time.perf_counter()
-        pool = ReplayBuffer()
+        pool = ConsolidationMemory()
         for past in datasets[: i + 1]:
             discretizer, assembler = fit_period(past, cfg.window)
             rng_rollout = np.random.default_rng([seed, past.period, i, 3])
-            pool.extend(generate_training_experiences(
+            pool.add_period(past.period, generate_training_experiences(
                 past, past.nodes, agent.net, cfg, weights, assembler, discretizer, rng_rollout
             ))
         t_rollout = time.perf_counter()
         rng_train = np.random.default_rng([seed, curr.period, i, 4])
-        epoch_losses = train_on_buffer(agent, pool, replace(cfg, mix_rho=0.0), rng_train, curr.period)
+        epoch_losses = train_on_buffer(agent, pool, cfg, rng_train, curr.period)
         t_train = time.perf_counter()
 
         # the last dataset seen is curr, so its discretizer and assembler score it

@@ -179,7 +179,7 @@ class TestTrain:
         monkeypatch.setattr(cli, "save_agent", disk_full_once)
         train = ["train", "--config", str(config), "--data-dir", str(data), "--out-dir", str(out)]
         capsys.readouterr()
-        assert main(train) != 0
+        assert main(train) == 2
         assert "No space left on device" in capsys.readouterr().err
         assert failed == [out / "checkpoint_2.npz"]
         assert (out / "report_2.json").exists()
@@ -680,9 +680,17 @@ def test_unscorable_readings_are_data_errors(tmp_path, capsys, command, fault, p
 @pytest.mark.parametrize("fault", [
     "train-out-dir", "export-out-dir", "evaluate-out", "detect-out",
     "corrupt-report", "timings-without-total",
+    "checkpoint-tmp-is-dir", "readings-is-dir", "adjacency-is-dir",
 ])
 def test_path_fault_is_data_error_naming_the_file(tmp_path, generated, capsys, fault):
     data, config = generated
+    in_the_way = {  # a directory where an output file goes
+        "checkpoint-tmp-is-dir": tmp_path / "run" / "checkpoint_1.npz.tmp",
+        "readings-is-dir": tmp_path / "gen" / "readings_1.csv",
+        "adjacency-is-dir": tmp_path / "gen" / "adjacency_1.csv",
+    }.get(fault)
+    if in_the_way is not None:
+        in_the_way.mkdir(parents=True)
     blocker = tmp_path / "blocker"
     blocker.write_text("a regular file, not a directory\n")
     reports = tmp_path / "reports"
@@ -705,11 +713,16 @@ def test_path_fault_is_data_error_naming_the_file(tmp_path, generated, capsys, f
         "corrupt-report": (["export-figures", "--report-dir", str(reports)], reports / "report_2.json"),
         "timings-without-total": (["export-figures", "--report-dir", str(reports)],
                                   reports / "timings_2.json"),
+        "checkpoint-tmp-is-dir": (["train", *common, "--out-dir", str(tmp_path / "run")], in_the_way),
+        "readings-is-dir": (["generate", "--config", str(config), "--out-dir", str(tmp_path / "gen")],
+                            in_the_way),
+        "adjacency-is-dir": (["generate", "--config", str(config), "--out-dir", str(tmp_path / "gen")],
+                             in_the_way),
     }[fault]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and str(named) in err
-    assert not list(tmp_path.rglob("*.tmp"))
+    assert [path for path in tmp_path.rglob("*.tmp") if path != in_the_way] == []
 
 
 def test_freeze_after_first_period(tmp_path, generated):

@@ -49,17 +49,10 @@ def store(rewards, nodes=None, ts=None, period=1, actions=None):
     )
 
 
-def origins(store):
-    """(node_id, period, t) of every transition of a pool or a memory."""
-    if isinstance(store, ConsolidationMemory):
-        return store.node_id, store.period, store.t
-    return store.origins()
-
-
 def transitions(store):
     """(node_id, t, reward, state, next state) of every transition, as hashable tuples."""
     batch = gather(store, np.arange(len(store)))
-    node_id, _, ts = origins(store)
+    node_id, _, ts = store.origins()
     return [
         (str(node), int(t), float(r), tuple(s), tuple(s2))
         for node, t, r, s, s2 in zip(node_id, ts, batch.rewards, batch.states, batch.next_states)
@@ -114,17 +107,25 @@ class TestSamplingProbabilities:
 
 
 class TestBuffer:
-    def test_extend_keeps_every_transition_in_order(self):
+    def test_memory_keeps_every_transition_in_order(self):
         rng = np.random.default_rng(3)
         rewards = rng.uniform(0, 1, 50)
-        buf = ReplayBuffer()
+        memory = ConsolidationMemory()
         for i, r in enumerate(rewards):
-            buf.extend(store([r], nodes=[f"n{i}"], ts=[i]))
-        assert len(buf) == 50
-        batch = gather(buf, np.arange(50))
+            memory.add_period(i + 1, store([r], nodes=[f"n{i}"], ts=[i], period=i + 1))
+        assert len(memory) == 50
+        batch = gather(memory, np.arange(50))
         np.testing.assert_array_equal(batch.states, window_table_rows(np.arange(50), rewards))
         np.testing.assert_array_equal(batch.next_states, window_table_rows(np.arange(50) + 1, rewards))
-        np.testing.assert_array_equal(buf.priorities(), np.maximum(rewards, 1e-3))
+        np.testing.assert_array_equal(memory.priorities(), np.maximum(rewards, 1e-3))
+
+    def test_only_an_empty_store_is_extended(self):
+        pool = store([0.5, 0.25])
+        buf = ReplayBuffer()
+        buf.extend(pool)
+        assert len(buf) == 2 and buf.source is pool.source and buf.reward is pool.reward
+        with pytest.raises(ValueError, match="cannot extend a store of 2 transitions"):
+            buf.extend(store([0.5]))
 
     def test_sample_distribution_three_one(self):
         buf = store([3.0, 1.0], nodes=["heavy", "light"])
@@ -310,6 +311,14 @@ class TestConsolidationMemory:
         mem.add_period(1, store([0.5]))
         with pytest.raises(ValueError):
             mem.add_period(1, store([0.5]))
+
+    def test_origins_read_the_memory_columns(self):
+        mem = ConsolidationMemory()
+        assert [column.tolist() for column in mem.origins()] == [[], [], []]
+        mem.add_period(1, store([0.5], nodes=["a"], ts=[4], period=1))
+        mem.add_period(2, store([0.5, 0.5], nodes=["b", "c"], ts=[7, 3], period=2))
+        assert [column.tolist() for column in mem.origins()] == [["a", "b", "c"], [1, 2, 2], [4, 7, 3]]
+        assert [column.tolist() for column in mem.origins([2, 0])] == [["c", "a"], [2, 1], [3, 4]]
 
     def test_draw_uniform_with_replacement(self):
         mem = fill_memory(3)

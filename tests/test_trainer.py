@@ -23,7 +23,7 @@ from _oracles import (
 )
 from _helpers import make_dataset, make_series, traced_peak
 from flowrl.env import Calibration, RewardWeights, StateAssembler, classify, fit_discretizer, state_dim
-from flowrl.replay import ReplayBuffer, mixed_batch, sample
+from flowrl.replay import ConsolidationMemory, ReplayBuffer, mixed_batch, sample
 from flowrl.drift import DriftConfig
 from flowrl.ingest import GeneratorConfig, generate_synthetic
 from flowrl.qnet import QNetwork, param_views
@@ -343,17 +343,18 @@ class TestKeyedPool:
         assert held / len(pool) <= 100, f"{held / len(pool):.0f} bytes per transition"
 
     def test_pools_of_several_periods_chain_their_keys(self):
-        """Extending a store with the pools of several periods puts each
-        period's step table after the last, and its window starts with it:
-        the chained store gathers the same states as each pool alone."""
+        """A memory of the pools of several periods puts the window rows of
+        each period's table after the last, and its window starts with
+        them: it gathers the same states as each pool alone."""
         dss = generate_synthetic(GeneratorConfig(periods=3, initial_nodes=3, growth_per_period=1,
                                                  steps_per_period=50, noise_sigma=2.0), 6)
         pools = [period_pool(ds) for ds in dss]
-        chained = ReplayBuffer()
-        for pool in pools:
-            chained.extend(pool)
+        chained = ConsolidationMemory()
+        for ds, pool in zip(dss, pools):
+            chained.add_period(ds.period, pool)
         assert chained.source is None and len(chained) == sum(map(len, pools))
-        assert len(chained.steps) == sum(len(pool.steps) for pool in pools)
+        rows = [np.unique(pool.start[:, None] + np.arange(pool.window + 1)) for pool in pools]
+        np.testing.assert_array_equal(chained.steps, np.concatenate([p.steps[r] for p, r in zip(pools, rows)]))
         idx = np.random.default_rng(0).permutation(len(chained))
         batch = gather(chained, idx)
         start = np.cumsum([0] + [len(p) for p in pools])
@@ -362,9 +363,10 @@ class TestKeyedPool:
             alone = gather(pools[p], [i - start[p]])
             np.testing.assert_array_equal(batch.states[k], alone.states[0])
             np.testing.assert_array_equal(batch.next_states[k], alone.next_states[0])
-        kept = chained.subset(idx[:7])
-        assert kept.steps is chained.steps
-        np.testing.assert_array_equal(gather(kept, np.arange(7)).states, batch.states[:7])
+        first = idx[idx < start[1]][:7]
+        kept = pools[0].subset(first)
+        assert kept.steps is pools[0].steps
+        np.testing.assert_array_equal(gather(kept, np.arange(7)).states, gather(chained, first).states)
 
 
 def constant_flow_dataset():
