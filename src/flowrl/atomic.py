@@ -4,14 +4,15 @@ never a partial write."""
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 
 @contextmanager
 def atomic_write(path):
     """Yield a binary file opened on `path`.tmp beside `path`; a clean exit
-    moves it over `path` with os.replace, an error removes it."""
+    moves it over `path` with os.replace, an error removes it. A removal
+    that fails is ignored, so the error that leaves is the writer's."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
@@ -19,5 +20,6 @@ def atomic_write(path):
             yield f
         os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        with suppress(OSError):
+            tmp.unlink()
         raise

@@ -112,21 +112,22 @@ def _forward_cached(net: QNetwork, states: np.ndarray):
 class FrozenInput(NamedTuple):
     """What stays fixed while a block of states changes only in its leading
     columns: the first layer's pre-activation from the trailing columns,
-    with b1 added, the first-layer weights of the leading columns, and the
-    Q head (for a dueling net, value and advantage folded into one map).
-    Some fields are views of the net's parameters, so one is valid only
-    while those stay unchanged."""
+    with b1 added, laid out feature-major (one row per hidden unit, one
+    column per state), the first-layer weights of the leading columns, and
+    the Q head (for a dueling net, value and advantage folded into one
+    map). Some fields are views of the net's parameters, so one is valid
+    only while those stay unchanged."""
 
-    z1: np.ndarray      # (n, hidden)
+    z1: np.ndarray      # (hidden, n)
     w_own: np.ndarray   # (hidden, leading columns)
     head_w: np.ndarray  # (5, hidden)
-    head_b: np.ndarray  # (5,)
+    head_b: np.ndarray  # (5, 1)
 
 
 def freeze_input(net: QNetwork, tail) -> FrozenInput:
     """The fixed part of forward_batch(net, own, frozen) for states whose
     trailing columns are `tail` (n, m) and whose leading input_dim - m
-    columns are passed as `own` at each call.
+    columns are passed as `own` at each call; z1 = w1[:, -m:] @ tail.T + b1.
 
     The dueling aggregate Q = V + A - mean(A) is linear in the last hidden
     layer, so its head folds into weights wa + wv - mean_k(wa_k) and bias
@@ -137,14 +138,14 @@ def freeze_input(net: QNetwork, tail) -> FrozenInput:
         raise ValueError(f"frozen columns have shape {tail.shape}, expected (N, m) with "
                          f"0 < m < {net.input_dim}")
     split = net.input_dim - tail.shape[1]
-    z1 = tail @ net.w1[:, split:].T
-    z1 += net.b1
+    z1 = net.w1[:, split:] @ tail.T
+    z1 += net.b1[:, None]
     if net.dueling:
         head_w = net.wa + net.wv - net.wa.mean(axis=0)
         head_b = net.ba + net.bv - net.ba.mean()
     else:
         head_w, head_b = net.wa, net.ba
-    return FrozenInput(z1, net.w1[:, :split], head_w, head_b)
+    return FrozenInput(z1, net.w1[:, :split], head_w, head_b[:, None])
 
 
 def forward_batch(net: QNetwork, states, frozen: FrozenInput | None = None) -> np.ndarray:
@@ -152,8 +153,11 @@ def forward_batch(net: QNetwork, states, frozen: FrozenInput | None = None) -> n
 
     With `frozen` (from freeze_input), `states` holds only each state's
     leading columns and the rest of the first layer and the folded head
-    come from `frozen`. The split sums round differently, so such Q-values
-    match the full forward only to the last bits; read them through argmax.
+    come from `frozen`. This path runs feature-major, with one column per
+    state: it multiplies weights @ states.T (fastest when `states` is the
+    .T view of a contiguous block) and returns the (N, 5) view of a (5, N)
+    array. The split sums round differently, so such Q-values match the
+    full forward only to the last bits; read them through argmax.
     """
     states = np.asarray(states, dtype=float)
     if frozen is None:
@@ -161,18 +165,18 @@ def forward_batch(net: QNetwork, states, frozen: FrozenInput | None = None) -> n
             raise ValueError(f"state batch has shape {states.shape}, expected (N, {net.input_dim})")
         q, _ = _forward_cached(net, states)
         return q
-    expected = (frozen.z1.shape[0], frozen.w_own.shape[1])
+    expected = (frozen.z1.shape[1], frozen.w_own.shape[1])
     if states.shape != expected:
         raise ValueError(f"leading state columns have shape {states.shape}, expected {expected}")
-    h = states @ frozen.w_own.T
+    h = frozen.w_own @ states.T
     h += frozen.z1
     np.maximum(h, 0.0, out=h)
-    h = h @ net.w2.T
-    h += net.b2
+    h = net.w2 @ h
+    h += net.b2[:, None]
     np.maximum(h, 0.0, out=h)
-    q = h @ frozen.head_w.T
+    q = frozen.head_w @ h
     q += frozen.head_b
-    return q
+    return q.T
 
 
 def loss_and_gradients(net: QNetwork, states, actions, targets):

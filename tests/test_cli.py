@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import flowrl.cli as cli
+from flowrl.atomic import atomic_write
 from flowrl.cli import _write_json, _write_text, main
 from flowrl.config import load_config
 from flowrl.ingest import load_period
@@ -800,6 +801,19 @@ def test_text_writes_are_atomic(tmp_path):
         _write_text(path, "[run]\nseed = \ud800\n")
     assert path.read_text() == "[run]\nseed = 1\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config_echo.ini"]
+
+
+def test_failed_cleanup_keeps_the_writers_error(tmp_path):
+    """A directory in the way of the temporary file fails the open, and
+    then its removal; the open's error leaves, with nothing chained to it."""
+    path = tmp_path / "x"
+    (tmp_path / "x.tmp").mkdir()
+    with pytest.raises(IsADirectoryError) as raised:
+        with atomic_write(path) as f:
+            f.write(b"never written")
+    assert raised.value.__context__ is None
+    assert raised.value.filename == str(tmp_path / "x.tmp")
+    assert (tmp_path / "x.tmp").is_dir() and not path.exists()
 
 
 def test_reports_equal_across_blas_thread_counts(tmp_path, tiny_config):

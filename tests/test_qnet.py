@@ -158,15 +158,21 @@ class TestSplitForward:
         net.theta[:] = rng.standard_normal(net.theta.size)
         states = rng.uniform(-1, 1, (n, input_dim))
         full = forward_batch(net, states)
-        split_q = forward_batch(net, states[:, :split], freeze_input(net, states[:, split:]))
-        assert split_q.shape == full.shape == (n, 5)
+        frozen = freeze_input(net, states[:, split:])
         # relative to the row's largest |Q|: an entry that cancels to near zero
         # differs from the full forward by far more than 1e-12 of itself
         scale = np.abs(full).max(axis=1, keepdims=True)
-        assert np.all(np.abs(split_q - full) <= 1e-12 * scale)
         top2 = np.sort(full, axis=1)[:, -2:]
         clear = top2[:, 1] - top2[:, 0] > 1e-9
-        np.testing.assert_array_equal(np.argmax(split_q, axis=1)[clear], np.argmax(full, axis=1)[clear])
+        # the leading columns as a C-contiguous (n, split) array, and as the
+        # .T view of a contiguous (split, n) block, as the rollout passes them
+        for own in (np.ascontiguousarray(states[:, :split]),
+                    np.ascontiguousarray(states[:, :split].T).T):
+            split_q = forward_batch(net, own, frozen)
+            assert split_q.shape == full.shape == (n, 5)
+            assert np.all(np.abs(split_q - full) <= 1e-12 * scale)
+            np.testing.assert_array_equal(np.argmax(split_q, axis=1)[clear],
+                                          np.argmax(full, axis=1)[clear])
 
     def test_shapes_checked(self):
         net = small_net(42)
