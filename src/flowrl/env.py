@@ -4,14 +4,13 @@ A state fuses a sensor's own recent window with the mean window of its
 graph neighbors plus its normalized degree. Flow values are discretized
 into five classes that double as the action space; the reward combines
 prediction closeness with speed and (inverse) occupancy terms. States
-are computed node by node; only replay reads states by key, from a
-time-major step table built at its first read.
+are computed node by node, from rows of channels over a span of time;
+a period's replay pool keeps the rows of its rollouts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -154,8 +153,8 @@ def state_dim(window: int) -> int:
     return 6 * window + 1
 
 
-def window_rows(windows: np.ndarray, degree: np.ndarray) -> np.ndarray:
-    """State rows from (n, 6, W) channel windows and the n nodes' degrees."""
+def window_rows(windows: np.ndarray, degree) -> np.ndarray:
+    """State rows from (n, 6, W) channel windows and a degree for all rows or one per row."""
     n, _, w = windows.shape
     out = np.empty((n, state_dim(w)))
     out[:, : 6 * w].reshape(n, 6, w, copy=False)[...] = windows
@@ -168,13 +167,10 @@ class StateAssembler:
     normalized flow and speed, raw occupancy and the means of its neighbors'
     channels, summed in sorted-id order so that edge order does not matter.
 
-    `states` and `node_channels` compute one node's channels over the span
-    they read. Replay reads `steps`, a time-major (N * (T + 1), 6) step
-    table whose row i * (T + 1) + t, the state key, holds node i's channels
-    at time t. The last row per node is padding, so the W + 1 rows ending
-    at key k hold the state at k and, below T, the one at k + 1. The table
-    is built at its first read, node by node with the rows `states`
-    computes, so its states have the same bytes.
+    `rows` computes a node's (L, 6) channel rows over a span of time
+    indices, and `states` cuts its windows from them. A period's replay
+    pool keeps the rows its rollouts compute, so its windows hold the
+    bytes that `states` returns.
     """
 
     def __init__(self, dataset: PeriodDataset, window: int = WINDOW_DEFAULT,
@@ -194,8 +190,6 @@ class StateAssembler:
         max_degree = degree.max(initial=0)
         self._adjacent = adjacent
         self._degree = degree / max_degree if max_degree > 0 else np.zeros(len(adjacent))
-        self._ids = np.array(dataset.nodes, dtype=np.str_)
-        self._stride = dataset.length + 1  # keys per node
 
     @property
     def dim(self) -> int:
@@ -209,10 +203,11 @@ class StateAssembler:
             np.clip(own[c], 0.0, 1.0, out=own[c])
         own[2] = readings[:, 2]
 
-    def _node_row(self, i: int, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Node i's (hi - lo, 6) table rows over time indices [lo, hi),
+    def rows(self, v: str, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Node v's (hi - lo, 6) channel rows over time indices [lo, hi),
         written into `out` when given: its own channels, then the mean of
         its neighbors', each neighbor normalized in turn into one buffer."""
+        i = self.dataset.index[v]
         own, acc, channels = np.empty((3, hi - lo)), np.zeros((3, hi - lo)), np.empty((3, hi - lo))
         self._normalize(self.dataset.values[i, lo:hi], own)
         for j in self._adjacent[i]:
@@ -222,24 +217,6 @@ class StateAssembler:
         row = np.empty((hi - lo, 6)) if out is None else out
         row[:, :3], row[:, 3:] = own.T, acc.T
         return row
-
-    @cached_property
-    def steps(self) -> np.ndarray:
-        """The (N * (T + 1), 6) step table, built at the first read."""
-        steps = np.zeros((len(self._ids), self._stride, 6))
-        for i in range(len(self._ids)):
-            self._node_row(i, 0, self.dataset.length, steps[i, :-1])
-        return steps.reshape(-1, 6)
-
-    def node_channels(self, v: str) -> np.ndarray:
-        """(T, 3) normalized flow, normalized speed, raw occupancy."""
-        own = np.empty((3, self.dataset.length))
-        self._normalize(self.dataset.values[self.dataset.index[v]], own)
-        return own.T
-
-    def keys(self, v: str, ts) -> np.ndarray:
-        """Keys of node v's states at time indices ts."""
-        return self.dataset.index[v] * self._stride + np.asarray(ts, dtype=np.int64)
 
     def states(self, v: str, ts) -> np.ndarray:
         """State matrix for node v at each time index in ts.
@@ -256,15 +233,9 @@ class StateAssembler:
             raise ValueError(f"time index {lo} < window {w}: not enough history")
         if hi > self.dataset.length:
             raise ValueError(f"time index {hi} beyond series length {self.dataset.length}")
-        i = self.dataset.index[v]
-        windows = np.lib.stride_tricks.sliding_window_view(self._node_row(i, lo - w, hi), w, axis=0)
-        return window_rows(windows[ts - lo], np.full(ts.size, self._degree[i]))
+        windows = np.lib.stride_tricks.sliding_window_view(self.rows(v, lo - w, hi), w, axis=0)
+        return window_rows(windows[ts - lo], self.degree(v))
 
-    def degree(self, keys) -> np.ndarray:
-        """The normalized degree of each key's node."""
-        return self._degree[np.asarray(keys) // self._stride]
-
-    def origins(self, keys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(node id, period, time index) of each key."""
-        nodes, ts = np.divmod(keys, self._stride)
-        return self._ids[nodes], np.full(len(ts), self.dataset.period, dtype=np.int64), ts
+    def degree(self, v: str) -> float:
+        """Node v's degree over the largest degree of the period."""
+        return float(self._degree[self.dataset.index[v]])

@@ -4,10 +4,10 @@ Both stores keep transitions in one format: columns over a time-major
 (K, 6) step table, where transition i reads the W + 1 rows from start[i]
 on, its state cut from the first W and its next state from the last W,
 with its node's degree, its action, reward and terminal flag. A period's
-pool (`ReplayBuffer`) reads the table of its period's `StateAssembler`,
-in which a row is a state key, so start[i] is the key of its state minus
-W. Priorities equal the (floored) reward, which never changes once a
-transition exists, so the sampling distribution
+pool (`ReplayBuffer`) owns its table, one block of n + W rows per n-step
+rollout, so divmod(start[i], n + W) is a transition's rollout and its
+time offset. Priorities equal the (floored) reward, which never changes
+once a transition exists, so the sampling distribution
 p_i^omega / sum_k p_k^omega becomes one cumulative sum per pool and
 every batch is a binary search of uniform draws, with replacement. After
 each period the top fraction of that period's transitions by priority
@@ -27,7 +27,6 @@ import numpy as np
 from .env import window_rows
 
 PRIORITY_FLOOR = 1e-3
-CONSOLIDATION_FRACTION = 0.05
 
 # Per-transition columns of a ReplayBuffer, in window_columns order after
 # start.
@@ -73,27 +72,23 @@ def assign_priority(rewards, floor: float = PRIORITY_FLOOR) -> np.ndarray:
 
 class ReplayBuffer:
     """Columnar transitions over the step table `steps` of windows of
-    W + 1 rows. A period's pool has a `source`, its period's
-    `StateAssembler` (or anything with its `steps`, `window`, `degree` and
-    `origins`), and reads the source's table at its first batch."""
+    W + 1 rows. Block r of a period's pool table holds the rows of node
+    nodes[r] in `period` from t0[r] - W on, for its rollout from t0[r]."""
 
     COLUMNS = COLUMNS
 
-    def __init__(self, source=None, **columns):
-        self.source = source
-        self.window = source.window if source is not None else None
+    # positional-only, so that a memory's `period` column passes by name
+    def __init__(self, window: int | None = None, nodes=(), t0=(), period: int | None = None, /,
+                 steps=None, **columns):
+        self.window, self.period = window, period
+        self.steps = np.empty((0, 6)) if steps is None else np.asarray(steps, dtype=np.float64)
+        self.nodes, self.t0 = np.asarray(nodes, dtype=np.str_), np.asarray(t0, dtype=np.int64)
         for name, dtype in self.COLUMNS.items():
-            empty = np.empty((0, 6)) if name == "steps" else ()
-            setattr(self, name, np.asarray(columns.pop(name, empty), dtype=dtype))
+            if name != "steps":
+                setattr(self, name, np.asarray(columns.pop(name, ()), dtype=dtype))
         if columns:
             raise TypeError(f"unknown columns {sorted(columns)}")
-        self._fill = len(self.action)  # next free transition
         self._cdf: tuple[float, np.ndarray] | None = None
-
-    @cached_property
-    def steps(self) -> np.ndarray:
-        """The source's step table, read at the first batch."""
-        return self.source.steps
 
     @cached_property
     def _windows(self) -> np.ndarray:
@@ -101,10 +96,13 @@ class ReplayBuffer:
         return np.lib.stride_tricks.sliding_window_view(self.steps, self.window + 1, axis=0)
 
     @classmethod
-    def allocate(cls, transitions: int, source) -> ReplayBuffer:
-        """Room for `transitions` transitions, to be written by add_rollout."""
-        store = cls(source, **{name: np.empty(transitions, dtype) for name, dtype in COLUMNS.items()})
-        store._fill = 0
+    def allocate(cls, nodes, n: int, window: int, period: int, t0: int) -> ReplayBuffer:
+        """Room for an n-step rollout of each node from time t0 on, in
+        order, each written by next_block and add_rollout."""
+        k = len(nodes)
+        store = cls(window, nodes, np.full(k, t0), period, steps=np.zeros((k * (n + window), 6)),
+                    **{name: np.empty(k * n, dtype) for name, dtype in COLUMNS.items()})
+        store._fill = 0  # next free transition; only an allocated pool takes rollouts
         return store
 
     def __len__(self) -> int:
@@ -112,22 +110,34 @@ class ReplayBuffer:
 
     def origins(self, idx=slice(None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(node_id, period, t) of transitions idx."""
-        return self.source.origins(self.start[idx] + self.window)
+        r, offset = np.divmod(self.start[idx], len(self.steps) // len(self.nodes))
+        return self.nodes[r], np.full(len(r), self.period, dtype=np.int64), self.t0[r] + offset
 
     def subset(self, idx) -> ReplayBuffer:
-        """Transitions idx, over the same source."""
-        return ReplayBuffer(self.source, **{name: getattr(self, name)[idx] for name in COLUMNS})
+        """Transitions idx, over the same table."""
+        return ReplayBuffer(self.window, self.nodes, self.t0, self.period, steps=self.steps,
+                            **{name: getattr(self, name)[idx] for name in COLUMNS})
 
-    def add_rollout(self, keys, actions, rewards) -> ReplayBuffer:
-        """Write one rollout (n steps from state keys[0] to keys[-1] + 1)
-        into the next free slots; returns a view of its transitions."""
-        n = len(actions)
+    def next_block(self) -> np.ndarray:
+        """The (n + W, 6) rows of the next rollout to add, a view of the
+        table for its node's rows over [t0 - W, t0 + n)."""
+        stride = len(self.steps) // len(self.nodes)  # n + W
+        r = self._fill // (stride - self.window)
+        if r >= len(self.nodes):
+            raise ValueError("no room for another rollout")
+        return self.steps[r * stride:(r + 1) * stride]
+
+    def add_rollout(self, actions, rewards, degree: float) -> ReplayBuffer:
+        """Write the next rollout's n transitions, which read its block,
+        into the next free slots; returns a view of them."""
+        stride = len(self.steps) // len(self.nodes)
+        n = stride - self.window
         s = self._fill
-        if n < 1 or s + n > len(self):
-            raise ValueError(f"no room for a rollout of {n} steps")
+        if len(actions) != n or s + n > len(self):
+            raise ValueError(f"no room for a rollout of {len(actions)} steps")
         span = slice(s, s + n)
-        self.start[span] = np.asarray(keys) - self.window
-        self.degree[span] = self.source.degree(keys)
+        self.start[span] = s // n * stride + np.arange(n)
+        self.degree[span] = degree
         self.action[span] = actions
         self.reward[span] = rewards
         self.terminal[span] = np.arange(n) == n - 1
@@ -185,8 +195,7 @@ def sample(buffer: ReplayBuffer, batch_size: int, omega: float,
     return buffer.cdf(omega).searchsorted(rng.random(batch_size), side="right")
 
 
-def retain_top_fraction(experiences: ReplayBuffer,
-                        fraction: float = CONSOLIDATION_FRACTION) -> ReplayBuffer:
+def retain_top_fraction(experiences: ReplayBuffer, fraction: float) -> ReplayBuffer:
     """The ceil(fraction*N) highest-priority transitions of a period.
 
     Ties break by (node_id, t) ascending, so the retained set is
@@ -205,17 +214,13 @@ def retain_top_fraction(experiences: ReplayBuffer,
 
 class ConsolidationMemory(ReplayBuffer):
     """Transitions of several periods, in the order the periods were added,
-    in the columns of MEMORY_COLUMNS: a store over a step table of its own,
-    so that it holds no reference to a period's table, with each
-    transition's origin: the agent's retained transitions of every past
-    period, or the full-retrain baseline's pool. Each table row of the
-    added windows is copied once, as neighbouring windows share rows."""
+    with each transition's origin, in the columns of MEMORY_COLUMNS: the
+    agent's retained transitions of every past period, or the full-retrain
+    baseline's pool. Its step table is its own, so it holds no reference to
+    a pool's, and holds each row of the added windows once, as neighbouring
+    windows share rows. The first period added sets its window W."""
 
     COLUMNS = MEMORY_COLUMNS
-
-    def __init__(self, window: int | None = None, **columns):
-        super().__init__(**columns)
-        self.window = window  # W, set by the first period added when None
 
     def columns(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in MEMORY_COLUMNS}

@@ -29,6 +29,7 @@ from .env import (
     fit_calibration,
     fit_discretizer,
     state_dim,
+    window_rows,
 )
 from .errors import DivergenceError
 from .ingest import PeriodDataset, ReadingError
@@ -141,7 +142,7 @@ class EpisodeRollout:
 @dataclass(eq=False)
 class AgentState:
     """Everything that persists across periods, which is what save_agent
-    writes. A period's pool, target net and state table are its own."""
+    writes. A period's pool and target net are its own."""
 
     net: QNetwork
     opt: OptimizerState
@@ -170,30 +171,28 @@ def generate_rollout(assembler: StateAssembler, discretizer: Discretizer, node: 
                      split: str, net: QNetwork, epsilons: np.ndarray,
                      rng: np.random.Generator, weights: RewardWeights,
                      occ_epsilon: float, pool: ReplayBuffer) -> EpisodeRollout:
-    """Traverse one node's split, writing chained transitions into `pool`,
-    whose source is the assembler.
+    """Traverse one node's split, writing its rows over [t0 - W, hi) into
+    the pool's next block and chained transitions into `pool`.
 
-    The transition at time t holds the table row where the state built
-    from [t-W, t) starts, the epsilon-greedy action and the reward against
-    the actual class at t; its next state is the state at t+1. The final
-    usable index is flagged terminal.
+    The transition at time t holds the row where its state, rows [t-W, t)
+    of the block, starts, the epsilon-greedy action on that state and the
+    reward against the actual class at t; its next state is the state at
+    t+1. The final usable index is flagged terminal.
     """
     ds = assembler.dataset
     lo, hi = ds.splits.range_of(split)
-    t0 = max(assembler.window, lo)
+    w = assembler.window
+    t0 = max(w, lo)
     n = hi - t0
     if len(epsilons) != n:
         raise ValueError(f"need {n} epsilon values, got {len(epsilons)}")
-    ts = np.arange(t0, hi)
-    actions = select_actions(net, assembler.states(node, ts), epsilons, rng)
-    channels = assembler.node_channels(node)
-    own = ds.values[ds.index[node], t0:hi]  # flow, speed, occupancy
-    actual = np.asarray(classify(discretizer, own[:, 0]), dtype=int)
-    rewards = compute_rewards(
-        actions, actual, channels[t0:hi, 1], own[:, 2], weights, occ_epsilon,
-    )
-    experiences = pool.add_rollout(assembler.keys(node, ts), actions, rewards)
-    return EpisodeRollout(node_id=node, split=split, experiences=experiences)
+    rows = assembler.rows(node, t0 - w, hi, out=pool.next_block())
+    degree = assembler.degree(node)
+    windows = np.lib.stride_tricks.sliding_window_view(rows, w, axis=0)[:n]
+    actions = select_actions(net, window_rows(windows, degree), epsilons, rng)
+    actual = np.asarray(classify(discretizer, ds.values[ds.index[node], t0:hi, 0]), dtype=int)
+    rewards = compute_rewards(actions, actual, rows[w:, 1], rows[w:, 2], weights, occ_epsilon)
+    return EpisodeRollout(node, split, pool.add_rollout(actions, rewards, degree))
 
 
 def generate_training_experiences(dataset: PeriodDataset, candidates, net: QNetwork,
@@ -201,12 +200,13 @@ def generate_training_experiences(dataset: PeriodDataset, candidates, net: QNetw
                                   assembler: StateAssembler, discretizer: Discretizer,
                                   rng: np.random.Generator) -> ReplayBuffer:
     """Rollouts over the training split for each candidate node, in sorted
-    order, written into one pool over the assembler's table and returned; the
+    order, written into one pool of their own rows and returned; the
     epsilon schedule advances with the dataset's transition count."""
     lo, hi = dataset.splits.train
-    n = hi - max(cfg.window, lo)
+    t0 = max(cfg.window, lo)
+    n = hi - t0
     nodes = sorted(candidates) if n >= 1 else []
-    pool = ReplayBuffer.allocate(len(nodes) * n, assembler)
+    pool = ReplayBuffer.allocate(nodes, n, cfg.window, dataset.period, t0)
     for k, node in enumerate(nodes):
         eps = epsilon_schedule(np.arange(k * n, (k + 1) * n), cfg)
         generate_rollout(
@@ -291,7 +291,7 @@ def predict_horizon_block(net: QNetwork, assembler: StateAssembler, discretizer:
     windows = own.reshape(3, w, n, copy=False)  # own flow, speed, occupancy
     classes = np.empty((n, horizon), dtype=int)
     for j in range(horizon):
-        a = np.argmax(forward_batch(net, own.T, frozen), axis=1)
+        a = np.argmax(forward_batch(net, own.T, frozen).T, axis=0)
         classes[:, j] = a
         if j + 1 < horizon:
             # shift every own window one step; the last speed/occupancy
@@ -500,7 +500,7 @@ def run_period(prev: PeriodDataset | None, curr: PeriodDataset, agent: AgentStat
     otherwise drift detection picks new nodes plus the top-KL fraction of
     survivors, and cfg.freeze_after_first_period skips training. Only
     candidates generate training rollouts; evaluation always covers all
-    nodes. The period's pool and state table are freed when it returns;
+    nodes. The period's pool and its step table are freed when it returns;
     only the net and the consolidation memory carry over.
     """
     drift_cfg = drift_cfg or DriftConfig()

@@ -43,44 +43,24 @@ def make_dataset(period, nodes, edges, series):
                          values=values, splits=compute_splits(len(first)))
 
 
-class WindowTable:
-    """A replay source for replay tests with the `steps`, `window`,
-    `degree` and `origins` of a StateAssembler, holding independent
-    transitions: W = 1, and transition k owns rows 2k and 2k + 1 of the
-    step table, which read t_k and t_k + 1 in every channel. Its key, the
-    row its state ends at, is 2k + 1, and its degree is r_k, so its state
-    is [t_k] * 6 + [r_k] and its next state [t_k + 1] * 6 + [r_k]."""
-
-    window = 1
-
-    def __init__(self, ts, rewards, nodes, period):
-        ts = np.asarray(ts, dtype=np.int64)
-        self.steps = np.repeat(np.stack([ts, ts + 1], 1).reshape(-1, 1).astype(float), 6, axis=1)
-        self.keys = 2 * np.arange(len(ts)) + 1
-        self._degree = np.asarray(rewards, dtype=float)
-        self._ids = np.array(nodes, dtype=np.str_)
-        self._period = period
-        self._ts = ts
-
-    def degree(self, keys):
-        return self._degree[keys // 2]
-
-    def origins(self, keys):
-        return self._ids[keys // 2], np.full(len(keys), self._period, dtype=np.int64), self._ts[keys // 2]
-
-
-def table_windows(source, keys):
-    """(windows, degree) of each key of a replay source, read the way
-    replay reads a pool: the (6, W + 1) window whose last row is the key."""
-    keys = np.asarray(keys, dtype=np.int64)
-    pool = ReplayBuffer(source, start=keys - source.window, degree=source.degree(keys),
-                        action=np.zeros(len(keys)), reward=np.zeros(len(keys)),
-                        terminal=np.zeros(len(keys), dtype=bool))
-    return pool.window_columns(slice(None))[:2]
+def store(rewards, nodes=None, ts=None, period=1, actions=None):
+    """A pool of independent transitions, W = 1: transition k is a
+    one-step rollout of node nodes[k] from time t_k, whose block, rows 2k
+    and 2k + 1 of the step table, reads t_k and t_k + 1 in every channel,
+    and its degree is r_k, so its state is [t_k] * 6 + [r_k] and its next
+    state [t_k + 1] * 6 + [r_k]."""
+    rewards = np.asarray(rewards, dtype=float)
+    n = len(rewards)
+    ts = np.arange(n) if ts is None else np.asarray(ts, dtype=np.int64)
+    nodes = [f"n{i}" for i in range(n)] if nodes is None else nodes
+    steps = np.repeat(np.stack([ts, ts + 1], 1).reshape(-1, 1).astype(float), 6, axis=1)
+    return ReplayBuffer(1, nodes, ts, period, steps=steps, start=2 * np.arange(n), degree=rewards,
+                        action=np.zeros(n) if actions is None else actions, reward=rewards,
+                        terminal=np.zeros(n, dtype=bool))
 
 
 def window_table_rows(ts, rewards):
-    """The WindowTable state rows [t] * 6 + [r] of each (t, r)."""
+    """The `store` state rows [t] * 6 + [r] of each (t, r)."""
     return np.column_stack([np.repeat(np.asarray(ts, dtype=float)[:, None], 6, axis=1), rewards])
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import _mdp
-from _helpers import make_dataset, make_series
+from _helpers import make_dataset, make_series, store
 from flowrl.cli import main as cli_main
 from flowrl.drift import _kl, detect
 from flowrl.ingest import DriftSpec, GeneratorConfig, generate_synthetic
@@ -23,7 +23,6 @@ from flowrl.env import RewardWeights
 from flowrl.qnet import QNetwork, dueling_aggregate, forward_batch, loss_and_gradients, param_views
 from flowrl.replay import sample
 from flowrl.trainer import TrainerConfig, run_continual, run_full_retrain
-from test_replay import store
 
 
 def _report(num, message):

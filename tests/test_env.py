@@ -5,10 +5,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from _helpers import make_dataset, make_series, table_windows, traced_peak
-from _oracles import build_state as oracle_state, compute_reward
+from _helpers import make_dataset, make_series, traced_peak
+from _oracles import build_state as oracle_state, compute_reward, gather
 from flowrl.env import (
     Calibration,
+    Discretizer,
     RewardWeights,
     StateAssembler,
     classify,
@@ -18,6 +19,9 @@ from flowrl.env import (
     window_rows,
 )
 from flowrl.ingest import GeneratorConfig, generate_synthetic
+from flowrl.qnet import QNetwork
+from flowrl.replay import COLUMNS, ReplayBuffer
+from flowrl.trainer import TrainerConfig, fit_period, generate_training_experiences
 
 
 def percentile_oracle(sorted_values, q):
@@ -276,26 +280,36 @@ def test_neighbor_means_equal_sorted_loop_reference():
 
 
 def test_state_table_built_in_place():
-    """Building the state table, which the first read of `steps` does,
-    holds little beyond the table itself: each node's rows are written in
-    place, its neighbors normalized one at a time into one buffer (a
-    gather of every node's j-th neighbor held 2x)."""
+    """Generating a period's pool, whose rollouts each write their node's
+    rows into their own block of the pool's table, holds at most the pool
+    and one rollout's working set: its (n, 6W + 1) states, the forward
+    pass over them, whose four cached (n, 16) activations are 0.88x the
+    states, and its n-long vectors, bounded together by three state
+    blocks (2.24 measured). Each node's rows are written in place, its
+    neighbors normalized one at a time into one buffer (a gather of every
+    node's j-th neighbor held 2x a table of every node's rows)."""
     config = GeneratorConfig(periods=1, initial_nodes=60, growth_per_period=0, steps_per_period=2000,
                              edges_per_new_node=3)
     ds = generate_synthetic(config, 3)[0]
-    asm = StateAssembler(ds, calibration=fit_calibration(ds))
-    _, peak = traced_peak(lambda: asm.steps)
-    table = len(ds.nodes) * (ds.length + 1) * 6 * 8  # (N * (T + 1), 6) float64
-    assert table > 2e6
-    assert peak <= 1.1 * table, peak / table
+    disc, asm = fit_period(ds, 12)
+    net = QNetwork.initialize(asm.dim, hidden=16, seed=1)
+    pool, peak = traced_peak(lambda: generate_training_experiences(
+        ds, ds.nodes, net, TrainerConfig(window=12), RewardWeights(), asm, disc, np.random.default_rng(0)))
+    held = sum(getattr(pool, name).nbytes for name in ("steps", "nodes", "t0", *COLUMNS))
+    lo, hi = ds.splits.train
+    states = (hi - max(12, lo)) * asm.dim * 8  # one rollout's (n, 6W + 1) float64 states
+    assert pool.steps.nbytes > 2e6
+    assert peak <= held + 3 * states, (peak - held) / states
 
 
 @settings(max_examples=30, deadline=None)
-@given(data=st.data(), n=st.integers(1, 5), length=st.integers(6, 14), window=st.integers(1, 4))
-def test_keyed_pairs_equal_oracle_states(data, n, length, window):
-    """The window replay reads at each key holds the state at the key and
-    at the key after it, for any graph; origins(keys) names the node and
-    time of each key."""
+@given(data=st.data(), n=st.integers(1, 5), window=st.integers(1, 4))
+def test_keyed_pairs_equal_oracle_states(data, n, window):
+    """Each transition of a period's pool, for any graph and candidates,
+    reads from the window its start points at the state at its origin and
+    at the time after it; origins() names the node, period and time of
+    each transition, and its states equal the assembler's."""
+    length = data.draw(st.integers(max(6, 2 * window + 1), 14))  # the training split outlasts W
     nodes = [f"v{i}" for i in range(n)]
     pairs = [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:]]
     edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
@@ -304,30 +318,47 @@ def test_keyed_pairs_equal_oracle_states(data, n, length, window):
               for i, v in enumerate(nodes)}
     ds = make_dataset(1, nodes, edges, series)
     asm = StateAssembler(ds, window=window, calibration=CAL)
-    node = data.draw(st.sampled_from(nodes))
-    ts = np.array(data.draw(st.lists(st.integers(window, length - 1), min_size=1, max_size=6)))
-    keys = asm.keys(node, ts)
-    windows, degree = table_windows(asm, keys)
-    states, next_states = window_rows(windows[..., :-1], degree), window_rows(windows[..., 1:], degree)
-    for k, t in enumerate(ts):
-        np.testing.assert_array_equal(states[k], oracle_state(ds, node, int(t), window, CAL))
-        np.testing.assert_array_equal(next_states[k], oracle_state(ds, node, int(t) + 1, window, CAL))
-    np.testing.assert_array_equal(states, asm.states(node, ts))
-    ids, periods, times = asm.origins(keys)
-    assert ids.tolist() == [node] * len(ts)
-    assert periods.tolist() == [1] * len(ts)
-    assert times.tolist() == ts.tolist()
+    candidates = sorted(data.draw(st.lists(st.sampled_from(nodes), min_size=1, unique=True)))
+    disc = Discretizer(edges=[30.0, 60.0, 90.0, 120.0], representatives=[15.0, 45.0, 75.0, 105.0, 135.0])
+    net = QNetwork.initialize(asm.dim, hidden=4, seed=0)
+    pool = generate_training_experiences(ds, candidates, net, TrainerConfig(window=window), RewardWeights(),
+                                         asm, disc, np.random.default_rng(0))
+    lo, hi = ds.splits.train
+    ts = np.arange(max(window, lo), hi)
+    batch = gather(pool, np.arange(len(pool)))
+    ids, periods, times = pool.origins()
+    assert ids.tolist() == [v for v in candidates for _ in ts]
+    assert periods.tolist() == [1] * len(pool)
+    assert times.tolist() == ts.tolist() * len(candidates)
+    for k, (v, t) in enumerate(zip(ids.tolist(), times.tolist())):
+        np.testing.assert_array_equal(batch.states[k], oracle_state(ds, v, t, window, CAL))
+        np.testing.assert_array_equal(batch.next_states[k], oracle_state(ds, v, t + 1, window, CAL))
+    for v in candidates:
+        np.testing.assert_array_equal(batch.states[ids == v], asm.states(v, ts))
+
+
+def node_pool(asm, v, ts):
+    """A pool of one rollout of node v from time W on, whose block holds
+    v's rows over [0, T) and a zero row for T, with a transition at each
+    time index of ts (W <= t <= T): replay's windows of the states at ts
+    and, below T, at ts + 1."""
+    w, length = asm.window, asm.dataset.length
+    ts = np.asarray(ts, dtype=np.int64)
+    zeros = np.zeros(len(ts))
+    return ReplayBuffer(w, [v], [w], asm.dataset.period,
+                        steps=np.concatenate([asm.rows(v, 0, length), np.zeros((1, 6))]),
+                        start=ts - w, degree=np.full(len(ts), asm.degree(v)), action=zeros,
+                        reward=zeros, terminal=zeros.astype(bool))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data(), n=st.integers(1, 5), length=st.integers(6, 14), window=st.integers(1, 4))
 def test_replay_table_agrees_with_per_node_states(data, n, length, window):
-    """The windows that replay cuts from the state table hold the bytes
-    that states() computes node by node, at each key and (below T) at the
-    key after it, so training's TD targets read the states that rollouts
-    act on. The states equal the loop oracle's, on any graph with an
-    isolated node, for drawn, empty, single, unsorted and repeated time
-    indices."""
+    """The windows that replay cuts from a node's rows hold the bytes that
+    states() computes, at each time index and (below T) at the one after
+    it, so training's TD targets read the states that rollouts act on.
+    The states equal the loop oracle's, on any graph with an isolated
+    node, for drawn, empty, single, unsorted and repeated time indices."""
     nodes = [f"v{i}" for i in range(n)] + ["iso"]
     pairs = [(a, b) for i, a in enumerate(nodes[:-1]) for b in nodes[i + 1:-1]]
     edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
@@ -339,12 +370,12 @@ def test_replay_table_agrees_with_per_node_states(data, n, length, window):
     drawn = data.draw(st.lists(st.integers(window, length), max_size=6))
     cases = [np.array(ts, dtype=np.int64) for ts in (drawn, [], [length], [length, window, length, window])]
     for v in nodes:
-        channels = asm.node_channels(v)
+        channels = asm.rows(v, 0, length)[:, :3]
         assert channels.shape == (length, 3)
         for ts in cases:
             rows = asm.states(v, ts)
             assert rows.shape == (ts.size, 6 * window + 1)
-            windows, degree = table_windows(asm, asm.keys(v, ts))
+            windows, degree = node_pool(asm, v, ts).window_columns(slice(None))[:2]
             assert window_rows(windows[..., :-1], degree).tobytes() == rows.tobytes()
             inside = ts < length
             assert (window_rows(windows[inside][..., 1:], degree[inside]).tobytes()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from _helpers import WindowTable, make_dataset, make_series, traced_peak, window_table_rows
+from _helpers import make_dataset, make_series, store, traced_peak, window_table_rows
 from _oracles import gather
 from flowrl.env import RewardWeights, StateAssembler
 from flowrl.ingest import GeneratorConfig, generate_synthetic
@@ -29,24 +29,6 @@ from flowrl.trainer import (
     load_agent,
     save_agent,
 )
-
-
-def store(rewards, nodes=None, ts=None, period=1, actions=None):
-    """Independent transitions over a WindowTable: transition i goes from
-    [t_i] * 6 + [r_i] to [t_i + 1] * 6 + [r_i]."""
-    rewards = np.asarray(rewards, dtype=float)
-    n = len(rewards)
-    ts = np.arange(n) if ts is None else np.asarray(ts)
-    nodes = [f"n{i}" for i in range(n)] if nodes is None else nodes
-    table = WindowTable(ts, rewards, nodes, period)
-    return ReplayBuffer(
-        table,
-        start=table.keys - table.window,
-        degree=table.degree(table.keys),
-        action=np.zeros(n) if actions is None else actions,
-        reward=rewards,
-        terminal=np.zeros(n, dtype=bool),
-    )
 
 
 def transitions(store):
@@ -123,7 +105,7 @@ class TestBuffer:
         pool = store([0.5, 0.25])
         buf = ReplayBuffer()
         buf.extend(pool)
-        assert len(buf) == 2 and buf.source is pool.source and buf.reward is pool.reward
+        assert len(buf) == 2 and buf.steps is pool.steps and buf.reward is pool.reward
         with pytest.raises(ValueError, match="cannot extend a store of 2 transitions"):
             buf.extend(store([0.5]))
 
@@ -160,19 +142,28 @@ class TestBuffer:
             sample(ReplayBuffer(), 4, 1.0, np.random.default_rng(0))
 
     def test_allocated_pool_rejects_overfill(self):
+        """Each rollout writes its node's rows into its own block of n + W
+        rows, and its transitions' origins come from their window starts."""
         asm = two_node_assembler()
-        pool = ReplayBuffer.allocate(5, asm)
-        pool.add_rollout(asm.keys("a", [2, 3, 4]), [0, 1, 2], [0.1, 0.2, 0.3])
+        pool = ReplayBuffer.allocate(["a", "bb"], 3, asm.window, 7, 2)
+        asm.rows("a", 0, 5, out=pool.next_block())
+        pool.add_rollout([0, 1, 2], [0.1, 0.2, 0.3], asm.degree("a"))
         with pytest.raises(ValueError, match="no room"):
-            pool.add_rollout(asm.keys("bb", [2, 3, 4]), [0, 1, 2], [0.1, 0.2, 0.3])
-        pool.add_rollout(asm.keys("bb", [2, 3]), [3, 4], [0.4, 0.5])
-        assert len(pool) == 5
+            pool.add_rollout([3, 4], [0.4, 0.5], asm.degree("bb"))
+        asm.rows("bb", 0, 5, out=pool.next_block())
+        pool.add_rollout([3, 4, 0], [0.4, 0.5, 0.6], asm.degree("bb"))
+        with pytest.raises(ValueError, match="no room"):
+            pool.next_block()
+        with pytest.raises(ValueError, match="no room"):
+            pool.add_rollout([0, 1, 2], [0.1, 0.2, 0.3], asm.degree("a"))
+        assert len(pool) == 6
         node_id, period, t = pool.origins()
-        assert node_id.tolist() == ["a"] * 3 + ["bb"] * 2
-        assert t.tolist() == [2, 3, 4, 2, 3]
-        assert period.tolist() == [7] * 5
-        assert pool.terminal.tolist() == [False, False, True, False, True]
-        assert (pool.start + asm.window).tolist() == [2, 3, 4, 11 + 2, 11 + 3]  # T + 1 = 11 keys per node
+        assert node_id.tolist() == ["a"] * 3 + ["bb"] * 3
+        assert t.tolist() == [2, 3, 4, 2, 3, 4]
+        assert period.tolist() == [7] * 6
+        assert pool.terminal.tolist() == [False, False, True, False, False, True]
+        assert pool.start.tolist() == [0, 1, 2, 5 + 0, 5 + 1, 5 + 2]  # n + W = 5 rows per rollout
+        np.testing.assert_array_equal(pool.steps, np.concatenate([asm.rows(v, 0, 5) for v in ("a", "bb")]))
 
     def test_memory_copies_windows_out_of_the_pool(self):
         """The memory keeps each distinct row of the retained transitions'
@@ -180,18 +171,20 @@ class TestBuffer:
         each transition's degree, and replays the pool's transitions
         unchanged; a pool of another period is rejected."""
         asm = two_node_assembler()
-        pool = ReplayBuffer.allocate(3, asm)
-        pool.add_rollout(asm.keys("a", [5, 6]), [1, 2], [0.5, 0.75])
-        pool.add_rollout(asm.keys("bb", [9]), [3], [0.25])
+        steps = np.concatenate([asm.rows("a", 0, 10), asm.rows("bb", 0, 10)])  # t0 = W = 2
+        pool = ReplayBuffer(asm.window, ["a", "bb"], [2, 2], 7, steps=steps, start=[5 - 2, 6 - 2, 10 + 9 - 2],
+                            degree=[1.0] * 3, action=[1, 2, 3], reward=[0.5, 0.75, 0.25],
+                            terminal=[False, True, True])
+        assert [column.tolist() for column in pool.origins()] == [["a", "a", "bb"], [7] * 3, [5, 6, 9]]
         memory = ConsolidationMemory()
         with pytest.raises(ValueError, match="period 8"):
             memory.add_period(8, pool)
         memory.add_period(7, pool)
         # a@3..5 and a@4..6 share two steps; bb@7..9 stands apart
-        expected = np.concatenate([asm.steps[3:7], asm.steps[11 + 7:11 + 10]])
+        expected = np.concatenate([asm.rows("a", 3, 7), asm.rows("bb", 7, 10)])
         np.testing.assert_array_equal(memory.steps, expected)
         assert memory.start.tolist() == [0, 1, 4] and memory.degree.tolist() == [1.0, 1.0, 1.0]
-        assert not np.shares_memory(memory.steps, asm.steps)
+        assert not np.shares_memory(memory.steps, pool.steps)
         assert transitions(memory) == transitions(pool)
         assert memory.period.tolist() == [7, 7, 7] and memory.t.tolist() == [5, 6, 9]
 
@@ -354,7 +347,7 @@ def test_add_period_copies_rows_not_windows():
     pool = generate_training_experiences(ds, ds.nodes, net, TrainerConfig(window=12), RewardWeights(),
                                          asm, disc, np.random.default_rng(0))
     retained = retain_top_fraction(pool, 0.05)
-    assert asm.steps.shape == (120 * 401, 6)  # built before the trace: replay builds it first
+    assert pool.steps.shape == (120 * (228 + 12), 6)  # a block of n + W rows per rollout
     memory = ConsolidationMemory()
     _, peak = traced_peak(lambda: memory.add_period(ds.period, retained))
     added = sum(column.nbytes for column in memory.columns().values())
@@ -363,7 +356,7 @@ def test_add_period_copies_rows_not_windows():
 
 
 class StepTable:
-    """One period's replay source for the memory property test: key
+    """One period's step table for the memory property test: key
     i * (T + 1) + t is node i at time t, and row key of `steps` holds the
     random channels values[i, :, t]. `windows` is the oracle's gather: the
     window of a key reads the steps t - W .. t of node i one step at a
@@ -384,10 +377,6 @@ class StepTable:
                 out[k, :, j] = self.values[node, :, t - self.window + j]
         return out, self.degree(keys)
 
-    def origins(self, keys):
-        nodes, ts = np.divmod(keys, self.values.shape[2])
-        return np.array([f"n{i}" for i in nodes], dtype=np.str_), np.full(len(keys), self.period), ts
-
 
 class WindowMemory:
     """The oracle of ConsolidationMemory: one copied (6, W + 1) window per
@@ -396,9 +385,9 @@ class WindowMemory:
     def __init__(self):
         self.parts = []
 
-    def add_period(self, retained):
+    def add_period(self, table, retained):
         columns = (retained.action, retained.reward, retained.terminal)
-        self.parts.append((*retained.source.windows(retained.start + retained.window), *columns))
+        self.parts.append((*table.windows(retained.start + retained.window), *columns))
 
     def __len__(self):
         return sum(len(part[1]) for part in self.parts)
@@ -412,8 +401,9 @@ class WindowMemory:
 
 @st.composite
 def retained_periods(draw):
-    """W, then per period a StepTable and a retained pool: a random subset
-    of the period's transitions in random order, so that windows overlap,
+    """W, then per period a StepTable and a retained pool over its table,
+    in which node i's block starts at its row W - W = 0: a random subset of
+    the period's transitions in random order, so that windows overlap,
     touch and lie apart."""
     window = draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -424,10 +414,11 @@ def retained_periods(draw):
         keys = [i * (length + 1) + t for i in range(nodes) for t in range(window, length)]
         keys = draw(st.lists(st.sampled_from(keys), min_size=1, unique=True))
         keys, n = np.array(keys), len(keys)
-        retained = ReplayBuffer(table, start=keys - window, degree=table.degree(keys),
+        retained = ReplayBuffer(window, [f"n{i}" for i in range(nodes)], np.full(nodes, window), period,
+                                steps=table.steps, start=keys - window, degree=table.degree(keys),
                                 action=rng.integers(0, 5, n), reward=rng.random(n),
                                 terminal=rng.random(n) < 0.2)
-        periods.append((period, retained))
+        periods.append((period, table, retained))
     return window, periods
 
 
@@ -444,12 +435,12 @@ def test_step_table_memory_matches_one_window_per_transition(drawn, seed):
     before and after a checkpoint round trip."""
     window, periods = drawn
     memory, oracle = ConsolidationMemory(), WindowMemory()
-    for period, retained in periods:
+    for period, table, retained in periods:
         memory.add_period(period, retained)
-        oracle.add_period(retained)
+        oracle.add_period(table, retained)
     rng = np.random.default_rng(seed)
     idx = np.concatenate([np.arange(len(oracle)), rng.integers(0, len(oracle), 50)])
-    buffer = periods[-1][1]
+    buffer = periods[-1][2]
     agent = init_agent(6 * window + 1, hidden=4)
     agent.memory = memory
     with tempfile.TemporaryDirectory() as tmp:

@@ -121,7 +121,7 @@ def rollout_fixture(eps=0.0, seed=3):
     n = hi - max(6, lo)
     net = QNetwork.initialize(asm.dim, hidden=16, seed=1)
     rng = np.random.default_rng(seed)
-    pool = ReplayBuffer.allocate(n, asm)
+    pool = ReplayBuffer.allocate([node], n, 6, ds.period, max(6, lo))
     return generate_rollout(
         asm, disc, node, "train", net, np.full(n, eps), rng, RewardWeights(), 0.05, pool
     ), ds
@@ -161,7 +161,7 @@ class TestRollouts:
         node_id, _, ts = exps.origins(slice(20))
         for node, t, action, reward in zip(node_id, ts, exps.action[:20], exps.reward[:20]):
             actual = int(classify(disc, ds.series[node].flow[t]))
-            speed_norm = float(asm.node_channels(node)[t, 1])
+            speed_norm = float(np.clip(ds.series[node].speed[t] / asm.calibration.speed_max, 0.0, 1.0))
             occ = float(ds.series[node].occupancy[t])
             assert reward == compute_reward(int(action), actual, speed_norm, occ, RewardWeights())
 
@@ -269,7 +269,8 @@ class TestKeyedPool:
         run_period(None, dss[0], agent, cfg, RewardWeights(), seed=0)
         pool = period_pool(dss[1], window=4)
         memory = agent.memory
-        assert len(memory) > 0 and isinstance(pool.source, StateAssembler)
+        n = dss[1].splits.train[1] - 4
+        assert len(memory) > 0 and pool.steps.shape == (len(dss[1].nodes) * (n + 4), 6)
         assert memory.window == 4 and memory.steps.shape[1] == 6
         n_memory, size, omega = 128, 512, 0.0
         batch = mixed_batch(pool, memory, size, n_memory / size, omega, np.random.default_rng(8))
@@ -322,8 +323,9 @@ class TestKeyedPool:
             np.testing.assert_array_equal(batch.next_states[k], build_state(ds, node, t + 1, 4))
 
     def test_period_pool_holds_at_most_100_bytes_per_transition(self):
-        """The pool keeps keys, not state rows: what building it and its
-        sampling distribution leaves allocated is at most 100 bytes per
+        """The pool keeps window starts, not state rows: what building it
+        and its sampling distribution leaves allocated besides its own step
+        table, a block of n + W rows per rollout, is at most 100 bytes per
         transition (a materialized 73-float state row alone is 584)."""
         ds = diurnal_dataset(nodes=6, steps=400)
         cfg = TrainerConfig(window=12)
@@ -336,10 +338,11 @@ class TestKeyedPool:
             pool = generate_training_experiences(ds, ds.nodes, net, cfg, RewardWeights(), asm, disc,
                                                  np.random.default_rng(0))
             pool.cdf(cfg.sampling_omega)
-            held = tracemalloc.get_traced_memory()[0] - before
+            held = tracemalloc.get_traced_memory()[0] - before - pool.steps.nbytes
         finally:
             tracemalloc.stop()
         assert len(pool) == 6 * (240 - 12)
+        assert pool.steps.shape == (len(ds.nodes) * (240 - 12 + 12), 6)
         assert held / len(pool) <= 100, f"{held / len(pool):.0f} bytes per transition"
 
     def test_pools_of_several_periods_chain_their_keys(self):
@@ -352,7 +355,7 @@ class TestKeyedPool:
         chained = ConsolidationMemory()
         for ds, pool in zip(dss, pools):
             chained.add_period(ds.period, pool)
-        assert chained.source is None and len(chained) == sum(map(len, pools))
+        assert len(chained) == sum(map(len, pools))
         rows = [np.unique(pool.start[:, None] + np.arange(pool.window + 1)) for pool in pools]
         np.testing.assert_array_equal(chained.steps, np.concatenate([p.steps[r] for p, r in zip(pools, rows)]))
         idx = np.random.default_rng(0).permutation(len(chained))
@@ -367,6 +370,40 @@ class TestKeyedPool:
         kept = pools[0].subset(first)
         assert kept.steps is pools[0].steps
         np.testing.assert_array_equal(gather(kept, np.arange(7)).states, gather(chained, first).states)
+
+
+def test_period_pool_holds_only_its_candidates_rows(monkeypatch):
+    """From period 2 on, the pool's step table holds one block of n + W
+    rows per drift candidate, its node's rows over [t0 - W, hi) of the
+    training split, and no row of any other node (a table of every node
+    over the whole period held N * (T + 1) rows)."""
+    import flowrl.trainer as trainer_mod
+
+    dss = generate_synthetic(GeneratorConfig(periods=2, initial_nodes=20, growth_per_period=2,
+                                             steps_per_period=120, noise_sigma=2.0), 3)
+    real, pools = trainer_mod.generate_training_experiences, []
+
+    def keep(*args):
+        pools.append(real(*args))
+        return pools[-1]
+
+    monkeypatch.setattr(trainer_mod, "generate_training_experiences", keep)
+    cfg = TrainerConfig(epochs=1, batch_size=32, horizons=(1,), window=4)
+    agent = init_agent(state_dim(4), hidden=8, seed=0)
+    reports = [run_period(prev, curr, agent, cfg, RewardWeights(), seed=0, drift_cfg=DriftConfig(fraction=0.1))
+               for prev, curr in zip([None, *dss], dss)]
+    ds, pool, candidates = dss[1], pools[1], sorted(reports[1].candidates)
+    lo, hi = ds.splits.train
+    n = hi - max(4, lo)
+    assert 0 < len(candidates) < len(ds.nodes)
+    assert pool.steps.shape == (len(candidates) * (n + 4), 6)
+    assert pool.nodes.tolist() == candidates
+    asm = StateAssembler(ds, window=4)
+    blocks = pool.steps.reshape(len(candidates), n + 4, 6)
+    for v in ds.nodes:
+        rows = asm.rows(v, hi - n - 4, hi)
+        held = [k for k, block in enumerate(blocks) if np.array_equal(block, rows)]
+        assert held == ([candidates.index(v)] if v in candidates else []), v
 
 
 def constant_flow_dataset():
@@ -627,15 +664,11 @@ def test_evaluation_memory_is_bounded_by_a_segment():
     assert peak <= 0.35 * table, peak / table
 
 
-def test_evaluation_never_builds_the_state_table(monkeypatch):
+def test_evaluation_never_builds_the_state_table():
     """Setting up and evaluating a period computes each node's states from
-    its readings and never builds the state table that replay reads: no
-    read of `steps`, and a traced peak far below the table's size (a set-up
-    that built the table held 1.3x)."""
-    def no_steps(self):
-        raise AssertionError("evaluation read the keyed state table")
-
-    monkeypatch.setattr(StateAssembler, "steps", property(no_steps))
+    its readings and never builds a table of every node's rows: its traced
+    peak stays far below that table's size (a set-up that built the table
+    held 1.3x)."""
     ds = diurnal_dataset(seed=5, nodes=120, steps=400)
     net = QNetwork.initialize(state_dim(12), hidden=16, seed=2)
     fit_period(ds, 12)  # its first call imports numpy.ma, which would be traced
