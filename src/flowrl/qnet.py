@@ -268,15 +268,15 @@ def apply_update(net: QNetwork, grad: np.ndarray, opt: OptimizerState):
     return net, opt
 
 
-def select_actions(net: QNetwork, states, epsilons, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized epsilon-greedy over a batch, one epsilon per row."""
-    states = np.asarray(states, dtype=float)
+def select_actions(net: QNetwork, blocks, epsilons, rng: np.random.Generator) -> np.ndarray:
+    """Vectorized epsilon-greedy over the rows of a sequence of (m, d)
+    state blocks, one epsilon per row, so a batch need not be held whole."""
     epsilons = np.asarray(epsilons, dtype=float)
     if np.any(epsilons < 0) or np.any(epsilons > 1):
         raise ValueError("epsilons must lie in [0, 1]")
-    greedy = np.argmax(forward_batch(net, states), axis=1)
-    explore = rng.random(states.shape[0]) < epsilons
-    randoms = rng.integers(0, N_ACTIONS, size=states.shape[0])
+    greedy = np.concatenate([np.argmax(forward_batch(net, states), axis=1) for states in blocks])
+    explore = rng.random(len(greedy)) < epsilons
+    randoms = rng.integers(0, N_ACTIONS, size=len(greedy))
     return np.where(explore, randoms, greedy).astype(int)
 
 

@@ -1,19 +1,15 @@
 """Experience storage: reward-prioritized replay plus a consolidation memory.
 
-Both stores keep transitions in one format: columns over a time-major
-(K, 6) step table, where transition i reads the W + 1 rows from start[i]
-on, its state cut from the first W and its next state from the last W,
-with its node's degree, its action, reward and terminal flag. A period's
-pool (`ReplayBuffer`) owns its table, one block of n + W rows per n-step
-rollout, so divmod(start[i], n + W) is a transition's rollout and its
-time offset. Priorities equal the (floored) reward, which never changes
-once a transition exists, so the sampling distribution
-p_i^omega / sum_k p_k^omega becomes one cumulative sum per pool and
-every batch is a binary search of uniform draws, with replacement. After
-each period the top fraction of that period's transitions by priority
-goes into a consolidation memory, which copies each table row of their
-windows once into a table of its own, and is replayed into later
-training batches to guard old-node knowledge against forgetting.
+Both stores keep transitions as columns over a time-major (K, 6) step
+table: transition i reads the W + 1 rows from start[i] on, its state cut
+from the first W and its next state from the last W. A period's pool
+(`ReplayBuffer`) owns its table, one block per rollout (`Rollouts`).
+Priorities equal the floored reward, which never changes once a
+transition exists, so the sampling distribution p_i^omega / sum_k p_k^omega
+is one cumulative sum per pool and a batch is a binary search of uniform
+draws, with replacement. After each period the pool's top fraction by
+priority is copied, each row of its windows once, into a consolidation
+memory that later batches replay to guard old-node knowledge.
 """
 
 from __future__ import annotations
@@ -28,8 +24,7 @@ from .env import window_rows
 
 PRIORITY_FLOOR = 1e-3
 
-# Per-transition columns of a ReplayBuffer, in window_columns order after
-# start.
+# Per-transition columns of a ReplayBuffer, in window_columns order after start.
 COLUMNS = {
     "start": np.int64,  # the (6, W + 1) window is steps[start : start + W + 1].T
     "degree": np.float64,
@@ -37,8 +32,7 @@ COLUMNS = {
     "reward": np.float64,
     "terminal": np.bool_,
 }
-# Columns of a ConsolidationMemory: its step table, then a ReplayBuffer's
-# columns and the origin of each transition.
+# A ConsolidationMemory's columns: its step table, a pool's columns, each transition's origin.
 MEMORY_COLUMNS = {
     "steps": np.float64,  # (C, 6): own flow, speed, occupancy, then the neighbour means
     **COLUMNS,
@@ -70,19 +64,25 @@ def assign_priority(rewards, floor: float = PRIORITY_FLOOR) -> np.ndarray:
     return np.maximum(rewards, floor)
 
 
+class Rollouts(NamedTuple):
+    """A period pool's table layout: block r, its n + W rows from r(n + W)
+    on, holds node nodes[r]'s rows in `period` over [t0 - W, t0 + n)."""
+
+    nodes: np.ndarray  # sorted node ids
+    period: int
+    t0: int
+    n: int
+
+
 class ReplayBuffer:
     """Columnar transitions over the step table `steps` of windows of
-    W + 1 rows. Block r of a period's pool table holds the rows of node
-    nodes[r] in `period` from t0[r] - W on, for its rollout from t0[r]."""
+    W + 1 rows; a period's pool table is laid out by its `rollouts`."""
 
     COLUMNS = COLUMNS
 
-    # positional-only, so that a memory's `period` column passes by name
-    def __init__(self, window: int | None = None, nodes=(), t0=(), period: int | None = None, /,
-                 steps=None, **columns):
-        self.window, self.period = window, period
+    def __init__(self, window: int | None = None, steps=None, rollouts: Rollouts | None = None, **columns):
+        self.window, self.rollouts = window, rollouts
         self.steps = np.empty((0, 6)) if steps is None else np.asarray(steps, dtype=np.float64)
-        self.nodes, self.t0 = np.asarray(nodes, dtype=np.str_), np.asarray(t0, dtype=np.int64)
         for name, dtype in self.COLUMNS.items():
             if name != "steps":
                 setattr(self, name, np.asarray(columns.pop(name, ()), dtype=dtype))
@@ -100,7 +100,8 @@ class ReplayBuffer:
         """Room for an n-step rollout of each node from time t0 on, in
         order, each written by next_block and add_rollout."""
         k = len(nodes)
-        store = cls(window, nodes, np.full(k, t0), period, steps=np.zeros((k * (n + window), 6)),
+        store = cls(window, np.zeros((k * (n + window), 6)),
+                    Rollouts(np.asarray(nodes, dtype=np.str_), period, t0, n),
                     **{name: np.empty(k * n, dtype) for name, dtype in COLUMNS.items()})
         store._fill = 0  # next free transition; only an allocated pool takes rollouts
         return store
@@ -110,33 +111,30 @@ class ReplayBuffer:
 
     def origins(self, idx=slice(None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(node_id, period, t) of transitions idx."""
-        r, offset = np.divmod(self.start[idx], len(self.steps) // len(self.nodes))
-        return self.nodes[r], np.full(len(r), self.period, dtype=np.int64), self.t0[r] + offset
+        nodes, period, t0, n = self.rollouts
+        r, offset = np.divmod(self.start[idx], n + self.window)
+        return nodes[r], np.full(len(r), period, dtype=np.int64), t0 + offset
 
     def subset(self, idx) -> ReplayBuffer:
         """Transitions idx, over the same table."""
-        return ReplayBuffer(self.window, self.nodes, self.t0, self.period, steps=self.steps,
+        return ReplayBuffer(self.window, self.steps, self.rollouts,
                             **{name: getattr(self, name)[idx] for name in COLUMNS})
 
     def next_block(self) -> np.ndarray:
-        """The (n + W, 6) rows of the next rollout to add, a view of the
-        table for its node's rows over [t0 - W, t0 + n)."""
-        stride = len(self.steps) // len(self.nodes)  # n + W
-        r = self._fill // (stride - self.window)
-        if r >= len(self.nodes):
+        """The (n + W, 6) rows of the next rollout to add, a view of its block."""
+        if self._fill >= len(self):
             raise ValueError("no room for another rollout")
+        r, stride = self._fill // self.rollouts.n, self.rollouts.n + self.window
         return self.steps[r * stride:(r + 1) * stride]
 
     def add_rollout(self, actions, rewards, degree: float) -> ReplayBuffer:
         """Write the next rollout's n transitions, which read its block,
         into the next free slots; returns a view of them."""
-        stride = len(self.steps) // len(self.nodes)
-        n = stride - self.window
-        s = self._fill
+        n, s = self.rollouts.n, self._fill
         if len(actions) != n or s + n > len(self):
             raise ValueError(f"no room for a rollout of {len(actions)} steps")
         span = slice(s, s + n)
-        self.start[span] = s // n * stride + np.arange(n)
+        self.start[span] = s // n * (n + self.window) + np.arange(n)
         self.degree[span] = degree
         self.action[span] = actions
         self.reward[span] = rewards
@@ -196,12 +194,9 @@ def sample(buffer: ReplayBuffer, batch_size: int, omega: float,
 
 
 def retain_top_fraction(experiences: ReplayBuffer, fraction: float) -> ReplayBuffer:
-    """The ceil(fraction*N) highest-priority transitions of a period.
-
-    Ties break by (node_id, t) ascending, so the retained set is
-    deterministic. The result is a subset of the input, over the same
-    step table.
-    """
+    """The ceil(fraction*N) highest-priority transitions of a period, ties
+    broken by (node_id, t) ascending so that the set is deterministic: a
+    subset of the input, over the same step table."""
     if len(experiences) == 0:
         raise ValueError("cannot retain from an empty collection")
     if not 0 < fraction <= 1:
@@ -216,9 +211,9 @@ class ConsolidationMemory(ReplayBuffer):
     """Transitions of several periods, in the order the periods were added,
     with each transition's origin, in the columns of MEMORY_COLUMNS: the
     agent's retained transitions of every past period, or the full-retrain
-    baseline's pool. Its step table is its own, so it holds no reference to
-    a pool's, and holds each row of the added windows once, as neighbouring
-    windows share rows. The first period added sets its window W."""
+    baseline's pool. Its step table is its own and holds each row of the
+    added windows once, as neighbouring windows share rows. The first
+    period added sets its window W."""
 
     COLUMNS = MEMORY_COLUMNS
 

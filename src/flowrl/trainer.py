@@ -57,6 +57,9 @@ from .replay import (
     retain_top_fraction,
 )
 
+# A rollout acts on its states in blocks of at most this many rows.
+ROLLOUT_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class TrainerConfig:
@@ -177,7 +180,9 @@ def generate_rollout(assembler: StateAssembler, discretizer: Discretizer, node: 
     The transition at time t holds the row where its state, rows [t-W, t)
     of the block, starts, the epsilon-greedy action on that state and the
     reward against the actual class at t; its next state is the state at
-    t+1. The final usable index is flagged terminal.
+    t+1. The final usable index is flagged terminal. The states are acted
+    on in blocks of at most ROLLOUT_BLOCK rows, whose Q-values can differ
+    from one forward's over all n in the last bits; only the argmax is read.
     """
     ds = assembler.dataset
     lo, hi = ds.splits.range_of(split)
@@ -189,7 +194,8 @@ def generate_rollout(assembler: StateAssembler, discretizer: Discretizer, node: 
     rows = assembler.rows(node, t0 - w, hi, out=pool.next_block())
     degree = assembler.degree(node)
     windows = np.lib.stride_tricks.sliding_window_view(rows, w, axis=0)[:n]
-    actions = select_actions(net, window_rows(windows, degree), epsilons, rng)
+    blocks = np.array_split(windows, -(-n // ROLLOUT_BLOCK))
+    actions = select_actions(net, (window_rows(b, degree) for b in blocks), epsilons, rng)
     actual = np.asarray(classify(discretizer, ds.values[ds.index[node], t0:hi, 0]), dtype=int)
     rewards = compute_rewards(actions, actual, rows[w:, 1], rows[w:, 2], weights, occ_epsilon)
     return EpisodeRollout(node, split, pool.add_rollout(actions, rewards, degree))
@@ -204,14 +210,13 @@ def generate_training_experiences(dataset: PeriodDataset, candidates, net: QNetw
     epsilon schedule advances with the dataset's transition count."""
     lo, hi = dataset.splits.train
     t0 = max(cfg.window, lo)
-    n = hi - t0
-    nodes = sorted(candidates) if n >= 1 else []
+    n = max(hi - t0, 0)  # none when the split ends at or before W
+    nodes = sorted(candidates) if n else []
     pool = ReplayBuffer.allocate(nodes, n, cfg.window, dataset.period, t0)
     for k, node in enumerate(nodes):
         eps = epsilon_schedule(np.arange(k * n, (k + 1) * n), cfg)
-        generate_rollout(
-            assembler, discretizer, node, "train", net, eps, rng, weights, cfg.occ_epsilon, pool
-        )
+        generate_rollout(assembler, discretizer, node, "train", net, eps, rng, weights,
+                         cfg.occ_epsilon, pool)
     return pool
 
 
@@ -291,7 +296,7 @@ def predict_horizon_block(net: QNetwork, assembler: StateAssembler, discretizer:
     windows = own.reshape(3, w, n, copy=False)  # own flow, speed, occupancy
     classes = np.empty((n, horizon), dtype=int)
     for j in range(horizon):
-        a = np.argmax(forward_batch(net, own.T, frozen).T, axis=0)
+        a = np.argmax(forward_batch(net, own.T, frozen), axis=1)
         classes[:, j] = a
         if j + 1 < horizon:
             # shift every own window one step; the last speed/occupancy

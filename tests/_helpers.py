@@ -7,7 +7,7 @@ import numpy as np
 
 from flowrl.graph import GraphSnapshot
 from flowrl.ingest import PeriodDataset, SensorSeries, compute_splits
-from flowrl.replay import ReplayBuffer
+from flowrl.replay import ReplayBuffer, Rollouts
 
 
 def iso_timestamps(n, start="2001-01-01T00:00:00"):
@@ -44,19 +44,22 @@ def make_dataset(period, nodes, edges, series):
 
 
 def store(rewards, nodes=None, ts=None, period=1, actions=None):
-    """A pool of independent transitions, W = 1: transition k is a
-    one-step rollout of node nodes[k] from time t_k, whose block, rows 2k
-    and 2k + 1 of the step table, reads t_k and t_k + 1 in every channel,
-    and its degree is r_k, so its state is [t_k] * 6 + [r_k] and its next
+    """A pool of transitions, W = 1: transition k is node nodes[k]'s at time
+    ts[k] (default 0), and its degree is r_k. Every node of the pool, in
+    sorted order, has a block whose row for time t reads t in every
+    channel, so transition k's state is [t_k] * 6 + [r_k] and its next
     state [t_k + 1] * 6 + [r_k]."""
     rewards = np.asarray(rewards, dtype=float)
     n = len(rewards)
-    ts = np.arange(n) if ts is None else np.asarray(ts, dtype=np.int64)
-    nodes = [f"n{i}" for i in range(n)] if nodes is None else nodes
-    steps = np.repeat(np.stack([ts, ts + 1], 1).reshape(-1, 1).astype(float), 6, axis=1)
-    return ReplayBuffer(1, nodes, ts, period, steps=steps, start=2 * np.arange(n), degree=rewards,
-                        action=np.zeros(n) if actions is None else actions, reward=rewards,
-                        terminal=np.zeros(n, dtype=bool))
+    ts = np.zeros(n, dtype=np.int64) if ts is None else np.asarray(ts, dtype=np.int64)
+    nodes = np.asarray([f"n{i}" for i in range(n)] if nodes is None else nodes, dtype=np.str_)
+    ids, r = np.unique(nodes, return_inverse=True)
+    t0 = int(ts.min())
+    span = int(ts.max()) - t0 + 1  # the rollout length n of the pool's Rollouts
+    steps = np.repeat(np.tile(np.arange(t0, t0 + span + 1, dtype=float), len(ids))[:, None], 6, axis=1)
+    return ReplayBuffer(1, steps, Rollouts(ids, period, t0, span), start=r * (span + 1) + ts - t0,
+                        degree=rewards, action=np.zeros(n) if actions is None else actions,
+                        reward=rewards, terminal=np.zeros(n, dtype=bool))
 
 
 def window_table_rows(ts, rewards):

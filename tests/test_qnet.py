@@ -395,7 +395,7 @@ class TestSelectAction:
         net = small_net(18)
         rng = np.random.default_rng(2)
         states = rng.uniform(size=(20, 7))
-        batched = select_actions(net, states, np.zeros(20), np.random.default_rng(0))
+        batched = select_actions(net, [states], np.zeros(20), np.random.default_rng(0))
         singles = [select_action(net, s, 0.0, np.random.default_rng(0)) for s in states]
         np.testing.assert_array_equal(batched, singles)
 

@@ -15,6 +15,7 @@ from flowrl.qnet import QNetwork
 from flowrl.replay import (
     ConsolidationMemory,
     ReplayBuffer,
+    Rollouts,
     assign_priority,
     mixed_batch,
     retain_top_fraction,
@@ -165,6 +166,19 @@ class TestBuffer:
         assert pool.start.tolist() == [0, 1, 2, 5 + 0, 5 + 1, 5 + 2]  # n + W = 5 rows per rollout
         np.testing.assert_array_equal(pool.steps, np.concatenate([asm.rows(v, 0, 5) for v in ("a", "bb")]))
 
+    def test_empty_allocated_pool_has_no_origins(self):
+        """A pool allocated for no rollout, as a period whose training split
+        ends at or before W gets, holds nothing, names no origin, takes no
+        rollout, and goes into a memory as no transitions."""
+        pool = ReplayBuffer.allocate([], 0, 3, 7, 3)
+        assert len(pool) == 0 and pool.steps.shape == (0, 6)
+        assert [column.tolist() for column in pool.origins()] == [[], [], []]
+        with pytest.raises(ValueError, match="no room"):
+            pool.next_block()
+        memory = ConsolidationMemory()
+        memory.add_period(7, pool)
+        assert len(memory) == 0 and memory.steps.shape == (0, 6)
+
     def test_memory_copies_windows_out_of_the_pool(self):
         """The memory keeps each distinct row of the retained transitions'
         (6, W + 1) windows once, copied out of the period's table, with
@@ -172,8 +186,8 @@ class TestBuffer:
         unchanged; a pool of another period is rejected."""
         asm = two_node_assembler()
         steps = np.concatenate([asm.rows("a", 0, 10), asm.rows("bb", 0, 10)])  # t0 = W = 2
-        pool = ReplayBuffer(asm.window, ["a", "bb"], [2, 2], 7, steps=steps, start=[5 - 2, 6 - 2, 10 + 9 - 2],
-                            degree=[1.0] * 3, action=[1, 2, 3], reward=[0.5, 0.75, 0.25],
+        pool = ReplayBuffer(asm.window, steps, Rollouts(np.array(["a", "bb"]), 7, 2, 8),
+                            start=[5 - 2, 6 - 2, 10 + 9 - 2], degree=[1.0] * 3, action=[1, 2, 3], reward=[0.5, 0.75, 0.25],
                             terminal=[False, True, True])
         assert [column.tolist() for column in pool.origins()] == [["a", "a", "bb"], [7] * 3, [5, 6, 9]]
         memory = ConsolidationMemory()
@@ -209,7 +223,7 @@ class TestRetainTopFraction:
     def test_matches_iterative_selection_oracle(self):
         rng = np.random.default_rng(4)
         rewards = rng.choice([0.2, 0.5, 0.8, 1.0], size=1000)
-        items = store(rewards, nodes=[f"n{rng.integers(0, 50):02d}" for _ in range(1000)])
+        items = store(rewards, nodes=[f"n{rng.integers(0, 50):02d}" for _ in range(1000)], ts=np.arange(1000))
         kept = retain_top_fraction(items, 0.05)
         # oracle: repeatedly extract the max-priority item, ties by (node_id, t)
         pool = transitions(items)
@@ -414,8 +428,8 @@ def retained_periods(draw):
         keys = [i * (length + 1) + t for i in range(nodes) for t in range(window, length)]
         keys = draw(st.lists(st.sampled_from(keys), min_size=1, unique=True))
         keys, n = np.array(keys), len(keys)
-        retained = ReplayBuffer(window, [f"n{i}" for i in range(nodes)], np.full(nodes, window), period,
-                                steps=table.steps, start=keys - window, degree=table.degree(keys),
+        layout = Rollouts(np.array([f"n{i}" for i in range(nodes)]), period, window, length + 1 - window)
+        retained = ReplayBuffer(window, table.steps, layout, start=keys - window, degree=table.degree(keys),
                                 action=rng.integers(0, 5, n), reward=rng.random(n),
                                 terminal=rng.random(n) < 0.2)
         periods.append((period, table, retained))

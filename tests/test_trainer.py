@@ -39,6 +39,7 @@ from flowrl.trainer import (
     fit_period,
     predict_horizon_block,
     run_continual,
+    run_full_retrain,
     run_period,
     save_agent,
     td_targets,
@@ -397,13 +398,30 @@ def test_period_pool_holds_only_its_candidates_rows(monkeypatch):
     n = hi - max(4, lo)
     assert 0 < len(candidates) < len(ds.nodes)
     assert pool.steps.shape == (len(candidates) * (n + 4), 6)
-    assert pool.nodes.tolist() == candidates
+    assert pool.rollouts.nodes.tolist() == candidates
     asm = StateAssembler(ds, window=4)
     blocks = pool.steps.reshape(len(candidates), n + 4, 6)
     for v in ds.nodes:
         rows = asm.rows(v, hi - n - 4, hi)
         held = [k for k, block in enumerate(blocks) if np.array_equal(block, rows)]
         assert held == ([candidates.index(v)] if v in candidates else []), v
+
+
+def test_full_retrain_takes_a_period_too_short_to_train():
+    """A period whose training split ends at or before W gives an empty
+    pool: the retrain baseline pools it as no transitions, still scores
+    that period, and trains the next on the later period's alone."""
+    def period(p, length):
+        t = np.arange(length)
+        series = {f"v{i}": make_series(f"v{i}", (t * 7 + i * 13) % 100 + 1.0) for i in range(3)}
+        return make_dataset(p, list(series), [("v0", "v1")], series)
+
+    short, long = period(1, 20), period(2, 60)  # training splits [0, 12) and [0, 36)
+    cfg = TrainerConfig(epochs=1, batch_size=16, horizons=(1,), window=12)
+    reports, touched = run_full_retrain([short, long], cfg, RewardWeights(), seed=0, hidden=4)
+    assert [r.experiences_generated for r in reports] == [0, 3 * (36 - 12)]
+    assert touched == 3 * (36 - 12) and reports[0].epoch_losses == []
+    assert all(set(r.metrics) == {"val", "test"} and 1 in r.metrics["test"] for r in reports)
 
 
 def constant_flow_dataset():
