@@ -114,14 +114,17 @@ class FrozenInput(NamedTuple):
     columns: the first layer's pre-activation from the trailing columns,
     with b1 added, laid out feature-major (one row per hidden unit, one
     column per state), the first-layer weights of the leading columns, and
-    the Q head (for a dueling net, value and advantage folded into one
-    map). Some fields are views of the net's parameters, so one is valid
-    only while those stay unchanged."""
+    the second layer and the Q head (for a dueling net, value and advantage
+    folded into one map), each with its bias as a last column that the
+    frozen forward multiplies by a row of ones. `w_own` may be a view of
+    the net's parameters, so a FrozenInput is valid only while those stay
+    unchanged, and its columns may be permuted to match an `own` whose
+    leading columns come in another order."""
 
-    z1: np.ndarray      # (hidden, n)
-    w_own: np.ndarray   # (hidden, leading columns)
-    head_w: np.ndarray  # (5, hidden)
-    head_b: np.ndarray  # (5, 1)
+    z1: np.ndarray     # (hidden, n)
+    w_own: np.ndarray  # (hidden, leading columns)
+    w2: np.ndarray     # (hidden, hidden + 1): [w2 | b2]
+    head: np.ndarray   # (5, hidden + 1): [head weights | head bias]
 
 
 def freeze_input(net: QNetwork, tail) -> FrozenInput:
@@ -145,17 +148,20 @@ def freeze_input(net: QNetwork, tail) -> FrozenInput:
         head_b = net.ba + net.bv - net.ba.mean()
     else:
         head_w, head_b = net.wa, net.ba
-    return FrozenInput(z1, net.w1[:, :split], head_w, head_b[:, None])
+    return FrozenInput(z1, net.w1[:, :split], np.column_stack([net.w2, net.b2]),
+                       np.column_stack([head_w, head_b]))
 
 
 def forward_batch(net: QNetwork, states, frozen: FrozenInput | None = None) -> np.ndarray:
     """Q-values for a batch of states, shape (N, 5).
 
     With `frozen` (from freeze_input), `states` holds only each state's
-    leading columns and the rest of the first layer and the folded head
-    come from `frozen`. This path runs feature-major, with one column per
-    state: it multiplies weights @ states.T (fastest when `states` is the
-    .T view of a contiguous block) and returns the (N, 5) view of a (5, N)
+    leading columns and the rest of the first layer, the second layer and
+    the folded head come from `frozen`. This path runs feature-major, with
+    one column per state: it multiplies weights @ states.T (fastest when
+    `states` is the .T view of a contiguous block), keeps a row of ones
+    under each hidden layer so that the second layer's and the head's
+    products add their biases, and returns the (N, 5) view of a (5, N)
     array. The split sums round differently, so such Q-values match the
     full forward only to the last bits; read them through argmax.
     """
@@ -168,15 +174,17 @@ def forward_batch(net: QNetwork, states, frozen: FrozenInput | None = None) -> n
     expected = (frozen.z1.shape[1], frozen.w_own.shape[1])
     if states.shape != expected:
         raise ValueError(f"leading state columns have shape {states.shape}, expected {expected}")
-    h = frozen.w_own @ states.T
-    h += frozen.z1
-    np.maximum(h, 0.0, out=h)
-    h = net.w2 @ h
-    h += net.b2[:, None]
-    np.maximum(h, 0.0, out=h)
-    q = frozen.head_w @ h
-    q += frozen.head_b
-    return q.T
+    hidden, n = frozen.z1.shape
+    h1 = np.empty((hidden + 1, n))
+    h1[hidden] = 1.0  # the row of ones that adds the next product's bias column
+    np.matmul(frozen.w_own, states.T, out=h1[:hidden])
+    h1[:hidden] += frozen.z1
+    np.maximum(h1[:hidden], 0.0, out=h1[:hidden])
+    h2 = np.empty((hidden + 1, n))
+    h2[hidden] = 1.0
+    np.matmul(frozen.w2, h1, out=h2[:hidden])
+    np.maximum(h2[:hidden], 0.0, out=h2[:hidden])
+    return (frozen.head @ h2).T
 
 
 def loss_and_gradients(net: QNetwork, states, actions, targets):

@@ -273,15 +273,18 @@ def predict_horizon_block(net: QNetwork, assembler: StateAssembler, discretizer:
     Only the own windows move, so the first layer's part from the neighbor
     block, the degree and b1 is computed once per anchor, and a dueling
     net's two heads are folded into one (freeze_input); each step
-    multiplies only the 3W own-window columns. The own windows are held
-    feature-major, one contiguous (3W, n) block with a row per window slot,
-    so a step's shift moves whole rows and forward_batch gets its .T view.
-    The split sums give Q-values whose last bits differ from the full
-    forward, and the last bits of an anchor's Q-values also depend on the
-    block's anchor count (with OpenBLAS 0.3.31 only the last n % 8 columns
-    of a product with n columns can round differently from a wider one). Only
-    each anchor's argmax is read, and it is independent of both, except at
-    exact ties, which go to the lowest class.
+    multiplies only the 3W own-window columns. The own windows never move:
+    they live slot-major in one contiguous (W + horizon - 1, 3, n) history
+    of (flow, speed, occupancy) per time step, whose slots past the anchor
+    hold the last observed speed and occupancy. Step j passes the .T view
+    of slots j..j+W-1, with the frozen own-window weights permuted to that
+    order, and writes its forecast into the flow row of slot W + j. The split
+    sums give Q-values whose last bits differ from the full forward, and
+    the last bits of an anchor's Q-values also depend on the block's anchor
+    count (with OpenBLAS 0.3.31 only the last n % 8 columns of a product
+    with n columns can round differently from a wider one). Only each
+    anchor's argmax is read, and it is independent of both, except at exact
+    ties, which go to the lowest class.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -291,18 +294,19 @@ def predict_horizon_block(net: QNetwork, assembler: StateAssembler, discretizer:
     states = assembler.states(node, anchors)
     n = states.shape[0]
     frozen = freeze_input(net, states[:, 3 * w:])
-    own = np.ascontiguousarray(states[:, : 3 * w].T)
-    del states  # the block holds only own and frozen from here on
-    windows = own.reshape(3, w, n, copy=False)  # own flow, speed, occupancy
+    # own column c * W + s (channel c, slot s) becomes slot-major column 3 * s + c
+    frozen = frozen._replace(w_own=frozen.w_own[:, np.arange(3 * w).reshape(3, w).T.ravel()])
+    hist = np.empty((w + horizon - 1, 3, n))
+    hist[:w] = states[:, : 3 * w].reshape(n, 3, w).transpose(2, 1, 0)
+    hist[w:, 1:] = hist[w - 1, 1:]  # speed and occupancy hold their last observed values
+    del states  # the block holds only hist and frozen from here on
     classes = np.empty((n, horizon), dtype=int)
     for j in range(horizon):
+        own = hist[j:j + w].reshape(3 * w, n, copy=False)
         a = np.argmax(forward_batch(net, own.T, frozen), axis=1)
         classes[:, j] = a
         if j + 1 < horizon:
-            # shift every own window one step; the last speed/occupancy
-            # slots keep their final observed values
-            windows[:, :-1] = windows[:, 1:]
-            windows[0, -1] = rep_norm[a]
+            hist[w + j, 0] = rep_norm[a]
     classes = classes[rows]
     return classes, discretizer.representatives[classes]
 

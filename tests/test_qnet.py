@@ -183,6 +183,13 @@ class TestSplitForward:
         for own in (np.ones((3, 4)), np.ones((2, 3)), np.ones(3)):
             with pytest.raises(ValueError, match=r"leading state columns .* expected \(3, 3\)"):
                 forward_batch(net, own, frozen)
+        # the second layer's and the folded head's biases ride as last columns
+        hidden = net.hidden_dim
+        assert frozen.w2.shape == (hidden, hidden + 1) and frozen.head.shape == (5, hidden + 1)
+        np.testing.assert_array_equal(frozen.w2[:, :-1], net.w2)
+        np.testing.assert_array_equal(frozen.w2[:, -1], net.b2)
+        assert net.dueling
+        np.testing.assert_array_equal(frozen.head[:, -1], net.ba + net.bv - net.ba.mean())
 
 
 def fd_gradient(net, states, actions, targets, name, index, h=1e-5):

@@ -233,6 +233,29 @@ class TestPredictHorizon:
             np.testing.assert_array_equal(blk_cls[i], cls)
             np.testing.assert_array_equal(blk_flow[i], flow)
 
+    def test_steps_read_sliding_views_of_one_history(self, monkeypatch):
+        """Each step's own windows are a view one time slot further into
+        one history buffer: no step copies or shifts a window."""
+        import flowrl.trainer as trainer_mod
+
+        real_forward = trainer_mod.forward_batch
+        owns = []
+
+        def recording_forward(net, states, frozen=None):
+            owns.append(states)
+            return real_forward(net, states, frozen)
+
+        monkeypatch.setattr(trainer_mod, "forward_batch", recording_forward)
+        anchors = np.array([40, 10, 17, 33])
+        n, horizon = len(anchors), 6
+        predict_horizon_block(self.net, self.asm, self.disc, self.node, anchors, horizon)
+        assert len(owns) == horizon
+        base = owns[0].__array_interface__["data"][0]
+        for j, own in enumerate(owns):
+            assert own.shape == (n, 3 * 6)
+            assert np.shares_memory(own, owns[0])
+            assert own.__array_interface__["data"][0] - base == j * 3 * n * 8
+
     def test_zero_net_forecasts_class_zero(self):
         for dueling in (True, False):
             net = QNetwork.initialize(self.asm.dim, hidden=16, seed=3, dueling=dueling)
