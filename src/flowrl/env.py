@@ -153,10 +153,12 @@ def state_dim(window: int) -> int:
     return 6 * window + 1
 
 
-def window_rows(windows: np.ndarray, degree) -> np.ndarray:
-    """State rows from (n, 6, W) channel windows and a degree for all rows or one per row."""
+def window_rows(windows: np.ndarray, degree, out=None) -> np.ndarray:
+    """State rows from (n, 6, W) channel windows and a degree for all rows
+    or one per row, written into `out` (n, 6W + 1) if given."""
     n, _, w = windows.shape
-    out = np.empty((n, state_dim(w)))
+    if out is None:
+        out = np.empty((n, state_dim(w)))
     out[:, : 6 * w].reshape(n, 6, w, copy=False)[...] = windows
     out[:, 6 * w] = degree
     return out

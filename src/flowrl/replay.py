@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .env import window_rows
+from .env import state_dim, window_rows
 
 PRIORITY_FLOOR = 1e-3
 
@@ -48,12 +48,6 @@ class Batch(NamedTuple):
     rewards: np.ndarray
     next_states: np.ndarray
     terminals: np.ndarray
-
-
-def _window_batch(windows, degree, actions, rewards, terminals) -> Batch:
-    """A batch whose state and next state of row i are cut from windows[i]."""
-    return Batch(window_rows(windows[..., :-1], degree), actions, rewards,
-                 window_rows(windows[..., 1:], degree), terminals)
 
 
 def assign_priority(rewards, floor: float = PRIORITY_FLOOR) -> np.ndarray:
@@ -194,16 +188,17 @@ def sample(buffer: ReplayBuffer, batch_size: int, omega: float,
 
 
 def retain_top_fraction(experiences: ReplayBuffer, fraction: float) -> ReplayBuffer:
-    """The ceil(fraction*N) highest-priority transitions of a period, ties
-    broken by (node_id, t) ascending so that the set is deterministic: a
-    subset of the input, over the same step table."""
+    """The ceil(fraction*N) highest-priority transitions of a period's pool,
+    ties broken by (node_id, t) ascending so that the set is deterministic:
+    a subset of the input, over the same step table. A pool lays out its
+    rollouts by sorted node id, each in time order, so (node_id, t) order
+    is the order of the windows' starts."""
     if len(experiences) == 0:
         raise ValueError("cannot retain from an empty collection")
     if not 0 < fraction <= 1:
         raise ValueError(f"fraction must lie in (0, 1], got {fraction}")
     k = math.ceil(fraction * len(experiences))
-    node_id, _, t = experiences.origins()
-    order = np.lexsort((t, node_id, -experiences.priorities()))
+    order = np.lexsort((experiences.start, -experiences.priorities()))
     return experiences.subset(order[:k])
 
 
@@ -257,15 +252,25 @@ class ConsolidationMemory(ReplayBuffer):
         return rng.integers(0, len(self), size=count)
 
 
+def _write_rows(store: ReplayBuffer, idx: np.ndarray, out: Batch, rows: slice) -> None:
+    """Write transitions idx of `store` into `rows` of `out`, the state and
+    next state of each cut from its window."""
+    windows, degree, actions, rewards, terminals = store.window_columns(idx)
+    window_rows(windows[..., :-1], degree, out=out.states[rows])
+    window_rows(windows[..., 1:], degree, out=out.next_states[rows])
+    out.actions[rows], out.rewards[rows], out.terminals[rows] = actions, rewards, terminals
+
+
 def mixed_batch(buffer: ReplayBuffer, memory: ConsolidationMemory, batch_size: int,
-                rho: float, omega: float, rng: np.random.Generator) -> Batch:
+                rho: float, omega: float, rng: np.random.Generator,
+                out: Batch | None = None) -> Batch:
     """A batch of exactly batch_size: round(rho*B) uniform memory replays
     (skipped while the memory is empty), remainder prioritized from the
-    buffer.
+    buffer, written into `out`'s arrays of batch_size rows (fresh ones if
+    none are given) and returned.
 
     Memory rows are drawn first and come first, then buffer rows, so the
-    draw order is reproducible for a fixed generator. The windows of both
-    are cut into state rows together.
+    draw order is reproducible for a fixed generator.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -273,10 +278,16 @@ def mixed_batch(buffer: ReplayBuffer, memory: ConsolidationMemory, batch_size: i
         raise ValueError(f"rho must lie in [0, 1], got {rho}")
     if len(buffer) == 0:
         raise ValueError("cannot build a batch from an empty replay buffer")
+    if out is None:
+        dim = state_dim(buffer.window)
+        out = Batch(np.empty((batch_size, dim)), np.empty(batch_size, np.int64), np.empty(batch_size),
+                    np.empty((batch_size, dim)), np.empty(batch_size, np.bool_))
+    elif len(out.states) != batch_size:
+        raise ValueError(f"a batch of {batch_size} rows into arrays of {len(out.states)}")
     n_memory = int(rho * batch_size + 0.5) if len(memory) > 0 else 0
-    parts = []
     if n_memory:
-        parts.append(memory.window_columns(memory.draw(n_memory, rng)))
+        _write_rows(memory, memory.draw(n_memory, rng), out, slice(0, n_memory))
     if n_memory < batch_size:
-        parts.append(buffer.window_columns(sample(buffer, batch_size - n_memory, omega, rng)))
-    return _window_batch(*(parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))))
+        _write_rows(buffer, sample(buffer, batch_size - n_memory, omega, rng), out,
+                    slice(n_memory, batch_size))
+    return out

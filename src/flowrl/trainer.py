@@ -38,6 +38,7 @@ from .qnet import (
     N_ACTIONS,
     QNetwork,
     OptimizerState,
+    Workspace,
     forward_batch,
     freeze_input,
     init_optimizer,
@@ -51,6 +52,7 @@ from .qnet import (
 )
 from .replay import (
     MEMORY_COLUMNS,
+    Batch,
     ConsolidationMemory,
     ReplayBuffer,
     mixed_batch,
@@ -229,22 +231,33 @@ def train_on_buffer(agent: AgentState, pool: ReplayBuffer, cfg: TrainerConfig,
     pool's length. The TD target uses a frozen copy of the net, re-synced
     every sync_interval updates. A non-finite loss or parameter after an
     update raises DivergenceError.
+
+    Every update writes its batch, activations, gradient and optimizer
+    temporaries into one Workspace, allocated once per call: the target's
+    forward and the online net's share its activations, as td_targets
+    reads the target's Q-values before the online forward overwrites them.
     """
     if len(pool) == 0 or cfg.epochs == 0:
         return []
     batches_per_epoch = math.ceil(len(pool) / cfg.batch_size)
     target = agent.net.copy()  # fresh sync at phase start keeps resumed runs exact
+    # the pool's sampling distribution is built before the workspace, so that
+    # the workspace can take the heap space its pool-length temporaries free
+    pool.cdf(cfg.sampling_omega)
+    work = Workspace(cfg.batch_size, agent.net.input_dim, agent.net.hidden_dim)
+    batch = Batch(work.states, work.actions, work.rewards, work.next_states, work.terminals)
     epoch_losses: list[float] = []
     for epoch in range(cfg.epochs):
         losses = np.empty(batches_per_epoch)
         for b in range(batches_per_epoch):
             states, actions, rewards, next_states, terminals = mixed_batch(
-                pool, agent.memory, cfg.batch_size, cfg.mix_rho, cfg.sampling_omega, rng,
+                pool, agent.memory, cfg.batch_size, cfg.mix_rho, cfg.sampling_omega, rng, out=batch,
             )
-            next_q = forward_batch(target if cfg.use_target_network else agent.net, next_states)
+            next_q = forward_batch(target if cfg.use_target_network else agent.net, next_states,
+                                   work=work)
             targets = td_targets(rewards, next_q, cfg.gamma, terminals)
-            loss, grad = loss_and_gradients(agent.net, states, actions, targets)
-            apply_update(agent.net, grad, agent.opt)
+            loss, grad = loss_and_gradients(agent.net, states, actions, targets, work)
+            apply_update(agent.net, grad, agent.opt, work)
             agent.updates += 1
             if not (math.isfinite(loss) and np.isfinite(agent.net.theta).all()):
                 raise DivergenceError(
@@ -253,7 +266,7 @@ def train_on_buffer(agent: AgentState, pool: ReplayBuffer, cfg: TrainerConfig,
                     f"{np.count_nonzero(~np.isfinite(agent.net.theta))} non-finite parameters"
                 )
             if cfg.use_target_network and agent.updates % cfg.sync_interval == 0:
-                target = agent.net.copy()
+                np.copyto(target.theta, agent.net.theta)
             losses[b] = loss
         epoch_losses.append(float(losses.mean()))
     return epoch_losses

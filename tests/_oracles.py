@@ -6,11 +6,12 @@ from itertools import repeat
 
 import numpy as np
 
-from flowrl.env import OCC_EPSILON_DEFAULT, WINDOW_DEFAULT, classify, compute_rewards, fit_calibration
+from flowrl.env import (OCC_EPSILON_DEFAULT, WINDOW_DEFAULT, classify, compute_rewards, fit_calibration,
+                        window_rows)
 from flowrl.ingest import READINGS_HEADER
 from flowrl.metrics import compute_metrics
 from flowrl.qnet import N_ACTIONS, forward_batch
-from flowrl.replay import _window_batch
+from flowrl.replay import Batch
 from flowrl.trainer import predict_horizon_block
 
 
@@ -20,6 +21,39 @@ def forward(net, state) -> np.ndarray:
     if state.ndim != 1 or state.shape[0] != net.input_dim:
         raise ValueError(f"state has shape {state.shape}, expected ({net.input_dim},)")
     return forward_batch(net, state[None, :])[0]
+
+
+def loss_and_gradients_reference(net, states, actions, targets):
+    """(Q, loss, grad) of a batch with every activation, mask, product and
+    sum of the forward and backward pass a fresh array, the parts of the
+    gradient concatenated: the arithmetic that loss_and_gradients does in
+    a workspace, operand for operand."""
+    z1 = states @ net.w1.T + net.b1
+    h1 = np.maximum(z1, 0.0)
+    z2 = h1 @ net.w2.T + net.b2
+    h2 = np.maximum(z2, 0.0)
+    value = h2 @ net.wv.T + net.bv
+    adv = h2 @ net.wa.T + net.ba
+    n = len(states)
+    q = value + (N_ACTIONS * adv - adv.sum(axis=1, keepdims=True)) / N_ACTIONS if net.dueling else adv
+    idx = np.arange(n)
+    err = q[idx, actions] - targets
+    loss = float(np.mean(err**2))
+    dq = np.zeros_like(q)
+    dq[idx, actions] = 2.0 * err / n
+    if net.dueling:
+        dvalue = dq.sum(axis=1, keepdims=True)
+        dadv = dq - dq.sum(axis=1, keepdims=True) / N_ACTIONS
+    else:
+        dvalue = np.zeros((n, 1))
+        dadv = dq
+    dh2 = dvalue @ net.wv + dadv @ net.wa
+    dz2 = dh2 * (z2 > 0)
+    dh1 = dz2 @ net.w2
+    dz1 = dh1 * (z1 > 0)
+    parts = (dz1.T @ states, dz1.sum(axis=0), dz2.T @ h1, dz2.sum(axis=0),
+             dvalue.T @ h2, dvalue.sum(axis=0), dadv.T @ h2, dadv.sum(axis=0))
+    return q, loss, np.concatenate([p.ravel() for p in parts])
 
 
 def select_action(net, state, epsilon: float, rng: np.random.Generator) -> int:
@@ -54,7 +88,9 @@ def tabular_q_update(q_table: np.ndarray, s: int, a: int, r: float, s_next: int,
 def gather(store, idx):
     """The Batch of transitions idx of a ReplayBuffer or ConsolidationMemory:
     each state and next state cut from the transition's window."""
-    return _window_batch(*store.window_columns(idx))
+    windows, degree, actions, rewards, terminals = store.window_columns(idx)
+    return Batch(window_rows(windows[..., :-1], degree), actions, rewards,
+                 window_rows(windows[..., 1:], degree), terminals)
 
 
 def drift_scores_reference(prev, curr, bins: int, smoothing: float) -> dict[str, float]:

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import forward, select_action
+from _oracles import forward, loss_and_gradients_reference, select_action
 from flowrl.qnet import (
     QNetwork,
+    Workspace,
     apply_update,
     dueling_aggregate,
     forward_batch,
@@ -259,6 +260,29 @@ class TestGradients:
         )
         assert np.isclose(l1, l2, rtol=1e-12)
         np.testing.assert_allclose(g1, g2, rtol=1e-10, atol=1e-14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dueling=st.booleans(), input_dim=st.integers(1, 20), hidden=st.integers(1, 24),
+           n=st.integers(1, 40), seed=st.integers(0, 2**16))
+    def test_workspace_matches_fresh_arrays_bit_for_bit(self, dueling, input_dim, hidden, n, seed):
+        """The forward and loss_and_gradients, run three times in one
+        workspace first filled with NaN (each time over the previous call's
+        contents), give the bytes of the same arithmetic on fresh arrays."""
+        rng = np.random.default_rng(seed)
+        net = small_net(input_dim=input_dim, hidden=hidden, dueling=dueling)
+        work = Workspace(n, input_dim, hidden)
+        work.block.fill(np.nan)
+        for _ in range(3):
+            net.theta[:] = rng.standard_normal(net.theta.size)
+            states = rng.uniform(-1, 1, (n, input_dim))
+            actions = rng.integers(0, 5, n)
+            targets = rng.uniform(-1, 1, n)
+            q, loss, grad = loss_and_gradients_reference(net, states, actions, targets)
+            assert forward_batch(net, states, work=work).tobytes() == q.tobytes()
+            got_loss, got_grad = loss_and_gradients(net, states, actions, targets, work)
+            assert np.float64(got_loss).tobytes() == np.float64(loss).tobytes()
+            assert got_grad.tobytes() == grad.tobytes()
+            assert np.shares_memory(got_grad, work.block)
 
     def test_empty_batch_rejected(self):
         net = small_net(9)

@@ -242,6 +242,22 @@ class TestRetainTopFraction:
             pool.remove(best)
         assert transitions(kept) == expected
 
+    def test_ties_break_as_lexsort_by_node_then_time(self):
+        """On a pool of three distinct rewards in shuffled (node, t) order,
+        the kept transitions are lexsort((t, node_id, -priority))'s first."""
+        rng = np.random.default_rng(12)
+        n = 3000
+        items = store(rng.choice([0.0, 0.4, 1.0], size=n), ts=rng.integers(0, 60, n),
+                      nodes=[f"n{i:02d}" for i in rng.integers(0, 40, n)])
+        node_id, _, t = items.origins()
+        order = np.lexsort((t, node_id, -items.priorities()))
+        every = transitions(items)
+        for fraction in (0.05, 0.3, 1.0):
+            kept = retain_top_fraction(items, fraction)
+            want = order[:math.ceil(fraction * n)]
+            assert kept.start.tolist() == items.start[want].tolist()
+            assert transitions(kept) == [every[i] for i in want]
+
     def test_size_is_ceil_fraction(self):
         rng = np.random.default_rng(5)
         for n in range(1, 61):

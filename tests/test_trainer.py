@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import math
 import tempfile
 import tracemalloc
 import weakref
@@ -23,10 +24,10 @@ from _oracles import (
 )
 from _helpers import make_dataset, make_series, traced_peak
 from flowrl.env import Calibration, RewardWeights, StateAssembler, classify, fit_discretizer, state_dim
-from flowrl.replay import ConsolidationMemory, ReplayBuffer, mixed_batch, sample
+from flowrl.replay import ConsolidationMemory, ReplayBuffer, mixed_batch, retain_top_fraction, sample
 from flowrl.drift import DriftConfig
 from flowrl.ingest import GeneratorConfig, generate_synthetic
-from flowrl.qnet import QNetwork, param_views
+from flowrl.qnet import QNetwork, apply_update, forward_batch, loss_and_gradients, param_views
 from flowrl.trainer import (
     AgentState,
     TrainerConfig,
@@ -43,6 +44,7 @@ from flowrl.trainer import (
     run_period,
     save_agent,
     td_targets,
+    train_on_buffer,
 )
 
 
@@ -558,28 +560,125 @@ def test_agent_checkpoint_round_trip(tmp_path):
 
 def test_period_working_set_is_freed_when_it_returns(monkeypatch):
     """The agent holds only what save_agent writes, so once run_period
-    returns nothing keeps that period's pool or the state table it keys
-    into alive: a weak reference to its assembler is dead."""
+    returns nothing keeps that period's pool, the state table it keys
+    into or its training workspace alive: weak references to its
+    assembler and its workspace are dead."""
     import flowrl.trainer as trainer_mod
 
-    assemblers = []
+    assemblers, workspaces = [], []
     real_fit_period = trainer_mod.fit_period
+    real_workspace = trainer_mod.Workspace
 
     def recording_fit_period(dataset, window):
         discretizer, assembler = real_fit_period(dataset, window)
         assemblers.append(weakref.ref(assembler))
         return discretizer, assembler
 
+    def recording_workspace(*args):
+        work = real_workspace(*args)
+        workspaces.append(weakref.ref(work))
+        return work
+
     monkeypatch.setattr(trainer_mod, "fit_period", recording_fit_period)
+    monkeypatch.setattr(trainer_mod, "Workspace", recording_workspace)
     ds = diurnal_dataset(seed=11, steps=120)
     cfg = TrainerConfig(epochs=1, batch_size=32, horizons=(1,), window=6)
     agent = init_agent(state_dim(6), hidden=16, seed=0)
     run_period(None, ds, agent, cfg, RewardWeights(), seed=0)
     gc.collect()
     assert agent.updates > 0 and len(agent.memory) > 0  # replay read the table
-    assert len(assemblers) == 1
-    assert assemblers[0]() is None
+    assert len(assemblers) == 1 and len(workspaces) == 1
+    assert assemblers[0]() is None and workspaces[0]() is None
     assert [f.name for f in dataclasses.fields(AgentState)] == ["net", "opt", "memory", "updates"]
+
+
+def reference_training(agent, pool, cfg, rng):
+    """train_on_buffer's epochs as the same five calls without a workspace,
+    each on fresh arrays, the target re-synced by a copy of the net."""
+    batches = math.ceil(len(pool) / cfg.batch_size)
+    target = agent.net.copy()
+    epoch_losses = []
+    for _ in range(cfg.epochs):
+        losses = np.empty(batches)
+        for b in range(batches):
+            states, actions, rewards, next_states, terminals = mixed_batch(
+                pool, agent.memory, cfg.batch_size, cfg.mix_rho, cfg.sampling_omega, rng)
+            next_q = forward_batch(target if cfg.use_target_network else agent.net, next_states)
+            targets = td_targets(rewards, next_q, cfg.gamma, terminals)
+            losses[b], grad = loss_and_gradients(agent.net, states, actions, targets)
+            apply_update(agent.net, grad, agent.opt)
+            agent.updates += 1
+            if cfg.use_target_network and agent.updates % cfg.sync_interval == 0:
+                target = agent.net.copy()
+        epoch_losses.append(float(losses.mean()))
+    return epoch_losses
+
+
+def pool_and_memory(window, with_memory):
+    """Period 2's pool, and a memory holding period 1's top fifth or nothing."""
+    pool = period_pool(diurnal_dataset(seed=21, period=2), window=window)
+    memory = ConsolidationMemory()
+    if with_memory:
+        memory.add_period(1, retain_top_fraction(period_pool(diurnal_dataset(seed=22), window=window), 0.2))
+    return pool, memory
+
+
+@pytest.mark.parametrize("target", [True, False])
+@pytest.mark.parametrize("with_memory", [True, False])
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+@pytest.mark.parametrize("dueling", [True, False])
+def test_workspace_training_matches_fresh_arrays(dueling, optimizer, with_memory, target):
+    """train_on_buffer, whose updates share one workspace, gives the bytes
+    of the reference loop: losses, parameters, optimizer moments and step,
+    and the generator's state, over more than 600 updates and a target
+    sync."""
+    pool, memory = pool_and_memory(4, with_memory)
+    cfg = TrainerConfig(batch_size=16, epochs=14, window=4, use_target_network=target)
+    assert cfg.epochs * math.ceil(len(pool) / cfg.batch_size) > max(600, cfg.sync_interval)
+    agents = [init_agent(state_dim(4), hidden=8, dueling=dueling, seed=3, optimizer=optimizer)
+              for _ in range(2)]
+    for agent in agents:
+        agent.memory = memory
+    rngs = [np.random.default_rng(9) for _ in agents]
+    got = train_on_buffer(agents[0], pool, cfg, rngs[0], 2)
+    want = reference_training(agents[1], pool, cfg, rngs[1])
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    mine, ref = agents
+    assert mine.updates == ref.updates and mine.opt.step == ref.opt.step
+    for a, b in ((mine.net.theta, ref.net.theta), (mine.opt.m, ref.opt.m), (mine.opt.v, ref.opt.v)):
+        assert a.tobytes() == b.tobytes()
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+def test_training_update_allocates_less_than_two_activation_blocks(monkeypatch):
+    """After a warm-up update, one update of train_on_buffer allocates at
+    most 2 x batch x hidden floats beyond what it held when it started: the
+    batch, the activations, the gradient and the optimizer's temporaries
+    are written into the training phase's workspace."""
+    import flowrl.trainer as trainer_mod
+
+    batch, hidden, window = 128, 64, 12
+    pool, memory = pool_and_memory(window, with_memory=True)
+    agent = init_agent(state_dim(window), hidden=hidden, seed=0)
+    agent.memory = memory
+    cfg = TrainerConfig(batch_size=batch, epochs=1, window=window)
+    assert math.ceil(len(pool) / batch) >= 3
+    readings = []  # (traced bytes, peak since the last reading) as each update starts
+    real_mixed_batch = trainer_mod.mixed_batch
+
+    def reading_mixed_batch(*args, **kwargs):
+        readings.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        return real_mixed_batch(*args, **kwargs)
+
+    monkeypatch.setattr(trainer_mod, "mixed_batch", reading_mixed_batch)
+    tracemalloc.start()
+    try:
+        train_on_buffer(agent, pool, cfg, np.random.default_rng(0), 2)
+    finally:
+        tracemalloc.stop()
+    (start, _), (_, peak) = readings[1], readings[2]
+    assert peak - start <= 2 * batch * hidden * 8, (peak - start) / (batch * hidden * 8)
 
 
 def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
