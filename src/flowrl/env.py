@@ -97,22 +97,22 @@ def fit_discretizer(training_flows) -> Discretizer:
     cannot be binned (fewer than five distinct values, or percentile ties)
     are a fault of the period's readings and raise a ReadingError.
     """
-    flows = np.asarray(training_flows, dtype=float).ravel()
+    flows = np.asarray(training_flows, dtype=float)
     if flows.size == 0:
         raise ValueError("cannot fit discretizer on empty flows")
-    distinct = np.unique(flows)
-    if distinct.size < N_CLASSES:
+    edges = np.percentile(flows, [20, 40, 60, 80])  # its copy is gone before the sorted one is made
+    flows = np.sort(flows, axis=None)
+    distinct = 1 + np.count_nonzero(flows[1:] != flows[:-1])
+    if distinct < N_CLASSES:
         raise ReadingError(
-            f"degenerate binning: need >= {N_CLASSES} distinct training flow values, got {distinct.size}"
+            f"degenerate binning: need >= {N_CLASSES} distinct training flow values, got {distinct}"
         )
-    edges = np.percentile(flows, [20, 40, 60, 80])
     if not np.all(np.diff(edges) > 0):
         raise ReadingError("degenerate binning: training-flow percentile edges not strictly "
                            f"increasing: {edges.tolist()}")
-    classes = np.searchsorted(edges, flows, side="right")
     reps = np.empty(N_CLASSES)
-    for k in range(N_CLASSES):
-        members = flows[classes == k]
+    # class k, the flows in [edges[k - 1], edges[k]), is one slice of the sorted flows
+    for k, members in enumerate(np.split(flows, np.searchsorted(flows, edges))):
         if members.size == 0:
             raise ReadingError(f"degenerate binning: class {k} has no training flows")
         reps[k] = np.median(members)

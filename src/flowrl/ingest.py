@@ -8,8 +8,8 @@ timestamps 300 s apart. `PeriodDataset`'s constructor is the one place
 that checks readings. `load_period` reads a CSV once, in blocks of whole
 records that `np.loadtxt` parses into compact columns, places each row on
 the (sensor, time) grid and maps any fault back to its file and line. It
-holds the text and its Python objects one block at a time, and rows in
-`write_period`'s order become the tensor without a copy. The synthetic
+holds the text one block at a time, and rows in `write_period`'s order
+become the tensor without a copy or a per-row column beside it. The synthetic
 generator produces multi-period streams with a growing topology and
 optionally planted regime shifts, for desk-scale experiments.
 """
@@ -287,6 +287,44 @@ def _parsed_blocks(path, id_width: int):
         raise DataError(f"unreadable readings: {e}", path=str(path)) from None
 
 
+class _WriteOrder:
+    """The rows read so far while they keep write_period's order: one run
+    per sensor, in roster order, each at the first run's times (which
+    load_period checks increase). It keeps those times and the runs' ids."""
+
+    def __init__(self):
+        self.times = [np.empty(0, "M8[ns]")]  # the first run's, in one array once it has ended
+        self.ids: list[int] = []
+        self.width = 0  # the first run's length, once it has ended
+
+    def take(self, rows: int, times, starts, ids) -> bool:
+        """Take a block's rows, from row `rows` on: their times, and the
+        starts and roster ids of their runs. False if they break the order,
+        and what rebuild gives for the rows before them is unchanged."""
+        if not self.width:  # its first j rows go on with the first run
+            j = 0 if self.ids and ids[0] != self.ids[0] else (starts[1] if len(starts) > 1 else len(times))
+            self.times.append(times[:j].copy())
+            self.ids = self.ids or [int(ids[0])]
+            if j == len(times):
+                return True
+            self.times, self.width = [np.concatenate(self.times)], rows + j
+        w, k = self.width, len(times)
+        new = ids[int(ids[0] == self.ids[-1]):]  # the runs that start in the block, each at a multiple of w
+        if not (np.array_equal(rows + starts[len(starts) - len(new):], np.arange(-(-rows // w) * w or w, rows + k, w))
+                and np.all(np.diff(new, prepend=self.ids[-1]) > 0)
+                and np.array_equal(times, self.times[0][np.arange(rows, rows + k) % w])):
+            return False
+        self.ids += new.tolist()
+        return True
+
+    def rebuild(self, rows: int, cap: int) -> list[np.ndarray]:
+        """The time and sensor columns of the first `rows` rows taken, with room for `cap` rows."""
+        time, sensor = np.empty(cap, "M8[ns]"), np.empty(cap, np.intp)
+        time[:rows] = np.resize(np.concatenate(self.times), rows)
+        sensor[:rows] = np.repeat(self.ids, self.width or rows)[:rows]
+        return [time, sensor]
+
+
 def load_period(readings_path, adjacency_path, period: int, nodes_path=None) -> PeriodDataset:
     """Load one period from a readings CSV plus its adjacency CSV.
 
@@ -295,13 +333,13 @@ def load_period(readings_path, adjacency_path, period: int, nodes_path=None) -> 
     be a graph node, and every node needs one reading at each time of a
     shared 300 s axis. A fault raises a DataError with file and line.
 
-    The file is read once, in blocks of whole records (`_blocks`). Each
-    block is parsed by np.loadtxt into columns of time, roster index and
-    the three channels, so the text and its Python objects are held one
-    block at a time. The checks run once every block has parsed. Rows in
-    (sensor, time) order, as `write_period` writes them, make the channel
-    columns the period tensor as they stand; other orders are scattered
-    onto the grid.
+    The file is read once, in blocks of whole records (`_blocks`), each
+    parsed by np.loadtxt and checked against `write_period`'s (sensor,
+    time) order as it parses (`_WriteOrder`). While the rows keep it, only
+    their channels are kept, and they are the period tensor as they stand;
+    from the first block that breaks it on, each row's time and roster
+    index are kept too, and the rows are scattered onto the grid. The
+    fault checks run once every block has parsed.
     """
     snapshot = load_adjacency(adjacency_path, period, nodes_path=nodes_path)
     path = Path(readings_path)
@@ -314,9 +352,12 @@ def load_period(readings_path, adjacency_path, period: int, nodes_path=None) -> 
         line, cells = next(islice(csv_rows(path, READINGS_HEADER), int(row), None))
         return DataError(message(cells) if callable(message) else message, path=str(path), line=line)
 
-    roster = {node: i for i, node in enumerate(sorted(snapshot.nodes))}
+    names = sorted(snapshot.nodes)
+    roster = {node: i for i, node in enumerate(names)}
     size = path.stat().st_size
-    time, sensor, floats = np.empty(0, "M8[ns]"), np.empty(0, np.intp), np.empty((0, len(CHANNELS)))
+    floats = np.empty((0, len(CHANNELS)))
+    columns = [floats]  # after time and sensor, once the rows leave write_period's order
+    order = _WriteOrder()
     rows, read = 0, 0  # rows parsed and characters read so far
     bad_time = unknown = None  # the first row of each fault
     past_ns = False
@@ -324,27 +365,30 @@ def load_period(readings_path, adjacency_path, period: int, nodes_path=None) -> 
     for block, part in _parsed_blocks(path, max(map(len, roster), default=0) + 1):
         past_ns = past_ns or _past_ns(block)
         k, read = len(part), read + len(block)
-        if rows + k > len(time):  # room for the rows that the file's size still promises
+        if rows + k > len(floats):  # room for the rows that the file's size still promises
             cap = max(rows + k, (rows + k) * size // read) + k
-            for column in (time, sensor, floats):
+            for column in columns:
                 column.resize((cap, *column.shape[1:]), refcheck=False)
         span = slice(rows, rows + k)
-        time[span] = part["time"]
         ids = part["sensor"]  # looked up once per run of one id, as write_period writes them
         starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
-        sensor[span] = np.repeat(np.fromiter(map(roster.get, ids[starts], repeat(-1)), np.intp, count=len(starts)),
-                                 np.diff(starts, append=k))
+        run_ids = np.fromiter(map(roster.get, ids[starts], repeat(-1)), np.intp, count=len(starts))
+        if len(columns) == 1 and not order.take(rows, part["time"], starts, run_ids):
+            columns[:0] = order.rebuild(rows, len(floats))
+        if len(columns) > 1:
+            columns[0][span] = part["time"]
+            columns[1][span] = np.repeat(run_ids, np.diff(starts, append=k))
         for c, name in enumerate(CHANNELS):
             floats[span, c] = part[name]
         if bad_time is None:
             bad = np.isnat(part["time"]) | (part["time"].view(np.int64) % 10**9 != 0)
             bad_time = rows + int(np.argmax(bad)) if bad.any() else None
-        if unknown is None and (miss := sensor[span] < 0).any():
-            j = int(np.argmax(miss))
+        if unknown is None and (run_ids < 0).any():
+            j = int(starts[np.argmax(run_ids < 0)])
             unknown = (rows + j, _parse(io.StringIO(block))["sensor"][j])  # the id uncut
         rows += k
         del block, part  # before the next block is read
-    for column in (time, sensor, floats):
+    for column in columns:
         column.resize((rows, *column.shape[1:]), refcheck=False)
 
     if past_ns:
@@ -357,20 +401,19 @@ def load_period(readings_path, adjacency_path, period: int, nodes_path=None) -> 
                     lambda cells: f"bad timestamp {cells[0]!r} (naive ISO-8601 to the second expected)")
     if unknown is not None:
         raise fault(unknown[0], f"unknown sensor {unknown[1]!r} (not in adjacency graph)")
-    # index the sensors that have readings, so a node without any is reported by PeriodDataset
-    present = np.bincount(sensor, minlength=len(roster)) > 0
-    nodes = [node for node, seen in zip(roster, present) if seen]
-    sensor = (np.cumsum(present) - 1)[sensor]
-
-    n = len(nodes)
-    width = rows // n
     cell = None  # the grid cell of each row, where row r does not hold cell r
-    if (n * width == rows and np.all(time[1:width] > time[:width - 1])
-            and np.all(sensor.reshape(n, width) == np.arange(n)[:, None])
-            and np.all(time.reshape(n, width) == time[:width])):
-        times = time[:width].copy()
-        del time, sensor
+    times = np.concatenate(order.times) if len(columns) == 1 else None
+    if times is not None and rows % len(times) == 0 and np.all(times[1:] > times[:-1]):
+        nodes, width = [names[i] for i in order.ids], len(times)  # every run as long as the first
+        n = len(nodes)
     else:
+        time, sensor = columns[:-1] or order.rebuild(rows, rows)
+        del columns
+        # index the sensors that have readings, so a node without any is reported by PeriodDataset
+        present = np.bincount(sensor, minlength=len(roster)) > 0
+        nodes = [node for node, seen in zip(roster, present) if seen]
+        sensor = (np.cumsum(present) - 1)[sensor]
+        n = len(nodes)
         times, t = np.unique(time, return_inverse=True)
         del time
         width = len(times)

@@ -137,7 +137,6 @@ class Workspace:
         total = sum(sizes.values()) - passes + shared
         raw = np.empty(total + line)
         first = -raw.ctypes.data % 64 // 8
-        self.rows = rows
         self.block = raw[first:first + total]
         start = 0
         for name, shape in shapes.items():
@@ -151,23 +150,24 @@ class Workspace:
         self.grads = param_views(self.grad, input_dim, hidden)
 
 
-def _forward(net: QNetwork, states: np.ndarray, work: Workspace) -> np.ndarray:
-    """The full forward of `states` into work's h1, h2 and q; returns q."""
-    if len(states) != work.rows:
-        raise ValueError(f"a batch of {len(states)} states in a workspace of {work.rows} rows")
-    h1, h2, q = work.h1, work.h2, work.q
-    np.matmul(states, net.w1.T, out=h1)
+def _forward(net: QNetwork, states: np.ndarray, work: Workspace | None) -> np.ndarray:
+    """The full forward of `states` into work's h1, h2, value and q, or
+    into fresh arrays of just those if `work` is None; returns q."""
+    if work is not None and len(states) != len(work.q):
+        raise ValueError(f"a batch of {len(states)} states in a workspace of {len(work.q)} rows")
+    h1, h2, value, q = (None,) * 4 if work is None else (work.h1, work.h2, work.value, work.q)
+    h1 = np.matmul(states, net.w1.T, out=h1)
     h1 += net.b1
     np.maximum(h1, 0.0, out=h1)
-    np.matmul(h1, net.w2.T, out=h2)
+    h2 = np.matmul(h1, net.w2.T, out=h2)
     h2 += net.b2
     np.maximum(h2, 0.0, out=h2)
-    np.matmul(h2, net.wa.T, out=q)  # the advantages; Q itself for a plain head
+    q = np.matmul(h2, net.wa.T, out=q)  # the advantages; Q itself for a plain head
     q += net.ba
     if net.dueling:
-        np.matmul(h2, net.wv.T, out=work.value)
-        work.value += net.bv
-        dueling_aggregate(work.value, q, out=q)
+        value = np.matmul(h2, net.wv.T, out=value)
+        value += net.bv
+        dueling_aggregate(value, q, out=q)
     return q
 
 
@@ -218,8 +218,8 @@ def forward_batch(net: QNetwork, states, frozen: FrozenInput | None = None,
                   work: Workspace | None = None) -> np.ndarray:
     """Q-values for a batch of states, shape (N, 5).
 
-    The full forward writes its activations and Q-values into `work` (a
-    fresh Workspace of N rows if none is given) and returns its q view.
+    The full forward writes its activations and Q-values into `work` (into
+    fresh arrays of just those if none is given) and returns its q view.
 
     With `frozen` (from freeze_input), `states` holds only each state's
     leading columns and the rest of the first layer, the second layer and
@@ -235,8 +235,6 @@ def forward_batch(net: QNetwork, states, frozen: FrozenInput | None = None,
     if frozen is None:
         if states.ndim != 2 or states.shape[1] != net.input_dim:
             raise ValueError(f"state batch has shape {states.shape}, expected (N, {net.input_dim})")
-        if work is None:
-            work = Workspace(len(states), net.input_dim, net.hidden_dim)
         return _forward(net, states, work)
     expected = (frozen.z1.shape[1], frozen.w_own.shape[1])
     if states.shape != expected:

@@ -154,9 +154,14 @@ class ReplayBuffer:
 
     def cdf(self, omega: float) -> np.ndarray:
         """Cumulative sampling distribution, built the way Generator.choice
-        builds it and kept until the contents change."""
+        builds it, in the one array that is kept until the contents change."""
         if self._cdf is None or self._cdf[0] != omega:
-            cdf = sampling_probabilities(self.priorities(), omega).cumsum()
+            if omega < 0:
+                raise ValueError(f"omega must be >= 0, got {omega}")
+            cdf = self.priorities()  # a fresh array: sampling_probabilities' steps, in place
+            cdf **= omega
+            cdf /= cdf.sum()
+            np.cumsum(cdf, out=cdf)
             cdf /= cdf[-1]
             self._cdf = (omega, cdf)
         return self._cdf[1]

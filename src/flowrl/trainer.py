@@ -241,9 +241,6 @@ def train_on_buffer(agent: AgentState, pool: ReplayBuffer, cfg: TrainerConfig,
         return []
     batches_per_epoch = math.ceil(len(pool) / cfg.batch_size)
     target = agent.net.copy()  # fresh sync at phase start keeps resumed runs exact
-    # the pool's sampling distribution is built before the workspace, so that
-    # the workspace can take the heap space its pool-length temporaries free
-    pool.cdf(cfg.sampling_omega)
     work = Workspace(cfg.batch_size, agent.net.input_dim, agent.net.hidden_dim)
     batch = Batch(work.states, work.actions, work.rewards, work.next_states, work.terminals)
     epoch_losses: list[float] = []
@@ -522,8 +519,8 @@ def run_period(prev: PeriodDataset | None, curr: PeriodDataset, agent: AgentStat
     otherwise drift detection picks new nodes plus the top-KL fraction of
     survivors, and cfg.freeze_after_first_period skips training. Only
     candidates generate training rollouts; evaluation always covers all
-    nodes. The period's pool and its step table are freed when it returns;
-    only the net and the consolidation memory carry over.
+    nodes. The period's pool is freed once its top fraction is retained,
+    before evaluation; only the net and the consolidation memory carry over.
     """
     drift_cfg = drift_cfg or DriftConfig()
     if prev is not None and cfg.freeze_after_first_period:
@@ -554,12 +551,14 @@ def run_period(prev: PeriodDataset | None, curr: PeriodDataset, agent: AgentStat
     epoch_losses = train_on_buffer(agent, pool, cfg, rng_train, curr.period)
     t_train = time.perf_counter()
 
-    if len(pool):
+    generated = len(pool)
+    if generated:
         agent.memory.add_period(curr.period, retain_top_fraction(pool, cfg.consolidation_fraction))
+    del pool  # evaluation runs without it
     evaluation = evaluate_period(curr, agent.net, discretizer, assembler, cfg.horizons)
     t_eval = time.perf_counter()
     return _period_report(
-        curr, cfg, len(pool), epoch_losses, evaluation,
+        curr, cfg, generated, epoch_losses, evaluation,
         (t_start, t_detect, t_rollout, t_train, t_eval),
         candidates, new_nodes, drifted, drift_scores,
     )

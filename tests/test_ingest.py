@@ -560,6 +560,104 @@ class TestSensorIds:
         assert str(err.value).endswith(f"readings_1.csv:{line}: unknown sensor {unknown!r} (not in adjacency graph)")
 
 
+def _outcome(*args, **kwargs):
+    """What load_period gives: the DataError text, or the period's nodes,
+    times and tensor bytes."""
+    try:
+        ds = load_period(*args, **kwargs)
+    except DataError as e:
+        return str(e)
+    return ds.nodes, ds.times.tobytes(), ds.values.tobytes()
+
+
+def _swap(i):
+    return lambda rows: rows[:i] + [rows[i + 1], rows[i]] + rows[i + 2:]
+
+
+class TestWriteOrderBreaks:
+    """load_period keeps no time or sensor column while the rows come in
+    write_period's order. Where a row breaks that order, the columns of the
+    rows before its block are rebuilt and the rest is scattered, and the
+    result is the scatter path's over the whole file: the same tensor, or
+    the same fault at the same line. Three sensors of 40 steps: s0000 on
+    rows 0-39, s0001 on 40-79, s0002 on 80-119. `detect` is the row where
+    the break shows; `boundary` says whether a block starts there, or is
+    None where it shows only once every block is read."""
+
+    @pytest.mark.parametrize("edit,block,detect,boundary,loads", [
+        pytest.param(lambda rows: rows, 500, None, None, True, id="in-order"),
+        pytest.param(lambda rows: rows, 1 << 18, None, None, True, id="in-order-in-one-block"),
+        pytest.param(lambda rows: rows[-1:] + rows[:-1], 97, 1, False, True, id="at-row-0"),
+        # the next run's times differ from the first run's
+        pytest.param(_swap(5), 500, 45, False, True, id="first-run-inside-a-block"),
+        pytest.param(lambda rows: _swap(85)(_swap(45)(_swap(5)(rows))), 500, 120, None, True,
+                     id="every-run-out-of-time-order"),
+        pytest.param(_swap(45), 500, 45, False, True, id="inside-a-block"),
+        pytest.param(_swap(60), 1, 60, True, True, id="on-a-block-boundary"),
+        pytest.param(lambda rows: rows[40:80] + rows[:40] + rows[80:], 500, 40, False, True,
+                     id="sensors-out-of-roster-order"),
+        pytest.param(lambda rows: rows[:80] + rows[40:], 1, 80, True, False, id="a-run-twice-as-long"),
+        pytest.param(lambda rows: rows[:-1] + [rows[-2]], 1, 119, True, False, id="at-the-last-row"),
+        pytest.param(lambda rows: rows[:-1], 1, 119, None, False, id="short-last-run"),
+        pytest.param(lambda rows: rows[:40] + rows[80:], 1, None, None, False, id="node-without-readings"),
+    ])
+    def test_same_as_scattering_every_row(self, tmp_path, monkeypatch, edit, block, detect, boundary, loads):
+        ds = generate_synthetic(small_config(steps_per_period=40), 1)[0]
+        readings, adjacency, nodes = write_dataset(ds, tmp_path)
+        header, *rows = readings.read_text().splitlines()
+        readings.write_text("\n".join([header, *edit(rows)]) + "\n")
+        monkeypatch.setattr(ingest, "READ_BLOCK", block)
+        starts = np.cumsum([0] + [len(lines) for _, lines in ingest._blocks(readings)])
+        rebuilt, rebuild = [], ingest._WriteOrder.rebuild
+        monkeypatch.setattr(ingest._WriteOrder, "rebuild",
+                            lambda order, rows, cap: rebuilt.append(rows) or rebuild(order, rows, cap))
+        got = _outcome(readings, adjacency, ds.period, nodes_path=nodes)
+        if detect is None:  # the order holds: no column is rebuilt
+            assert rebuilt == []
+        elif boundary is None:
+            assert rebuilt == [detect]
+        else:  # the rows before the block that breaks it
+            assert (detect in starts) == boundary
+            assert rebuilt == [starts[np.searchsorted(starts, detect, side="right") - 1]]
+        assert loads == (got == (ds.nodes, ds.times.tobytes(), ds.values.tobytes()))
+        monkeypatch.setattr(ingest._WriteOrder, "take", lambda *args: False)  # scatter every row
+        assert got == _outcome(readings, adjacency, ds.period, nodes_path=nodes)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 4), steps=st.integers(5, 9), block=st.sampled_from([1, 7, 97, 1 << 18]))
+    def test_any_edit_same_as_scattering_every_row(self, data, n, steps, block):
+        """Rows swapped, moved, dropped or repeated, or one time step swapped
+        in every run, at any block size."""
+        ds = generate_synthetic(small_config(initial_nodes=n, steps_per_period=steps), 1)[0]
+        edits = data.draw(st.lists(st.tuples(st.sampled_from("smdrt"), st.integers(0, 99), st.integers(0, 99)),
+                                   max_size=3))
+        previous = ingest.READ_BLOCK, ingest._WriteOrder.take
+        with tempfile.TemporaryDirectory() as tmp:
+            readings, adjacency, nodes = write_dataset(ds, Path(tmp))
+            header, *rows = readings.read_text().splitlines()
+            for kind, i, j in edits:
+                i, j = i % len(rows), j % len(rows)
+                if kind == "s":
+                    rows[i], rows[j] = rows[j], rows[i]
+                elif kind == "m":
+                    rows.insert(j, rows.pop(i))
+                elif kind == "d" and len(rows) > 1:
+                    del rows[i]
+                elif kind == "r":
+                    rows.insert(j, rows[i])
+                elif kind == "t" and len(rows) == n * steps:  # the same two times swapped in every run
+                    for a in range(i % (steps - 1), len(rows), steps):
+                        rows[a], rows[a + 1] = rows[a + 1], rows[a]
+            readings.write_text("\n".join([header, *rows]) + "\n")
+            try:
+                ingest.READ_BLOCK = block
+                got = _outcome(readings, adjacency, ds.period, nodes_path=nodes)
+                ingest._WriteOrder.take = lambda *args: False
+                assert got == _outcome(readings, adjacency, ds.period, nodes_path=nodes)
+            finally:
+                ingest.READ_BLOCK, ingest._WriteOrder.take = previous
+
+
 def test_load_period_memory_is_bounded_by_its_tensor(tmp_path):
     """Set-up memory: loading a period holds less than 4x the tensor it
     returns (a whole-file parse held 7x, in rows of Python objects)."""
@@ -570,6 +668,33 @@ def test_load_period_memory_is_bounded_by_its_tensor(tmp_path):
     assert loaded.values.tobytes() == ds.values.tobytes()
     assert peak <= 4 * loaded.values.nbytes, peak / loaded.values.nbytes
 
+
+@pytest.mark.parametrize("n,steps", [(60, 2000), (5, 40_000)])
+def test_in_order_load_holds_the_tensor_and_a_few_blocks(tmp_path, n, steps):
+    """Rows in write_period's order keep no time or sensor column, so
+    loading holds the tensor plus about one block's working set (a
+    whole-file time and sensor column added 16 B per row)."""
+    ds = generate_synthetic(small_config(initial_nodes=n, steps_per_period=steps), 3)[0]
+    files = write_dataset(ds, tmp_path)
+    loaded, peak = traced_peak(lambda: load_period(files[0], files[1], ds.period, nodes_path=files[2]))
+    assert loaded.values.tobytes() == ds.values.tobytes()
+    excess = (peak - loaded.values.nbytes) / ingest.READ_BLOCK
+    assert excess <= 13, excess
+
+
+
+def test_time_major_load_memory_is_bounded_by_its_tensor(tmp_path):
+    """Rows by time, then sensor, scatter from the first block: loading
+    keeps a time and a sensor column, and the peak stays under 3.6 times
+    the tensor (3.4 here, and 3.8 while a dead sensor column stayed live)."""
+    ds = generate_synthetic(small_config(initial_nodes=60, steps_per_period=2000), 3)[0]
+    readings, adjacency, nodes = write_dataset(ds, tmp_path)
+    header, *rows = readings.read_text().splitlines()
+    rows.sort(key=lambda line: line.split(",")[:2])
+    readings.write_text("\n".join([header, *rows]) + "\n")
+    loaded, peak = traced_peak(lambda: load_period(readings, adjacency, ds.period, nodes_path=nodes))
+    assert loaded.values.tobytes() == ds.values.tobytes()
+    assert peak <= 3.6 * loaded.values.nbytes, peak / loaded.values.nbytes
 
 class TestGenerator:
     def test_deterministic_for_fixed_seed(self):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _helpers import traced_peak
 from _oracles import forward, loss_and_gradients_reference, select_action
 from flowrl.qnet import (
     QNetwork,
@@ -429,4 +430,19 @@ class TestSelectAction:
         batched = select_actions(net, [states], np.zeros(20), np.random.default_rng(0))
         singles = [select_action(net, s, 0.0, np.random.default_rng(0)) for s in states]
         np.testing.assert_array_equal(batched, singles)
+
+    def test_rollout_block_holds_only_its_forward(self):
+        """Acting on a block of 256 states allocates what the forward writes
+        (274,432 bytes for a 73-64 net), not a training Workspace (926,528
+        bytes). Adding a bias in place takes numpy an iteration buffer of
+        8,192 floats."""
+        net = QNetwork.initialize(73, hidden=64, seed=3)
+        states = np.random.default_rng(3).uniform(size=(256, 73))
+        eps = np.full(256, 0.1)
+        forward = sum(a.nbytes for a in (np.empty((256, 64)), np.empty((256, 64)), np.empty((256, 1)),
+                                         np.empty((256, 5))))
+        actions, peak = traced_peak(lambda: select_actions(net, [states], eps, np.random.default_rng(0)))
+        assert forward == 274_432 and peak <= forward + 65_536 + 16_384, peak
+        np.testing.assert_array_equal(actions, select_actions(net, [states[:100], states[100:]], eps,
+                                                              np.random.default_rng(0)))
 

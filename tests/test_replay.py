@@ -88,6 +88,24 @@ class TestSamplingProbabilities:
             p2 = sampling_probabilities(123.456 * pr, omega)
             np.testing.assert_allclose(p1, p2, rtol=1e-12)
 
+    @pytest.mark.parametrize("omega", [0, 0.5, 0.7, 1, 2])
+    def test_cdf_is_the_normalized_cumsum_in_one_array(self, omega):
+        """The kept CDF has the bits of the cumulative sum of the sampling
+        distribution rescaled by its last entry, the sampled indices depend
+        on them, and building it holds little beyond the CDF itself."""
+        rewards = np.random.default_rng(4).exponential(1.0, 50_000)
+        rewards[::9] = 0.0  # floored
+        buf = store(rewards)
+        reference = sampling_probabilities(buf.priorities(), omega).cumsum()
+        reference /= reference[-1]
+        cdf, peak = traced_peak(lambda: buf.cdf(omega))
+        assert cdf.tobytes() == reference.tobytes()
+        assert peak <= 1.2 * cdf.nbytes, peak / cdf.nbytes
+
+    def test_cdf_rejects_negative_omega(self):
+        with pytest.raises(ValueError, match="omega must be >= 0"):
+            sample(store([1.0, 2.0]), 4, -0.5, np.random.default_rng(0))
+
 
 class TestBuffer:
     def test_memory_keeps_every_transition_in_order(self):

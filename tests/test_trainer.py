@@ -562,12 +562,14 @@ def test_period_working_set_is_freed_when_it_returns(monkeypatch):
     """The agent holds only what save_agent writes, so once run_period
     returns nothing keeps that period's pool, the state table it keys
     into or its training workspace alive: weak references to its
-    assembler and its workspace are dead."""
+    assembler and its workspace are dead. The pool is gone already when
+    evaluation starts."""
     import flowrl.trainer as trainer_mod
 
-    assemblers, workspaces = [], []
+    assemblers, workspaces, pools, pool_alive_at_eval = [], [], [], []
     real_fit_period = trainer_mod.fit_period
     real_workspace = trainer_mod.Workspace
+    real_train, real_evaluate = trainer_mod.train_on_buffer, trainer_mod.evaluate_period
 
     def recording_fit_period(dataset, window):
         discretizer, assembler = real_fit_period(dataset, window)
@@ -579,8 +581,19 @@ def test_period_working_set_is_freed_when_it_returns(monkeypatch):
         workspaces.append(weakref.ref(work))
         return work
 
+    def recording_train(agent, pool, *args):
+        pools.append(weakref.ref(pool))
+        return real_train(agent, pool, *args)
+
+    def checking_evaluate(*args):
+        gc.collect()
+        pool_alive_at_eval.append(pools[0]() is not None)
+        return real_evaluate(*args)
+
     monkeypatch.setattr(trainer_mod, "fit_period", recording_fit_period)
     monkeypatch.setattr(trainer_mod, "Workspace", recording_workspace)
+    monkeypatch.setattr(trainer_mod, "train_on_buffer", recording_train)
+    monkeypatch.setattr(trainer_mod, "evaluate_period", checking_evaluate)
     ds = diurnal_dataset(seed=11, steps=120)
     cfg = TrainerConfig(epochs=1, batch_size=32, horizons=(1,), window=6)
     agent = init_agent(state_dim(6), hidden=16, seed=0)
@@ -589,6 +602,7 @@ def test_period_working_set_is_freed_when_it_returns(monkeypatch):
     assert agent.updates > 0 and len(agent.memory) > 0  # replay read the table
     assert len(assemblers) == 1 and len(workspaces) == 1
     assert assemblers[0]() is None and workspaces[0]() is None
+    assert pool_alive_at_eval == [False]
     assert [f.name for f in dataclasses.fields(AgentState)] == ["net", "opt", "memory", "updates"]
 
 
