@@ -34,8 +34,8 @@ periods = generate_synthetic(config, seed=11)
 for ds in periods:
     flows = ds.flows_in("train")
     print(
-        f"period {ds.period}: {ds.snapshot.node_count} nodes, "
-        f"{ds.snapshot.edge_count} edges, {ds.length} steps, "
+        f"period {ds.period}: {len(ds.snapshot.nodes)} nodes, "
+        f"{len(ds.snapshot.edges)} edges, {ds.length} steps, "
         f"train/val/test = {ds.splits.train_end}/"
         f"{ds.splits.val_end - ds.splits.train_end}/{ds.length - ds.splits.val_end}, "
         f"mean train flow {flows.mean():.1f}"

@@ -62,9 +62,12 @@ def _numbered(directory: Path, kind: str, suffix: str) -> list[tuple[int, Path]]
 
 
 def _discover_periods(data_dir: Path) -> list[int]:
-    periods = [n for n, _ in _numbered(data_dir, "readings", ".csv")]
-    if not periods:
+    found = _numbered(data_dir, "readings", ".csv")
+    if not found:
         raise DataError(f"no readings_<period>.csv files found in {data_dir}")
+    if found[0][0] < 0:  # a period seeds its generators, which take no negative number
+        raise DataError("a period must be >= 0", path=str(found[0][1]))
+    periods = [n for n, _ in found]
     for a, b in zip(periods, periods[1:]):
         if b != a + 1:
             raise DataError(f"period sequence has a gap between {a} and {b} in {data_dir}")
@@ -167,8 +170,11 @@ def _resolve_config(args) -> RunConfig:
 
 def cmd_generate(args) -> int:
     config = _resolve_config(args)
+    try:
+        datasets = generate_synthetic(config.generator, config.seed)
+    except (ReadingError, OverflowError) as e:  # the stream is a function of the config alone
+        raise ConfigError(f"[generator] settings make a stream that cannot be written: {e}") from None
     out_dir = _make_dir(Path(args.out_dir))
-    datasets = generate_synthetic(config.generator, config.seed)
     for ds in datasets:
         readings, adjacency, nodes = _period_files(out_dir, ds.period)
         with _writing(out_dir):

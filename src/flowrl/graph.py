@@ -1,14 +1,15 @@
-"""Streaming sensor-network topology: period-stamped snapshots and deltas.
+"""Streaming sensor-network topology: one period-stamped snapshot per period.
 
 The long-term network is a sequence of yearly (or otherwise period-labelled)
-snapshots; each transition is described by a delta of node/edge additions and
-removals. Snapshots are immutable and safe to share across workers.
+immutable snapshots. A period's change is read off two snapshots: `node_diff`
+splits their nodes into new, surviving and removed. Snapshots load from and
+write to the period's adjacency and nodes CSVs.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DataError
@@ -63,88 +64,6 @@ class GraphSnapshot:
             nodes=frozenset(nodes),
             edges=frozenset(canonical_edge(u, v) for u, v in edges),
         )
-
-    @property
-    def node_count(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-
-@dataclass(frozen=True)
-class GraphDelta:
-    """Per-period change set applied on top of the previous snapshot."""
-
-    added_nodes: frozenset[str] = field(default_factory=frozenset)
-    removed_nodes: frozenset[str] = field(default_factory=frozenset)
-    added_edges: frozenset[Edge] = field(default_factory=frozenset)
-    removed_edges: frozenset[Edge] = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        overlap = self.added_nodes & self.removed_nodes
-        if overlap:
-            raise ValueError(f"nodes both added and removed: {sorted(overlap)}")
-        overlap_e = self.added_edges & self.removed_edges
-        if overlap_e:
-            raise ValueError(f"edges both added and removed: {sorted(overlap_e)}")
-
-    @staticmethod
-    def build(added_nodes=(), removed_nodes=(), added_edges=(), removed_edges=()) -> "GraphDelta":
-        return GraphDelta(
-            added_nodes=frozenset(added_nodes),
-            removed_nodes=frozenset(removed_nodes),
-            added_edges=frozenset(canonical_edge(u, v) for u, v in added_edges),
-            removed_edges=frozenset(canonical_edge(u, v) for u, v in removed_edges),
-        )
-
-
-
-def apply_delta(g: GraphSnapshot, d: GraphDelta) -> GraphSnapshot:
-    """Apply a change set to a snapshot, producing the next period's snapshot.
-
-    Removing a node drops all its incident edges. Removals must reference
-    existing members; added edges must reference nodes present after the
-    node updates. Violations raise ValueError naming the offending id.
-    """
-    for n in d.removed_nodes:
-        if n not in g.nodes:
-            raise ValueError(f"delta removes unknown node {n!r}")
-    for n in d.added_nodes:
-        if n in g.nodes:
-            raise ValueError(f"delta adds node {n!r} already present")
-    for e in d.removed_edges:
-        if e not in g.edges:
-            raise ValueError(f"delta removes unknown edge {e!r}")
-
-    nodes = (g.nodes - d.removed_nodes) | d.added_nodes
-
-    for u, v in d.added_edges:
-        if u not in nodes:
-            raise ValueError(f"added edge references unknown node {u!r}")
-        if v not in nodes:
-            raise ValueError(f"added edge references unknown node {v!r}")
-
-    kept = {
-        e for e in g.edges - d.removed_edges
-        if e[0] not in d.removed_nodes and e[1] not in d.removed_nodes
-    }
-    edges = kept | set(d.added_edges)
-    return GraphSnapshot(period=g.period + 1, nodes=frozenset(nodes), edges=frozenset(edges))
-
-
-def neighbors(g: GraphSnapshot, v: str) -> set[str]:
-    """All nodes sharing an edge with v, excluding v itself."""
-    if v not in g.nodes:
-        raise ValueError(f"unknown node {v!r}")
-    out = set()
-    for a, b in g.edges:
-        if a == v:
-            out.add(b)
-        elif b == v:
-            out.add(a)
-    return out
 
 
 def node_diff(g_prev: GraphSnapshot, g_curr: GraphSnapshot):

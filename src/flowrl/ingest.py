@@ -30,12 +30,12 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import DataError
-from .graph import (GraphDelta, GraphSnapshot, apply_delta, canonical_edge, csv_rows, load_adjacency,
-                    write_adjacency)
+from .graph import GraphSnapshot, canonical_edge, csv_rows, load_adjacency, write_adjacency
 
 STEP_SECONDS = 300  # 5-minute aggregates
 READINGS_HEADER = ["timestamp", "sensor_id", "flow", "speed", "occupancy"]
 CHANNELS = ("flow", "speed", "occupancy")
+_LAST_NS_SECOND = np.iinfo(np.int64).max // 10**9  # datetime64[ns]'s last whole second, in Unix time
 # Timestamps parse at ns so that a fractional second shows instead of being
 # cut off. A year outside datetime64[ns]'s range wraps modulo 2**64 ns,
 # which leaves a fraction of a second too, so it is rejected the same way.
@@ -522,7 +522,21 @@ class GeneratorConfig:
             raise ValueError("harmonic_mix must lie in [0, 1]")
         if self.edges_per_new_node < 1:
             raise ValueError("edges_per_new_node must be >= 1")
+        if self.phase_jitter_steps < 0:
+            raise ValueError("phase_jitter_steps must be >= 0")
+        if self.amplitude_jitter < 0:
+            raise ValueError("amplitude_jitter must be >= 0")
+        if self.start_period < 0:
+            raise ValueError(f"start_period must be >= 0, got {self.start_period}")
         last_period = self.start_period + self.periods - 1
+        # Period p starts on 1 January of year 2000 + p, and the loader
+        # parses timestamps at datetime64[ns], which ends in April 2262.
+        year = 2000 + last_period
+        if year > 2262 or (int(np.datetime64(str(year), "s").astype(np.int64))
+                           + STEP_SECONDS * (self.steps_per_period - 1) > _LAST_NS_SECOND):
+            raise ValueError(f"start_period = {self.start_period}, periods = {self.periods} and "
+                             f"steps_per_period = {self.steps_per_period} end the stream after "
+                             f"{np.datetime64(_LAST_NS_SECOND, 's')}, the last time the readings loader holds")
         for k, d in enumerate(self.drift):
             if any(other.node == d.node for other in self.drift[:k]):
                 raise ValueError(f"multiple drift specs for node {d.node!r}")
@@ -598,9 +612,7 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> list[PeriodDataset
                 for k in picks:
                     new_edges.add(canonical_edge(name, existing[int(k)]))
                 _create_attrs(name)
-            snapshot = apply_delta(
-                snapshot, GraphDelta.build(added_nodes=added, added_edges=new_edges)
-            )
+            snapshot = GraphSnapshot(period, snapshot.nodes | set(added), snapshot.edges | new_edges)
             total_nodes += len(added)
 
         steps = np.arange(config.steps_per_period, dtype=float)

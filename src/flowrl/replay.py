@@ -158,26 +158,13 @@ class ReplayBuffer:
         if self._cdf is None or self._cdf[0] != omega:
             if omega < 0:
                 raise ValueError(f"omega must be >= 0, got {omega}")
-            cdf = self.priorities()  # a fresh array: sampling_probabilities' steps, in place
+            cdf = self.priorities()  # a fresh array: tests/_oracles.py's sampling_probabilities, in place
             cdf **= omega
             cdf /= cdf.sum()
             np.cumsum(cdf, out=cdf)
             cdf /= cdf[-1]
             self._cdf = (omega, cdf)
         return self._cdf[1]
-
-
-def sampling_probabilities(priorities, omega: float = 1.0) -> np.ndarray:
-    """Normalized sampling distribution p_i^omega / sum_k p_k^omega."""
-    p = np.asarray(priorities, dtype=float)
-    if p.size == 0:
-        raise ValueError("no priorities to normalize")
-    if np.any(p <= 0):
-        raise ValueError("priorities must be positive")
-    if omega < 0:
-        raise ValueError(f"omega must be >= 0, got {omega}")
-    w = p**omega
-    return w / w.sum()
 
 
 def sample(buffer: ReplayBuffer, batch_size: int, omega: float,

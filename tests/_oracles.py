@@ -93,6 +93,20 @@ def gather(store, idx):
                  window_rows(windows[..., 1:], degree), terminals)
 
 
+def sampling_probabilities(priorities, omega: float = 1.0) -> np.ndarray:
+    """Normalized sampling distribution p_i^omega / sum_k p_k^omega, the
+    distribution ReplayBuffer.cdf accumulates."""
+    p = np.asarray(priorities, dtype=float)
+    if p.size == 0:
+        raise ValueError("no priorities to normalize")
+    if np.any(p <= 0):
+        raise ValueError("priorities must be positive")
+    if omega < 0:
+        raise ValueError(f"omega must be >= 0, got {omega}")
+    w = p**omega
+    return w / w.sum()
+
+
 def drift_scores_reference(prev, curr, bins: int, smoothing: float) -> dict[str, float]:
     """KL(current || previous) of every node in both periods, one node at a
     time: np.histogram counts of the flows over np.linspace edges between

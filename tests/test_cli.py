@@ -289,6 +289,15 @@ class TestTrain:
         code = main(["train", "--config", str(config), "--data-dir", str(data), "--out-dir", str(tmp_path / "out")])
         assert code == 2
 
+    def test_negative_period_is_data_error(self, tmp_path, generated, capsys):
+        data, config = generated
+        for kind in ("readings", "adjacency", "nodes"):
+            (data / f"{kind}_1.csv").rename(data / f"{kind}_-1.csv")
+            (data / f"{kind}_2.csv").rename(data / f"{kind}_0.csv")
+        code = main(["train", "--config", str(config), "--data-dir", str(data), "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert f"data error: {data / 'readings_-1.csv'}: a period must be >= 0" in capsys.readouterr().err
+
     def test_corrupt_checkpoint_is_data_error(self, tmp_path, generated, capsys):
         data, config = generated
         out = tmp_path / "out"
@@ -632,6 +641,28 @@ class TestExitCodes:
         bad.write_text(f"[generator]\nperiods = 2\ninitial_nodes = 3\ndrift = {drift}\n")
         assert main(["generate", "--config", str(bad), "--out-dir", str(tmp_path / "x")]) == 1
         assert f"[generator] drift: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("setting, message", [
+        ("phase_jitter_steps = -1", "[generator] phase_jitter_steps: phase_jitter_steps must be >= 0"),
+        ("amplitude_jitter = -0.5", "[generator] amplitude_jitter: amplitude_jitter must be >= 0"),
+        ("phase_jitter_steps = 1e308", "[generator] settings make a stream that cannot be written"),
+        ("noise_sigma = 1e308", "[generator] settings make a stream that cannot be written: non-finite flow"),
+        ("start_period = 7999", "[generator] start_period: start_period = 7999, periods = 2"),
+        ("start_period = 7998", "end the stream after 2262-04-11T23:47:16"),
+        ("start_period = 262", "[generator] steps_per_period: [generator] start_period:"),
+        ("start_period = -5", "[generator] start_period: start_period must be >= 0, got -5"),
+    ])
+    def test_unwritable_generator_config_is_config_error(self, tmp_path, capsys, setting, message):
+        """A generator config that passes parsing but makes a stream that
+        cannot be generated, or files that `train` cannot read back, is a
+        config error before any file is written."""
+        bad = tmp_path / "bad.ini"
+        bad.write_text("[generator]\nperiods = 2\ninitial_nodes = 5\ngrowth_per_period = 1\n"
+                       f"steps_per_period = 40\n{setting}\n")
+        assert main(["generate", "--config", str(bad), "--out-dir", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err, err
         assert not (tmp_path / "x").exists()
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 from collections import Counter
+from datetime import datetime, timedelta
 
 import pytest
 from hypothesis import given, settings
@@ -203,9 +204,20 @@ def _drift_spec(draw, generator):
     return DriftSpec(node, period, draw(st.floats(-1e6, 1e6, allow_nan=False)))
 
 
+def _last_year(steps: int) -> int:
+    """The last year whose 1 January starts a period of `steps` 300 s steps
+    that datetime64[ns] holds to its end (2262-04-11T23:47:16)."""
+    span = timedelta(seconds=300 * (steps - 1))
+    return max(y for y in range(2000, 2263) if datetime(y, 1, 1) + span <= datetime(2262, 4, 11, 23, 47, 16))
+
+
 # Keys whose valid range depends on keys drawn before them, drawn last.
+# Period p starts in year 2000 + p, so the last period must start by the
+# last year that its steps leave.
 _DEPENDENT = {
     "profile_peak": lambda g: st.floats(g["profile_base"], 1.0, exclude_max=True),
+    "periods": lambda g: st.integers(5, _last_year(g["steps_per_period"]) - 1999),
+    "start_period": lambda g: st.integers(0, _last_year(g["steps_per_period"]) - 1999 - g["periods"]),
     "drift": lambda g: st.lists(_drift_spec(g), max_size=3, unique_by=lambda d: d.node).map(tuple),
 }
 

@@ -743,11 +743,27 @@ class TestGenerator:
     def test_snapshot_growth(self):
         cfg = small_config(periods=3, initial_nodes=4, growth_per_period=2)
         dss = generate_synthetic(cfg, 1)
-        assert [d.snapshot.node_count for d in dss] == [4, 6, 8]
+        assert [len(d.snapshot.nodes) for d in dss] == [4, 6, 8]
         assert [d.period for d in dss] == [1, 2, 3]
-        for prev, curr in zip(dss, dss[1:]):
-            assert prev.snapshot.nodes < curr.snapshot.nodes
-            assert prev.snapshot.edges < curr.snapshot.edges
+        # Each period adds `growth_per_period` fresh ids, each wired to
+        # min(edges_per_new_node, |older nodes|) older nodes and to nothing
+        # else, keeps every older node and edge, and is the next period.
+        # Two older nodes cap the second config's first growth at 2 edges.
+        for cfg in (cfg, small_config(periods=4, initial_nodes=2, growth_per_period=3,
+                                      edges_per_new_node=3, start_period=5)):
+            dss = generate_synthetic(cfg, 1)
+            assert [d.snapshot.period for d in dss] == list(range(cfg.start_period, cfg.start_period + cfg.periods))
+            for prev, curr in zip(dss, dss[1:]):
+                old, new = prev.snapshot, curr.snapshot
+                added = new.nodes - old.nodes
+                assert old.nodes < new.nodes and len(added) == cfg.growth_per_period
+                assert old.edges <= new.edges
+                wires = min(cfg.edges_per_new_node, len(old.nodes))
+                for v in added:
+                    incident = [e for e in new.edges if v in e]
+                    assert len(incident) == wires
+                    assert all((set(e) - {v}) <= old.nodes for e in incident)
+                assert len(new.edges - old.edges) == wires * len(added)
 
     def test_drift_on_unknown_node_rejected(self):
         with pytest.raises(ValueError, match="'ghost' absent from the period-2 graph"):
@@ -768,6 +784,23 @@ class TestGenerator:
             GeneratorConfig(steps_per_period=3)
         with pytest.raises(ValueError):
             GeneratorConfig(noise_sigma=-1)
+        with pytest.raises(ValueError, match="phase_jitter_steps must be >= 0"):
+            GeneratorConfig(phase_jitter_steps=-0.5)
+        with pytest.raises(ValueError, match="amplitude_jitter must be >= 0"):
+            GeneratorConfig(amplitude_jitter=-0.1)
+        with pytest.raises(ValueError, match="start_period must be >= 0"):
+            GeneratorConfig(start_period=-1)
+
+    def test_last_timestamp_must_load_at_ns(self):
+        """The last generated timestamp may be datetime64[ns]'s last whole
+        second rounded down to the 300 s grid, and no later."""
+        ds = generate_synthetic(small_config(initial_nodes=1, start_period=262, steps_per_period=29_086), 0)[0]
+        assert str(ds.times[-1]) == "2262-04-11T23:45:00"
+        assert ds.times[-1].astype("M8[ns]").astype("M8[s]") == ds.times[-1]
+        with pytest.raises(ValueError, match="end the stream after 2262-04-11T23:47:16"):
+            small_config(start_period=262, steps_per_period=29_087)
+        with pytest.raises(ValueError, match="end the stream after"):
+            small_config(start_period=7_998, periods=2)
 
     def test_channels_respect_ranges(self):
         ds = generate_synthetic(small_config(noise_sigma=8.0), 13)[0]

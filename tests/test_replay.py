@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from _helpers import make_dataset, make_series, store, traced_peak, window_table_rows
-from _oracles import gather
+from _oracles import gather, sampling_probabilities
 from flowrl.env import RewardWeights, StateAssembler
 from flowrl.ingest import GeneratorConfig, generate_synthetic
 from flowrl.qnet import QNetwork
@@ -20,7 +20,6 @@ from flowrl.replay import (
     mixed_batch,
     retain_top_fraction,
     sample,
-    sampling_probabilities,
 )
 from flowrl.trainer import (
     TrainerConfig,
