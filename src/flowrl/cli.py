@@ -144,18 +144,24 @@ def _load_checkpoint(path: Path, config: RunConfig):
     return agent
 
 
-def _check_resumable(agent, config: RunConfig, path: Path) -> None:
-    """Reject resuming a checkpoint whose network or optimizer the config contradicts."""
+def _check_resumable(agent, config: RunConfig, path: Path, period: int) -> None:
+    """Reject resuming the checkpoint of `period` if the config contradicts its
+    network or optimizer, or if its memory holds a later period."""
+    cfg = config.trainer
     for key, saved, configured in (
-        ("[qnet] hidden", agent.net.hidden_dim, config.qnet.hidden),
-        ("[qnet] dueling", agent.net.dueling, config.qnet.dueling),
-        ("[qnet] optimizer", agent.opt.method, config.qnet.optimizer),
-        ("[trainer] learning_rate", agent.opt.learning_rate, config.trainer.learning_rate),
+        ("[qnet] hidden", agent.net.hidden_dim, cfg.hidden),
+        ("[qnet] dueling", agent.net.dueling, cfg.dueling),
+        ("[qnet] optimizer", agent.opt.method, cfg.optimizer),
+        ("[trainer] learning_rate", agent.opt.learning_rate, cfg.learning_rate),
     ):
         if saved != configured:
             raise DataError(
                 f"checkpoint {path} was made with {key} = {saved}, but the config sets {configured}"
             )
+    held = agent.memory.periods()
+    if held and held[-1] > period:
+        raise DataError(f"checkpoint {path} is named for period {period}, "
+                        f"but its memory already holds period {held[-1]}")
 
 
 def _resolve_config(args) -> RunConfig:
@@ -199,18 +205,11 @@ def cmd_train(args) -> int:
             if last not in periods:
                 raise DataError(f"checkpoint for period {last} has no matching data in {data_dir}")
             agent = _load_checkpoint(checkpoint, config)
-            _check_resumable(agent, config, checkpoint)
+            _check_resumable(agent, config, checkpoint, last)
             start_index = periods.index(last) + 1
             print(f"resuming after period {last}")
     if agent is None:
-        agent = init_agent(
-            state_dim(config.trainer.window),
-            hidden=config.qnet.hidden,
-            dueling=config.qnet.dueling,
-            seed=config.seed,
-            learning_rate=config.trainer.learning_rate,
-            optimizer=config.qnet.optimizer,
-        )
+        agent = init_agent(config.trainer, config.seed)
     _echo_config(config, out_dir)
 
     # the period before the first one left to run; a finished run loads none

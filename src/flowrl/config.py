@@ -22,25 +22,11 @@ from .trainer import TrainerConfig
 
 
 @dataclass(frozen=True)
-class QNetSettings:
-    hidden: int = 64
-    dueling: bool = True
-    optimizer: str = "adam"
-
-    def __post_init__(self):
-        if self.hidden < 1:
-            raise ValueError("hidden must be >= 1")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
-
-
-@dataclass(frozen=True)
 class RunConfig:
     """Everything a command needs, assembled from one config file."""
 
     seed: int = 0
     weights: RewardWeights = field(default_factory=RewardWeights)
-    qnet: QNetSettings = field(default_factory=QNetSettings)
     trainer: TrainerConfig = field(default_factory=TrainerConfig)
     drift: DriftConfig = field(default_factory=DriftConfig)
     generator: GeneratorConfig = field(default_factory=GeneratorConfig)
@@ -98,9 +84,9 @@ KEYS = (
     ("reward", "lambda_p", "weights", "lambda_p", _FLOAT),
     ("reward", "lambda_c", "weights", "lambda_c", _FLOAT),
     ("reward", "lambda_o", "weights", "lambda_o", _FLOAT),
-    ("qnet", "hidden", "qnet", "hidden", _INT),
-    ("qnet", "dueling", "qnet", "dueling", _BOOL),
-    ("qnet", "optimizer", "qnet", "optimizer", _STR),
+    ("qnet", "hidden", "trainer", "hidden", _INT),
+    ("qnet", "dueling", "trainer", "dueling", _BOOL),
+    ("qnet", "optimizer", "trainer", "optimizer", _STR),
     ("replay", "omega", "trainer", "sampling_omega", _FLOAT),
     ("replay", "consolidation_fraction", "trainer", "consolidation_fraction", _FLOAT),
     ("trainer", "gamma", "trainer", "gamma", _FLOAT),

@@ -16,6 +16,8 @@ import numpy as np
 
 N_ACTIONS = 5
 HIDDEN_DEFAULT = 64
+# Adam's moment decay rates and denominator floor; checkpoints record them
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 PARAM_NAMES = ("w1", "b1", "w2", "b2", "wv", "bv", "wa", "ba")
 
@@ -309,15 +311,12 @@ def loss_and_gradients(net: QNetwork, states, actions, targets, work: Workspace 
 @dataclass(eq=False)
 class OptimizerState:
     """Adaptive-moment (or plain gradient) update state for one network;
-    m and v are laid out like its theta."""
+    m and v are laid out like its theta, and Adam's constants are ADAM_*."""
 
     m: np.ndarray
     v: np.ndarray
     learning_rate: float = 0.001
     method: str = "adam"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
 
     def __post_init__(self):
@@ -345,12 +344,12 @@ def apply_update(net: QNetwork, grad: np.ndarray, opt: OptimizerState,
         net.theta -= np.multiply(opt.learning_rate, grad, out=num)
         return net, opt
     t = opt.step
-    bc1 = 1.0 - opt.beta1**t
-    bc2 = 1.0 - opt.beta2**t
-    opt.m *= opt.beta1
-    opt.m += np.multiply(1.0 - opt.beta1, grad, out=num)
-    opt.v *= opt.beta2
-    np.multiply(1.0 - opt.beta2, grad, out=num)
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
+    opt.m *= ADAM_BETA1
+    opt.m += np.multiply(1.0 - ADAM_BETA1, grad, out=num)
+    opt.v *= ADAM_BETA2
+    np.multiply(1.0 - ADAM_BETA2, grad, out=num)
     num *= grad
     opt.v += num
     # theta -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
@@ -358,7 +357,7 @@ def apply_update(net: QNetwork, grad: np.ndarray, opt: OptimizerState,
     num *= opt.learning_rate
     np.divide(opt.v, bc2, out=den)
     np.sqrt(den, out=den)
-    den += opt.eps
+    den += ADAM_EPS
     num /= den
     net.theta -= num
     return net, opt
@@ -389,14 +388,17 @@ def network_from_state_dict(state, prefix: str = "net_") -> QNetwork:
     return QNetwork.from_params(state, dueling=bool(int(state[prefix + "dueling"])), prefix=prefix)
 
 
-OPTIMIZER_SETTINGS = ("learning_rate", "method", "beta1", "beta2", "eps", "step")
+# Adam's constants as a checkpoint records them, between the method and the step
+ADAM_CONSTANTS = {"beta1": ADAM_BETA1, "beta2": ADAM_BETA2, "eps": ADAM_EPS}
 
 
 def optimizer_state_dict(opt: OptimizerState, net: QNetwork,
                          prefix: str = "opt_") -> dict[str, np.ndarray]:
     """The optimizer of `net` as named arrays: its settings, then each
     parameter's first and second moments."""
-    out = {prefix + key: np.array(getattr(opt, key)) for key in OPTIMIZER_SETTINGS}
+    settings = {"learning_rate": opt.learning_rate, "method": opt.method, **ADAM_CONSTANTS,
+                "step": opt.step}
+    out = {prefix + key: np.array(value) for key, value in settings.items()}
     m, v = (param_views(a, net.input_dim, net.hidden_dim) for a in (opt.m, opt.v))
     for name in PARAM_NAMES:
         out[f"{prefix}m_{name}"] = m[name]
@@ -405,7 +407,20 @@ def optimizer_state_dict(opt: OptimizerState, net: QNetwork,
 
 
 def optimizer_from_state_dict(state, net: QNetwork, prefix: str = "opt_") -> OptimizerState:
-    """Inverse of optimizer_state_dict, moments checked against net's layout."""
+    """Inverse of optimizer_state_dict, moments checked against net's layout.
+    Constants other than ADAM_CONSTANTS, a step that is not an integer >= 0
+    and negative second moments, each of which would make the next update
+    divide by zero or take a negative root, raise ValueError naming the key."""
+    for key, value in ADAM_CONSTANTS.items():
+        if (saved := state[prefix + key].item()) != value:
+            raise ValueError(f"{prefix}{key} is {saved!r}, but Adam's {key} is {value!r}")
+    step = state[prefix + "step"].item()
+    if type(step) is not int or step < 0:
+        raise ValueError(f"{prefix}step is {step!r}, expected an integer >= 0")
     m, v = (flatten_params(state, net.input_dim, net.hidden_dim, prefix + part)
             for part in ("m_", "v_"))
-    return OptimizerState(m, v, **{key: state[prefix + key].item() for key in OPTIMIZER_SETTINGS})
+    for name in PARAM_NAMES:
+        if np.any(state[f"{prefix}v_{name}"] < 0):
+            raise ValueError(f"{prefix}v_{name} holds negative second moments")
+    learning_rate, method = (state[prefix + key].item() for key in ("learning_rate", "method"))
+    return OptimizerState(m, v, learning_rate, method, step)

@@ -35,6 +35,7 @@ from .errors import DivergenceError
 from .ingest import PeriodDataset, ReadingError
 from .metrics import MetricSet, compute_metrics, metrics_dict
 from .qnet import (
+    HIDDEN_DEFAULT,
     N_ACTIONS,
     QNetwork,
     OptimizerState,
@@ -65,9 +66,13 @@ ROLLOUT_BLOCK = 256
 
 @dataclass(frozen=True)
 class TrainerConfig:
-    """Hyperparameters of the continual loop."""
+    """Hyperparameters of the continual loop, and the network and optimizer
+    that init_agent builds."""
 
     gamma: float = 0.5
+    hidden: int = HIDDEN_DEFAULT
+    dueling: bool = True
+    optimizer: str = "adam"
     learning_rate: float = 0.001
     batch_size: int = 128
     epochs: int = 3
@@ -108,6 +113,10 @@ class TrainerConfig:
             raise ValueError(f"horizons must be distinct, got {self.horizons}")
         if self.window < 1:
             raise ValueError("window must be >= 1")
+        if self.hidden < 1:
+            raise ValueError(f"hidden must be >= 1, got {self.hidden}")
+        if self.optimizer not in ("adam", "sgd"):
+            raise ValueError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
         if not self.learning_rate > 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         if not self.sampling_omega >= 0:
@@ -155,14 +164,11 @@ class AgentState:
     updates: int = 0
 
 
-def init_agent(input_dim: int, hidden: int = 64, dueling: bool = True, seed: int = 0,
-               learning_rate: float = 0.001, optimizer: str = "adam") -> AgentState:
-    net = QNetwork.initialize(input_dim, hidden=hidden, seed=seed, dueling=dueling)
-    return AgentState(
-        net=net,
-        opt=init_optimizer(net, learning_rate=learning_rate, method=optimizer),
-        memory=ConsolidationMemory(),
-    )
+def init_agent(cfg: TrainerConfig, seed: int = 0) -> AgentState:
+    """A fresh agent: cfg's network for states of window cfg.window, seeded
+    by `seed`, its optimizer and an empty memory."""
+    net = QNetwork.initialize(state_dim(cfg.window), cfg.hidden, seed, cfg.dueling)
+    return AgentState(net, init_optimizer(net, cfg.learning_rate, cfg.optimizer), ConsolidationMemory())
 
 
 def fit_period(dataset: PeriodDataset, window: int) -> tuple[Discretizer, StateAssembler]:
@@ -565,36 +571,27 @@ def run_period(prev: PeriodDataset | None, curr: PeriodDataset, agent: AgentStat
 
 
 def run_continual(datasets: list[PeriodDataset], cfg: TrainerConfig, weights: RewardWeights,
-                  seed: int, drift_cfg: DriftConfig | None = None, hidden: int = 64,
-                  dueling: bool = True, optimizer: str = "adam"):
+                  seed: int, drift_cfg: DriftConfig | None = None):
     """Continual training across a dataset sequence; returns (agent, reports)."""
     if not datasets:
         raise ValueError("no datasets to train on")
-    agent = init_agent(
-        state_dim(cfg.window), hidden=hidden, dueling=dueling, seed=seed,
-        learning_rate=cfg.learning_rate, optimizer=optimizer,
-    )
+    agent = init_agent(cfg, seed)
     reports = [run_period(prev, curr, agent, cfg, weights, seed, drift_cfg=drift_cfg)
                for prev, curr in zip([None, *datasets], datasets)]
     return agent, reports
 
 
 def run_full_retrain(datasets: list[PeriodDataset], cfg: TrainerConfig,
-                     weights: RewardWeights, seed: int, hidden: int = 64,
-                     dueling: bool = True, optimizer: str = "adam"):
+                     weights: RewardWeights, seed: int):
     """Retrain-from-scratch baseline: each period trains a fresh network on
     every node of every period seen so far, pooled in one ConsolidationMemory,
     with no drift selection. Returns (reports, experiences_touched_total)."""
     if not datasets:
         raise ValueError("no datasets to train on")
-    dim = state_dim(cfg.window)
     reports = []
     touched = 0
     for i, curr in enumerate(datasets):
-        agent = init_agent(
-            dim, hidden=hidden, dueling=dueling, seed=seed,
-            learning_rate=cfg.learning_rate, optimizer=optimizer,
-        )
+        agent = init_agent(cfg, seed)
         t_start = time.perf_counter()
         pool = ConsolidationMemory()
         for past in datasets[: i + 1]:

@@ -16,7 +16,7 @@ from flowrl.atomic import atomic_write
 from flowrl.cli import _write_json, _write_text, main
 from flowrl.config import load_config
 from flowrl.ingest import load_period
-from flowrl.trainer import init_agent, load_agent, run_continual, save_agent
+from flowrl.trainer import TrainerConfig, init_agent, load_agent, run_continual, save_agent
 
 TINY_CONFIG = """
 [run]
@@ -222,7 +222,7 @@ class TestTrain:
         data, config = generated
         out = tmp_path / "out"
         out.mkdir()
-        save_agent(init_agent(6 * 6 + 1, seed=12), out / "checkpoint_1.npz")
+        save_agent(init_agent(TrainerConfig(window=6), seed=12), out / "checkpoint_1.npz")
         (out / "config_echo.ini").write_text("previous\n")
         text = config.read_text()
         header = f"[{section}]\n"
@@ -302,7 +302,7 @@ class TestTrain:
         data, config = generated
         out = tmp_path / "out"
         out.mkdir()
-        save_agent(init_agent(6 * 6 + 1), out / "checkpoint_1.npz")
+        save_agent(init_agent(TrainerConfig(window=6)), out / "checkpoint_1.npz")
         whole = (out / "checkpoint_1.npz").read_bytes()
         for content in (b"garbage", whole[: len(whole) // 2]):  # the second: a half-written save
             (out / "checkpoint_1.npz").write_bytes(content)
@@ -482,6 +482,52 @@ class TestTrain:
         captured = capsys.readouterr()
         assert code == 2
         assert f"data error: corrupt checkpoint {checkpoint}: {message}" in captured.err
+        assert not (out / "report_2.json").exists()
+
+    @pytest.mark.parametrize("key,bad,message", [
+        ("opt_step", -1, "opt_step is -1, expected an integer >= 0"),
+        ("opt_step", 2.0, "opt_step is 2.0, expected an integer >= 0"),
+        ("opt_v_w1", None, "opt_v_w1 holds negative second moments"),
+        ("opt_beta1", 1.0, "opt_beta1 is 1.0, but Adam's beta1 is 0.9"),
+    ], ids=["negative-step", "float-step", "negative-second-moment", "beta1-one"])
+    def test_optimizer_that_cannot_step_is_data_error(self, tmp_path, generated, capsys, key, bad, message):
+        """An optimizer state whose next Adam update would divide by zero or
+        take the root of a negative number is named when the checkpoint is
+        read, before any period trains."""
+        data, config = generated
+        out = tmp_path / "out"
+        main(["train", "--config", str(config), "--data-dir", str(data), "--out-dir", str(out)])
+        for name in ("checkpoint_2.npz", "report_2.json"):
+            (out / name).unlink()
+        checkpoint = out / "checkpoint_1.npz"
+        with np.load(checkpoint) as saved:
+            payload = dict(saved)
+        payload[key] = -payload[key] - 1.0 if bad is None else np.array(bad)
+        np.savez(checkpoint, **payload)
+        capsys.readouterr()
+        code = main(["train", "--config", str(config), "--data-dir", str(data), "--out-dir", str(out),
+                     "--resume"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"data error: corrupt checkpoint {checkpoint}: {message}" in captured.err
+        assert not (out / "report_2.json").exists()
+
+    def test_resume_of_a_checkpoint_holding_a_later_period_is_data_error(self, tmp_path, generated, capsys):
+        """Period 2's checkpoint saved as checkpoint_1.npz resumes at period
+        2, whose transitions its memory already holds: the checkpoint is
+        rejected before any period trains."""
+        data, config = generated
+        out = tmp_path / "out"
+        train = ["train", "--config", str(config), "--data-dir", str(data), "--out-dir", str(out)]
+        main(train)
+        (out / "report_2.json").unlink()
+        checkpoint = out / "checkpoint_1.npz"
+        (out / "checkpoint_2.npz").replace(checkpoint)
+        assert load_agent(checkpoint).memory.periods() == [1, 2]
+        capsys.readouterr()
+        assert main(train + ["--resume"]) == 2
+        assert (f"data error: checkpoint {checkpoint} is named for period 1, "
+                "but its memory already holds period 2") in capsys.readouterr().err
         assert not (out / "report_2.json").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -701,7 +747,7 @@ def test_unscorable_readings_are_data_errors(tmp_path, capsys, command, fault, p
         argv = ["train", *common, "--out-dir", str(tmp_path / "out")]
     else:
         checkpoint = tmp_path / "checkpoint.npz"
-        save_agent(init_agent(6 * 12 + 1), checkpoint)
+        save_agent(init_agent(TrainerConfig(window=12)), checkpoint)
         argv = ["evaluate", *common, "--checkpoint", str(checkpoint), "--period", str(period)]
     capsys.readouterr()
     assert main(argv) == 2
@@ -732,7 +778,7 @@ def test_path_fault_is_data_error_naming_the_file(tmp_path, generated, capsys, f
     if fault == "timings-without-total":
         (reports / "timings_2.json").write_text('{"period": 2, "per_epoch_seconds": 0.5}')
     checkpoint = tmp_path / "checkpoint_2.npz"
-    save_agent(init_agent(6 * 6 + 1), checkpoint)
+    save_agent(init_agent(TrainerConfig(window=6)), checkpoint)
     common = ["--config", str(config), "--data-dir", str(data)]
     missing = tmp_path / "missing" / "out.json"
     argv, named = {
@@ -784,8 +830,7 @@ def test_freeze_after_first_period(tmp_path, generated):
     datasets = [cli._load_dataset(data, period) for period in (1, 2)]
     _, reports = run_continual(
         datasets, replace(run.trainer, freeze_after_first_period=True), run.weights, run.seed,
-        drift_cfg=run.drift, hidden=run.qnet.hidden, dueling=run.qnet.dueling,
-        optimizer=run.qnet.optimizer,
+        drift_cfg=run.drift,
     )
     for report in reports:
         path = tmp_path / f"library_{report.period}.json"

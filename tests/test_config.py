@@ -296,6 +296,8 @@ def test_invariant_violations_become_config_errors():
         ("drift", "bins", "1"),
         ("trainer", "eps_start", "2"),
         ("reward", "lambda_c", "-1"),
+        ("qnet", "hidden", "0"),
+        ("qnet", "optimizer", "rmsprop"),
     ):
         with pytest.raises(ConfigError, match=rf"\[{section}\] {key}: "):
             parse_config(f"[{section}]\n{key} = {raw}\n")

@@ -488,7 +488,7 @@ def test_step_table_memory_matches_one_window_per_transition(drawn, seed):
     rng = np.random.default_rng(seed)
     idx = np.concatenate([np.arange(len(oracle)), rng.integers(0, len(oracle), 50)])
     buffer = periods[-1][2]
-    agent = init_agent(6 * window + 1, hidden=4)
+    agent = init_agent(TrainerConfig(window=window, hidden=4))
     agent.memory = memory
     with tempfile.TemporaryDirectory() as tmp:
         save_agent(agent, Path(tmp) / "agent.npz")

@@ -27,7 +27,7 @@ from flowrl.env import Calibration, RewardWeights, StateAssembler, classify, fit
 from flowrl.replay import ConsolidationMemory, ReplayBuffer, mixed_batch, retain_top_fraction, sample
 from flowrl.drift import DriftConfig
 from flowrl.ingest import GeneratorConfig, generate_synthetic
-from flowrl.qnet import QNetwork, apply_update, forward_batch, loss_and_gradients, param_views
+from flowrl.qnet import QNetwork, apply_update, forward_batch, init_optimizer, loss_and_gradients, param_views
 from flowrl.trainer import (
     AgentState,
     TrainerConfig,
@@ -290,8 +290,8 @@ class TestKeyedPool:
         next state is at the end of the training split."""
         dss = generate_synthetic(GeneratorConfig(periods=2, initial_nodes=3, growth_per_period=1,
                                                  steps_per_period=60, noise_sigma=2.0), 5)
-        cfg = TrainerConfig(epochs=1, batch_size=32, horizons=(1,), window=4)
-        agent = init_agent(4 * 6 + 1, hidden=16, seed=0)
+        cfg = TrainerConfig(epochs=1, batch_size=32, horizons=(1,), window=4, hidden=16)
+        agent = init_agent(cfg, seed=0)
         run_period(None, dss[0], agent, cfg, RewardWeights(), seed=0)
         pool = period_pool(dss[1], window=4)
         memory = agent.memory
@@ -331,8 +331,8 @@ class TestKeyedPool:
         dss = generate_synthetic(GeneratorConfig(periods=2, initial_nodes=3, growth_per_period=1,
                                                  steps_per_period=60, noise_sigma=2.0), 9)
         cfg = TrainerConfig(epochs=1, batch_size=32, horizons=(1,), window=4,
-                            consolidation_fraction=0.2)
-        agent = init_agent(4 * 6 + 1, hidden=16, seed=0)
+                            consolidation_fraction=0.2, hidden=16)
+        agent = init_agent(cfg, seed=0)
         for prev, curr in zip([None, *dss], dss):
             run_period(prev, curr, agent, cfg, RewardWeights(), seed=0, drift_cfg=DriftConfig(fraction=1.0))
         memory = agent.memory
@@ -414,8 +414,8 @@ def test_period_pool_holds_only_its_candidates_rows(monkeypatch):
         return pools[-1]
 
     monkeypatch.setattr(trainer_mod, "generate_training_experiences", keep)
-    cfg = TrainerConfig(epochs=1, batch_size=32, horizons=(1,), window=4)
-    agent = init_agent(state_dim(4), hidden=8, seed=0)
+    cfg = TrainerConfig(epochs=1, batch_size=32, horizons=(1,), window=4, hidden=8)
+    agent = init_agent(cfg, seed=0)
     reports = [run_period(prev, curr, agent, cfg, RewardWeights(), seed=0, drift_cfg=DriftConfig(fraction=0.1))
                for prev, curr in zip([None, *dss], dss)]
     ds, pool, candidates = dss[1], pools[1], sorted(reports[1].candidates)
@@ -442,8 +442,8 @@ def test_full_retrain_takes_a_period_too_short_to_train():
         return make_dataset(p, list(series), [("v0", "v1")], series)
 
     short, long = period(1, 20), period(2, 60)  # training splits [0, 12) and [0, 36)
-    cfg = TrainerConfig(epochs=1, batch_size=16, horizons=(1,), window=12)
-    reports, touched = run_full_retrain([short, long], cfg, RewardWeights(), seed=0, hidden=4)
+    cfg = TrainerConfig(epochs=1, batch_size=16, horizons=(1,), window=12, hidden=4)
+    reports, touched = run_full_retrain([short, long], cfg, RewardWeights(), seed=0)
     assert [r.experiences_generated for r in reports] == [0, 3 * (36 - 12)]
     assert touched == 3 * (36 - 12) and reports[0].epoch_losses == []
     assert all(set(r.metrics) == {"val", "test"} and 1 in r.metrics["test"] for r in reports)
@@ -475,8 +475,8 @@ def test_converged_net_predicts_constant_flow_class():
 class TestRunPeriod:
     def test_first_period_all_nodes_are_candidates(self):
         ds = diurnal_dataset(seed=6, steps=120)
-        cfg = TrainerConfig(epochs=1, batch_size=32, horizons=(1,), window=6)
-        agent = init_agent(6 * 6 + 1, hidden=16, seed=0)
+        cfg = TrainerConfig(epochs=1, batch_size=32, horizons=(1,), window=6, hidden=16)
+        agent = init_agent(cfg, seed=0)
         report = run_period(None, ds, agent, cfg, RewardWeights(), seed=0)
         assert report.candidates == tuple(sorted(ds.series))
         assert report.experiences_generated > 0
@@ -486,8 +486,8 @@ class TestRunPeriod:
         ds1 = diurnal_dataset(seed=7, steps=120, period=1)
         series = {k: make_series(k, s.flow, s.speed, s.occupancy) for k, s in ds1.series.items()}
         ds2 = make_dataset(2, sorted(ds1.snapshot.nodes), sorted(ds1.snapshot.edges), series)
-        cfg = TrainerConfig(epochs=2, batch_size=32, horizons=(1,), window=6)
-        agent = init_agent(6 * 6 + 1, hidden=16, seed=0)
+        cfg = TrainerConfig(epochs=2, batch_size=32, horizons=(1,), window=6, hidden=16)
+        agent = init_agent(cfg, seed=0)
         run_period(None, ds1, agent, cfg, RewardWeights(), seed=0)
         report = run_period(ds1, ds2, agent, cfg, RewardWeights(), seed=0,
                             drift_cfg=DriftConfig(fraction=0.0))
@@ -513,8 +513,8 @@ class TestRunPeriod:
 
     def test_report_dict_has_no_timings(self):
         ds = diurnal_dataset(seed=9, steps=120)
-        cfg = TrainerConfig(epochs=1, batch_size=32, horizons=(1,), window=6)
-        agent = init_agent(6 * 6 + 1, hidden=16, seed=0)
+        cfg = TrainerConfig(epochs=1, batch_size=32, horizons=(1,), window=6, hidden=16)
+        agent = init_agent(cfg, seed=0)
         report = run_period(None, ds, agent, cfg, RewardWeights(), seed=0)
         payload = report.to_report_dict()
         assert "timings" not in payload
@@ -595,8 +595,8 @@ def test_period_working_set_is_freed_when_it_returns(monkeypatch):
     monkeypatch.setattr(trainer_mod, "train_on_buffer", recording_train)
     monkeypatch.setattr(trainer_mod, "evaluate_period", checking_evaluate)
     ds = diurnal_dataset(seed=11, steps=120)
-    cfg = TrainerConfig(epochs=1, batch_size=32, horizons=(1,), window=6)
-    agent = init_agent(state_dim(6), hidden=16, seed=0)
+    cfg = TrainerConfig(epochs=1, batch_size=32, horizons=(1,), window=6, hidden=16)
+    agent = init_agent(cfg, seed=0)
     run_period(None, ds, agent, cfg, RewardWeights(), seed=0)
     gc.collect()
     assert agent.updates > 0 and len(agent.memory) > 0  # replay read the table
@@ -647,10 +647,10 @@ def test_workspace_training_matches_fresh_arrays(dueling, optimizer, with_memory
     and the generator's state, over more than 600 updates and a target
     sync."""
     pool, memory = pool_and_memory(4, with_memory)
-    cfg = TrainerConfig(batch_size=16, epochs=14, window=4, use_target_network=target)
+    cfg = TrainerConfig(batch_size=16, epochs=14, window=4, use_target_network=target, hidden=8,
+                        dueling=dueling, optimizer=optimizer)
     assert cfg.epochs * math.ceil(len(pool) / cfg.batch_size) > max(600, cfg.sync_interval)
-    agents = [init_agent(state_dim(4), hidden=8, dueling=dueling, seed=3, optimizer=optimizer)
-              for _ in range(2)]
+    agents = [init_agent(cfg, seed=3) for _ in range(2)]
     for agent in agents:
         agent.memory = memory
     rngs = [np.random.default_rng(9) for _ in agents]
@@ -673,9 +673,9 @@ def test_training_update_allocates_less_than_two_activation_blocks(monkeypatch):
 
     batch, hidden, window = 128, 64, 12
     pool, memory = pool_and_memory(window, with_memory=True)
-    agent = init_agent(state_dim(window), hidden=hidden, seed=0)
+    cfg = TrainerConfig(batch_size=batch, epochs=1, window=window, hidden=hidden)
+    agent = init_agent(cfg, seed=0)
     agent.memory = memory
-    cfg = TrainerConfig(batch_size=batch, epochs=1, window=window)
     assert math.ceil(len(pool) / batch) >= 3
     readings = []  # (traced bytes, peak since the last reading) as each update starts
     real_mixed_batch = trainer_mod.mixed_batch
@@ -699,7 +699,7 @@ def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
     import flowrl.trainer as trainer_mod
 
     path = tmp_path / "checkpoint_1.npz"
-    agent = init_agent(13, hidden=8, seed=1)
+    agent = init_agent(TrainerConfig(window=2, hidden=8), seed=1)
     save_agent(agent, path)
     before = path.read_bytes()
 
@@ -729,10 +729,12 @@ def bits(a):
     updates=st.integers(0, 2**62),
 )
 def test_checkpoint_round_trip_property(data, input_dim, hidden, dueling, step, updates):
-    agent = init_agent(input_dim, hidden=hidden, dueling=dueling)
+    net = QNetwork.initialize(input_dim, hidden=hidden, dueling=dueling)
+    agent = AgentState(net, init_optimizer(net), ConsolidationMemory())
     finite = st.floats(allow_nan=False, allow_infinity=False)
-    for vector in (agent.net.theta, agent.opt.m, agent.opt.v):
-        vector[:] = data.draw(arrays(np.float64, vector.shape, elements=finite))
+    for vector, elements in ((net.theta, finite), (agent.opt.m, finite),
+                             (agent.opt.v, st.floats(0, allow_infinity=False))):
+        vector[:] = data.draw(arrays(np.float64, vector.shape, elements=elements))
     agent.opt.step = step
     agent.updates = updates
     with tempfile.TemporaryDirectory() as d:
