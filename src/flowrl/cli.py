@@ -16,12 +16,13 @@ import json
 import re
 import sys
 import zipfile
+import zlib
 from contextlib import contextmanager
 from dataclasses import asdict, replace
 from pathlib import Path
 
 from .atomic import atomic_write
-from .config import RunConfig, config_to_ini, load_config
+from .config import RunConfig, config_to_ini, load_config, parse_config
 from .drift import detect
 from .errors import ConfigError, DataError
 # fit_calibration and fit_discretizer are unused here; perfbench/spans.py wraps cli.fit_*
@@ -133,7 +134,7 @@ def _load_checkpoint(path: Path, config: RunConfig):
     made for another state size is a DataError."""
     try:
         agent = load_agent(path)
-    except (OSError, KeyError, ValueError, zipfile.BadZipFile) as e:
+    except (OSError, ValueError, zipfile.BadZipFile, zlib.error) as e:
         raise DataError(f"corrupt checkpoint {path}: {e}") from None
     dim = state_dim(config.trainer.window)
     if agent.net.input_dim != dim:
@@ -146,7 +147,9 @@ def _load_checkpoint(path: Path, config: RunConfig):
 
 def _check_resumable(agent, config: RunConfig, path: Path, period: int) -> None:
     """Reject resuming the checkpoint of `period` if the config contradicts its
-    network or optimizer, or if its memory holds a later period."""
+    network or optimizer, if its memory holds a later period, or if the config
+    differs from the run's echo beside it in a section that train reads: any
+    but [generator]."""
     cfg = config.trainer
     for key, saved, configured in (
         ("[qnet] hidden", agent.net.hidden_dim, cfg.hidden),
@@ -162,6 +165,18 @@ def _check_resumable(agent, config: RunConfig, path: Path, period: int) -> None:
     if held and held[-1] > period:
         raise DataError(f"checkpoint {path} is named for period {period}, "
                         f"but its memory already holds period {held[-1]}")
+    echo = path.with_name(CONFIG_ECHO_NAME)
+    if not echo.exists():
+        return
+    try:
+        echoed = config_to_ini(parse_config(echo.read_text()))
+    except (OSError, ValueError, ConfigError) as e:
+        raise DataError(f"cannot read {echo}: {e}") from None
+    section = ""
+    for was, now in zip(echoed.splitlines(), config_to_ini(config).splitlines()):
+        section = now if now.startswith("[") else section
+        if was != now and section != "[generator]":
+            raise DataError(f"{echo} echoes {section} {was}, but the config sets {now.partition(' = ')[2]}")
 
 
 def _resolve_config(args) -> RunConfig:

@@ -40,18 +40,6 @@ def param_views(flat: np.ndarray, input_dim: int, hidden: int) -> dict[str, np.n
     return views
 
 
-def flatten_params(named, input_dim: int, hidden: int, prefix: str = "") -> np.ndarray:
-    """One float64 vector from the arrays named prefix + w1 ... prefix + ba,
-    each checked against the layout."""
-    parts = []
-    for name, shape in param_shapes(input_dim, hidden).items():
-        array = np.asarray(named[prefix + name], dtype=float)
-        if array.shape != shape:
-            raise ValueError(f"{prefix}{name} has shape {array.shape}, expected {shape}")
-        parts.append(array.ravel())
-    return np.concatenate(parts)
-
-
 def dueling_aggregate(value, advantages, out=None) -> np.ndarray:
     """Combine value and advantages: V + A - mean(A), into `out` if given
     (which may be the advantages themselves).
@@ -88,7 +76,13 @@ class QNetwork:
         if len(w1) != 2:
             raise ValueError(f"{prefix}w1 has shape {w1}, expected (hidden, input_dim)")
         hidden, input_dim = w1
-        return cls(flatten_params(named, input_dim, hidden, prefix), input_dim, hidden, dueling)
+        parts = []
+        for name, shape in param_shapes(input_dim, hidden).items():
+            array = np.asarray(named[prefix + name], dtype=float)
+            if array.shape != shape:
+                raise ValueError(f"{prefix}{name} has shape {array.shape}, expected {shape}")
+            parts.append(array.ravel())
+        return cls(np.concatenate(parts), input_dim, hidden, dueling)
 
     def copy(self) -> "QNetwork":
         return QNetwork(self.theta.copy(), self.input_dim, self.hidden_dim, self.dueling)
@@ -375,52 +369,7 @@ def select_actions(net: QNetwork, blocks, epsilons, rng: np.random.Generator) ->
     return np.where(explore, randoms, greedy).astype(int)
 
 
-def network_state_dict(net: QNetwork, prefix: str = "net_") -> dict[str, np.ndarray]:
-    """Flatten the network into named arrays for an npz dump."""
-    out = {prefix + name: getattr(net, name) for name in PARAM_NAMES}
-    out[prefix + "dueling"] = np.array(int(net.dueling))
-    return out
-
-
 def network_from_state_dict(state, prefix: str = "net_") -> QNetwork:
-    """Inverse of network_state_dict; raises ValueError naming the first
-    array whose shape disagrees with the layout set by w1."""
+    """The benchmark's reader of a checkpoint's net_* entries (perfbench/run.py), checked
+    only against the layout w1 sets; trainer.load_agent checks the whole file."""
     return QNetwork.from_params(state, dueling=bool(int(state[prefix + "dueling"])), prefix=prefix)
-
-
-# Adam's constants as a checkpoint records them, between the method and the step
-ADAM_CONSTANTS = {"beta1": ADAM_BETA1, "beta2": ADAM_BETA2, "eps": ADAM_EPS}
-
-
-def optimizer_state_dict(opt: OptimizerState, net: QNetwork,
-                         prefix: str = "opt_") -> dict[str, np.ndarray]:
-    """The optimizer of `net` as named arrays: its settings, then each
-    parameter's first and second moments."""
-    settings = {"learning_rate": opt.learning_rate, "method": opt.method, **ADAM_CONSTANTS,
-                "step": opt.step}
-    out = {prefix + key: np.array(value) for key, value in settings.items()}
-    m, v = (param_views(a, net.input_dim, net.hidden_dim) for a in (opt.m, opt.v))
-    for name in PARAM_NAMES:
-        out[f"{prefix}m_{name}"] = m[name]
-        out[f"{prefix}v_{name}"] = v[name]
-    return out
-
-
-def optimizer_from_state_dict(state, net: QNetwork, prefix: str = "opt_") -> OptimizerState:
-    """Inverse of optimizer_state_dict, moments checked against net's layout.
-    Constants other than ADAM_CONSTANTS, a step that is not an integer >= 0
-    and negative second moments, each of which would make the next update
-    divide by zero or take a negative root, raise ValueError naming the key."""
-    for key, value in ADAM_CONSTANTS.items():
-        if (saved := state[prefix + key].item()) != value:
-            raise ValueError(f"{prefix}{key} is {saved!r}, but Adam's {key} is {value!r}")
-    step = state[prefix + "step"].item()
-    if type(step) is not int or step < 0:
-        raise ValueError(f"{prefix}step is {step!r}, expected an integer >= 0")
-    m, v = (flatten_params(state, net.input_dim, net.hidden_dim, prefix + part)
-            for part in ("m_", "v_"))
-    for name in PARAM_NAMES:
-        if np.any(state[f"{prefix}v_{name}"] < 0):
-            raise ValueError(f"{prefix}v_{name} holds negative second moments")
-    learning_rate, method = (state[prefix + key].item() for key in ("learning_rate", "method"))
-    return OptimizerState(m, v, learning_rate, method, step)

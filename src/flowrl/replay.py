@@ -204,9 +204,6 @@ class ConsolidationMemory(ReplayBuffer):
 
     COLUMNS = MEMORY_COLUMNS
 
-    def columns(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in MEMORY_COLUMNS}
-
     def origins(self, idx=slice(None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(node_id, period, t) of transitions idx."""
         return self.node_id[idx], self.period[idx], self.t[idx]

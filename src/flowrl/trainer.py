@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -35,8 +36,11 @@ from .errors import DivergenceError
 from .ingest import PeriodDataset, ReadingError
 from .metrics import MetricSet, compute_metrics, metrics_dict
 from .qnet import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     HIDDEN_DEFAULT,
-    N_ACTIONS,
+    PARAM_NAMES,
     QNetwork,
     OptimizerState,
     Workspace,
@@ -45,10 +49,8 @@ from .qnet import (
     init_optimizer,
     loss_and_gradients,
     apply_update,
-    network_from_state_dict,
-    network_state_dict,
-    optimizer_from_state_dict,
-    optimizer_state_dict,
+    param_shapes,
+    param_views,
     select_actions,
 )
 from .replay import (
@@ -436,52 +438,88 @@ class PeriodReport:
 
 
 AGENT_CHECKPOINT_VERSION = 4
+Entry = namedtuple("Entry", "dtype shape within fault", defaults=((), lambda values, sizes: True, ""))
+
+
+def _within(low, high=math.inf):
+    return lambda values, sizes: (low <= values) & (values <= high)
+
+
+_ADAM = {"beta1": ADAM_BETA1, "beta2": ADAM_BETA2, "eps": ADAM_EPS}
+_MEMORY = {
+    "start": (lambda start, s: (0 <= start) & (start <= s["C"] - (s["D"] - 1) // 6 - 1),
+              "{key} holds window starts outside [0, C - W - 1] for C = {C} and D = 6W + 1 = {D}"),
+    "action": (_within(0, 4), "{key} holds actions outside [0, 4]"),
+    **dict.fromkeys(("steps", "degree"), (_within(0, 1), "{key} holds values outside [0, 1]")),
+    **dict.fromkeys(("reward", "period", "t"), (_within(0), "{key} holds negative values")),
+}
+# Format 4: each key that save_agent writes, in order, as an Entry of its exact dtype
+# (np.str_: text of any width), its shape in sizes that all keys naming them share (H, D
+# from net_w1, C from mem_steps, N from mem_action; a state of D = 6W + 1 values holds W
+# steps), a test of its values given the sizes, if any, and the fault that names a failure.
+CHECKPOINT: dict[str, Entry] = {
+    "version": Entry(np.int64, (), lambda version, _: version == AGENT_CHECKPOINT_VERSION,
+                     "unsupported agent checkpoint version {value!r}"),
+    **{f"net_{name}": Entry(np.float64, shape) for name, shape in param_shapes("D", "H").items()},
+    "net_dueling": Entry(np.int64, (), _within(0, 1), "{key} is {value!r}, expected 0 or 1"),
+    "opt_learning_rate": Entry(np.float64, (), lambda rate, _: rate > 0, "{key} is {value!r}, expected > 0"),
+    "opt_method": Entry(np.str_, (), lambda method, _: np.isin(method, ("adam", "sgd")),
+                        "{key} is {value!r}, expected 'adam' or 'sgd'"),
+    **{f"opt_{name}": Entry(np.float64, (), _within(c, c), f"{{key}} is {{value!r}}, but Adam's {name} is {c}")
+       for name, c in _ADAM.items()},
+    "opt_step": Entry(np.int64, (), _within(0), "{key} is {value!r}, expected an integer >= 0"),
+    **{f"opt_{m}_{name}": Entry(np.float64, shape, *bounds) for name, shape in param_shapes("D", "H").items()
+       for m, bounds in (("m", ()), ("v", (_within(0), "{key} holds negative second moments")))},
+    "updates": Entry(np.int64, (), _within(0), "{key} is {value!r}, expected an integer >= 0"),
+    **{f"mem_{name}": Entry(dtype, ("C", 6) if name == "steps" else ("N",), *_MEMORY.get(name, ()))
+       for name, dtype in MEMORY_COLUMNS.items()},
+}
 
 
 def save_agent(agent: AgentState, path) -> None:
-    """Versioned npz checkpoint of the whole agent: network, optimizer,
-    update count and consolidation memory."""
-    payload: dict = {"version": np.array(AGENT_CHECKPOINT_VERSION)}
-    payload.update(network_state_dict(agent.net, prefix="net_"))
-    payload.update(optimizer_state_dict(agent.opt, agent.net, prefix="opt_"))
-    payload["updates"] = np.array(agent.updates)
-    for name, column in agent.memory.columns().items():
-        payload[f"mem_{name}"] = column
+    """The whole agent as one npz: every key of CHECKPOINT, in its order."""
+    net, opt = agent.net, agent.opt
+    values = {"version": AGENT_CHECKPOINT_VERSION, "net_dueling": int(net.dueling), "updates": agent.updates,
+              "opt_learning_rate": opt.learning_rate, "opt_method": opt.method, "opt_step": opt.step,
+              **{f"opt_{name}": c for name, c in _ADAM.items()},
+              **{f"mem_{name}": getattr(agent.memory, name) for name in MEMORY_COLUMNS}}
+    for prefix, flat in (("net_", net.theta), ("opt_m_", opt.m), ("opt_v_", opt.v)):
+        views = param_views(flat, net.input_dim, net.hidden_dim)
+        values.update({prefix + name: view for name, view in views.items()})
     with atomic_write(path) as f:
-        np.savez(f, **payload)
+        np.savez(f, **{key: np.asarray(values[key]) for key in CHECKPOINT})
 
 
 def load_agent(path) -> AgentState:
-    """The agent saved by save_agent; a wrong version, a misshaped array, a
-    non-finite value or an action outside the action space raises
-    ValueError naming the key."""
+    """The agent that save_agent wrote. Each key's shape, dtype, finite floats
+    and range are checked against its row of CHECKPOINT before any is read,
+    and other keys refused, each fault a ValueError that names the key."""
     with np.load(path) as npz:
         data = {key: npz[key] for key in npz.files}
-    version = int(data["version"])
-    if version != AGENT_CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported agent checkpoint version {version}")
-    for key, column in data.items():
-        if column.dtype.kind == "f" and not np.isfinite(column).all():
+    sizes: dict[str, int] = {}
+    # the version first, so that an older format is named by it; then the keys that set the sizes
+    for key in dict.fromkeys(("version", "net_w1", "mem_steps", "mem_action", *CHECKPOINT, *data)):
+        if key not in data or key not in CHECKPOINT:
+            raise ValueError(f"{key} is {'missing' if key in CHECKPOINT else 'not a checkpoint key'}")
+        (dtype, shape, within, fault), array = CHECKPOINT[key], data[key]
+        sizes = {**{size: n for size, n in zip(shape, array.shape) if isinstance(size, str)}, **sizes}
+        expected = tuple(sizes.get(size, size) for size in shape)
+        if array.shape != expected:
+            raise ValueError(f"{key} has shape {array.shape}, expected {expected}")
+        wrong = array.dtype.kind != "U" if dtype is np.str_ else array.dtype != dtype
+        if wrong and shape:
+            raise ValueError(f"{key} has dtype {array.dtype}, expected {dtype.__name__}")
+        if array.dtype.kind == "f" and not np.isfinite(array).all():
             raise ValueError(f"{key} holds non-finite values")
-    net = network_from_state_dict(data, prefix="net_")
-    opt = optimizer_from_state_dict(data, net, prefix="opt_")
-    window = (net.input_dim - 1) // 6  # a state is 6W + 1 long
-    columns = {name: data[f"mem_{name}"] for name in MEMORY_COLUMNS}
-    steps, start = columns["steps"], columns["start"]
-    if steps.ndim != 2 or steps.shape[1] != 6:
-        raise ValueError(f"mem_steps has shape {steps.shape}, expected (C, 6)")
-    rows = columns["action"].shape[:1]
-    for name, column in columns.items():
-        if name != "steps" and column.shape != rows:
-            raise ValueError(f"mem_{name} has shape {column.shape}, expected {rows} like mem_action")
-    last = len(steps) - window - 1  # the last row a window of W + 1 steps can start at
-    if np.any((start < 0) | (start > last)):
-        raise ValueError(f"mem_start holds window starts outside [0, {last}] "
-                         f"for a table of {len(steps)} steps and windows of {window + 1}")
-    memory = ConsolidationMemory(window, **columns)
-    if np.any((memory.action < 0) | (memory.action >= N_ACTIONS)):
-        raise ValueError(f"mem_action holds actions outside [0, {N_ACTIONS - 1}]")
-    return AgentState(net=net, opt=opt, memory=memory, updates=int(data["updates"]))
+        if wrong or not np.all(within(array, sizes)):
+            raise ValueError(fault.format(key=key, value=None if shape else array.item(), **sizes))
+    theta, m, v = (np.concatenate([data[prefix + name].ravel() for name in PARAM_NAMES])
+                   for prefix in ("net_", "opt_m_", "opt_v_"))
+    opt = OptimizerState(m, v, *(data[f"opt_{key}"].item() for key in ("learning_rate", "method", "step")))
+    window = (sizes["D"] - 1) // 6
+    memory = ConsolidationMemory(window, **{name: data[f"mem_{name}"] for name in MEMORY_COLUMNS})
+    net = QNetwork(theta, sizes["D"], sizes["H"], bool(data["net_dueling"]))
+    return AgentState(net, opt, memory, data["updates"].item())
 
 
 def _period_report(curr: PeriodDataset, cfg: TrainerConfig, generated: int,

@@ -7,7 +7,7 @@ import numpy as np
 
 from flowrl.graph import GraphSnapshot
 from flowrl.ingest import PeriodDataset, SensorSeries, compute_splits
-from flowrl.replay import ReplayBuffer, Rollouts
+from flowrl.replay import MEMORY_COLUMNS, ReplayBuffer, Rollouts
 
 
 def iso_timestamps(n, start="2001-01-01T00:00:00"):
@@ -60,6 +60,11 @@ def store(rewards, nodes=None, ts=None, period=1, actions=None):
     return ReplayBuffer(1, steps, Rollouts(ids, period, t0, span), start=r * (span + 1) + ts - t0,
                         degree=rewards, action=np.zeros(n) if actions is None else actions,
                         reward=rewards, terminal=np.zeros(n, dtype=bool))
+
+
+def memory_columns(memory):
+    """Each column of a ConsolidationMemory, by its name in MEMORY_COLUMNS."""
+    return {name: getattr(memory, name) for name in MEMORY_COLUMNS}
 
 
 def window_table_rows(ts, rewards):

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import zipfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -238,6 +239,50 @@ class TestTrain:
         assert (out / "config_echo.ini").read_text() == "previous\n"
         assert not (out / "report_2.json").exists()
 
+    @pytest.mark.parametrize("flags,setting,message", [
+        (["--seed", "99"], "", "echoes [run] seed = 12, but the config sets 99"),
+        ([], "gamma = 0.9\n", "echoes [trainer] gamma = 0.5, but the config sets 0.9"),
+    ], ids=["run-seed", "trainer-gamma"])
+    def test_resume_with_a_config_other_than_the_echo_is_data_error(
+            self, tmp_path, generated, capsys, flags, setting, message):
+        """A resume is the same run: a config whose echo differs from the
+        run directory's in a section that train reads is refused, naming
+        the echo file, and the echo is left as it was."""
+        data, config = generated
+        out = tmp_path / "out"
+        train = ["train", "--data-dir", str(data), "--out-dir", str(out)]
+        main([*train, "--config", str(config)])
+        for name in ("checkpoint_2.npz", "report_2.json"):
+            (out / name).unlink()
+        echo = (out / "config_echo.ini").read_bytes()
+        changed = tmp_path / "changed.ini"
+        changed.write_text(config.read_text().replace("[trainer]\n", "[trainer]\n" + setting))
+        capsys.readouterr()
+        assert main([*train, "--config", str(changed), *flags, "--resume"]) == 2
+        assert f"data error: {out / 'config_echo.ini'} {message}" in capsys.readouterr().err
+        assert (out / "config_echo.ini").read_bytes() == echo
+        assert not (out / "report_2.json").exists()
+
+    def test_resume_reads_the_echo_but_not_its_generator_section(self, tmp_path, generated, capsys):
+        """The [generator] section, which train does not read, may differ;
+        an echo that does not parse is a data error naming it."""
+        data, config = generated
+        out = tmp_path / "out"
+        train = ["train", "--data-dir", str(data), "--out-dir", str(out), "--resume"]
+        main([*train, "--config", str(config)])
+        reports = dir_bytes(out, "report_*.json")
+        for name in ("checkpoint_2.npz", "report_2.json"):
+            (out / name).unlink()
+        changed = tmp_path / "changed.ini"
+        changed.write_text(config.read_text().replace("periods = 2", "periods = 3"))
+        assert main([*train, "--config", str(changed)]) == 0
+        assert dir_bytes(out, "report_*.json") == reports
+        (out / "checkpoint_2.npz").unlink()
+        (out / "config_echo.ini").write_text("[run]\nseed = twelve\n")
+        capsys.readouterr()
+        assert main([*train, "--config", str(config)]) == 2
+        assert f"data error: cannot read {out / 'config_echo.ini'}: " in capsys.readouterr().err
+
     def test_graph_node_without_readings_is_data_error(self, tmp_path, generated, capsys):
         data, config = generated
         readings = data / "readings_2.csv"
@@ -304,7 +349,16 @@ class TestTrain:
         out.mkdir()
         save_agent(init_agent(TrainerConfig(window=6)), out / "checkpoint_1.npz")
         whole = (out / "checkpoint_1.npz").read_bytes()
-        for content in (b"garbage", whole[: len(whole) // 2]):  # the second: a half-written save
+        # the same arrays deflated, with bytes of net_w1's stream overwritten so that it does not inflate
+        with np.load(out / "checkpoint_1.npz") as saved:
+            np.savez_compressed(tmp_path / "compressed.npz", **saved)
+        compressed = bytearray((tmp_path / "compressed.npz").read_bytes())
+        with zipfile.ZipFile(tmp_path / "compressed.npz") as archive:
+            member = archive.getinfo("net_w1.npy")
+        start = member.header_offset + 30 + len(member.filename) + len(member.extra) + 100
+        compressed[start:start + 40] = b"\xff" * 40
+        # the second: a half-written save
+        for content in (b"garbage", whole[: len(whole) // 2], bytes(compressed)):
             (out / "checkpoint_1.npz").write_bytes(content)
             capsys.readouterr()
             code = main([
@@ -458,14 +512,25 @@ class TestTrain:
         ("mem_start", lambda column: column + 1, "mem_start holds window starts outside [0, "),
         ("mem_action", lambda column: column + 5, "mem_action holds actions outside [0, 4]"),
         ("mem_action", lambda column: column - 5, "mem_action holds actions outside [0, 4]"),
+        ("mem_action", lambda column: column + 0.5, "mem_action has dtype float64, expected int64"),
+        ("mem_degree", lambda column: -column, "mem_degree holds values outside [0, 1]"),
+        ("mem_steps", lambda column: 3 * column, "mem_steps holds values outside [0, 1]"),
+        ("mem_reward", lambda column: -column, "mem_reward holds negative values"),
+        ("mem_terminal", lambda column: 2 * column.astype(np.int64), "mem_terminal has dtype int64, expected bool"),
+        ("mem_reward", lambda column: column.astype(str), "mem_reward has dtype <U32, expected float64"),
+        ("mem_period", lambda column: np.full_like(column, -3), "mem_period holds negative values"),
+        ("mem_t", lambda column: -column, "mem_t holds negative values"),
+        ("mem_node_id", lambda column: np.arange(len(column)), "mem_node_id has dtype int64, expected str_"),
     ], ids=["short-reward", "short-degree", "short-start", "narrow-windows", "five-channels",
-            "flat-steps", "start-below", "start-past-end", "action-above", "action-below"])
+            "flat-steps", "start-below", "start-past-end", "action-above", "action-below",
+            "fractional-action", "negative-degree", "tripled-steps", "negative-reward", "integer-terminal",
+            "text-reward", "negative-period", "negative-t", "integer-node-id"])
     def test_inconsistent_memory_is_data_error(self, tmp_path, generated, capsys, key, change, message):
         """Memory columns of unequal length, a step table that is not
         (C, 6), windows that start outside it or run past its end (a table
-        two steps short narrows the last window) and actions outside the
-        action space are named when the checkpoint is read, before any
-        period trains."""
+        two steps short narrows the last window), actions outside the
+        action space and columns of another dtype or outside their range
+        are named when the checkpoint is read, before any period trains."""
         data, config = generated
         out = tmp_path / "out"
         main(["train", "--config", str(config), "--data-dir", str(data), "--out-dir", str(out)])
@@ -489,11 +554,24 @@ class TestTrain:
         ("opt_step", 2.0, "opt_step is 2.0, expected an integer >= 0"),
         ("opt_v_w1", None, "opt_v_w1 holds negative second moments"),
         ("opt_beta1", 1.0, "opt_beta1 is 1.0, but Adam's beta1 is 0.9"),
-    ], ids=["negative-step", "float-step", "negative-second-moment", "beta1-one"])
+        ("version", [4, 4], "version has shape (2,), expected ()"),
+        ("updates", [3, 3], "updates has shape (2,), expected ()"),
+        ("net_dueling", [1, 1], "net_dueling has shape (2,), expected ()"),
+        ("net_w1", lambda w1: w1.astype(np.int64), "net_w1 has dtype int64, expected float64"),
+        ("updates", -5, "updates is -5, expected an integer >= 0"),
+        ("net_dueling", 7, "net_dueling is 7, expected 0 or 1"),
+        ("opt_learning_rate", -0.001, "opt_learning_rate is -0.001, expected > 0"),
+        ("opt_method", "rmsprop", "opt_method is 'rmsprop', expected 'adam' or 'sgd'"),
+        ("extra", 1.0, "extra is not a checkpoint key"),
+    ], ids=["negative-step", "float-step", "negative-second-moment", "beta1-one", "two-versions",
+            "two-update-counts", "two-dueling-flags", "integer-weights", "negative-updates", "dueling-seven",
+            "negative-learning-rate", "unknown-method", "extra-key"])
     def test_optimizer_that_cannot_step_is_data_error(self, tmp_path, generated, capsys, key, bad, message):
         """An optimizer state whose next Adam update would divide by zero or
-        take the root of a negative number is named when the checkpoint is
-        read, before any period trains."""
+        take the root of a negative number, any other net_*, opt_*, updates
+        or version entry off its row of trainer.CHECKPOINT, and a key that
+        save_agent does not write are named when the checkpoint is read,
+        before any period trains."""
         data, config = generated
         out = tmp_path / "out"
         main(["train", "--config", str(config), "--data-dir", str(data), "--out-dir", str(out)])
@@ -502,7 +580,10 @@ class TestTrain:
         checkpoint = out / "checkpoint_1.npz"
         with np.load(checkpoint) as saved:
             payload = dict(saved)
-        payload[key] = -payload[key] - 1.0 if bad is None else np.array(bad)
+        if bad is None:
+            payload[key] = -payload[key] - 1.0
+        else:
+            payload[key] = bad(payload[key]) if callable(bad) else np.array(bad)
         np.savez(checkpoint, **payload)
         capsys.readouterr()
         code = main(["train", "--config", str(config), "--data-dir", str(data), "--out-dir", str(out),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from _helpers import make_dataset, make_series, store, traced_peak, window_table_rows
+from _helpers import make_dataset, make_series, memory_columns, store, traced_peak, window_table_rows
 from _oracles import gather, sampling_probabilities
 from flowrl.env import RewardWeights, StateAssembler
 from flowrl.ingest import GeneratorConfig, generate_synthetic
@@ -371,11 +371,11 @@ def test_memory_columns_round_trip(tmp_path):
     mem = ConsolidationMemory()
     mem.add_period(1, store(0.1 * np.arange(7), ts=np.arange(7), actions=np.arange(7) % 5))
     mem.add_period(2, store([0.3, 0.9], nodes=["x", "yy"], period=2))
-    np.savez(tmp_path / "mem.npz", **mem.columns())
+    np.savez(tmp_path / "mem.npz", **memory_columns(mem))
     with np.load(tmp_path / "mem.npz") as data:
         back = ConsolidationMemory(mem.window, **data)
     assert len(back) == len(mem) == 9
-    for name, column in mem.columns().items():
+    for name, column in memory_columns(mem).items():
         np.testing.assert_array_equal(getattr(back, name), column)
         assert getattr(back, name).dtype == column.dtype
     assert transitions(back) == transitions(mem)
@@ -397,7 +397,7 @@ def test_add_period_copies_rows_not_windows():
     assert pool.steps.shape == (120 * (228 + 12), 6)  # a block of n + W rows per rollout
     memory = ConsolidationMemory()
     _, peak = traced_peak(lambda: memory.add_period(ds.period, retained))
-    added = sum(column.nbytes for column in memory.columns().values())
+    added = sum(column.nbytes for column in memory_columns(memory).values())
     assert len(memory) == len(retained) > 1000
     assert peak <= 3 * added, peak / added
 

@@ -22,13 +22,14 @@ from _oracles import (
     tabular_q_update,
     td_target,
 )
-from _helpers import make_dataset, make_series, traced_peak
+from _helpers import make_dataset, make_series, memory_columns, store, traced_peak
 from flowrl.env import Calibration, RewardWeights, StateAssembler, classify, fit_discretizer, state_dim
 from flowrl.replay import ConsolidationMemory, ReplayBuffer, mixed_batch, retain_top_fraction, sample
 from flowrl.drift import DriftConfig
 from flowrl.ingest import GeneratorConfig, generate_synthetic
 from flowrl.qnet import QNetwork, apply_update, forward_batch, init_optimizer, loss_and_gradients, param_views
 from flowrl.trainer import (
+    CHECKPOINT,
     AgentState,
     TrainerConfig,
     epsilon_schedule,
@@ -549,7 +550,7 @@ def test_agent_checkpoint_round_trip(tmp_path):
     assert loaded.opt.step == agent.opt.step
     assert loaded.updates == agent.updates
     assert len(loaded.memory) == len(agent.memory) > 0
-    for name, column in agent.memory.columns().items():
+    for name, column in memory_columns(agent.memory).items():
         np.testing.assert_array_equal(getattr(loaded.memory, name), column)
     with np.load(path) as data:
         assert int(data["version"]) == 4
@@ -731,6 +732,7 @@ def bits(a):
 def test_checkpoint_round_trip_property(data, input_dim, hidden, dueling, step, updates):
     net = QNetwork.initialize(input_dim, hidden=hidden, dueling=dueling)
     agent = AgentState(net, init_optimizer(net), ConsolidationMemory())
+    agent.memory.add_period(1, store([0.5, 0.25, 1.0], nodes=["a", "b", "cc"]))
     finite = st.floats(allow_nan=False, allow_infinity=False)
     for vector, elements in ((net.theta, finite), (agent.opt.m, finite),
                              (agent.opt.v, st.floats(0, allow_infinity=False))):
@@ -741,12 +743,20 @@ def test_checkpoint_round_trip_property(data, input_dim, hidden, dueling, step, 
         path = Path(d) / "agent.npz"
         save_agent(agent, path)
         loaded = load_agent(path)
+        with np.load(path) as saved:
+            assert saved.files == list(CHECKPOINT)
+            sizes = {"H": hidden, "D": input_dim, "C": len(agent.memory.steps), "N": 3}
+            for key, (dtype, shape, *_) in CHECKPOINT.items():
+                assert saved[key].shape == tuple(sizes.get(size, size) for size in shape), key
+                assert saved[key].dtype.kind == "U" if dtype is np.str_ else saved[key].dtype == dtype, key
     for got, want in ((loaded.net.theta, agent.net.theta), (loaded.opt.m, agent.opt.m),
                       (loaded.opt.v, agent.opt.v)):
         np.testing.assert_array_equal(bits(got), bits(want))
     assert (loaded.net.input_dim, loaded.net.hidden_dim) == (input_dim, hidden)
     assert loaded.net.dueling == dueling
     assert (loaded.opt.step, loaded.updates) == (step, updates)
+    for name, column in memory_columns(agent.memory).items():
+        np.testing.assert_array_equal(getattr(loaded.memory, name), column)
 
 
 def noisy_dataset(seed, nodes, steps):
