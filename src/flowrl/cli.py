@@ -213,16 +213,18 @@ def cmd_train(args) -> int:
 
     start_index = 0
     agent = None
-    if args.resume:
-        done = _numbered(out_dir, "checkpoint", ".npz")
-        if done:
-            last, checkpoint = done[-1]
-            if last not in periods:
-                raise DataError(f"checkpoint for period {last} has no matching data in {data_dir}")
-            agent = _load_checkpoint(checkpoint, config)
-            _check_resumable(agent, config, checkpoint, last)
-            start_index = periods.index(last) + 1
-            print(f"resuming after period {last}")
+    done = _numbered(out_dir, "checkpoint", ".npz")
+    if done and not args.resume:
+        raise DataError("a run's checkpoint is already here: continue it with --resume, "
+                        "or train into another --out-dir", path=str(done[-1][1]))
+    if done:
+        last, checkpoint = done[-1]
+        if last not in periods:
+            raise DataError(f"checkpoint for period {last} has no matching data in {data_dir}")
+        agent = _load_checkpoint(checkpoint, config)
+        _check_resumable(agent, config, checkpoint, last)
+        start_index = periods.index(last) + 1
+        print(f"resuming after period {last}")
     if agent is None:
         agent = init_agent(config.trainer, config.seed)
     _echo_config(config, out_dir)

@@ -91,13 +91,15 @@ class ReplayBuffer:
 
     @classmethod
     def allocate(cls, nodes, n: int, window: int, period: int, t0: int) -> ReplayBuffer:
-        """Room for an n-step rollout of each node from time t0 on, in
-        order, each written by next_block and add_rollout."""
+        """Room for an n-step rollout of each node from time t0 on, in order,
+        every window start and terminal flag set: rollout r writes block r's
+        rows and the degree, actions and rewards of transitions [rn, (r + 1)n)."""
         k = len(nodes)
         store = cls(window, np.zeros((k * (n + window), 6)),
                     Rollouts(np.asarray(nodes, dtype=np.str_), period, t0, n),
-                    **{name: np.empty(k * n, dtype) for name, dtype in COLUMNS.items()})
-        store._fill = 0  # next free transition; only an allocated pool takes rollouts
+                    **{name: np.zeros(k * n, dtype) for name, dtype in COLUMNS.items()})
+        np.add(np.arange(n), (n + window) * np.arange(k)[:, None], out=store.start.reshape(k, n))
+        store.terminal.reshape(k, n)[:, n - 1:] = True
         return store
 
     def __len__(self) -> int:
@@ -113,29 +115,6 @@ class ReplayBuffer:
         """Transitions idx, over the same table."""
         return ReplayBuffer(self.window, self.steps, self.rollouts,
                             **{name: getattr(self, name)[idx] for name in COLUMNS})
-
-    def next_block(self) -> np.ndarray:
-        """The (n + W, 6) rows of the next rollout to add, a view of its block."""
-        if self._fill >= len(self):
-            raise ValueError("no room for another rollout")
-        r, stride = self._fill // self.rollouts.n, self.rollouts.n + self.window
-        return self.steps[r * stride:(r + 1) * stride]
-
-    def add_rollout(self, actions, rewards, degree: float) -> ReplayBuffer:
-        """Write the next rollout's n transitions, which read its block,
-        into the next free slots; returns a view of them."""
-        n, s = self.rollouts.n, self._fill
-        if len(actions) != n or s + n > len(self):
-            raise ValueError(f"no room for a rollout of {len(actions)} steps")
-        span = slice(s, s + n)
-        self.start[span] = s // n * (n + self.window) + np.arange(n)
-        self.degree[span] = degree
-        self.action[span] = actions
-        self.reward[span] = rewards
-        self.terminal[span] = np.arange(n) == n - 1
-        self._fill = s + n
-        self._cdf = None
-        return self.subset(span)
 
     def extend(self, items: ReplayBuffer) -> None:
         """Take items' transitions into this empty store without copying

@@ -148,10 +148,10 @@ def epsilon_schedule(k: np.ndarray, cfg: TrainerConfig) -> np.ndarray:
 
 @dataclass(eq=False)
 class EpisodeRollout:
-    """Ordered transitions from one (node, split) traversal."""
+    """One node's transitions, a view of its span of the pool. No result reads
+    it; perfbench/spans.py counts its .experiences as trainer.experiences."""
 
     node_id: str
-    split: str
     experiences: ReplayBuffer
 
 
@@ -180,35 +180,36 @@ def fit_period(dataset: PeriodDataset, window: int) -> tuple[Discretizer, StateA
     return discretizer, StateAssembler(dataset, window=window, calibration=fit_calibration(dataset))
 
 
-def generate_rollout(assembler: StateAssembler, discretizer: Discretizer, node: str,
-                     split: str, net: QNetwork, epsilons: np.ndarray,
-                     rng: np.random.Generator, weights: RewardWeights,
-                     occ_epsilon: float, pool: ReplayBuffer) -> EpisodeRollout:
-    """Traverse one node's split, writing its rows over [t0 - W, hi) into
-    the pool's next block and chained transitions into `pool`.
+def generate_rollout(assembler: StateAssembler, discretizer: Discretizer, pool: ReplayBuffer,
+                     r: int, net: QNetwork, epsilons: np.ndarray, rng: np.random.Generator,
+                     weights: RewardWeights, occ_epsilon: float) -> EpisodeRollout:
+    """Roll the pool's r-th node over its n steps from t0, writing its rows
+    over [t0 - W, t0 + n) into block r of the pool's table and its degree,
+    actions and rewards into transitions [rn, (r + 1)n).
 
-    The transition at time t holds the row where its state, rows [t-W, t)
-    of the block, starts, the epsilon-greedy action on that state and the
-    reward against the actual class at t; its next state is the state at
-    t+1. The final usable index is flagged terminal. The states are acted
-    on in blocks of at most ROLLOUT_BLOCK rows, whose Q-values can differ
-    from one forward's over all n in the last bits; only the argmax is read.
+    The transition at time t reads its state from rows [t-W, t) of the
+    block, takes the epsilon-greedy action on it and the reward against the
+    actual class at t; its next state is the state at t+1, and the pool
+    flags the last one terminal. The states are acted on in blocks of at
+    most ROLLOUT_BLOCK rows, whose Q-values can differ from one forward's
+    over all n in the last bits; only the argmax is read.
     """
     ds = assembler.dataset
-    lo, hi = ds.splits.range_of(split)
-    w = assembler.window
-    t0 = max(w, lo)
-    n = hi - t0
+    nodes, _, t0, n = pool.rollouts
+    node, w = str(nodes[r]), pool.window
     if len(epsilons) != n:
         raise ValueError(f"need {n} epsilon values, got {len(epsilons)}")
-    rows = assembler.rows(node, t0 - w, hi, out=pool.next_block())
+    rows = assembler.rows(node, t0 - w, t0 + n, out=pool.steps[r * (n + w):(r + 1) * (n + w)])
     degree = assembler.degree(node)
     windows = np.lib.stride_tricks.sliding_window_view(rows, w, axis=0)[:n]
     blocks = np.array_split(windows, -(-n // ROLLOUT_BLOCK))
     actions = select_actions(net, (window_rows(b, degree) for b in blocks), epsilons, rng)
-    actual = np.asarray(classify(discretizer, ds.values[ds.index[node], t0:hi, 0]), dtype=int)
-    rewards = compute_rewards(actions, actual, rows[w:, 1], rows[w:, 2], weights, occ_epsilon)
-    return EpisodeRollout(node, split, pool.add_rollout(actions, rewards, degree))
+    actual = np.asarray(classify(discretizer, ds.values[ds.index[node], t0:t0 + n, 0]), dtype=int)
+    span = slice(r * n, (r + 1) * n)
+    pool.degree[span] = degree
+    pool.action[span] = actions
+    pool.reward[span] = compute_rewards(actions, actual, rows[w:, 1], rows[w:, 2], weights, occ_epsilon)
+    return EpisodeRollout(node, pool.subset(span))
 
 
 def generate_training_experiences(dataset: PeriodDataset, candidates, net: QNetwork,
@@ -223,10 +224,9 @@ def generate_training_experiences(dataset: PeriodDataset, candidates, net: QNetw
     n = max(hi - t0, 0)  # none when the split ends at or before W
     nodes = sorted(candidates) if n else []
     pool = ReplayBuffer.allocate(nodes, n, cfg.window, dataset.period, t0)
-    for k, node in enumerate(nodes):
-        eps = epsilon_schedule(np.arange(k * n, (k + 1) * n), cfg)
-        generate_rollout(assembler, discretizer, node, "train", net, eps, rng, weights,
-                         cfg.occ_epsilon, pool)
+    for r in range(len(nodes)):
+        eps = epsilon_schedule(np.arange(r * n, (r + 1) * n), cfg)
+        generate_rollout(assembler, discretizer, pool, r, net, eps, rng, weights, cfg.occ_epsilon)
     return pool
 
 

@@ -212,6 +212,23 @@ class TestTrain:
         assert "resuming after period 2" in capsys.readouterr().out
         assert dir_bytes(out, "report_*.json") == reports
 
+    def test_fresh_train_into_a_run_directory_is_data_error(self, tmp_path, generated, capsys):
+        """train without --resume refuses an out-dir that holds a checkpoint
+        and writes nothing there: a fresh run of another seed over period 1
+        would otherwise leave its report beside the first run's later
+        checkpoint, which a --resume would then adopt."""
+        data, config = generated
+        out = tmp_path / "out"
+        train = ["train", "--config", str(config), "--data-dir", str(data), "--out-dir", str(out)]
+        assert main(train) == 0
+        written = dir_bytes(out, "*")
+        capsys.readouterr()
+        assert main(train + ["--seed", "4"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {out / 'checkpoint_2.npz'}: ")
+        assert "--resume" in err and "--out-dir" in err
+        assert dir_bytes(out, "*") == written
+
     @pytest.mark.parametrize("section,key,value,saved,configured", [
         ("qnet", "hidden", "16", "64", "16"),
         ("qnet", "dueling", "false", "True", "False"),

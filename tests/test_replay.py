@@ -9,10 +9,11 @@ from hypothesis.extra.numpy import arrays
 
 from _helpers import make_dataset, make_series, memory_columns, store, traced_peak, window_table_rows
 from _oracles import gather, sampling_probabilities
-from flowrl.env import RewardWeights, StateAssembler
+from flowrl.env import RewardWeights, StateAssembler, fit_discretizer
 from flowrl.ingest import GeneratorConfig, generate_synthetic
 from flowrl.qnet import QNetwork
 from flowrl.replay import (
+    COLUMNS,
     ConsolidationMemory,
     ReplayBuffer,
     Rollouts,
@@ -24,6 +25,7 @@ from flowrl.replay import (
 from flowrl.trainer import (
     TrainerConfig,
     fit_period,
+    generate_rollout,
     generate_training_experiences,
     init_agent,
     load_agent,
@@ -159,39 +161,54 @@ class TestBuffer:
         with pytest.raises(ValueError, match="empty"):
             sample(ReplayBuffer(), 4, 1.0, np.random.default_rng(0))
 
-    def test_allocated_pool_rejects_overfill(self):
-        """Each rollout writes its node's rows into its own block of n + W
-        rows, and its transitions' origins come from their window starts."""
+    def test_allocated_pool_lays_out_every_rollout(self):
+        """allocate sets every window start and terminal flag; rollout r
+        writes its node's rows into block r of n + W rows, in any order,
+        and its transitions' origins come from their window starts."""
         asm = two_node_assembler()
-        pool = ReplayBuffer.allocate(["a", "bb"], 3, asm.window, 7, 2)
-        asm.rows("a", 0, 5, out=pool.next_block())
-        pool.add_rollout([0, 1, 2], [0.1, 0.2, 0.3], asm.degree("a"))
-        with pytest.raises(ValueError, match="no room"):
-            pool.add_rollout([3, 4], [0.4, 0.5], asm.degree("bb"))
-        asm.rows("bb", 0, 5, out=pool.next_block())
-        pool.add_rollout([3, 4, 0], [0.4, 0.5, 0.6], asm.degree("bb"))
-        with pytest.raises(ValueError, match="no room"):
-            pool.next_block()
-        with pytest.raises(ValueError, match="no room"):
-            pool.add_rollout([0, 1, 2], [0.1, 0.2, 0.3], asm.degree("a"))
+        disc = fit_discretizer(asm.dataset.flows_in("train"))
+        net = QNetwork.initialize(asm.dim, hidden=8, seed=1)
+        pools = []
+        for order in ((0, 1), (1, 0)):
+            pool = ReplayBuffer.allocate(["a", "bb"], 3, asm.window, 7, 2)
+            assert pool.start.tolist() == [0, 1, 2, 5 + 0, 5 + 1, 5 + 2]  # n + W = 5 rows per rollout
+            assert pool.terminal.tolist() == [False, False, True, False, False, True]
+            for r in order:  # a generator per rollout, so the order changes no draw
+                generate_rollout(asm, disc, pool, r, net, np.full(3, 0.5), np.random.default_rng(r),
+                                 RewardWeights(), 0.05)
+            pools.append(pool)
+        pool, backwards = pools
+        for name in ("steps", *COLUMNS):
+            assert getattr(pool, name).tobytes() == getattr(backwards, name).tobytes(), name
         assert len(pool) == 6
         node_id, period, t = pool.origins()
         assert node_id.tolist() == ["a"] * 3 + ["bb"] * 3
         assert t.tolist() == [2, 3, 4, 2, 3, 4]
         assert period.tolist() == [7] * 6
-        assert pool.terminal.tolist() == [False, False, True, False, False, True]
-        assert pool.start.tolist() == [0, 1, 2, 5 + 0, 5 + 1, 5 + 2]  # n + W = 5 rows per rollout
+        assert pool.degree.tolist() == [asm.degree("a")] * 3 + [asm.degree("bb")] * 3
         np.testing.assert_array_equal(pool.steps, np.concatenate([asm.rows(v, 0, 5) for v in ("a", "bb")]))
+        for nodes, n, table in ((["a", "bb"], 0, (4, 6)), ([], 3, (0, 6))):  # no step, no node
+            pool = ReplayBuffer.allocate(nodes, n, asm.window, 7, 2)
+            assert len(pool) == 0 and pool.steps.shape == table
+            assert [column.tolist() for column in pool.origins()] == [[], [], []]
+
+    def test_allocate_holds_only_its_own_arrays(self):
+        """Laying out 40 rollouts of 2,000 steps allocates the table and the
+        columns, and no temporary of the pool's length (640,000 bytes for
+        one int64 column): what else it holds is numpy's fixed iteration
+        buffers, about 128 KiB, and one rollout's 2,000 offsets."""
+        k, n, w = 40, 2_000, 6
+        pool, peak = traced_peak(lambda: ReplayBuffer.allocate([f"n{r:02d}" for r in range(k)], n, w, 1, w))
+        own = pool.steps.nbytes + pool.rollouts.nodes.nbytes + sum(getattr(pool, c).nbytes for c in COLUMNS)
+        assert peak - own <= 256 * 1024, peak - own
 
     def test_empty_allocated_pool_has_no_origins(self):
         """A pool allocated for no rollout, as a period whose training split
-        ends at or before W gets, holds nothing, names no origin, takes no
-        rollout, and goes into a memory as no transitions."""
+        ends at or before W gets, holds nothing, names no origin, and goes
+        into a memory as no transitions."""
         pool = ReplayBuffer.allocate([], 0, 3, 7, 3)
         assert len(pool) == 0 and pool.steps.shape == (0, 6)
         assert [column.tolist() for column in pool.origins()] == [[], [], []]
-        with pytest.raises(ValueError, match="no room"):
-            pool.next_block()
         memory = ConsolidationMemory()
         memory.add_period(7, pool)
         assert len(memory) == 0 and memory.steps.shape == (0, 6)

@@ -127,7 +127,7 @@ def rollout_fixture(eps=0.0, seed=3):
     rng = np.random.default_rng(seed)
     pool = ReplayBuffer.allocate([node], n, 6, ds.period, max(6, lo))
     return generate_rollout(
-        asm, disc, node, "train", net, np.full(n, eps), rng, RewardWeights(), 0.05, pool
+        asm, disc, pool, 0, net, np.full(n, eps), rng, RewardWeights(), 0.05
     ), ds
 
 
