@@ -45,20 +45,21 @@ _, frozen = run_continual(datasets, replace(cfg, freeze_after_first_period=True)
 print(f"two regimes trained in {time.perf_counter() - t0:.1f}s\n")
 
 print("period | candidates | experiences |  continual mae (15m/60m) | frozen mae (15m/60m)")
-for rc, rf in zip(continual, frozen):
-    c3, c12 = rc.metrics["test"][3].mae, rc.metrics["test"][12].mae
-    f3, f12 = rf.metrics["test"][3].mae, rf.metrics["test"][12].mae
+for rc, rf in zip(continual, frozen):  # each report is the dict `flowrl train` writes
+    c3, c12 = rc["metrics"]["test"]["3"]["mae"], rc["metrics"]["test"]["12"]["mae"]
+    f3, f12 = rf["metrics"]["test"]["3"]["mae"], rf["metrics"]["test"]["12"]["mae"]
     print(
-        f"   {rc.period}   |    {len(rc.candidates):3d}     |   {rc.experiences_generated:6d}    |"
+        f"   {rc['period']}   |    {rc['candidates']['count']:3d}     |"
+        f"   {rc['experiences']['generated']:6d}    |"
         f"        {c3:6.2f} / {c12:6.2f}   |    {f3:6.2f} / {f12:6.2f}"
     )
 
-last_c = continual[-1].metrics["test"][3]
-last_f = frozen[-1].metrics["test"][3]
+last_c = continual[-1]["metrics"]["test"]["3"]
+last_f = frozen[-1]["metrics"]["test"]["3"]
 print(
-    f"\nfinal period, 15-minute horizon: continual mae {last_c.mae:.2f} "
-    f"(accuracy {last_c.class_accuracy:.2f}) vs frozen {last_f.mae:.2f} "
-    f"(accuracy {last_f.class_accuracy:.2f})"
+    f"\nfinal period, 15-minute horizon: continual mae {last_c['mae']:.2f} "
+    f"(accuracy {last_c['class_accuracy']:.2f}) vs frozen {last_f['mae']:.2f} "
+    f"(accuracy {last_f['class_accuracy']:.2f})"
 )
 
 # learning-free reference forecasters on the same final period

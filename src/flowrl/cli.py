@@ -234,18 +234,18 @@ def cmd_train(args) -> int:
     for period in periods[start_index:]:
         curr = _load_dataset(data_dir, period)
         with _readings_of(data_dir, period):
-            report = run_period(prev, curr, agent, config.trainer, config.weights, config.seed,
-                                drift_cfg=config.drift)
-        _write_json(out_dir / f"report_{period}.json", report.to_report_dict())
-        _write_json(out_dir / f"timings_{period}.json", report.to_timings_dict())
+            report, timings = run_period(prev, curr, agent, config.trainer, config.weights, config.seed,
+                                         drift_cfg=config.drift)
+        _write_json(out_dir / f"report_{period}.json", report)
+        _write_json(out_dir / f"timings_{period}.json", timings)
         with _writing(out_dir / f"checkpoint_{period}.npz") as path:
             save_agent(agent, path)
-        test_summary = report.metrics.get("test", {})
-        first = min(test_summary) if test_summary else None
-        mae = f"{test_summary[first].mae:.3f}" if first is not None else "n/a"
+        test_summary = report["metrics"]["test"]
+        first = min(test_summary, key=int) if test_summary else None
+        mae = f"{test_summary[first]['mae']:.3f}" if first is not None else "n/a"
         print(
-            f"period {period}: {len(report.candidates)} candidates, "
-            f"{report.experiences_generated} experiences, test mae[h={first}]={mae}"
+            f"period {period}: {report['candidates']['count']} candidates, "
+            f"{report['experiences']['generated']} experiences, test mae[h={first}]={mae}"
         )
         prev = curr
     return EXIT_OK

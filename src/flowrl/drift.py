@@ -35,8 +35,8 @@ class DriftConfig:
             raise ValueError(f"fraction must lie in [0, 1], got {self.fraction}")
         if self.bins < 2:
             raise ValueError(f"need at least 2 bins, got {self.bins}")
-        if self.smoothing < 0:
-            raise ValueError(f"smoothing must be >= 0, got {self.smoothing}")
+        if not self.smoothing > 0:  # an empty bin of zero mass makes KL infinite
+            raise ValueError(f"smoothing must be > 0, got {self.smoothing}")
 
 
 def _masses(flows: np.ndarray, edges: np.ndarray, smoothing: float) -> np.ndarray:

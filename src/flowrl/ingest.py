@@ -20,7 +20,7 @@ import csv
 import io
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime
 from functools import cached_property
 from itertools import islice, repeat
@@ -118,7 +118,8 @@ def compute_splits(length: int) -> SplitBounds:
 class PeriodDataset:
     """One period of the stream: its graph snapshot, the (N, T, 3) tensor of
     (flow, speed, occupancy) readings of every node, and the split bounds
-    of its time axis. The constructor checks the readings and raises a
+    that compute_splits derives from its length. The constructor refuses a
+    series too short to split first, then checks the readings and raises a
     ReadingError at the first offending sensor and time index."""
 
     period: int
@@ -126,9 +127,10 @@ class PeriodDataset:
     nodes: tuple[str, ...]  # sorted ids, every node of the snapshot
     times: np.ndarray  # (T,) datetime64[s], 300 s apart
     values: np.ndarray  # (N, T, 3) float64, channels in CHANNELS order
-    splits: SplitBounds
+    splits: SplitBounds = field(init=False)
 
     def __post_init__(self):
+        self.splits = compute_splits(len(self.times))
         self.nodes = tuple(self.nodes)
         self.times = np.asarray(self.times, dtype="datetime64[s]")
         self.values = np.asarray(self.values, dtype=float)
@@ -142,8 +144,6 @@ class PeriodDataset:
         shape = (len(self.nodes), len(self.times), len(CHANNELS))
         if self.times.ndim != 1 or self.values.shape != shape:
             raise ValueError(f"values have shape {self.values.shape}, expected {shape}")
-        if self.splits.length != len(self.times):
-            raise ValueError("split bounds do not match series length")
         gaps = np.diff(self.times).astype(int)
         if np.any(gaps != STEP_SECONDS):
             t = int(np.argmax(gaps != STEP_SECONDS))
@@ -436,7 +436,7 @@ def load_period(readings_path, adjacency_path, period: int, nodes_path=None) -> 
 
     try:
         return PeriodDataset(period=period, snapshot=snapshot, nodes=tuple(nodes), times=times,
-                             values=floats.reshape(n, width, len(CHANNELS)), splits=compute_splits(width))
+                             values=floats.reshape(n, width, len(CHANNELS)))
     except ReadingError as e:
         if e.t is not None:
             row_of = np.empty((n, width), dtype=np.intp)
@@ -651,7 +651,6 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> list[PeriodDataset
                 nodes=nodes,
                 times=times,
                 values=values,
-                splits=compute_splits(config.steps_per_period),
             )
         )
     return datasets

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import time
 from collections import namedtuple
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -393,50 +393,6 @@ def evaluate_period(dataset: PeriodDataset, net: QNetwork, discretizer: Discreti
     return metrics, per_node_test_mae
 
 
-@dataclass(eq=False)
-class PeriodReport:
-    """Deterministic per-period outcome plus (separately dumped) timings."""
-
-    period: int
-    candidates: tuple[str, ...]
-    new_nodes: tuple[str, ...]
-    drifted_nodes: tuple[str, ...]
-    experiences_generated: int
-    experiences_consumed: int
-    updates: int
-    epoch_losses: list[float]
-    metrics: dict[str, dict[int, MetricSet]]
-    per_node_test_mae: dict[str, float]
-    drift_scores: dict[str, float] | None
-    timings: dict[str, float] = field(default_factory=dict)
-
-    def to_report_dict(self) -> dict:
-        """JSON-ready content; excludes wall-clock values so reruns match byte-for-byte."""
-        out = {
-            "period": self.period,
-            "candidates": {
-                "nodes": list(self.candidates),
-                "new": list(self.new_nodes),
-                "drifted": list(self.drifted_nodes),
-                "count": len(self.candidates),
-            },
-            "experiences": {
-                "generated": self.experiences_generated,
-                "consumed": self.experiences_consumed,
-            },
-            "updates": self.updates,
-            "epoch_losses": [float(x) for x in self.epoch_losses],
-            "metrics": metrics_dict(self.metrics),
-            "per_node_test_mae": {k: float(v) for k, v in self.per_node_test_mae.items()},
-        }
-        if self.drift_scores is not None:
-            out["drift_scores"] = {k: float(v) for k, v in self.drift_scores.items()}
-        return out
-
-    def to_timings_dict(self) -> dict:
-        return {"period": self.period, **{k: float(v) for k, v in self.timings.items()}}
-
-
 AGENT_CHECKPOINT_VERSION = 4
 Entry = namedtuple("Entry", "dtype shape within fault", defaults=((), lambda values, sizes: True, ""))
 
@@ -522,42 +478,41 @@ def load_agent(path) -> AgentState:
     return AgentState(net, opt, memory, data["updates"].item())
 
 
-def _period_report(curr: PeriodDataset, cfg: TrainerConfig, generated: int,
-                   epoch_losses: list[float], evaluation, clock, candidates,
-                   new_nodes=(), drifted=(), drift_scores=None) -> PeriodReport:
-    """A period's report from its pool size, losses and evaluation; `clock`
-    holds perf_counter readings at the start and after detection,
-    rollouts, training and evaluation."""
-    t_start, t_detect, t_rollout, t_train, t_eval = clock
+def _period_report(period: int, cfg: TrainerConfig, generated: int, epoch_losses: list[float],
+                   evaluation, candidates, new_nodes=(), drifted=(), drift_scores=None) -> dict:
+    """A period's report as train writes it, from its pool size, losses and
+    evaluation; it holds no wall-clock value, so reruns match byte for byte,
+    and drift scores only where drift detection ran."""
     updates = len(epoch_losses) * math.ceil(generated / cfg.batch_size)
     metrics, per_node_mae = evaluation
-    return PeriodReport(
-        period=curr.period,
-        candidates=candidates,
-        new_nodes=new_nodes,
-        drifted_nodes=drifted,
-        experiences_generated=generated,
-        experiences_consumed=updates * cfg.batch_size,
-        updates=updates,
-        epoch_losses=epoch_losses,
-        metrics=metrics,
-        per_node_test_mae=per_node_mae,
-        drift_scores=drift_scores,
-        timings={
-            "total_seconds": t_eval - t_start,
-            "detect_seconds": t_detect - t_start,
-            "rollout_seconds": t_rollout - t_detect,
-            "train_seconds": t_train - t_rollout,
-            "eval_seconds": t_eval - t_train,
-            "per_epoch_seconds": (t_train - t_rollout) / len(epoch_losses) if epoch_losses else 0.0,
+    report = {
+        "period": period,
+        "candidates": {
+            "nodes": list(candidates),
+            "new": list(new_nodes),
+            "drifted": list(drifted),
+            "count": len(candidates),
         },
-    )
+        "experiences": {
+            "generated": generated,
+            "consumed": updates * cfg.batch_size,
+        },
+        "updates": updates,
+        "epoch_losses": [float(x) for x in epoch_losses],
+        "metrics": metrics_dict(metrics),
+        "per_node_test_mae": {k: float(v) for k, v in per_node_mae.items()},
+    }
+    if drift_scores is not None:
+        report["drift_scores"] = {k: float(v) for k, v in drift_scores.items()}
+    return report
 
 
 def run_period(prev: PeriodDataset | None, curr: PeriodDataset, agent: AgentState,
                cfg: TrainerConfig, weights: RewardWeights, seed: int,
-               drift_cfg: DriftConfig | None = None) -> PeriodReport:
-    """One period of the continual loop; mutates and returns via `agent`.
+               drift_cfg: DriftConfig | None = None) -> tuple[dict, dict]:
+    """One period of the continual loop; mutates `agent` and returns the
+    period's (report, timings), the dicts that train writes as report_<p>.json
+    and timings_<p>.json.
 
     Without a previous period (bootstrap) every node is a candidate;
     otherwise drift detection picks new nodes plus the top-KL fraction of
@@ -576,11 +531,11 @@ def run_period(prev: PeriodDataset | None, curr: PeriodDataset, agent: AgentStat
         drifted: tuple[str, ...] = ()
         drift_scores = None
     else:
-        report = drift_mod.detect(prev, curr, **asdict(drift_cfg))
-        candidates = report.candidates
-        new_nodes = report.new_nodes
-        drifted = report.top_kl_nodes
-        drift_scores = report.scores
+        found = drift_mod.detect(prev, curr, **asdict(drift_cfg))
+        candidates = found.candidates
+        new_nodes = found.new_nodes
+        drifted = found.top_kl_nodes
+        drift_scores = found.scores
     t_detect = time.perf_counter()
 
     discretizer, assembler = fit_period(curr, cfg.window)
@@ -601,20 +556,27 @@ def run_period(prev: PeriodDataset | None, curr: PeriodDataset, agent: AgentStat
     del pool  # evaluation runs without it
     evaluation = evaluate_period(curr, agent.net, discretizer, assembler, cfg.horizons)
     t_eval = time.perf_counter()
-    return _period_report(
-        curr, cfg, generated, epoch_losses, evaluation,
-        (t_start, t_detect, t_rollout, t_train, t_eval),
-        candidates, new_nodes, drifted, drift_scores,
-    )
+    timings = {
+        "period": curr.period,
+        "total_seconds": t_eval - t_start,
+        "detect_seconds": t_detect - t_start,
+        "rollout_seconds": t_rollout - t_detect,
+        "train_seconds": t_train - t_rollout,
+        "eval_seconds": t_eval - t_train,
+        "per_epoch_seconds": (t_train - t_rollout) / len(epoch_losses) if epoch_losses else 0.0,
+    }
+    return _period_report(curr.period, cfg, generated, epoch_losses, evaluation,
+                          candidates, new_nodes, drifted, drift_scores), timings
 
 
 def run_continual(datasets: list[PeriodDataset], cfg: TrainerConfig, weights: RewardWeights,
                   seed: int, drift_cfg: DriftConfig | None = None):
-    """Continual training across a dataset sequence; returns (agent, reports)."""
+    """Continual training across a dataset sequence; returns (agent, reports),
+    one run_period report per dataset."""
     if not datasets:
         raise ValueError("no datasets to train on")
     agent = init_agent(cfg, seed)
-    reports = [run_period(prev, curr, agent, cfg, weights, seed, drift_cfg=drift_cfg)
+    reports = [run_period(prev, curr, agent, cfg, weights, seed, drift_cfg=drift_cfg)[0]
                for prev, curr in zip([None, *datasets], datasets)]
     return agent, reports
 
@@ -623,14 +585,14 @@ def run_full_retrain(datasets: list[PeriodDataset], cfg: TrainerConfig,
                      weights: RewardWeights, seed: int):
     """Retrain-from-scratch baseline: each period trains a fresh network on
     every node of every period seen so far, pooled in one ConsolidationMemory,
-    with no drift selection. Returns (reports, experiences_touched_total)."""
+    with no drift selection. Returns (reports, experiences_touched_total), each
+    report laid out as run_period's bootstrap report."""
     if not datasets:
         raise ValueError("no datasets to train on")
     reports = []
     touched = 0
     for i, curr in enumerate(datasets):
         agent = init_agent(cfg, seed)
-        t_start = time.perf_counter()
         pool = ConsolidationMemory()
         for past in datasets[: i + 1]:
             discretizer, assembler = fit_period(past, cfg.window)
@@ -638,17 +600,11 @@ def run_full_retrain(datasets: list[PeriodDataset], cfg: TrainerConfig,
             pool.add_period(past.period, generate_training_experiences(
                 past, past.nodes, agent.net, cfg, weights, assembler, discretizer, rng_rollout
             ))
-        t_rollout = time.perf_counter()
         rng_train = np.random.default_rng([seed, curr.period, i, 4])
         epoch_losses = train_on_buffer(agent, pool, cfg, rng_train, curr.period)
-        t_train = time.perf_counter()
 
         # the last dataset seen is curr, so its discretizer and assembler score it
         evaluation = evaluate_period(curr, agent.net, discretizer, assembler, cfg.horizons)
-        t_eval = time.perf_counter()
         touched += len(pool)
-        reports.append(_period_report(
-            curr, cfg, len(pool), epoch_losses, evaluation,
-            (t_start, t_start, t_rollout, t_train, t_eval), curr.nodes,
-        ))
+        reports.append(_period_report(curr.period, cfg, len(pool), epoch_losses, evaluation, curr.nodes))
     return reports, touched

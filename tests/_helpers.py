@@ -6,7 +6,7 @@ from datetime import datetime, timedelta
 import numpy as np
 
 from flowrl.graph import GraphSnapshot
-from flowrl.ingest import PeriodDataset, SensorSeries, compute_splits
+from flowrl.ingest import PeriodDataset, SensorSeries
 from flowrl.replay import MEMORY_COLUMNS, ReplayBuffer, Rollouts
 
 
@@ -40,7 +40,7 @@ def make_dataset(period, nodes, edges, series):
     values = np.stack([np.stack([series[i].flow, series[i].speed, series[i].occupancy], axis=-1)
                        for i in ids])
     return PeriodDataset(period=period, snapshot=snapshot, nodes=ids, times=first.timestamps,
-                         values=values, splits=compute_splits(len(first)))
+                         values=values)
 
 
 def store(rewards, nodes=None, ts=None, period=1, actions=None):

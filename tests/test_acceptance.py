@@ -238,10 +238,10 @@ def stream_runs():
 
 def test_criterion_07_continual_vs_retrain_bound(stream_runs):
     h = STREAM_CFG.horizons[0]
-    mae_continual = stream_runs["continual"][-1].metrics["test"][h].mae
-    mae_retrain = stream_runs["retrain"][-1].metrics["test"][h].mae
+    mae_continual = stream_runs["continual"][-1]["metrics"]["test"][str(h)]["mae"]
+    mae_retrain = stream_runs["retrain"][-1]["metrics"]["test"][str(h)]["mae"]
     ratio = mae_continual / mae_retrain
-    touched_continual = sum(r.experiences_generated for r in stream_runs["continual"])
+    touched_continual = sum(r["experiences"]["generated"] for r in stream_runs["continual"])
     touched_retrain = stream_runs["retrain_touched"]
     budget = touched_continual / touched_retrain
     elapsed = stream_runs["elapsed"]
@@ -256,14 +256,14 @@ def test_criterion_08_forgetting_ablation(stream_runs):
     datasets = stream_runs["datasets"]
     with_memory = stream_runs["continual"][-1]
     without_memory = stream_runs["no_memory"][-1]
-    assert with_memory.candidates == without_memory.candidates
+    assert with_memory["candidates"] == without_memory["candidates"]
     first_period_nodes = set(datasets[0].snapshot.nodes)
     old_nodes = sorted(
-        (first_period_nodes & set(datasets[-1].snapshot.nodes)) - set(with_memory.candidates)
+        (first_period_nodes & set(datasets[-1].snapshot.nodes)) - set(with_memory["candidates"]["nodes"])
     )
     assert old_nodes, "no old nodes to evaluate"
-    mae_with = float(np.mean([with_memory.per_node_test_mae[n] for n in old_nodes]))
-    mae_without = float(np.mean([without_memory.per_node_test_mae[n] for n in old_nodes]))
+    mae_with = float(np.mean([with_memory["per_node_test_mae"][n] for n in old_nodes]))
+    mae_without = float(np.mean([without_memory["per_node_test_mae"][n] for n in old_nodes]))
     assert mae_without > mae_with, (
         f"expected forgetting: rho=0 gave {mae_without:.3f} vs rho=0.25 {mae_with:.3f}"
     )

@@ -135,6 +135,20 @@ class TestTrain:
                     mae = report["metrics"][split][h]["mae"]
                     assert np.isfinite(mae) and mae >= 0
 
+    def test_stdout_names_each_periods_counts_and_smallest_horizons_mae(self, tmp_path, generated, capsys):
+        """train prints one line per period: its candidates, its experiences
+        and its test MAE at the smallest horizon by number, 3 of 12,3."""
+        data, _ = generated
+        config, out = tmp_path / "horizons.ini", tmp_path / "run"
+        config.write_text(TINY_CONFIG.replace("horizons = 1,3", "horizons = 12,3"))
+        capsys.readouterr()
+        assert main(["train", "--config", str(config), "--data-dir", str(data), "--out-dir", str(out)]) == 0
+        mae = [json.loads((out / f"report_{p}.json").read_text())["metrics"]["test"]["3"]["mae"] for p in (1, 2)]
+        assert capsys.readouterr().out.splitlines() == [
+            f"period 1: 5 candidates, 330 experiences, test mae[h=3]={mae[0]:.3f}",
+            f"period 2: 2 candidates, 132 experiences, test mae[h=3]={mae[1]:.3f}",
+        ]
+
     def test_two_runs_byte_identical_reports(self, tmp_path, generated):
         data, config = generated
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -787,6 +801,27 @@ class TestExitCodes:
         assert f"[generator] drift: {message}" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("command", ["generate", "train", "detect"])
+    def test_unsmoothed_drift_config_is_config_error(self, tmp_path, capsys, command):
+        """[drift] smoothing = 0 leaves an empty bin no mass, and KL against
+        it is infinite, as in some bins of these 40-step periods: every
+        command refuses it before it writes a file."""
+        tiny = "[generator]\nperiods = 2\ninitial_nodes = 5\ngrowth_per_period = 1\nsteps_per_period = 40\n"
+        data, config, out = tmp_path / "data", tmp_path / "unsmoothed.ini", tmp_path / "out"
+        (tmp_path / "tiny.ini").write_text(tiny)
+        assert main(["generate", "--config", str(tmp_path / "tiny.ini"), "--out-dir", str(data)]) == 0
+        config.write_text(tiny + "[drift]\nsmoothing = 0\n")
+        argv = {
+            "generate": ["generate", "--out-dir", str(out)],
+            "train": ["train", "--data-dir", str(data), "--out-dir", str(out)],
+            "detect": ["detect", "--data-dir", str(data), "--period", "2", "--out", str(tmp_path / "detect.json")],
+        }[command]
+        capsys.readouterr()
+        assert main([*argv, "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "[drift] smoothing: smoothing must be > 0" in err, err
+        assert not out.exists() and not (tmp_path / "detect.json").exists()
+
     @pytest.mark.parametrize("setting, message", [
         ("phase_jitter_steps = -1", "[generator] phase_jitter_steps: phase_jitter_steps must be >= 0"),
         ("amplitude_jitter = -0.5", "[generator] amplitude_jitter: amplitude_jitter must be >= 0"),
@@ -931,9 +966,9 @@ def test_freeze_after_first_period(tmp_path, generated):
         drift_cfg=run.drift,
     )
     for report in reports:
-        path = tmp_path / f"library_{report.period}.json"
-        _write_json(path, report.to_report_dict())
-        assert path.read_bytes() == (out / f"report_{report.period}.json").read_bytes()
+        path = tmp_path / f"library_{report['period']}.json"
+        _write_json(path, report)
+        assert path.read_bytes() == (out / f"report_{report['period']}.json").read_bytes()
 
 
 def test_export_figures_from_real_run(tmp_path, generated):

@@ -9,7 +9,7 @@ from _helpers import make_dataset, make_series
 from _oracles import drift_scores_reference
 from flowrl.drift import _kl, _masses, detect
 from flowrl.graph import GraphSnapshot
-from flowrl.ingest import DriftSpec, GeneratorConfig, PeriodDataset, compute_splits, generate_synthetic
+from flowrl.ingest import DriftSpec, GeneratorConfig, PeriodDataset, generate_synthetic
 
 
 def masses(flows, edges, smoothing):
@@ -204,7 +204,7 @@ def drawn_period(data, period, nodes, length):
     values[constant, :, 0] = values[constant, :1, 0]
     return PeriodDataset(period=period, snapshot=GraphSnapshot.build(period, nodes, []), nodes=nodes,
                          times=np.datetime64("2001-01-01T00:00:00") + 300 * np.arange(length),
-                         values=values, splits=compute_splits(length))
+                         values=values)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -230,5 +230,6 @@ def test_drift_config_validation():
         DriftConfig(fraction=1.5)
     with pytest.raises(ValueError):
         DriftConfig(bins=1)
-    with pytest.raises(ValueError):
-        DriftConfig(smoothing=-0.1)
+    for smoothing in (-0.1, 0.0):
+        with pytest.raises(ValueError, match="smoothing must be > 0"):
+            DriftConfig(smoothing=smoothing)

@@ -51,6 +51,11 @@ class TestSplits:
     def test_too_short_rejected(self):
         with pytest.raises(ValueError, match="length 4"):
             compute_splits(4)
+        # a dataset derives its splits before it checks its readings
+        with pytest.raises(ValueError, match="length 4"):
+            PeriodDataset(period=1, snapshot=GraphSnapshot.build(1, ["a"], []), nodes=["a"],
+                          times=np.datetime64("2001-01-01T00:00:00") + 300 * np.arange(4),
+                          values=np.full((1, 4, 3), np.nan))
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -270,7 +275,7 @@ class TestLoadPeriod:
         ds = PeriodDataset(
             period=3, snapshot=GraphSnapshot.build(3, ids, []), nodes=ids,
             times=np.datetime64("2003-01-01T00:00:00") + 300 * np.arange(length),
-            values=np.stack([flow, speed, occ], axis=-1), splits=compute_splits(length),
+            values=np.stack([flow, speed, occ], axis=-1),
         )
         with tempfile.TemporaryDirectory() as tmp:
             first, again = Path(tmp, "a"), Path(tmp, "b")
@@ -304,7 +309,7 @@ class TestLoadPeriod:
         ds = PeriodDataset(
             period=3, snapshot=snapshot, nodes=tuple(ids[i] for i in order),
             times=np.datetime64("2003-01-01T00:00:00") + 300 * np.arange(length),
-            values=np.stack([flow, speed, occ], axis=-1)[order], splits=compute_splits(length),
+            values=np.stack([flow, speed, occ], axis=-1)[order],
         )
         with tempfile.TemporaryDirectory() as tmp:
             loaded = load_period(*write_dataset(ds, Path(tmp))[:2], 3, nodes_path=Path(tmp, "nodes_3.csv"))
@@ -365,7 +370,7 @@ class TestLoadPeriod:
         ds = PeriodDataset(
             period=3, snapshot=GraphSnapshot.build(3, ids, []), nodes=ids,
             times=np.datetime64("2003-01-01T00:00:00") + 300 * np.arange(length),
-            values=np.stack([flow, speed, occ], axis=-1), splits=compute_splits(length),
+            values=np.stack([flow, speed, occ], axis=-1),
         )
         with tempfile.TemporaryDirectory() as tmp:
             readings, reference = Path(tmp, "readings.csv"), Path(tmp, "reference.csv")
@@ -503,7 +508,7 @@ class TestLoadPeriodBlocks:
         values = data.draw(arrays(np.float64, (len(ids), length, 3), elements=st.floats(0.0, 1.0)))
         ds = PeriodDataset(period=3, snapshot=snapshot, nodes=ids,
                            times=np.datetime64("2003-01-01T00:00:00") + 300 * np.arange(length),
-                           values=values, splits=compute_splits(length))
+                           values=values)
         with tempfile.TemporaryDirectory() as tmp:
             files = write_dataset(ds, Path(tmp))
             previous, ingest.READ_BLOCK = ingest.READ_BLOCK, block

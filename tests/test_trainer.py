@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import json
 import math
 import tempfile
 import tracemalloc
@@ -23,6 +24,7 @@ from _oracles import (
     td_target,
 )
 from _helpers import make_dataset, make_series, memory_columns, store, traced_peak
+from flowrl.cli import _write_json
 from flowrl.env import Calibration, RewardWeights, StateAssembler, classify, fit_discretizer, state_dim
 from flowrl.replay import ConsolidationMemory, ReplayBuffer, mixed_batch, retain_top_fraction, sample
 from flowrl.drift import DriftConfig
@@ -417,9 +419,9 @@ def test_period_pool_holds_only_its_candidates_rows(monkeypatch):
     monkeypatch.setattr(trainer_mod, "generate_training_experiences", keep)
     cfg = TrainerConfig(epochs=1, batch_size=32, horizons=(1,), window=4, hidden=8)
     agent = init_agent(cfg, seed=0)
-    reports = [run_period(prev, curr, agent, cfg, RewardWeights(), seed=0, drift_cfg=DriftConfig(fraction=0.1))
+    reports = [run_period(prev, curr, agent, cfg, RewardWeights(), seed=0, drift_cfg=DriftConfig(fraction=0.1))[0]
                for prev, curr in zip([None, *dss], dss)]
-    ds, pool, candidates = dss[1], pools[1], sorted(reports[1].candidates)
+    ds, pool, candidates = dss[1], pools[1], sorted(reports[1]["candidates"]["nodes"])
     lo, hi = ds.splits.train
     n = hi - max(4, lo)
     assert 0 < len(candidates) < len(ds.nodes)
@@ -433,10 +435,12 @@ def test_period_pool_holds_only_its_candidates_rows(monkeypatch):
         assert held == ([candidates.index(v)] if v in candidates else []), v
 
 
-def test_full_retrain_takes_a_period_too_short_to_train():
+def test_full_retrain_takes_a_period_too_short_to_train(tmp_path):
     """A period whose training split ends at or before W gives an empty
     pool: the retrain baseline pools it as no transitions, still scores
-    that period, and trains the next on the later period's alone."""
+    that period, and trains the next on the later period's alone. Its
+    reports are laid out as a bootstrap run_period report, with no new
+    nodes and no drift scores, and train's JSON writer takes them."""
     def period(p, length):
         t = np.arange(length)
         series = {f"v{i}": make_series(f"v{i}", (t * 7 + i * 13) % 100 + 1.0) for i in range(3)}
@@ -445,9 +449,19 @@ def test_full_retrain_takes_a_period_too_short_to_train():
     short, long = period(1, 20), period(2, 60)  # training splits [0, 12) and [0, 36)
     cfg = TrainerConfig(epochs=1, batch_size=16, horizons=(1,), window=12, hidden=4)
     reports, touched = run_full_retrain([short, long], cfg, RewardWeights(), seed=0)
-    assert [r.experiences_generated for r in reports] == [0, 3 * (36 - 12)]
-    assert touched == 3 * (36 - 12) and reports[0].epoch_losses == []
-    assert all(set(r.metrics) == {"val", "test"} and 1 in r.metrics["test"] for r in reports)
+    assert [r["experiences"]["generated"] for r in reports] == [0, 3 * (36 - 12)]
+    assert touched == 3 * (36 - 12) and reports[0]["epoch_losses"] == []
+    assert all(set(r["metrics"]) == {"val", "test"} and "1" in r["metrics"]["test"] for r in reports)
+
+    bootstrap, _ = run_period(None, long, init_agent(cfg, seed=0), cfg, RewardWeights(), seed=0)
+    for report in reports:
+        assert set(report) == set(bootstrap) and "drift_scores" not in report
+        for key in ("candidates", "experiences"):
+            assert set(report[key]) == set(bootstrap[key])
+        assert report["candidates"]["new"] == [] and report["candidates"]["nodes"] == ["v0", "v1", "v2"]
+        path = tmp_path / f"retrain_{report['period']}.json"
+        _write_json(path, report)
+        assert json.loads(path.read_text()) == report
 
 
 def constant_flow_dataset():
@@ -478,10 +492,10 @@ class TestRunPeriod:
         ds = diurnal_dataset(seed=6, steps=120)
         cfg = TrainerConfig(epochs=1, batch_size=32, horizons=(1,), window=6, hidden=16)
         agent = init_agent(cfg, seed=0)
-        report = run_period(None, ds, agent, cfg, RewardWeights(), seed=0)
-        assert report.candidates == tuple(sorted(ds.series))
-        assert report.experiences_generated > 0
-        assert set(report.per_node_test_mae) == set(ds.series)
+        report, _ = run_period(None, ds, agent, cfg, RewardWeights(), seed=0)
+        assert report["candidates"]["nodes"] == report["candidates"]["new"] == sorted(ds.series)
+        assert report["experiences"]["generated"] > 0
+        assert set(report["per_node_test_mae"]) == set(ds.series)
 
     def test_identical_periods_fraction_zero_trains_nothing(self):
         ds1 = diurnal_dataset(seed=7, steps=120, period=1)
@@ -490,14 +504,14 @@ class TestRunPeriod:
         cfg = TrainerConfig(epochs=2, batch_size=32, horizons=(1,), window=6, hidden=16)
         agent = init_agent(cfg, seed=0)
         run_period(None, ds1, agent, cfg, RewardWeights(), seed=0)
-        report = run_period(ds1, ds2, agent, cfg, RewardWeights(), seed=0,
-                            drift_cfg=DriftConfig(fraction=0.0))
-        assert report.candidates == ()
-        assert report.experiences_generated == 0
-        assert report.updates == 0
+        report, _ = run_period(ds1, ds2, agent, cfg, RewardWeights(), seed=0,
+                               drift_cfg=DriftConfig(fraction=0.0))
+        assert report["candidates"]["nodes"] == []
+        assert report["experiences"]["generated"] == 0
+        assert report["updates"] == 0
         # evaluation still covers every node at every horizon
-        assert set(report.per_node_test_mae) == set(ds2.series)
-        assert 1 in report.metrics["test"]
+        assert set(report["per_node_test_mae"]) == set(ds2.series)
+        assert "1" in report["metrics"]["test"]
 
     def test_consolidation_memory_grows_per_period(self):
         cfg_gen = GeneratorConfig(periods=2, initial_nodes=5, growth_per_period=1,
@@ -509,19 +523,18 @@ class TestRunPeriod:
         assert agent.memory.periods() == [1, 2]
         import math
         for report in reports:
-            expected = math.ceil(0.05 * report.experiences_generated)
-            assert int(np.sum(agent.memory.period == report.period)) == expected
+            expected = math.ceil(0.05 * report["experiences"]["generated"])
+            assert int(np.sum(agent.memory.period == report["period"])) == expected
 
     def test_report_dict_has_no_timings(self):
         ds = diurnal_dataset(seed=9, steps=120)
         cfg = TrainerConfig(epochs=1, batch_size=32, horizons=(1,), window=6, hidden=16)
         agent = init_agent(cfg, seed=0)
-        report = run_period(None, ds, agent, cfg, RewardWeights(), seed=0)
-        payload = report.to_report_dict()
-        assert "timings" not in payload
-        assert report.timings["total_seconds"] > 0
-        timing = report.to_timings_dict()
-        assert set(timing) >= {"period", "total_seconds", "per_epoch_seconds"}
+        report, timings = run_period(None, ds, agent, cfg, RewardWeights(), seed=0)
+        assert not {"timings", "total_seconds"} & set(report)
+        assert timings["period"] == report["period"] == ds.period
+        assert timings["total_seconds"] > 0
+        assert set(timings) >= {"period", "total_seconds", "per_epoch_seconds"}
 
 
 
